@@ -85,7 +85,7 @@ def _floats(text, count=None):
     return np.array(vals)
 
 
-def _parse_structure(token, for_dim=None):
+def _parse_structure(token):
     """--structure value -> (PoissonStructure, kind, payload)."""
     if token in ("su2", "so3", "heisenberg3"):
         spec = ld.builtin_spec(token)
@@ -266,8 +266,7 @@ def _run_flow(args) -> int:
         if len(comps) != s.n:
             raise CLIError(f"--eta needs {s.n} components for this structure")
         u = np.linspace(0.0, 1.0, args.grid + 1)
-        eta = np.stack([ex.evaluate_array(c, {"u": u}) * np.ones_like(u)
-                        for c in comps], axis=1)
+        eta = np.stack([ex.evaluate_array(c, {"u": u}) for c in comps], axis=1)
         m = ps.solve_gauss(s, x0, eta)
         emit(_morphism_report(m, args.out,
                               {"residual": ps.gauss_residual(s, m)}))

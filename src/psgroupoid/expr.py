@@ -15,6 +15,7 @@ differentiation total. Unary minus applies to a whole factor so that
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -310,27 +311,37 @@ def evaluate(e: Expr, point: dict) -> float:
 
 def evaluate_array(e: Expr, point: dict) -> np.ndarray:
     """Vectorized evaluation; values in ``point`` are numpy arrays
-    (broadcastable). Same domain conventions as ``evaluate``."""
+    (broadcastable). Same domain conventions as ``evaluate``. The result
+    has the broadcast shape of the point arrays for every expression,
+    constants included."""
+    shape = np.broadcast_shapes(*(np.shape(v) for v in point.values()))
+    out = _evaluate_array(e, point)
+    if out.shape != shape:
+        out = np.broadcast_to(out, shape).copy()
+    return out
+
+
+def _evaluate_array(e, point):
     if isinstance(e, Const):
         return np.asarray(e.value)
     if isinstance(e, Var):
         return np.asarray(point[e.name], dtype=float)
     if isinstance(e, Neg):
-        return -evaluate_array(e.arg, point)
+        return -_evaluate_array(e.arg, point)
     if isinstance(e, Add):
-        return evaluate_array(e.left, point) + evaluate_array(e.right, point)
+        return _evaluate_array(e.left, point) + _evaluate_array(e.right, point)
     if isinstance(e, Sub):
-        return evaluate_array(e.left, point) - evaluate_array(e.right, point)
+        return _evaluate_array(e.left, point) - _evaluate_array(e.right, point)
     if isinstance(e, Mul):
-        return evaluate_array(e.left, point) * evaluate_array(e.right, point)
+        return _evaluate_array(e.left, point) * _evaluate_array(e.right, point)
     if isinstance(e, Div):
-        num = evaluate_array(e.left, point)
-        den = evaluate_array(e.right, point)
+        num = _evaluate_array(e.left, point)
+        den = _evaluate_array(e.right, point)
         if np.any(den == 0.0):
             raise DomainError("division by zero")
         return num / den
     if isinstance(e, Pow):
-        base = evaluate_array(e.base, point)
+        base = _evaluate_array(e.base, point)
         if e.exponent >= 0:
             # np.power handles 0^0 == 1
             return np.power(base, e.exponent)
@@ -338,7 +349,7 @@ def evaluate_array(e: Expr, point: dict) -> np.ndarray:
             raise DomainError("zero raised to a negative power")
         return np.power(base, float(e.exponent))
     if isinstance(e, Call):
-        arg = evaluate_array(e.arg, point)
+        arg = _evaluate_array(e.arg, point)
         if e.func == "sin":
             return np.sin(arg)
         if e.func == "cos":
@@ -353,6 +364,125 @@ def evaluate_array(e: Expr, point: dict) -> np.ndarray:
             if np.any(arg < 0.0):
                 raise DomainError("sqrt of negative value")
             return np.sqrt(arg)
+    raise TypeError(f"not an Expr node: {e!r}")
+
+
+def evaluate_interval(e: Expr, box: dict) -> tuple:
+    """Natural interval extension over a batch of boxes: ``box`` maps
+    each variable name to a pair ``(lo, hi)`` of broadcastable arrays,
+    and the result is a pair ``(lo, hi)`` of arrays with
+    ``lo <= e(x) <= hi`` for every x in each box where ``evaluate``
+    would succeed (Moore, Kearfott & Cloud, *Introduction to Interval
+    Analysis*, SIAM 2009).
+
+    Every node's result is widened outward by one ulp, which covers the
+    rounding of IEEE arithmetic and of elementary functions accurate to
+    one ulp. A denominator or negative-power base whose interval holds 0
+    gives (-inf, inf). A box that leaves the domain of ``log`` or
+    ``sqrt`` gives NaN bounds, and NaN propagates through every later
+    node, so such an enclosure never excludes any value."""
+    shape = np.broadcast_shapes(*(np.shape(b) for pair in box.values()
+                                  for b in pair))
+    with np.errstate(all="ignore"):
+        lo, hi = _interval(e, box)
+    return (np.broadcast_to(lo, shape).astype(float),
+            np.broadcast_to(hi, shape).astype(float))
+
+
+def _outward(lo, hi):
+    return np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf)
+
+
+def _poison(lo, hi, *args):
+    """NaN wherever one of the argument enclosures ``args`` is NaN."""
+    bad = np.zeros(np.shape(lo), dtype=bool)
+    for a in args:
+        bad = bad | np.isnan(a)
+    return np.where(bad, np.nan, lo), np.where(bad, np.nan, hi)
+
+
+def _hull(*values):
+    """Componentwise (min, max) over the candidate values; NaN if any
+    candidate is NaN."""
+    return _outward(functools.reduce(np.minimum, values),
+                    functools.reduce(np.maximum, values))
+
+
+def _periodic_range(lo, hi, func, peak, trough):
+    """Range of sin or cos over [lo, hi], given one point where it is 1
+    (``peak``) and one where it is -1 (``trough``)."""
+    period = 2.0 * math.pi
+
+    def hits(at):
+        return np.floor((hi - at) / period) >= np.ceil((lo - at) / period)
+
+    a, b = func(lo), func(hi)
+    full = (hi - lo) >= period
+    top = np.where(full | hits(peak), 1.0, np.maximum(a, b))
+    bottom = np.where(full | hits(trough), -1.0, np.minimum(a, b))
+    bottom, top = _outward(bottom, top)
+    return np.maximum(bottom, -1.0), np.minimum(top, 1.0)
+
+
+def _power_range(lo, hi, k):
+    """Range of x^k over [lo, hi] for an integer k >= 1."""
+    a, b = np.power(lo, k), np.power(hi, k)
+    if k % 2:
+        return _outward(a, b)
+    straddles = (lo < 0.0) & (hi > 0.0)
+    low = np.where(straddles, 0.0, np.minimum(a, b))
+    return _outward(low, np.maximum(a, b))
+
+
+def _interval(e, box):
+    if isinstance(e, Const):
+        return np.asarray(e.value), np.asarray(e.value)
+    if isinstance(e, Var):
+        lo, hi = box[e.name]
+        return np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    if isinstance(e, Neg):
+        lo, hi = _interval(e.arg, box)
+        return -hi, -lo
+    if isinstance(e, (Add, Sub, Mul, Div)):
+        alo, ahi = _interval(e.left, box)
+        blo, bhi = _interval(e.right, box)
+        if isinstance(e, Add):
+            return _outward(alo + blo, ahi + bhi)
+        if isinstance(e, Sub):
+            return _outward(alo - bhi, ahi - blo)
+        if isinstance(e, Mul):
+            return _hull(alo * blo, alo * bhi, ahi * blo, ahi * bhi)
+        lo, hi = _hull(alo / blo, alo / bhi, ahi / blo, ahi / bhi)
+        pole = (blo <= 0.0) & (bhi >= 0.0)
+        lo, hi = np.where(pole, -np.inf, lo), np.where(pole, np.inf, hi)
+        return _poison(lo, hi, alo, ahi, blo, bhi)
+    if isinstance(e, Pow):
+        blo, bhi = _interval(e.base, box)
+        k = e.exponent
+        if k == 0:
+            return _poison(np.ones_like(blo), np.ones_like(bhi), blo, bhi)
+        lo, hi = _power_range(blo, bhi, abs(k))
+        if k > 0:
+            return lo, hi
+        rlo, rhi = _outward(1.0 / hi, 1.0 / lo)
+        pole = (lo <= 0.0) & (hi >= 0.0)
+        rlo, rhi = np.where(pole, -np.inf, rlo), np.where(pole, np.inf, rhi)
+        return _poison(rlo, rhi, lo, hi)
+    if isinstance(e, Call):
+        lo, hi = _interval(e.arg, box)
+        if e.func == "sin":
+            return _periodic_range(lo, hi, np.sin, 0.5 * math.pi, -0.5 * math.pi)
+        if e.func == "cos":
+            return _periodic_range(lo, hi, np.cos, 0.0, math.pi)
+        if e.func == "exp":
+            return _outward(np.exp(lo), np.exp(hi))
+        if e.func == "log":
+            rlo, rhi = _outward(np.log(lo), np.log(hi))
+            return np.where(lo > 0.0, rlo, np.nan), np.where(lo > 0.0, rhi, np.nan)
+        if e.func == "sqrt":
+            rlo, rhi = _outward(np.sqrt(lo), np.sqrt(hi))
+            rlo = np.maximum(rlo, 0.0)
+            return np.where(lo >= 0.0, rlo, np.nan), np.where(lo >= 0.0, rhi, np.nan)
     raise TypeError(f"not an Expr node: {e!r}")
 
 

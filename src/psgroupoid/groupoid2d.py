@@ -29,6 +29,9 @@ __all__ = [
 ]
 
 BRANCH_SWITCH = 1e-9
+RAY_NODES = 256   # pieces of the ray enclosed at the first level of contains
+RAY_DEPTH = 40    # bisections after which contains leaves a piece undecided
+RAY_MAX_PIECES = 1 << 16  # bound on the pieces contains keeps open at once
 
 
 class Phi2D:
@@ -81,11 +84,6 @@ class Domain2D:
     def contains_point(self, x) -> bool:
         return bool(self.xmin < x[0] < self.xmax and self.ymin < x[1] < self.ymax)
 
-    def margin(self, x) -> float:
-        """Distance to the boundary, positive inside."""
-        return float(min(x[0] - self.xmin, self.xmax - x[0],
-                         x[1] - self.ymin, self.ymax - x[1]))
-
 
 @dataclass(frozen=True)
 class GroupoidPoint2D:
@@ -126,34 +124,74 @@ def psi(p: Phi2D, g: GroupoidPoint2D, switch: float = BRANCH_SWITCH) -> float:
     return (1.0 + g.pi[0] * grad[1] - g.pi[1] * grad[0] - h_map(p, g, switch)) / phi
 
 
-def contains(p: Phi2D, d: Domain2D, g: GroupoidPoint2D,
-             samples: int = 256, switch: float = BRANCH_SWITCH) -> bool:
-    """Membership in the groupoid: the straight ray t -> (x, t pi) is
-    the connectivity witness; along it h must stay positive and x_f must
-    stay inside the rectangle. Sign changes between uniform samples are
-    bisected to width 1e-10 before deciding."""
+def contains(p: Phi2D, d: Domain2D, g: GroupoidPoint2D) -> bool:
+    """Membership in the groupoid: along the straight ray t -> (x, t pi),
+    t in [0, 1], the connectivity witness, h must stay positive and x_f
+    must stay inside the rectangle. The test is exact:
+
+    * x_f(t) = x + t phi(x) v with v = (-pi_2, pi_1) runs along a
+      straight segment, and the rectangle is convex, so the segment
+      stays inside iff both of its ends do;
+    * where |phi(x)| < BRANCH_SWITCH, h is linear in t (the zero-locus
+      branch of ``h_map``), so h > 0 along the ray iff h(1) > 0;
+    * otherwise h(t) = phi(x_f(t)) / phi(x), so h > 0 along the ray iff
+      s phi > 0 on the segment, with s = sign(phi(x)). That is decided
+      from phi at RAY_NODES + 1 evenly spaced nodes, a node with
+      s phi <= 0 being a witness of non-membership, then from interval
+      enclosures of phi on the pieces between nodes, bisecting the pieces
+      whose enclosure does not exclude 0.
+
+    A piece still undecided after RAY_DEPTH bisections makes the answer
+    "not a member". The groupoid is open, so such a point lies within
+    rounding of its boundary. So does a ray that would need more than
+    RAY_MAX_PIECES open pieces at once, which bounds time and memory; that
+    happens only where the enclosures of phi overestimate its range by
+    orders of magnitude, as for 1e7*(x1 - x1) + 1."""
     if not d.contains_point(g.x):
         return False
+    phi0 = p(g.x)
+    if not d.contains_point(_ray_points(g, phi0, 1.0)):
+        return False
+    if abs(phi0) < BRANCH_SWITCH:
+        return h_map(p, g) > 0.0
+    sign = np.sign(phi0)
+    ts = np.linspace(0.0, 1.0, RAY_NODES + 1)
 
-    def ray_value(t):
-        gt = GroupoidPoint2D(g.x, t * g.pi)
-        return min(h_map(p, gt, switch), d.margin(x_f(p, gt)))
+    def positive_at(t):
+        x1, x2 = _ray_points(g, phi0, t)
+        vals = ex.evaluate_array(p.phi, {"x1": x1, "x2": x2})
+        return bool(np.all(sign * vals > 0.0))
 
-    ts = np.linspace(0.0, 1.0, samples + 1)
-    vals = [ray_value(t) for t in ts]
-    for k in range(samples + 1):
-        if vals[k] <= 0.0:
-            if k > 0 and vals[k - 1] > 0.0:
-                lo, hi = ts[k - 1], ts[k]
-                while hi - lo > 1e-10:
-                    mid = 0.5 * (lo + hi)
-                    if ray_value(mid) > 0.0:
-                        lo = mid
-                    else:
-                        hi = mid
-                # crossing confirmed inside [0, 1]
+    def certified(lo_t, hi_t):
+        # each coordinate is monotone in t, so its ends bound it on a piece
+        a, b = _ray_points(g, phi0, lo_t), _ray_points(g, phi0, hi_t)
+        box = {name: (np.nextafter(np.minimum(u, w), -np.inf),
+                      np.nextafter(np.maximum(u, w), np.inf))
+               for name, u, w in zip(("x1", "x2"), a, b)}
+        lo, hi = ex.evaluate_interval(p.phi, box)
+        return np.minimum(sign * lo, sign * hi) > 0.0
+
+    if not positive_at(ts):
+        return False
+    lo_t, hi_t = ts[:-1], ts[1:]
+    for _ in range(RAY_DEPTH):
+        undecided = ~certified(lo_t, hi_t)
+        if not undecided.any():
+            return True
+        if 2 * np.count_nonzero(undecided) > RAY_MAX_PIECES:
             return False
-    return True
+        lo_t, hi_t = lo_t[undecided], hi_t[undecided]
+        mid = 0.5 * (lo_t + hi_t)
+        if not positive_at(mid):
+            return False
+        lo_t, hi_t = np.concatenate([lo_t, mid]), np.concatenate([mid, hi_t])
+    return bool(np.all(certified(lo_t, hi_t)))
+
+
+def _ray_points(g: GroupoidPoint2D, phi0: float, t):
+    """x_f(x, t pi) as a pair (x1, x2), for a number or an array of t;
+    at t = 1 this is x_f(g) to the bit."""
+    return g.x[0] - phi0 * (t * g.pi[1]), g.x[1] + phi0 * (t * g.pi[0])
 
 
 def left(g: GroupoidPoint2D) -> np.ndarray:
@@ -413,37 +451,32 @@ def _fd_jacobian(func, z, step=1e-6):
     return J
 
 
-def _jacobi_P_defect(p, g, step=1e-5):
+def _bivector_derivative(p, g, step=1e-5):
+    """dP[d, a, b] = d_d P^{ab} by central differences."""
     z0 = np.concatenate([g.x, g.pi])
 
     def P_at(z):
         return bivector(p, GroupoidPoint2D(z[:2], z[2:]))
 
-    dP = np.zeros((4, 4, 4))  # dP[d, a, b] = d_d P^{ab}
+    dP = np.zeros((4, 4, 4))
     for dcoord in range(4):
         dz = np.zeros(4)
         dz[dcoord] = step
         dP[dcoord] = (P_at(z0 + dz) - P_at(z0 - dz)) / (2 * step)
-    P = P_at(z0)
+    return dP
+
+
+def _jacobi_P_defect(P, dP):
     term = np.einsum("ad,dbc->abc", P, dP)
     cyc = term + np.transpose(term, (1, 2, 0)) + np.transpose(term, (2, 0, 1))
     return float(np.max(np.abs(cyc)))
 
 
-def _d_omega_defect(p, g, step=1e-6):
-    # smaller step than the Jacobi check: omega = inv(P) has steep third
-    # derivatives where h is small, and the truncation error scales with
-    # them; roundoff stays negligible (|omega| eps / step)
-    z0 = np.concatenate([g.x, g.pi])
-
-    def W_at(z):
-        return symplectic_form(p, GroupoidPoint2D(z[:2], z[2:]))
-
-    dW = np.zeros((4, 4, 4))
-    for dcoord in range(4):
-        dz = np.zeros(4)
-        dz[dcoord] = step
-        dW[dcoord] = (W_at(z0 + dz) - W_at(z0 - dz)) / (2 * step)
+def _d_omega_defect(W, dP):
+    # omega = inv(P), so d omega = -W (dP) W exactly; differencing omega
+    # itself needs a step small enough for its steep third derivatives
+    # where h is small, and no single step serves every point
+    dW = -np.einsum("ab,dbc,ce->dae", W, dP, W)
     # (d omega)_{abc} = d_a w_{bc} - d_b w_{ac} + d_c w_{ab}
     d_omega = dW - np.transpose(dW, (1, 0, 2)) + np.transpose(dW, (1, 2, 0))
     return float(np.max(np.abs(d_omega)))
@@ -517,8 +550,9 @@ def verify_axioms(p: Phi2D, d: Domain2D, samples: int = 100, seed: int = 0,
         W = symplectic_form(p, g)
         record("omega_inverse", np.max(np.abs(W @ P - np.eye(4))),
                np.concatenate([g.x, g.pi]))
-        record("jacobi_P", _jacobi_P_defect(p, g), np.concatenate([g.x, g.pi]))
-        record("d_omega", _d_omega_defect(p, g), np.concatenate([g.x, g.pi]))
+        dP = _bivector_derivative(p, g)
+        record("jacobi_P", _jacobi_P_defect(P, dP), np.concatenate([g.x, g.pi]))
+        record("d_omega", _d_omega_defect(W, dP), np.concatenate([g.x, g.pi]))
 
         # (viii) l Poisson, r anti-Poisson, with analytic gradients
         phi_x = p(g.x)

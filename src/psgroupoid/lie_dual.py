@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import expm, logm
 
 from . import pathspace as ps
 from .poisson import PoissonStructure, kirillov_kostant
@@ -36,6 +35,14 @@ __all__ = [
 ]
 
 ANTIPODE_RADIUS = 1e-6
+
+
+def expm(a) -> np.ndarray:
+    """Matrix exponential. scipy is imported here, on first use, so that
+    importing the package does not pay for it; callers look ``expm`` up
+    as a module attribute at call time."""
+    from scipy.linalg import expm as scipy_expm
+    return scipy_expm(a)
 
 
 @dataclass(frozen=True)
@@ -84,6 +91,7 @@ class LieAlgebraSpec:
     def group_log(self, g) -> np.ndarray:
         if self.log is not None:
             return self.log(g)
+        from scipy.linalg import logm
         w = logm(np.asarray(g, dtype=float))
         if np.max(np.abs(w.imag)) > 1e-8:
             raise ValueError("matrix logarithm has a large imaginary part")

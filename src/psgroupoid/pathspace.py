@@ -132,8 +132,7 @@ class GaugeField:
     def value(self, X, u) -> np.ndarray:
         """beta at a batch of points: X (m, n), u (m,) -> (m, n)."""
         p = self._point(np.asarray(X, dtype=float), np.asarray(u, dtype=float))
-        cols = [np.broadcast_to(ex.evaluate_array(c, p), p["u"].shape)
-                for c in self.components]
+        cols = [ex.evaluate_array(c, p) for c in self.components]
         return np.stack(cols, axis=-1)
 
     def jacobian_x(self, X, u) -> np.ndarray:
@@ -141,15 +140,12 @@ class GaugeField:
         p = self._point(np.asarray(X, dtype=float), np.asarray(u, dtype=float))
         rows = []
         for row in self.dx:
-            rows.append(np.stack(
-                [np.broadcast_to(ex.evaluate_array(d, p), p["u"].shape) for d in row],
-                axis=-1))
+            rows.append(np.stack([ex.evaluate_array(d, p) for d in row], axis=-1))
         return np.stack(rows, axis=-2)
 
     def partial_u(self, X, u) -> np.ndarray:
         p = self._point(np.asarray(X, dtype=float), np.asarray(u, dtype=float))
-        cols = [np.broadcast_to(ex.evaluate_array(d, p), p["u"].shape)
-                for d in self.du]
+        cols = [ex.evaluate_array(d, p) for d in self.du]
         return np.stack(cols, axis=-1)
 
 

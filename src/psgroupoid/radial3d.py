@@ -128,9 +128,8 @@ def analyze(p: RadialProfile, n_samples: int = 512) -> dict:
     if n_samples < 2:
         raise ValueError("need at least two samples")
     grid = np.linspace(p.r_min, p.r_max, n_samples)
-    A = np.broadcast_to(ex.evaluate_array(p.area_expr, {"R": grid}),
-                        grid.shape)
-    dA = np.broadcast_to(ex.evaluate_array(p.darea, {"R": grid}), grid.shape)
+    A = ex.evaluate_array(p.area_expr, {"R": grid})
+    dA = ex.evaluate_array(p.darea, {"R": grid})
     C = np.array([c_invariant(p, R) for R in grid])
     scale = max(1.0, float(np.max(np.abs(A))))
     nonconstant = float(np.max(A) - np.min(A)) > 1e-8 * scale
@@ -153,7 +152,7 @@ def analyze(p: RadialProfile, n_samples: int = 512) -> dict:
         critical.append({"R": float(grid[-1]), "kind": "zero"})
     # degenerate zeros: A' touches zero without changing sign; locate
     # candidates as extrema of A' and keep those at plateau level
-    d2 = np.broadcast_to(ex.evaluate_array(p.d2area, {"R": grid}), grid.shape)
+    d2 = ex.evaluate_array(p.d2area, {"R": grid})
     for k in search:
         if (d2[k] < 0) != (d2[k + 1] < 0):
             root = _bisect(d2area_at, float(grid[k]), float(grid[k + 1]))

@@ -1,6 +1,10 @@
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -109,6 +113,24 @@ def test_flow_gauge_preserves_invariants(tmp_path, capsys):
     assert np.allclose(before["pi"], after["pi"], atol=1e-6)
 
 
+def test_flow_gauge_with_constant_partial(tmp_path, capsys):
+    # d2 phi = 0 for phi = sin(x1) + 2
+    structure = "phi2d:sin(x1)+2"
+    out_file = str(tmp_path / "m.json")
+    run_json(["flow", "solve", "--structure", structure, "--x0", "1,1",
+              "--eta", "0.1*sin(3.14159*u);0.2*u*(1-u)", "--grid", "1000",
+              "--out", out_file], capsys)
+    flowed_file = str(tmp_path / "m2.json")
+    run_json(["flow", "gauge", "--structure", structure, "--in", out_file,
+              "--beta", "0.1*u*(1-u)*x2;0.05*u*(1-u)", "--time", "0.5",
+              "--out", flowed_file], capsys)
+    before = run_json(["flow", "invariants", "--structure", structure,
+                       "--in", out_file], capsys)
+    after = run_json(["flow", "invariants", "--structure", structure,
+                      "--in", flowed_file], capsys)
+    assert np.allclose(before["pi"], after["pi"], atol=1e-6)
+
+
 def test_flow_concat(tmp_path, capsys):
     a = str(tmp_path / "a.json")
     b = str(tmp_path / "b.json")
@@ -204,3 +226,10 @@ def test_verify_exit_code_reflects_failure(capsys, monkeypatch):
                        capsys)
     assert code == 1
     assert json.loads(out)["all_passed"] is False
+
+
+def test_import_leaves_scipy_out():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, psgroupoid.cli; sys.exit('scipy' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

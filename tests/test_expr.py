@@ -76,6 +76,35 @@ def test_evaluate_array_matches_scalar():
                             rel_tol=1e-14)
 
 
+@pytest.mark.parametrize("src", ["x1 + x2", "x1 - x2", "x1*x2", "x1/x2",
+                                 "x1^3", "x1^4", "x1^0", "x1^-2", "x1^-3", "-x1",
+                                 "sin(x1)", "cos(x1)", "exp(x1)", "log(x1)",
+                                 "sqrt(x1)"])
+def test_evaluate_interval_encloses_values(src):
+    e = ex.parse(src, VARS)
+    rng = np.random.default_rng(0)
+    centre = rng.uniform(-4, 4, (200, 2))
+    half = 10.0 ** rng.uniform(-6, 1, (200, 2))
+    lo_box, hi_box = centre - half, centre + half
+    lo, hi = ex.evaluate_interval(e, {"x1": (lo_box[:, 0], hi_box[:, 0]),
+                                      "x2": (lo_box[:, 1], hi_box[:, 1])})
+    for k in range(200):
+        undefined = False
+        for s1 in np.linspace(0, 1, 5):
+            for s2 in (0.0, 0.5, 1.0):
+                point = {"x1": min(hi_box[k, 0], lo_box[k, 0] + s1 * 2 * half[k, 0]),
+                         "x2": min(hi_box[k, 1], lo_box[k, 1] + s2 * 2 * half[k, 1])}
+                try:
+                    value = ex.evaluate(e, point)
+                except ex.DomainError:
+                    undefined = True
+                    continue
+                if not (np.isnan(lo[k]) or lo[k] <= value <= hi[k]):
+                    pytest.fail(f"{value!r} outside [{lo[k]!r}, {hi[k]!r}] at {point}")
+        # an enclosure is NaN only where the box leaves the domain
+        assert undefined or not (np.isnan(lo[k]) or np.isnan(hi[k]))
+
+
 def test_differentiate_known():
     d = ex.differentiate(ex.parse("x1^2*x2", VARS), "x1")
     assert ex.to_string(d) == "2*x1*x2"

@@ -95,10 +95,44 @@ def test_membership_quantum_plane_inequalities():
     assert not g2.contains(QP, BOX, pt([1, 1], [-2, 0]))     # x1 pi1 = -2
     assert not g2.contains(QP, BOX, pt([1, 1], [0, 1.5]))    # x2 pi2 = 1.5
     assert g2.contains(QP, BOX, pt([1, 1], [-0.99, 0.99]))
+    # x1 pi1 = -1.63: h dips below 0 for t in (0.6122, 0.6131) only, between
+    # two of 256 evenly spaced samples of the ray, and is positive at t = 1
+    assert not g2.contains(QP, BOX, pt([-1.8280564724565642, -0.8964528730015027],
+                                       [0.8935436327479551, -1.8194943096187295]))
 
 
 def test_membership_requires_base_point_inside():
     assert not g2.contains(QP, BOX, pt([11, 0], [0, 0]))
+
+
+@pytest.mark.parametrize("w", [1e-3, 2e-4, 1e-6])
+def test_membership_thin_band(w):
+    # phi < 0 only on the band 0.5 < x1 < 0.5 + w. From x = 0 the ray runs
+    # along x1 up to phi(0) |pi2|, so (x, pi) is a member iff it stops
+    # short of x1 = 0.5; a longer ray crosses the band
+    p = g2.Phi2D.parse(f"(x1-0.5)*(x1-0.5-{w!r})")
+    phi0 = 0.5 * (0.5 + w)
+    rng = np.random.default_rng(0)
+    wrong = sum(g2.contains(p, BOX, pt([0, 0], [0, pi2])) != (phi0 * -pi2 < 0.5)
+                for pi2 in rng.uniform(-4, -1, 200))
+    assert wrong == 0
+
+
+def test_membership_undecided_is_not_member():
+    # phi = 1 everywhere, but the natural enclosure of 1e7*(x1 - x1) stays
+    # wider than 1 until pieces are far narrower than the piece budget allows
+    p = g2.Phi2D.parse("1e7*(x1 - x1) + 1")
+    assert not g2.contains(p, BOX, pt([0.5, 0.5], [1.0, -2.0]))
+    assert g2.contains(g2.Phi2D.parse("1e3*(x1 - x1) + 1"), BOX,
+                       pt([0.5, 0.5], [1.0, -2.0]))
+
+
+def test_membership_on_the_zero_locus():
+    # |phi(x)| < 1e-9: h = 1 + t pi1 along the ray for phi = x2
+    p = g2.Phi2D.parse("x2")
+    for x2 in (0.0, 5e-10, -5e-10):
+        assert g2.contains(p, BOX, pt([0.3, x2], [0.4, -0.7]))       # h(1) = 1.4
+        assert not g2.contains(p, BOX, pt([0.3, x2], [-1.5, 0.2]))  # h(1) = -0.5
 
 
 def test_bivector_antisymmetric_and_field_entries():
@@ -211,3 +245,10 @@ def test_verify_axioms_deterministic():
     r1 = g2.verify_axioms(p, BOX, samples=10, seed=5)
     r2 = g2.verify_axioms(p, BOX, samples=10, seed=5)
     assert r1 == r2
+
+
+def test_d_omega_where_h_is_small():
+    # seed 43 samples a point with small h, where differencing omega = inv(P)
+    # itself with a step of 1e-6 gave d omega = 1.39
+    report = g2.verify_axioms(QP, BOX, samples=10, seed=43)
+    assert report["d_omega"]["passed"], report["d_omega"]

@@ -24,6 +24,14 @@ def test_two_domain_values_and_gradient():
     assert d[1, 0, 1] == 2.0
 
 
+@pytest.mark.parametrize("src", ["0", "x2", "sin(x1)+2"])
+def test_two_domain_batch_with_constant_partials(src):
+    s = po.two_domain(ex.parse(src, ["x1", "x2"]))
+    X = np.array([[0.3, -1.2], [1.5, 0.7], [-2.0, 0.1]])
+    assert np.allclose(s.alpha_batch(X), [s.alpha(x) for x in X], rtol=1e-15, atol=0)
+    assert np.allclose(s.dalpha_batch(X), [s.dalpha(x) for x in X], rtol=1e-15, atol=0)
+
+
 def test_two_domain_jacobi_trivial_in_2d():
     s = po.two_domain(ex.parse("sin(x1)+2", ["x1", "x2"]))
     rng = np.random.default_rng(0)
@@ -90,6 +98,13 @@ def test_rot_invariant3_matches_closed_form():
     assert po.jacobi_residual(s, x) <= 1e-12
     with pytest.raises(po.DomainError):
         s.check_point([0.0, 0.0, 0.0])
+
+
+def test_rot_invariant3_batch_with_constant_profile():
+    s = po.rot_invariant3(ex.parse("1", ["R"]))
+    X = np.array([[0.3, -1.2, 0.5], [1.5, 0.7, -0.2]])
+    assert np.allclose(s.alpha_batch(X), [s.alpha(x) for x in X], rtol=1e-15, atol=0)
+    assert np.allclose(s.dalpha_batch(X), [s.dalpha(x) for x in X], rtol=1e-15, atol=0)
 
 
 def test_rot_invariant3_gradient_by_finite_difference():

@@ -10,7 +10,7 @@ from . import expr, poisson, pathspace, groupoid2d, lie_dual, radial3d
 
 from .poisson import (
     PoissonStructure, jacobi_residual, constant_structure, two_domain,
-    kirillov_kostant, rot_invariant3, CovectorField1Form, koszul_bracket,
+    kirillov_kostant, rot_invariant3,
 )
 from .pathspace import (
     DiscretizedMorphism, TangentVector, GaugeField, gauss_residual,

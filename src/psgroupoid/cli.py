@@ -266,7 +266,7 @@ def _run_flow(args) -> int:
         if len(comps) != s.n:
             raise CLIError(f"--eta needs {s.n} components for this structure")
         u = np.linspace(0.0, 1.0, args.grid + 1)
-        eta = np.stack([ex.evaluate_array(c, {"u": u}) for c in comps], axis=1)
+        eta = np.stack([ex.evaluate(c, {"u": u}) for c in comps], axis=1)
         m = ps.solve_gauss(s, x0, eta)
         emit(_morphism_report(m, args.out,
                               {"residual": ps.gauss_residual(s, m)}))

@@ -1,5 +1,5 @@
-"""Scalar expressions in named real variables: parsing, evaluation,
-symbolic differentiation.
+"""Scalar expressions in named real variables: parsing, evaluation on
+numbers and arrays, interval enclosures, symbolic differentiation.
 
 Grammar (whitespace insignificant)::
 
@@ -52,12 +52,10 @@ class DomainError(ExprError):
 
 
 class Expr:
-    """Immutable expression tree node."""
+    """Immutable expression tree node. ``_compiled`` and ``_root`` cache
+    the closures that ``evaluate`` runs."""
 
-    __slots__ = ()
-
-    def __call__(self, **point):
-        return evaluate(self, point)
+    __slots__ = ("_compiled", "_root")
 
 
 @dataclass(frozen=True, slots=True)
@@ -254,117 +252,177 @@ def parse(source: str, variables) -> Expr:
 # ---------------------------------------------------------------------------
 # Evaluation
 
-def evaluate(e: Expr, point: dict) -> float:
-    """Evaluate at a point (name -> value). 0^0 is 1; log/sqrt/division
-    domain violations raise DomainError rather than returning NaN."""
+_NUMBERS = frozenset({float, int, np.float64})
+_NOT_FINITE = "value overflows or is not finite"
+
+
+def evaluate(e: Expr, point: dict):
+    """Value of ``e`` at ``point``, a map from variable names to numbers
+    or to numpy arrays that broadcast together. Numbers give a float.
+    Where a variable of ``e`` is an array, the result is an array of the
+    variables' broadcast shape; a constant ``e`` then takes the
+    broadcast shape of all the values.
+
+    One domain rule covers both: the value is defined when every node of
+    ``e`` is a finite number, no divisor is 0, no power with a negative
+    exponent has base 0, no log has an argument <= 0 and no sqrt one
+    < 0 (0^0 is 1). Otherwise DomainError. An array raises exactly when
+    one of its elements would raise as a number."""
+    try:
+        run = e._root
+    except AttributeError:
+        run = _compile_root(e)
+    try:
+        value = run(point)
+    except _Arrays:
+        return _on_arrays(e._compiled, point)
+    except ArithmeticError:  # math.exp overflow, 1/x^k of an underflowed x^k
+        raise DomainError(_NOT_FINITE) from None
+    if value - value == 0.0:
+        return value
+    raise DomainError(_NOT_FINITE)
+
+
+class _Arrays(Exception):
+    """Raised where an evaluation on numbers meets an array."""
+
+
+class _ArrayPoint(dict):
+    """A point on which compiled variables pass arrays through."""
+
+
+def _on_arrays(run, point):
+    try:
+        with np.errstate(all="ignore"):
+            value = run(_ArrayPoint(point))
+            _require(_finite(value), _NOT_FINITE)
+    except ArithmeticError:  # of a constant part, as in exp(1000)
+        raise DomainError(_NOT_FINITE) from None
+    if value.__class__ is float:  # of a constant expression
+        value = np.full(np.broadcast_shapes(*map(np.shape, point.values())), value)
+    return value
+
+
+def _compile_root(e: Expr):
+    """``e``'s closure, or for a constant ``e`` one that scans the point."""
+    run = constant = _compile(e)
+    if not _has_variables(e):
+        def run(p):
+            for v in p.values():
+                if v.__class__ is not float and v.__class__ not in _NUMBERS:
+                    raise _Arrays
+            return constant(p)
+    object.__setattr__(e, "_root", run)
+    return run
+
+
+def _has_variables(e: Expr) -> bool:
+    return isinstance(e, Var) or any(
+        _has_variables(getattr(e, name))
+        for name in ("arg", "base", "left", "right") if hasattr(e, name))
+
+
+def _finite(x):
+    return x - x == 0.0 if x.__class__ is float else np.isfinite(x)
+
+
+def _require(ok, message):
+    """Raise DomainError unless ``ok``, a bool or bool array, holds."""
+    if ok is not True and (ok is False or not ok.all()):
+        raise DomainError(message)
+
+
+def _ipow(x, bits):
+    """x^k for k = int("1" + bits, 2) by left-to-right squaring: the
+    same products on numbers and arrays, so both give the same bits."""
+    y = x
+    for bit in bits:
+        y = y * y
+        if bit == "1":
+            y = y * x
+    return y
+
+
+_ARGUMENT_DOMAINS = {  # function -> (test of the argument, message)
+    "exp": (_finite, _NOT_FINITE),  # exp(-inf) would be a finite 0
+    "log": (lambda x: x > 0.0, "log of nonpositive value"),
+    "sqrt": (lambda x: x >= 0.0, "sqrt of negative value"),
+}
+
+
+def _compile(e: Expr):
+    """The closure point -> value of ``e`` for numbers and arrays, cached
+    on the node. Past its own domain, a node checks only arguments whose
+    non-finite values it could turn finite; the root rejects the rest."""
+    try:
+        return e._compiled
+    except AttributeError:
+        pass
     if isinstance(e, Const):
-        return e.value
-    if isinstance(e, Var):
-        try:
-            return point[e.name]
-        except KeyError:
-            raise DomainError(f"variable {e.name!r} not bound") from None
-    if isinstance(e, Neg):
-        return -evaluate(e.arg, point)
-    if isinstance(e, Add):
-        return evaluate(e.left, point) + evaluate(e.right, point)
-    if isinstance(e, Sub):
-        return evaluate(e.left, point) - evaluate(e.right, point)
-    if isinstance(e, Mul):
-        return evaluate(e.left, point) * evaluate(e.right, point)
-    if isinstance(e, Div):
-        num = evaluate(e.left, point)
-        den = evaluate(e.right, point)
-        if den == 0.0:
-            raise DomainError("division by zero")
-        return num / den
-    if isinstance(e, Pow):
-        base = evaluate(e.base, point)
-        if base == 0.0:
-            if e.exponent == 0:
-                return 1.0
-            if e.exponent < 0:
-                raise DomainError("zero raised to a negative power")
-            return 0.0
-        return float(base) ** e.exponent
-    if isinstance(e, Call):
-        arg = evaluate(e.arg, point)
-        if e.func == "sin":
-            return math.sin(arg)
-        if e.func == "cos":
-            return math.cos(arg)
-        if e.func == "exp":
+        value = e.value
+        run = lambda p: value  # noqa: E731
+    elif isinstance(e, Var):
+        name = e.name
+
+        def run(p):
             try:
-                return math.exp(arg)
-            except OverflowError:
-                raise DomainError("exp overflow") from None
-        if e.func == "log":
-            if arg <= 0.0:
-                raise DomainError("log of nonpositive value")
-            return math.log(arg)
-        if e.func == "sqrt":
-            if arg < 0.0:
-                raise DomainError("sqrt of negative value")
-            return math.sqrt(arg)
-    raise TypeError(f"not an Expr node: {e!r}")
+                v = p[name]
+            except KeyError:
+                raise DomainError(f"variable {name!r} not bound") from None
+            if v.__class__ is float:
+                return v
+            if v.__class__ in _NUMBERS:
+                return float(v)
+            if p.__class__ is _ArrayPoint:
+                return np.asarray(v, dtype=float)
+            raise _Arrays
+    elif isinstance(e, Neg):
+        a = _compile(e.arg)
+        run = lambda p: -a(p)  # noqa: E731
+    elif isinstance(e, (Add, Sub, Mul)):
+        a, b = _compile(e.left), _compile(e.right)
+        run = {Add: lambda p: a(p) + b(p), Sub: lambda p: a(p) - b(p),
+               Mul: lambda p: a(p) * b(p)}[type(e)]
+    elif isinstance(e, Div):
+        a, b = _compile(e.left), _compile(e.right)
 
+        def run(p):
+            num, den = a(p), b(p)
+            _require(den != 0.0, "division by zero")
+            _require(_finite(den), _NOT_FINITE)
+            return num / den
+    elif isinstance(e, Pow):
+        a, k = _compile(e.base), e.exponent
+        bits = bin(abs(k))[3:]
 
-def evaluate_array(e: Expr, point: dict) -> np.ndarray:
-    """Vectorized evaluation; values in ``point`` are numpy arrays
-    (broadcastable). Same domain conventions as ``evaluate``. The result
-    has the broadcast shape of the point arrays for every expression,
-    constants included."""
-    shape = np.broadcast_shapes(*(np.shape(v) for v in point.values()))
-    out = _evaluate_array(e, point)
-    if out.shape != shape:
-        out = np.broadcast_to(out, shape).copy()
-    return out
+        def run(p):
+            x = a(p)
+            if k > 0:
+                return _ipow(x, bits)
+            _require(_finite(x), _NOT_FINITE)
+            if k == 0:
+                return x * 0.0 + 1.0  # 1 in the type and shape of x
+            _require(x != 0.0, "zero raised to a negative power")
+            return 1.0 / _ipow(x, bits)
+    elif isinstance(e, Call) and e.func in _FUNCTIONS:
+        a = _compile(e.arg)
+        scalar, vector = getattr(math, e.func), getattr(np, e.func)
+        test, message = _ARGUMENT_DOMAINS.get(e.func, (None, None))
 
-
-def _evaluate_array(e, point):
-    if isinstance(e, Const):
-        return np.asarray(e.value)
-    if isinstance(e, Var):
-        return np.asarray(point[e.name], dtype=float)
-    if isinstance(e, Neg):
-        return -_evaluate_array(e.arg, point)
-    if isinstance(e, Add):
-        return _evaluate_array(e.left, point) + _evaluate_array(e.right, point)
-    if isinstance(e, Sub):
-        return _evaluate_array(e.left, point) - _evaluate_array(e.right, point)
-    if isinstance(e, Mul):
-        return _evaluate_array(e.left, point) * _evaluate_array(e.right, point)
-    if isinstance(e, Div):
-        num = _evaluate_array(e.left, point)
-        den = _evaluate_array(e.right, point)
-        if np.any(den == 0.0):
-            raise DomainError("division by zero")
-        return num / den
-    if isinstance(e, Pow):
-        base = _evaluate_array(e.base, point)
-        if e.exponent >= 0:
-            # np.power handles 0^0 == 1
-            return np.power(base, e.exponent)
-        if np.any(base == 0.0):
-            raise DomainError("zero raised to a negative power")
-        return np.power(base, float(e.exponent))
-    if isinstance(e, Call):
-        arg = _evaluate_array(e.arg, point)
-        if e.func == "sin":
-            return np.sin(arg)
-        if e.func == "cos":
-            return np.cos(arg)
-        if e.func == "exp":
-            return np.exp(arg)
-        if e.func == "log":
-            if np.any(arg <= 0.0):
-                raise DomainError("log of nonpositive value")
-            return np.log(arg)
-        if e.func == "sqrt":
-            if np.any(arg < 0.0):
-                raise DomainError("sqrt of negative value")
-            return np.sqrt(arg)
-    raise TypeError(f"not an Expr node: {e!r}")
+        def run(p):
+            x = a(p)
+            if test is not None:
+                _require(test(x), message)
+            if x.__class__ is not float:
+                return vector(x)  # sin(inf) is nan, which the root rejects
+            try:
+                return scalar(x)
+            except ValueError:  # math.sin(inf)
+                raise DomainError(_NOT_FINITE) from None
+    else:
+        raise TypeError(f"not an Expr node: {e!r}")
+    object.__setattr__(e, "_compiled", run)
+    return run
 
 
 def evaluate_interval(e: Expr, box: dict) -> tuple:
@@ -425,13 +483,20 @@ def _periodic_range(lo, hi, func, peak, trough):
 
 
 def _power_range(lo, hi, k):
-    """Range of x^k over [lo, hi] for an integer k >= 1."""
-    a, b = np.power(lo, k), np.power(hi, k)
+    """Range of x^k over [lo, hi] for an integer k >= 1. The products of
+    ``_ipow`` are monotone in |x| and each is within half an ulp, so its
+    values at the ends, widened by one ulp per product, enclose both the
+    exact power and the one ``evaluate`` computes."""
+    bits = bin(k)[3:]
+    a, b = _ipow(lo, bits), _ipow(hi, bits)
     if k % 2:
-        return _outward(a, b)
-    straddles = (lo < 0.0) & (hi > 0.0)
-    low = np.where(straddles, 0.0, np.minimum(a, b))
-    return _outward(low, np.maximum(a, b))
+        low, high = a, b
+    else:
+        straddles = (lo < 0.0) & (hi > 0.0)
+        low, high = np.where(straddles, 0.0, np.minimum(a, b)), np.maximum(a, b)
+    for _ in range(max(1, len(bits) + bits.count("1"))):
+        low, high = _outward(low, high)
+    return low, high
 
 
 def _interval(e, box):

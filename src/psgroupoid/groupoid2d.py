@@ -35,7 +35,7 @@ RAY_MAX_PIECES = 1 << 16  # bound on the pieces contains keeps open at once
 
 
 class Phi2D:
-    """phi(x1, x2) with cached first and second symbolic partials."""
+    """phi(x1, x2) and its cached partials, at x = (x1, x2) of numbers or arrays."""
 
     def __init__(self, phi: ex.Expr):
         self.phi = phi
@@ -146,7 +146,15 @@ def contains(p: Phi2D, d: Domain2D, g: GroupoidPoint2D) -> bool:
     rounding of its boundary. So does a ray that would need more than
     RAY_MAX_PIECES open pieces at once, which bounds time and memory; that
     happens only where the enclosures of phi overestimate its range by
-    orders of magnitude, as for 1e7*(x1 - x1) + 1."""
+    orders of magnitude, as for 1e7*(x1 - x1) + 1. Where phi is undefined
+    on the ray, the ray leaves its domain: "not a member"."""
+    try:
+        return _contains(p, d, g)
+    except ex.DomainError:
+        return False
+
+
+def _contains(p: Phi2D, d: Domain2D, g: GroupoidPoint2D) -> bool:
     if not d.contains_point(g.x):
         return False
     phi0 = p(g.x)
@@ -158,9 +166,7 @@ def contains(p: Phi2D, d: Domain2D, g: GroupoidPoint2D) -> bool:
     ts = np.linspace(0.0, 1.0, RAY_NODES + 1)
 
     def positive_at(t):
-        x1, x2 = _ray_points(g, phi0, t)
-        vals = ex.evaluate_array(p.phi, {"x1": x1, "x2": x2})
-        return bool(np.all(sign * vals > 0.0))
+        return bool(np.all(sign * p(_ray_points(g, phi0, t)) > 0.0))
 
     def certified(lo_t, hi_t):
         # each coordinate is monotone in t, so its ends bound it on a piece
@@ -341,9 +347,7 @@ def embed(p: Phi2D, g: GroupoidPoint2D, N: int = ps.DEFAULT_GRID,
         for k, x in enumerate(X):
             if not domain.contains_point(x):
                 raise ValueError(f"straight segment exits the domain at node {k}")
-    point = {"x1": X[:, 0], "x2": X[:, 1]}
-    g1 = ex.evaluate_array(p.d1, point)
-    g2 = ex.evaluate_array(p.d2, point)
+    g1, g2 = p.grad(X.T)
     that = (g2 * g.pi[0] - g1 * g.pi[1]) * rate  # dH/du along the path
     H = 1.0 + _cumtrapz(that, u)
     if np.min(H) <= 0.0:
@@ -371,9 +375,7 @@ def invariants(p: Phi2D, m: ps.DiscretizedMorphism,
     if res > residual_tol:
         raise ValueError(f"not a constraint solution (residual {res:g})")
     u = m.u
-    point = {"x1": m.X[:, 0], "x2": m.X[:, 1]}
-    g1 = ex.evaluate_array(p.d1, point)
-    g2 = ex.evaluate_array(p.d2, point)
+    g1, g2 = p.grad(m.X.T)
     T = g2 * m.eta[:, 0] - g1 * m.eta[:, 1]
     H = np.exp(_cumtrapz(T, u))
     pi = np.trapezoid(m.eta * H[:, None], dx=1.0 / m.N, axis=0)

@@ -96,7 +96,8 @@ class GaugeField:
 
     Components are expressions over (x1..xn, u); symbolic partials in
     every x_j and in u are cached. Boundary vanishing is checked
-    numerically at construction on 50 random x points.
+    numerically at construction on 50 random x points. A 1-form is a
+    gauge field with no u, built with ``validate=False``, at ``u=None``.
     """
 
     def __init__(self, components: Sequence[ex.Expr], n: int,
@@ -125,27 +126,29 @@ class GaugeField:
         return cls(tuple(ex.parse(s, names) for s in sources), n, **kw)
 
     def _point(self, X, u):
+        X = np.asarray(X, dtype=float)
         p = {name: X[..., i] for i, name in enumerate(self._names)}
-        p["u"] = u
+        if u is not None:
+            p["u"] = np.asarray(u, dtype=float)
         return p
 
     def value(self, X, u) -> np.ndarray:
-        """beta at a batch of points: X (m, n), u (m,) -> (m, n)."""
-        p = self._point(np.asarray(X, dtype=float), np.asarray(u, dtype=float))
-        cols = [ex.evaluate_array(c, p) for c in self.components]
+        """beta at a batch of points: X (m, n), u (m,) or None -> (m, n)."""
+        p = self._point(X, u)
+        cols = [ex.evaluate(c, p) for c in self.components]
         return np.stack(cols, axis=-1)
 
     def jacobian_x(self, X, u) -> np.ndarray:
         """J[m, i, j] = d beta_i / d x_j."""
-        p = self._point(np.asarray(X, dtype=float), np.asarray(u, dtype=float))
+        p = self._point(X, u)
         rows = []
         for row in self.dx:
-            rows.append(np.stack([ex.evaluate_array(d, p) for d in row], axis=-1))
+            rows.append(np.stack([ex.evaluate(d, p) for d in row], axis=-1))
         return np.stack(rows, axis=-2)
 
     def partial_u(self, X, u) -> np.ndarray:
-        p = self._point(np.asarray(X, dtype=float), np.asarray(u, dtype=float))
-        cols = [ex.evaluate_array(d, p) for d in self.du]
+        p = self._point(X, u)
+        cols = [ex.evaluate(d, p) for d in self.du]
         return np.stack(cols, axis=-1)
 
 
@@ -327,9 +330,10 @@ def hamiltonian_check(s: PoissonStructure, m: DiscretizedMorphism,
 
 def koszul_bracket_values(s: PoissonStructure, beta: GaugeField,
                           gamma: GaugeField, X: np.ndarray,
-                          u: np.ndarray) -> np.ndarray:
-    """Nodewise Koszul bracket [beta, gamma]_i(X(u), u) of two gauge
-    fields (the u-dependence rides along pointwise)."""
+                          u: np.ndarray | None = None) -> np.ndarray:
+    """Koszul bracket [beta, gamma]_i = d_i alpha^{jk} beta_j gamma_k
+    + alpha^{jk} (d_j beta_i gamma_k + beta_j d_k gamma_i) at points X
+    (m, n); u rides along pointwise, and is None for 1-forms."""
     a = s.alpha_at(X)
     d = s.dalpha_at(X)
     b = beta.value(X, u)

@@ -1,34 +1,30 @@
-"""Poisson structures with first (and optionally second) derivatives,
-numeric Jacobi identity, and the Koszul bracket of 1-forms.
+"""Poisson structures with first derivatives and the numeric Jacobi
+identity (the Koszul bracket is ``pathspace.koszul_bracket_values``).
 
 Index conventions: ``alpha(x)[i, j]`` is the bivector component
 ``alpha^{ij}(x)``; ``dalpha(x)[k, i, j]`` is the partial derivative
-``d_k alpha^{ij}``; ``d2alpha(x)[l, k, i, j]`` is ``d_l d_k alpha^{ij}``.
+``d_k alpha^{ij}``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, Optional
 
 import numpy as np
 
 from . import expr as ex
 
 __all__ = [
-    "PoissonStructure", "CovectorField1Form",
+    "PoissonStructure",
     "constant_structure", "two_domain", "kirillov_kostant",
     "rot_invariant3", "structure_constants_from_json",
-    "jacobi_residual", "koszul_bracket", "DomainError",
+    "jacobi_residual", "DomainError",
 ]
 
 
 class DomainError(ValueError):
     """Point outside the structure's domain."""
-
-
-def _var_names(n):
-    return [f"x{i + 1}" for i in range(n)]
 
 
 @dataclass(frozen=True)
@@ -39,6 +35,7 @@ class PoissonStructure:
     alpha: Callable[[np.ndarray], np.ndarray]
     dalpha: Callable[[np.ndarray], np.ndarray]
     in_domain: Callable[[np.ndarray], bool]
+    # unused by the package; kept because perfbench/tracer.py reads it by name
     d2alpha: Optional[Callable[[np.ndarray], np.ndarray]] = None
     name: str = "poisson"
     # optional vectorized evaluators over a batch of points (m, n)
@@ -88,12 +85,10 @@ def constant_structure(matrix, name="constant") -> PoissonStructure:
     if A.shape != (n, n) or not np.allclose(A, -A.T, atol=1e-12):
         raise ValueError("constant structure needs an antisymmetric square matrix")
     zeros = np.zeros((n, n, n))
-    z2 = np.zeros((n, n, n, n))
     return PoissonStructure(
         n=n,
         alpha=lambda x: A,
         dalpha=lambda x: zeros,
-        d2alpha=lambda x: z2,
         in_domain=lambda x: True,
         name=name,
         alpha_batch=lambda X: np.broadcast_to(A, (len(X), n, n)).copy(),
@@ -108,8 +103,6 @@ def two_domain(phi: ex.Expr, in_domain=None, name="two_domain") -> PoissonStruct
     """alpha^{ij} = eps^{ij} phi(x1, x2) on a 2D domain, eps^{12} = +1."""
     d1 = ex.differentiate(phi, "x1")
     d2 = ex.differentiate(phi, "x2")
-    second = [[ex.differentiate(d1, "x1"), ex.differentiate(d1, "x2")],
-              [ex.differentiate(d2, "x1"), ex.differentiate(d2, "x2")]]
 
     def point(x):
         return {"x1": x[..., 0], "x2": x[..., 1]}
@@ -122,23 +115,17 @@ def two_domain(phi: ex.Expr, in_domain=None, name="two_domain") -> PoissonStruct
         grads = np.array([ex.evaluate(d1, p), ex.evaluate(d2, p)])
         return grads[:, None, None] * _EPS2
 
-    def d2alpha(x):
-        p = {"x1": x[0], "x2": x[1]}
-        hess = np.array([[ex.evaluate(second[l][k], p) for k in range(2)]
-                         for l in range(2)])
-        return hess[:, :, None, None] * _EPS2
-
     def alpha_batch(X):
-        vals = ex.evaluate_array(phi, point(X))
+        vals = ex.evaluate(phi, point(X))
         return vals[:, None, None] * _EPS2
 
     def dalpha_batch(X):
         p = point(X)
-        grads = np.stack([ex.evaluate_array(d1, p), ex.evaluate_array(d2, p)], axis=1)
+        grads = np.stack([ex.evaluate(d1, p), ex.evaluate(d2, p)], axis=1)
         return grads[:, :, None, None] * _EPS2
 
     return PoissonStructure(
-        n=2, alpha=alpha, dalpha=dalpha, d2alpha=d2alpha,
+        n=2, alpha=alpha, dalpha=dalpha,
         in_domain=(in_domain or (lambda x: True)), name=name,
         alpha_batch=alpha_batch, dalpha_batch=dalpha_batch,
     )
@@ -159,7 +146,6 @@ def kirillov_kostant(f, name="kirillov_kostant") -> PoissonStructure:
         n=n,
         alpha=lambda x: np.einsum("ijk,k->ij", f, np.asarray(x, dtype=float)),
         dalpha=lambda x: dmat,
-        d2alpha=lambda x: np.zeros((n, n, n, n)),
         in_domain=lambda x: True,
         name=name,
         alpha_batch=lambda X: np.einsum("ijk,mk->mij", f, np.asarray(X, dtype=float)),
@@ -216,14 +202,14 @@ def rot_invariant3(f: ex.Expr, r_min=1e-6, name="rot_invariant3") -> PoissonStru
     def alpha_batch(X):
         X = np.asarray(X, dtype=float)
         r = np.linalg.norm(X, axis=1)
-        fv = ex.evaluate_array(f, {"R": r})
+        fv = ex.evaluate(f, {"R": r})
         return fv[:, None, None] * np.einsum("ijk,mk->mij", _EPS3, X)
 
     def dalpha_batch(X):
         X = np.asarray(X, dtype=float)
         r = np.linalg.norm(X, axis=1)
-        fv = ex.evaluate_array(f, {"R": r})
-        fp = ex.evaluate_array(fprime, {"R": r})
+        fv = ex.evaluate(f, {"R": r})
+        fp = ex.evaluate(fprime, {"R": r})
         base = np.einsum("ijk,mk->mij", _EPS3, X)
         term1 = (fp / r)[:, None, None, None] * X[:, :, None, None] * base[:, None, :, :]
         term2 = fv[:, None, None, None] * np.transpose(_EPS3, (2, 0, 1))
@@ -234,58 +220,3 @@ def rot_invariant3(f: ex.Expr, r_min=1e-6, name="rot_invariant3") -> PoissonStru
         in_domain=lambda x: bool(np.linalg.norm(x) >= r_min),
         name=name, alpha_batch=alpha_batch, dalpha_batch=dalpha_batch,
     )
-
-
-# ---------------------------------------------------------------------------
-# 1-forms and the Koszul bracket
-
-@dataclass(frozen=True)
-class CovectorField1Form:
-    """1-form beta = beta_i dx^i with expression components over x1..xn."""
-
-    components: tuple
-    n: int
-    partials: tuple = field(init=False)
-
-    def __post_init__(self):
-        if len(self.components) != self.n:
-            raise ValueError("need one component expression per dimension")
-        parts = tuple(
-            tuple(ex.differentiate(c, name) for name in _var_names(self.n))
-            for c in self.components
-        )
-        object.__setattr__(self, "partials", parts)
-
-    @classmethod
-    def parse(cls, sources: Sequence[str], n: int) -> "CovectorField1Form":
-        names = _var_names(n)
-        return cls(tuple(ex.parse(s, names) for s in sources), n)
-
-    def value(self, x) -> np.ndarray:
-        p = {name: x[i] for i, name in enumerate(_var_names(self.n))}
-        return np.array([ex.evaluate(c, p) for c in self.components])
-
-    def jacobian(self, x) -> np.ndarray:
-        """J[i, j] = d beta_i / d x_j."""
-        p = {name: x[i] for i, name in enumerate(_var_names(self.n))}
-        return np.array([[ex.evaluate(d, p) for d in row] for row in self.partials])
-
-
-def koszul_bracket(s: PoissonStructure, beta: CovectorField1Form,
-                   gamma: CovectorField1Form, x) -> np.ndarray:
-    """Components of the Koszul bracket [beta, gamma] at x:
-    d_i alpha^{jk} beta_j gamma_k + alpha^{jk} d_j beta_i gamma_k
-    + alpha^{jk} beta_j d_k gamma_i."""
-    if beta.n != s.n or gamma.n != s.n:
-        raise ValueError("dimension mismatch")
-    x = s.check_point(x)
-    a = s.alpha(x)
-    d = s.dalpha(x)
-    b = beta.value(x)
-    g = gamma.value(x)
-    db = beta.jacobian(x)
-    dg = gamma.jacobian(x)
-    term1 = np.einsum("ijk,j,k->i", np.transpose(d, (0, 1, 2)), b, g)
-    term2 = np.einsum("jk,ji,k->i", a, db.T, g)
-    term3 = np.einsum("jk,j,ki->i", a, b, dg.T)
-    return term1 + term2 + term3

@@ -31,61 +31,68 @@ VERDICT_SINGULAR = "singular"
 @dataclass(frozen=True)
 class RadialProfile:
     """Radial coefficient f(R) on a validity range 0 < Rmin < Rmax,
-    required to be nonvanishing there (checked on a 1024-point sample)."""
+    required to be nonvanishing there (checked on a 1024-point sample).
+    Each quantity below takes a radius or an array of radii."""
 
     f: ex.Expr
     r_min: float
     r_max: float
-    fprime: ex.Expr = field(init=False)
     area_expr: ex.Expr = field(init=False)
     darea: ex.Expr = field(init=False)
     d2area: ex.Expr = field(init=False)
+    c_expr: ex.Expr = field(init=False)
+    period_expr: ex.Expr = field(init=False)
 
     def __post_init__(self):
         if not (0.0 < self.r_min < self.r_max):
             raise ValueError("range must satisfy 0 < Rmin < Rmax")
-        object.__setattr__(self, "fprime", ex.differentiate(self.f, "R"))
+        R = ex.Var("R")
         # A(R) = 4 pi R / f(R), kept symbolic so A' and A'' are exact
-        a = ex.Mul(ex.Const(FOUR_PI), ex.Div(ex.Var("R"), self.f))
-        object.__setattr__(self, "area_expr", a)
-        object.__setattr__(self, "darea", ex.differentiate(a, "R"))
-        object.__setattr__(self, "d2area",
-                           ex.differentiate(self.darea, "R"))
+        a = ex.Mul(ex.Const(FOUR_PI), ex.Div(R, self.f))
+        darea = ex.differentiate(a, "R")
+        # C(R) = R f'(R) / f(R); period 4 pi (1 - C(R)) / f(R)
+        c = ex.Div(ex.Mul(R, ex.differentiate(self.f, "R")), self.f)
+        period = ex.Div(ex.Mul(ex.Const(FOUR_PI), ex.Sub(ex.Const(1.0), c)),
+                        self.f)
+        for name, value in (("area_expr", a), ("darea", darea),
+                            ("d2area", ex.differentiate(darea, "R")),
+                            ("c_expr", c), ("period_expr", period)):
+            object.__setattr__(self, name, value)
         grid = np.linspace(self.r_min, self.r_max, 1024)
-        vals = ex.evaluate_array(self.f, {"R": grid})
-        if np.any(np.abs(vals) < 1e-12) or np.any(~np.isfinite(vals)):
-            raise ValueError("f must be nonzero and finite on the range")
+        if np.any(np.abs(ex.evaluate(self.f, {"R": grid})) < 1e-12):
+            raise ValueError("f must be nonzero on the range")
 
     @classmethod
     def parse(cls, source: str, r_min: float, r_max: float) -> "RadialProfile":
         return cls(f=ex.parse(source, ["R"]), r_min=r_min, r_max=r_max)
 
-    def check_range(self, R: float):
-        if not (self.r_min <= R <= self.r_max):
-            raise ValueError(f"R = {R:g} outside the validity range "
+    def check_range(self, R):
+        """Raise ValueError naming the first radius outside the range."""
+        inside = (self.r_min <= R) & (R <= self.r_max)
+        if inside is not True and not np.all(inside):
+            first = np.ravel(R)[np.argmin(np.ravel(inside))]
+            raise ValueError(f"R = {first:g} outside the validity range "
                              f"[{self.r_min:g}, {self.r_max:g}]")
 
-    def f_at(self, R: float) -> float:
-        return ex.evaluate(self.f, {"R": float(R)})
+    def f_at(self, R):
+        return ex.evaluate(self.f, {"R": R})
 
 
-def area(p: RadialProfile, R: float) -> float:
+def area(p: RadialProfile, R):
     """Symplectic area of the leaf at radius R: A = 4 pi R / f(R)."""
     p.check_range(R)
-    return ex.evaluate(p.area_expr, {"R": float(R)})
+    return ex.evaluate(p.area_expr, {"R": R})
 
 
-def c_invariant(p: RadialProfile, R: float) -> float:
+def c_invariant(p: RadialProfile, R):
     """C(R) = R f'(R) / f(R), equivalently 1 - f A' / (4 pi)."""
     p.check_range(R)
-    R = float(R)
-    return R * ex.evaluate(p.fprime, {"R": R}) / p.f_at(R)
+    return ex.evaluate(p.c_expr, {"R": R})
 
 
-def c_invariant_from_area(p: RadialProfile, R: float) -> float:
+def c_invariant_from_area(p: RadialProfile, R):
     """The same invariant through the area derivative (cross-check)."""
     p.check_range(R)
-    R = float(R)
     return 1.0 - p.f_at(R) * ex.evaluate(p.darea, {"R": R}) / FOUR_PI
 
 
@@ -94,20 +101,20 @@ def classify_fiber(p: RadialProfile, R: float, tol: float = 1e-9) -> str:
     return FIBER_S2XR if abs(c_invariant(p, R) - 1.0) <= tol else FIBER_SU2
 
 
-def period(p: RadialProfile, R: float) -> float:
+def period(p: RadialProfile, R):
     """Identification period 4 pi (1 - C(R)) / f(R) of the quotient
     direction; zero exactly on the constant-area stratum."""
     p.check_range(R)
-    return FOUR_PI * (1.0 - c_invariant(p, R)) / p.f_at(R)
+    return ex.evaluate(p.period_expr, {"R": R})
 
 
-def _bisect(func, lo, hi, tol=1e-10):
-    flo = func(lo)
+def _bisect(e, lo, hi, tol=1e-10):
+    flo = ex.evaluate(e, {"R": lo})
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if hi - lo <= tol:
             return mid
-        fm = func(mid)
+        fm = ex.evaluate(e, {"R": mid})
         if fm == 0.0:
             return mid
         if (flo < 0) != (fm < 0):
@@ -128,37 +135,31 @@ def analyze(p: RadialProfile, n_samples: int = 512) -> dict:
     if n_samples < 2:
         raise ValueError("need at least two samples")
     grid = np.linspace(p.r_min, p.r_max, n_samples)
-    A = ex.evaluate_array(p.area_expr, {"R": grid})
-    dA = ex.evaluate_array(p.darea, {"R": grid})
-    C = np.array([c_invariant(p, R) for R in grid])
+    A = ex.evaluate(p.area_expr, {"R": grid})
+    dA = ex.evaluate(p.darea, {"R": grid})
+    C = ex.evaluate(p.c_expr, {"R": grid})
     scale = max(1.0, float(np.max(np.abs(A))))
     nonconstant = float(np.max(A) - np.min(A)) > 1e-8 * scale
 
-    def darea_at(R):
-        return ex.evaluate(p.darea, {"R": float(R)})
-
-    def d2area_at(R):
-        return ex.evaluate(p.d2area, {"R": float(R)})
-
     critical = []
-    search = range(n_samples - 1) if nonconstant else range(0)
-    for k in search:
-        if dA[k] == 0.0:
+    search = np.full(n_samples - 1, nonconstant)
+    zero = dA == 0.0
+    for k in np.flatnonzero(search & (zero[:-1] | ((dA[:-1] < 0) != (dA[1:] < 0)))):
+        if zero[k]:
             critical.append({"R": float(grid[k]), "kind": "zero"})
-        elif (dA[k] < 0) != (dA[k + 1] < 0):
-            root = _bisect(darea_at, float(grid[k]), float(grid[k + 1]))
+        else:
+            root = _bisect(p.darea, float(grid[k]), float(grid[k + 1]))
             critical.append({"R": float(root), "kind": "sign_change"})
-    if nonconstant and dA[-1] == 0.0:
+    if nonconstant and zero[-1]:
         critical.append({"R": float(grid[-1]), "kind": "zero"})
     # degenerate zeros: A' touches zero without changing sign; locate
     # candidates as extrema of A' and keep those at plateau level
-    d2 = ex.evaluate_array(p.d2area, {"R": grid})
-    for k in search:
-        if (d2[k] < 0) != (d2[k + 1] < 0):
-            root = _bisect(d2area_at, float(grid[k]), float(grid[k + 1]))
-            if abs(darea_at(root)) <= 1e-12 * scale:
-                if not any(abs(c["R"] - root) < 1e-6 for c in critical):
-                    critical.append({"R": float(root), "kind": "degenerate"})
+    d2 = ex.evaluate(p.d2area, {"R": grid})
+    for k in np.flatnonzero(search & ((d2[:-1] < 0) != (d2[1:] < 0))):
+        root = _bisect(p.d2area, float(grid[k]), float(grid[k + 1]))
+        if abs(ex.evaluate(p.darea, {"R": root})) <= 1e-12 * scale:
+            if not any(abs(c["R"] - root) < 1e-6 for c in critical):
+                critical.append({"R": float(root), "kind": "degenerate"})
     critical.sort(key=lambda c: c["R"])
 
     if not nonconstant:
@@ -168,17 +169,11 @@ def analyze(p: RadialProfile, n_samples: int = 512) -> dict:
     else:
         verdict = VERDICT_SMOOTH_REGULAR
 
-    samples = []
-    for k in range(n_samples):
-        fiber = FIBER_S2XR if abs(C[k] - 1.0) <= 1e-9 else FIBER_SU2
-        samples.append({
-            "R": float(grid[k]),
-            "A": float(A[k]),
-            "dA": float(dA[k]),
-            "C": float(C[k]),
-            "fiber": fiber,
-            "period": float(FOUR_PI * (1.0 - C[k]) / p.f_at(grid[k])),
-        })
+    columns = (grid, A, dA, C,
+               np.where(np.abs(C - 1.0) <= 1e-9, FIBER_S2XR, FIBER_SU2),
+               ex.evaluate(p.period_expr, {"R": grid}))
+    samples = [dict(zip(("R", "A", "dA", "C", "fiber", "period"), row))
+               for row in zip(*(column.tolist() for column in columns))]
     return {
         "range": [p.r_min, p.r_max],
         "f": ex.to_string(p.f),
@@ -190,32 +185,38 @@ def analyze(p: RadialProfile, n_samples: int = 512) -> dict:
 
 
 def decompose(v, X):
-    """Split v into its radial component along X and tangential rest."""
+    """Split v into its radial component along X and tangential rest;
+    v and X are vectors or arrays of them, shape (..., 3)."""
     v = np.asarray(v, dtype=float)
     X = np.asarray(X, dtype=float)
-    norm = np.linalg.norm(X)
-    if norm == 0.0:
+    norm = np.linalg.norm(X, axis=-1, keepdims=True)
+    if np.any(norm == 0.0):
         raise ValueError("cannot decompose against the zero vector")
     unit = X / norm
-    v_r = float(v @ unit)
-    return v_r, v - v_r * unit
+    v_r = np.sum(v * unit, axis=-1)
+    return v_r, v - v_r[..., None] * unit
 
 
-def radial_gauss_residual(p: RadialProfile, m: ps.DiscretizedMorphism) -> float:
-    """Residual of the decomposed constraint X' + f(|X|) eta_t x X = 0."""
+def _path_radii(p: RadialProfile, m: ps.DiscretizedMorphism, e: ex.Expr):
+    """Radii of a 3D path, and e at those before the first one outside
+    the range: errors come in the order of a node-by-node sweep."""
     if m.n != 3:
         raise ValueError("radial decomposition needs a 3D morphism")
     radii = np.linalg.norm(m.X, axis=1)
     if np.any(radii < 1e-6):
         raise ValueError("path passes too close to the origin")
-    Xp = ps.path_derivative(m.X)
-    worst = 0.0
-    for k in range(m.N + 1):
-        p.check_range(radii[k])
-        _, eta_t = decompose(m.eta[k], m.X[k])
-        res = Xp[k] + p.f_at(radii[k]) * np.cross(eta_t, m.X[k])
-        worst = max(worst, float(np.linalg.norm(res)))
-    return worst
+    inside = (p.r_min <= radii) & (radii <= p.r_max)
+    first_out = len(radii) if inside.all() else int(np.argmin(inside))
+    return radii, ex.evaluate(e, {"R": radii[:first_out]})
+
+
+def radial_gauss_residual(p: RadialProfile, m: ps.DiscretizedMorphism) -> float:
+    """Residual of the decomposed constraint X' + f(|X|) eta_t x X = 0."""
+    radii, f = _path_radii(p, m, p.f)
+    p.check_range(radii)
+    _, eta_t = decompose(m.eta, m.X)
+    res = ps.path_derivative(m.X) + f[:, None] * np.cross(eta_t, m.X)
+    return float(np.max(np.linalg.norm(res, axis=1)))
 
 
 def rescale(p: RadialProfile, m: ps.DiscretizedMorphism,
@@ -223,22 +224,17 @@ def rescale(p: RadialProfile, m: ps.DiscretizedMorphism,
     """New covector a with radial part f/(1-C) eta_r and tangential part
     f eta_t, bringing the constraint to the unit-coefficient form
     X' + a_t x X = 0. Undefined where C = 1 (constant-area stratum)."""
-    if m.n != 3:
-        raise ValueError("rescaling needs a 3D morphism")
-    radii = np.linalg.norm(m.X, axis=1)
-    if np.any(radii < 1e-6):
-        raise ValueError("path passes too close to the origin")
-    a = np.empty_like(m.eta)
-    for k in range(m.N + 1):
-        R = radii[k]
-        p.check_range(R)
-        C = c_invariant(p, R)
-        if abs(C - 1.0) <= c_margin:
-            raise ValueError(f"C(R) = 1 within {c_margin:g} at R = {R:g}; "
-                             "rescaling is undefined on this stratum")
-        f = p.f_at(R)
-        eta_r, eta_t = decompose(m.eta[k], m.X[k])
-        a[k] = (f / (1.0 - C)) * eta_r * (m.X[k] / R) + f * eta_t
+    radii, C = _path_radii(p, m, p.c_expr)
+    stratum = np.abs(C - 1.0) <= c_margin
+    if stratum.any():
+        R = radii[np.argmax(stratum)]
+        raise ValueError(f"C(R) = 1 within {c_margin:g} at R = {R:g}; "
+                         "rescaling is undefined on this stratum")
+    p.check_range(radii)
+    f = p.f_at(radii)
+    eta_r, eta_t = decompose(m.eta, m.X)
+    a = ((f / (1.0 - C)) * eta_r)[:, None] * (m.X / radii[:, None]) \
+        + f[:, None] * eta_t
     return ps.DiscretizedMorphism(n=3, X=m.X.copy(), eta=a)
 
 

@@ -203,6 +203,20 @@ def test_expr_eval_and_diff(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("src, value", [("x1^2", "1e200"), ("exp(x1)", "1000")])
+def test_expr_eval_overflow_is_a_usage_error(src, value, capsys):
+    code, out, err = run(["expr", "eval", "--expr", src, "--vars", f"x1={value}"],
+                         capsys)
+    assert code == 2 and out == ""
+    assert json.loads(err)["kind"] == "usage"
+
+
+def test_g2d_member_where_phi_is_undefined(capsys):
+    data = run_json(["g2d", "member", "--phi", "log(x1)", "--x", "2,1",
+                     "--pi", "0,3"], capsys)
+    assert data == {"member": False}
+
+
 def test_json_floats_round_trip_exactly(capsys):
     # 17 significant digits reproduce the binary double exactly
     data = run_json(["expr", "eval", "--expr", "1/3", "--vars", ""], capsys)

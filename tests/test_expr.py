@@ -60,17 +60,37 @@ def test_domain_errors():
         ev("sqrt(x1)", x1=-1.0)
 
 
+@pytest.mark.parametrize("src, x1", [("exp(1000)", 0.0), ("x1^2", 1e200),
+                                     ("sin(x1)", math.inf),
+                                     ("exp(-exp(x1))", 1000.0),
+                                     ("1/x1", math.inf), ("x1^0", math.inf),
+                                     ("x1^-2", 1e-200)])
+def test_overflow_and_infinities_raise_on_numbers_and_arrays(src, x1):
+    e = ex.parse(src, VARS)
+    with pytest.raises(ex.DomainError):
+        ex.evaluate(e, {"x1": x1})
+    with pytest.raises(ex.DomainError):
+        ex.evaluate(e, {"x1": np.array([0.5, x1])})
+
+
+def test_constants_take_the_shape_of_the_point():
+    e = ex.parse("2^3", VARS)
+    assert ex.evaluate(e, {}) == 8.0
+    out = ex.evaluate(e, {"x1": np.zeros((2, 3)), "x2": 1.0})
+    assert out.shape == (2, 3) and np.all(out == 8.0)
+
+
 def test_missing_variable_value():
     e = ex.parse("x1+x2", VARS)
     with pytest.raises(ex.ExprError):
         ex.evaluate(e, {"x1": 1.0})
 
 
-def test_evaluate_array_matches_scalar():
+def test_evaluate_on_arrays_matches_numbers():
     e = ex.parse("sin(x1)*x2 + x1^3", VARS)
     xs = np.linspace(-2, 2, 17)
     ys = np.linspace(0.5, 3, 17)
-    arr = ex.evaluate_array(e, {"x1": xs, "x2": ys})
+    arr = ex.evaluate(e, {"x1": xs, "x2": ys})
     for k in range(17):
         assert math.isclose(arr[k], ex.evaluate(e, {"x1": xs[k], "x2": ys[k]}),
                             rel_tol=1e-14)
@@ -163,3 +183,43 @@ def test_derivative_matches_finite_difference(e, x1, x2):
     if abs(val) > 1e6 or not math.isfinite(fd):
         return  # steep composite; FD comparison meaningless
     assert abs(val - fd) <= 1e-5 * (1.0 + abs(val))
+
+
+# --- property: numbers and arrays follow one domain rule ------------------
+
+def _domain_node(children):
+    # _node plus the nodes that can leave the domain
+    return st.one_of(
+        _node(children),
+        st.tuples(children, children).map(lambda t: ex.Div(*t)),
+        st.tuples(children, st.integers(-3, -1)).map(lambda t: ex.Pow(*t)),
+        st.tuples(st.sampled_from(["exp", "log", "sqrt"]), children).map(
+            lambda t: ex.Call(t[0], t[1])),
+    )
+
+
+_COORDINATE = st.one_of(st.floats(-3, 3), st.floats(allow_nan=False),
+                        st.sampled_from([0.0, 1e200, -1e200, math.inf,
+                                         -math.inf]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.recursive(_leaf(), _domain_node, max_leaves=12),
+       st.lists(st.tuples(_COORDINATE, _COORDINATE), min_size=1, max_size=6))
+def test_arrays_follow_the_domain_rule_of_numbers(e, points):
+    values = []
+    for x1, x2 in points:
+        try:
+            values.append(ex.evaluate(e, {"x1": x1, "x2": x2}))
+        except ex.DomainError:
+            values.append(None)
+    xs = np.array(points)
+    try:
+        arr = ex.evaluate(e, {"x1": xs[:, 0], "x2": xs[:, 1]})
+    except ex.DomainError:
+        assert None in values
+        return
+    assert None not in values
+    assert arr.shape == (len(points),)
+    for a, v in zip(arr, values):
+        assert math.isclose(a, v, rel_tol=1e-14)

@@ -127,6 +127,15 @@ def test_membership_undecided_is_not_member():
                        pt([0.5, 0.5], [1.0, -2.0]))
 
 
+def test_membership_where_phi_is_undefined_on_the_ray():
+    # phi = log(x1): from x = (2, 1) with pi = (0, 3) the ray runs along x1
+    # down to 2 - 3 log 2 < 0, inside the rectangle but outside x1 > 0
+    p = g2.Phi2D.parse("log(x1)")
+    assert not g2.contains(p, BOX, pt([2, 1], [0, 3]))
+    assert not g2.contains(p, BOX, pt([-1, 1], [0, 0.5]))
+    assert g2.contains(p, BOX, pt([2, 1], [0, 0.5]))  # stops at x1 = 1.65
+
+
 def test_membership_on_the_zero_locus():
     # |phi(x)| < 1e-9: h = 1 + t pi1 along the ray for phi = x2
     p = g2.Phi2D.parse("x2")

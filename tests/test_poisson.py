@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from psgroupoid import expr as ex
+from psgroupoid import pathspace as ps
 from psgroupoid import poisson as po
 
 
@@ -124,23 +125,24 @@ def test_rot_invariant3_gradient_by_finite_difference():
 def test_koszul_bracket_su2_basis_forms():
     # for the linear su(2)* structure, [dx1, dx2] = dx3
     s = po.kirillov_kostant(_su2_constants())
-    beta = po.CovectorField1Form.parse(["1", "0", "0"], 3)
-    gamma = po.CovectorField1Form.parse(["0", "1", "0"], 3)
+    beta = ps.GaugeField.parse(["1", "0", "0"], 3, validate=False)
+    gamma = ps.GaugeField.parse(["0", "1", "0"], 3, validate=False)
     rng = np.random.default_rng(2)
-    for x in rng.standard_normal((20, 3)):
-        br = po.koszul_bracket(s, beta, gamma, x)
-        assert np.allclose(br, [0.0, 0.0, 1.0], atol=1e-13)
+    br = ps.koszul_bracket_values(s, beta, gamma, rng.standard_normal((20, 3)))
+    for row in br:
+        assert np.allclose(row, [0.0, 0.0, 1.0], atol=1e-13)
 
 
 def test_koszul_bracket_antisymmetry_and_leibniz_input():
     s = po.two_domain(ex.parse("x1*x2", ["x1", "x2"]))
-    beta = po.CovectorField1Form.parse(["x2", "x1^2"], 2)
-    gamma = po.CovectorField1Form.parse(["sin(x1)", "x2"], 2)
+    beta = ps.GaugeField.parse(["x2", "x1^2"], 2, validate=False)
+    gamma = ps.GaugeField.parse(["sin(x1)", "x2"], 2, validate=False)
     rng = np.random.default_rng(3)
-    for x in rng.uniform(-2, 2, size=(20, 2)):
-        lhs = po.koszul_bracket(s, beta, gamma, x)
-        rhs = po.koszul_bracket(s, gamma, beta, x)
-        assert np.allclose(lhs, -rhs, atol=1e-12)
+    X = rng.uniform(-2, 2, size=(20, 2))
+    lhs = ps.koszul_bracket_values(s, beta, gamma, X)
+    rhs = ps.koszul_bracket_values(s, gamma, beta, X)
+    for left, right in zip(lhs, rhs):
+        assert np.allclose(left, -right, atol=1e-12)
 
 
 def test_koszul_bracket_of_exact_forms_is_exact():
@@ -151,14 +153,14 @@ def test_koszul_bracket_of_exact_forms_is_exact():
     g = ex.parse("sin(x1)+x2", names)
     df = [ex.differentiate(f, v) for v in names]
     dg = [ex.differentiate(g, v) for v in names]
-    beta = po.CovectorField1Form(tuple(df), 2)
-    gamma = po.CovectorField1Form(tuple(dg), 2)
+    beta = ps.GaugeField(tuple(df), 2, validate=False)
+    gamma = ps.GaugeField(tuple(dg), 2, validate=False)
     phi = ex.parse("x1*x2", names)
     bracket_fg = ex.Mul(phi, ex.Sub(ex.Mul(df[0], dg[1]),
                                     ex.Mul(df[1], dg[0])))
     oracle = [ex.differentiate(bracket_fg, v) for v in names]
     rng = np.random.default_rng(4)
-    for x in rng.uniform(-2, 2, size=(20, 2)):
-        br = po.koszul_bracket(s, beta, gamma, x)
+    X = rng.uniform(-2, 2, size=(20, 2))
+    for x, br in zip(X, ps.koszul_bracket_values(s, beta, gamma, X)):
         want = [ex.evaluate(o, {"x1": x[0], "x2": x[1]}) for o in oracle]
         assert np.allclose(br, want, atol=1e-11)

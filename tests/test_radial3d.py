@@ -174,6 +174,40 @@ def test_rescale_rejects_constant_area_stratum():
         rad.rescale(profile("R"), m)
 
 
+def test_array_formulas_match_node_by_node_loops():
+    # reference: the per-node loops that the array formulas replace
+    _, m = _solved_path(CUBIC, N=300)
+    p = profile(CUBIC, 0.6, 1.4)
+    Xp = ps.path_derivative(m.X)
+    radii = np.linalg.norm(m.X, axis=1)
+    worst, a = 0.0, np.empty_like(m.eta)
+    for k in range(m.N + 1):
+        R = float(radii[k])
+        eta_r, eta_t = rad.decompose(m.eta[k], m.X[k])
+        f = p.f_at(R)
+        worst = max(worst, np.linalg.norm(Xp[k] + f * np.cross(eta_t, m.X[k])))
+        a[k] = (f / (1.0 - rad.c_invariant(p, R))) * eta_r * (m.X[k] / R) + f * eta_t
+    # both cancel terms of order 1, so they agree to a few ulps of 1
+    assert abs(rad.radial_gauss_residual(p, m) - worst) < 1e-14
+    assert np.max(np.abs(rad.rescale(p, m).eta - a)) < 1e-14
+    for row in rad.analyze(p, 64)["samples"]:
+        assert row["C"] == rad.c_invariant(p, row["R"])
+        assert row["period"] == rad.period(p, row["R"])
+
+
+@pytest.mark.parametrize("radii, src, call, named", [
+    ([1.0, 1.5, 2.1, 2.6], "1", rad.radial_gauss_residual, "R = 2.1 outside"),
+    ([1.0, 1.5, 2.1, 2.6], "1", rad.rescale, "R = 2.1 outside"),
+    ([1.2, 1.0, 1.5], CUBIC, rad.rescale, "at R = 1;"),
+    ([1.2, 1.5, 1.0], CUBIC, rad.rescale, "R = 1.5 outside"),
+])
+def test_errors_name_the_first_node_that_fails(radii, src, call, named):
+    X = np.outer(radii, [0.0, 0.6, 0.8])
+    m = ps.DiscretizedMorphism(n=3, X=X, eta=np.ones_like(X))
+    with pytest.raises(ValueError, match=named):
+        call(profile(src, 0.6, 1.4 if src == CUBIC else 2.0), m)
+
+
 def test_csv_export_has_header_and_rows():
     rep = rad.analyze(profile("1"), 8)
     text = rad.analyze_to_csv(rep)

@@ -471,10 +471,7 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(_preprocess(argv))
         return _RUNNERS[args.group](args)
-    except (CLIError, ex.ExprError) as err:
-        emit({"error": str(err), "kind": "usage"}, stream=sys.stderr)
-        return EXIT_USAGE
-    except (ValueError, RuntimeError, OSError) as err:
+    except (CLIError, ex.ExprError, ValueError, RuntimeError, OSError) as err:
         emit({"error": str(err), "kind": "usage"}, stream=sys.stderr)
         return EXIT_USAGE
 

@@ -63,9 +63,8 @@ class Phi2D:
         h22 = ex.evaluate(self.d22, p)
         return np.array([[h11, h12], [h12, h22]])
 
-    def structure(self, domain: "Domain2D | None" = None) -> PoissonStructure:
-        in_domain = domain.contains_point if domain is not None else None
-        return two_domain(self.phi, in_domain=in_domain)
+    def structure(self) -> PoissonStructure:
+        return two_domain(self.phi)
 
 
 @dataclass(frozen=True)
@@ -101,27 +100,27 @@ def x_f(p: Phi2D, g: GroupoidPoint2D) -> np.ndarray:
     return np.array([g.x[0] - phi * g.pi[1], g.x[1] + phi * g.pi[0]])
 
 
-def h_map(p: Phi2D, g: GroupoidPoint2D, switch: float = BRANCH_SWITCH) -> float:
+def h_map(p: Phi2D, g: GroupoidPoint2D) -> float:
     """Cocycle h = phi(x_f)/phi(x), extended across the zero locus by
     1 - pi_2 d1(phi) + pi_1 d2(phi)."""
     phi = p(g.x)
-    if abs(phi) < switch:
+    if abs(phi) < BRANCH_SWITCH:
         grad = p.grad(g.x)
         return 1.0 - g.pi[1] * grad[0] + g.pi[0] * grad[1]
     return p(x_f(p, g)) / phi
 
 
-def psi(p: Phi2D, g: GroupoidPoint2D, switch: float = BRANCH_SWITCH) -> float:
+def psi(p: Phi2D, g: GroupoidPoint2D) -> float:
     """{pi_1, pi_2}: (1 + pi_1 d2(phi) - pi_2 d1(phi) - h)/phi off the
     zero locus, the second-order Taylor value on it."""
     phi = p(g.x)
-    if abs(phi) < switch:
+    if abs(phi) < BRANCH_SWITCH:
         hess = p.hessian(g.x)
         return (g.pi[0] * g.pi[1] * hess[0, 1]
                 - 0.5 * g.pi[0] ** 2 * hess[1, 1]
                 - 0.5 * g.pi[1] ** 2 * hess[0, 0])
     grad = p.grad(g.x)
-    return (1.0 + g.pi[0] * grad[1] - g.pi[1] * grad[0] - h_map(p, g, switch)) / phi
+    return (1.0 + g.pi[0] * grad[1] - g.pi[1] * grad[0] - h_map(p, g)) / phi
 
 
 def contains(p: Phi2D, d: Domain2D, g: GroupoidPoint2D) -> bool:
@@ -232,13 +231,12 @@ def _x_f_jacobian(p: Phi2D, g: GroupoidPoint2D) -> np.ndarray:
     ])
 
 
-def _h_gradient(p: Phi2D, g: GroupoidPoint2D,
-                switch: float = BRANCH_SWITCH) -> np.ndarray:
+def _h_gradient(p: Phi2D, g: GroupoidPoint2D) -> np.ndarray:
     """d h / d (x1, x2, pi1, pi2), exact on both branches."""
     phi = p(g.x)
     grad = p.grad(g.x)
     Jf = _x_f_jacobian(p, g)
-    if abs(phi) < switch:
+    if abs(phi) < BRANCH_SWITCH:
         hess = p.hessian(g.x)
         dh = np.zeros(4)
         dh[:2] = -g.pi[1] * hess[0] + g.pi[0] * hess[1]
@@ -252,11 +250,10 @@ def _h_gradient(p: Phi2D, g: GroupoidPoint2D,
     return dh
 
 
-def inversion_jacobian(p: Phi2D, g: GroupoidPoint2D,
-                       switch: float = BRANCH_SWITCH) -> np.ndarray:
+def inversion_jacobian(p: Phi2D, g: GroupoidPoint2D) -> np.ndarray:
     """Exact Jacobian of (x, pi) -> (x_f, -pi/h)."""
-    h = h_map(p, g, switch)
-    dh = _h_gradient(p, g, switch)
+    h = h_map(p, g)
+    dh = _h_gradient(p, g)
     J = np.zeros((4, 4))
     J[:2] = _x_f_jacobian(p, g)
     J[2:] = np.outer(g.pi, dh) / h ** 2
@@ -323,8 +320,7 @@ def printed_form_discrepancy(p: Phi2D, g: GroupoidPoint2D) -> dict:
 # Bridge to path space
 
 def embed(p: Phi2D, g: GroupoidPoint2D, N: int = ps.DEFAULT_GRID,
-          tapered: bool = False,
-          domain: Domain2D | None = None) -> ps.DiscretizedMorphism:
+          tapered: bool = False) -> ps.DiscretizedMorphism:
     """Straight-line representative of (x, pi): X(u) = x + u phi(x)
     (-pi_2, pi_1), constant E = pi, eta recovered as eta = E / H with
     H(u) = 1 + int_0^u (d2 phi E_1 - d1 phi E_2).
@@ -343,10 +339,6 @@ def embed(p: Phi2D, g: GroupoidPoint2D, N: int = ps.DEFAULT_GRID,
     phi0 = p(g.x)
     direction = phi0 * np.array([-g.pi[1], g.pi[0]])
     X = g.x[None, :] + scale[:, None] * direction[None, :]
-    if domain is not None:
-        for k, x in enumerate(X):
-            if not domain.contains_point(x):
-                raise ValueError(f"straight segment exits the domain at node {k}")
     g1, g2 = p.grad(X.T)
     that = (g2 * g.pi[0] - g1 * g.pi[1]) * rate  # dH/du along the path
     H = 1.0 + _cumtrapz(that, u)

@@ -82,11 +82,8 @@ class LieAlgebraSpec:
 
     def adjoint_matrix(self, g) -> np.ndarray:
         """A with g rho(e_i) g^{-1} = sum_m A[m, i] rho(e_m)."""
-        ginv = np.linalg.inv(g)
-        A = np.empty((self.n, self.n))
-        for i in range(self.n):
-            A[:, i] = self.components(g @ self.basis[i] @ ginv)
-        return A
+        conjugated = g @ self.basis @ np.linalg.inv(g)
+        return self._basis_pinv @ conjugated.reshape(self.n, -1).T
 
     def group_log(self, g) -> np.ndarray:
         if self.log is not None:
@@ -269,7 +266,8 @@ def to_groupoid(spec: LieAlgebraSpec, m: ps.DiscretizedMorphism,
 def from_groupoid(spec: LieAlgebraSpec, xi, g, N: int = ps.DEFAULT_GRID,
                   tapered: bool = False) -> ps.DiscretizedMorphism:
     """Geodesic representative of (xi, g): h(u) = exp(u log g), constant
-    eta_hat = log g, X(u) = Ad_{h(u)}^T xi.
+    eta_hat = log g, X(u) = Ad_{h(u)}^T xi = exp(u ad_w)^T xi for
+    w = log g, since Ad exp = exp ad.
 
     With ``tapered`` the path is reparametrized by u -> 3u^2 - 2u^3 so
     eta vanishes at the endpoints (for concatenation)."""
@@ -289,10 +287,8 @@ def from_groupoid(spec: LieAlgebraSpec, xi, g, N: int = ps.DEFAULT_GRID,
         scale = u
         rate = np.ones_like(u)
     eta = np.outer(rate, comps)
-    X = np.empty((N + 1, spec.n))
-    for k in range(N + 1):
-        h = expm(scale[k] * w)
-        X[k] = spec.adjoint_matrix(h).T @ xi
+    ad = np.einsum("j,jim->mi", comps, spec.f)  # [w, e_i] = ad[m, i] e_m
+    X = xi @ expm(scale[:, None, None] * ad)
     return ps.DiscretizedMorphism(n=spec.n, X=X, eta=eta)
 
 

@@ -29,40 +29,49 @@ class DomainError(ValueError):
 
 @dataclass(frozen=True)
 class PoissonStructure:
-    """Bundle of evaluators for an antisymmetric bivector field on R^n."""
+    """Bundle of evaluators for an antisymmetric bivector field on R^n.
+
+    ``alpha``, ``dalpha`` and ``in_domain`` each take one point, shape
+    (n,) (a list too), or a batch of points, shape (m, n). For one point
+    they return alpha^{ij} with shape (n, n), d_k alpha^{ij} with shape
+    (n, n, n) and a bool; for a batch, arrays of shape (m, n, n),
+    (m, n, n, n) and (m,). ``in_domain=None`` means all of R^n. The
+    batch entry points ``alpha_at``, ``dalpha_at`` and
+    ``pathspace._check_domain`` raise ValueError on any other shape."""
 
     n: int
     alpha: Callable[[np.ndarray], np.ndarray]
     dalpha: Callable[[np.ndarray], np.ndarray]
-    in_domain: Callable[[np.ndarray], bool]
-    # unused by the package; kept because perfbench/tracer.py reads it by name
-    d2alpha: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    in_domain: Optional[Callable[[np.ndarray], np.ndarray]] = None
     name: str = "poisson"
-    # optional vectorized evaluators over a batch of points (m, n)
-    alpha_batch: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    dalpha_batch: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    # not constructor options: perfbench/tracer.py reads these names and
+    # skips them while they are None
+    d2alpha = alpha_batch = dalpha_batch = None
 
     def check_point(self, x):
         x = np.asarray(x, dtype=float)
         if x.shape != (self.n,):
             raise ValueError(f"expected point of dimension {self.n}, got {x.shape}")
-        if not self.in_domain(x):
+        if self.in_domain is not None and not self.in_domain(x):
             raise DomainError(f"point {x} outside domain of {self.name}")
         return x
 
     def alpha_at(self, X):
         """alpha over a batch of points X with shape (m, n) -> (m, n, n)."""
         X = np.asarray(X, dtype=float)
-        if self.alpha_batch is not None:
-            return self.alpha_batch(X)
-        return np.stack([self.alpha(x) for x in X])
+        return self._batch_result(self.alpha(X), X, "alpha", 2)
 
     def dalpha_at(self, X):
         """dalpha over a batch of points X with shape (m, n) -> (m, n, n, n)."""
         X = np.asarray(X, dtype=float)
-        if self.dalpha_batch is not None:
-            return self.dalpha_batch(X)
-        return np.stack([self.dalpha(x) for x in X])
+        return self._batch_result(self.dalpha(X), X, "dalpha", 3)
+
+    def _batch_result(self, value, X, what, rank):
+        expected = (len(X),) + (self.n,) * rank
+        if np.shape(value) != expected:
+            raise ValueError(f"{what} of {self.name} returned shape "
+                             f"{np.shape(value)} on a batch, expected {expected}")
+        return value
 
 
 def jacobi_residual(s: PoissonStructure, x) -> float:
@@ -84,51 +93,35 @@ def constant_structure(matrix, name="constant") -> PoissonStructure:
     n = A.shape[0]
     if A.shape != (n, n) or not np.allclose(A, -A.T, atol=1e-12):
         raise ValueError("constant structure needs an antisymmetric square matrix")
-    zeros = np.zeros((n, n, n))
     return PoissonStructure(
         n=n,
-        alpha=lambda x: A,
-        dalpha=lambda x: zeros,
-        in_domain=lambda x: True,
+        alpha=lambda x: np.zeros(np.shape(x)[:-1] + (n, n)) + A,
+        dalpha=lambda x: np.zeros(np.shape(x)[:-1] + (n, n, n)),
         name=name,
-        alpha_batch=lambda X: np.broadcast_to(A, (len(X), n, n)).copy(),
-        dalpha_batch=lambda X: np.zeros((len(X), n, n, n)),
     )
 
 
 _EPS2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 
-def two_domain(phi: ex.Expr, in_domain=None, name="two_domain") -> PoissonStructure:
-    """alpha^{ij} = eps^{ij} phi(x1, x2) on a 2D domain, eps^{12} = +1."""
+def two_domain(phi: ex.Expr, name="two_domain") -> PoissonStructure:
+    """alpha^{ij} = eps^{ij} phi(x1, x2) on R^2, eps^{12} = +1."""
     d1 = ex.differentiate(phi, "x1")
     d2 = ex.differentiate(phi, "x2")
 
-    def point(x):
-        return {"x1": x[..., 0], "x2": x[..., 1]}
-
+    # x.T[0] of one point is a number, which takes evaluate's float path
     def alpha(x):
-        return _EPS2 * ex.evaluate(phi, {"x1": x[0], "x2": x[1]})
+        x = np.asarray(x, dtype=float).T
+        v = ex.evaluate(phi, {"x1": x[0], "x2": x[1]})
+        return np.asarray(v)[..., None, None] * _EPS2
 
     def dalpha(x):
+        x = np.asarray(x, dtype=float).T
         p = {"x1": x[0], "x2": x[1]}
-        grads = np.array([ex.evaluate(d1, p), ex.evaluate(d2, p)])
-        return grads[:, None, None] * _EPS2
+        grads = np.array([ex.evaluate(d1, p), ex.evaluate(d2, p)]).T
+        return grads[..., None, None] * _EPS2
 
-    def alpha_batch(X):
-        vals = ex.evaluate(phi, point(X))
-        return vals[:, None, None] * _EPS2
-
-    def dalpha_batch(X):
-        p = point(X)
-        grads = np.stack([ex.evaluate(d1, p), ex.evaluate(d2, p)], axis=1)
-        return grads[:, :, None, None] * _EPS2
-
-    return PoissonStructure(
-        n=2, alpha=alpha, dalpha=dalpha,
-        in_domain=(in_domain or (lambda x: True)), name=name,
-        alpha_batch=alpha_batch, dalpha_batch=dalpha_batch,
-    )
+    return PoissonStructure(n=2, alpha=alpha, dalpha=dalpha, name=name)
 
 
 def kirillov_kostant(f, name="kirillov_kostant") -> PoissonStructure:
@@ -144,12 +137,9 @@ def kirillov_kostant(f, name="kirillov_kostant") -> PoissonStructure:
 
     return PoissonStructure(
         n=n,
-        alpha=lambda x: np.einsum("ijk,k->ij", f, np.asarray(x, dtype=float)),
-        dalpha=lambda x: dmat,
-        in_domain=lambda x: True,
+        alpha=lambda x: np.einsum("ijk,...k->...ij", f, np.asarray(x, dtype=float)),
+        dalpha=lambda x: np.zeros(np.shape(x)[:-1] + dmat.shape) + dmat,
         name=name,
-        alpha_batch=lambda X: np.einsum("ijk,mk->mij", f, np.asarray(X, dtype=float)),
-        dalpha_batch=lambda X: np.broadcast_to(dmat, (len(X), n, n, n)).copy(),
     )
 
 
@@ -180,6 +170,11 @@ for _i, _j, _k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
     _EPS3[_j, _i, _k] = -1.0
 
 
+def _radius(x):
+    """|x| over the last axis; of one point, the bits of np.linalg.norm(x)."""
+    return np.sqrt(np.vecdot(x, x))
+
+
 def rot_invariant3(f: ex.Expr, r_min=1e-6, name="rot_invariant3") -> PoissonStructure:
     """alpha^{ij}(x) = f(|x|) eps^{ijk} x^k on R^3 minus a small ball
     around the origin."""
@@ -187,36 +182,21 @@ def rot_invariant3(f: ex.Expr, r_min=1e-6, name="rot_invariant3") -> PoissonStru
 
     def alpha(x):
         x = np.asarray(x, dtype=float)
-        r = np.linalg.norm(x)
-        return ex.evaluate(f, {"R": r}) * np.einsum("ijk,k->ij", _EPS3, x)
+        fv = np.asarray(ex.evaluate(f, {"R": _radius(x)}))
+        return fv[..., None, None] * np.einsum("ijk,...k->...ij", _EPS3, x)
 
     def dalpha(x):
         x = np.asarray(x, dtype=float)
-        r = np.linalg.norm(x)
-        fv = ex.evaluate(f, {"R": r})
-        fp = ex.evaluate(fprime, {"R": r})
-        base = np.einsum("ijk,k->ij", _EPS3, x)
+        r = _radius(x)
+        fv = np.asarray(ex.evaluate(f, {"R": r}))
+        fp = np.asarray(ex.evaluate(fprime, {"R": r}))
+        base = np.einsum("ijk,...k->...ij", _EPS3, x)
         # d_l alpha^{ij} = f'(R) x^l / R * eps^{ijk} x^k + f(R) eps^{ijl}
-        return (fp / r) * x[:, None, None] * base + fv * np.transpose(_EPS3, (2, 0, 1))
-
-    def alpha_batch(X):
-        X = np.asarray(X, dtype=float)
-        r = np.linalg.norm(X, axis=1)
-        fv = ex.evaluate(f, {"R": r})
-        return fv[:, None, None] * np.einsum("ijk,mk->mij", _EPS3, X)
-
-    def dalpha_batch(X):
-        X = np.asarray(X, dtype=float)
-        r = np.linalg.norm(X, axis=1)
-        fv = ex.evaluate(f, {"R": r})
-        fp = ex.evaluate(fprime, {"R": r})
-        base = np.einsum("ijk,mk->mij", _EPS3, X)
-        term1 = (fp / r)[:, None, None, None] * X[:, :, None, None] * base[:, None, :, :]
-        term2 = fv[:, None, None, None] * np.transpose(_EPS3, (2, 0, 1))
-        return term1 + term2
+        term1 = (fp / r)[..., None, None, None] * x[..., :, None, None] * base[..., None, :, :]
+        return term1 + fv[..., None, None, None] * np.transpose(_EPS3, (2, 0, 1))
 
     return PoissonStructure(
         n=3, alpha=alpha, dalpha=dalpha,
-        in_domain=lambda x: bool(np.linalg.norm(x) >= r_min),
-        name=name, alpha_batch=alpha_batch, dalpha_batch=dalpha_batch,
+        in_domain=lambda x: _radius(np.asarray(x, dtype=float)) >= r_min,
+        name=name,
     )

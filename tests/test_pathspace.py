@@ -88,6 +88,38 @@ def test_gauge_flow_preserves_constraint():
     assert np.max(np.abs(flowed.X - m.X)) > 1e-3
 
 
+def _path_through_ball(N=10):
+    # x1 = -1 + 2k/N, x2 = 0.1: nodes 3 to 7 lie within radius 0.5
+    u = np.linspace(0.0, 1.0, N + 1)
+    X = np.stack([2 * u - 1, np.full_like(u, 0.1), np.zeros_like(u)], axis=1)
+    return ps.DiscretizedMorphism(n=3, X=X, eta=np.zeros_like(X))
+
+
+def test_gauss_residual_names_the_first_node_outside_the_domain():
+    s = po.rot_invariant3(ex.parse("1", ["R"]), r_min=0.5)
+    with pytest.raises(po.DomainError, match=r"X exits domain at node 3$"):
+        ps.gauss_residual(s, _path_through_ball())
+
+
+def test_gauge_flow_names_the_first_node_outside_the_domain():
+    # the gauge flow moves X along spheres, so the same nodes stay inside
+    s = po.rot_invariant3(ex.parse("1", ["R"]), r_min=0.5)
+    beta = ps.GaugeField.parse(["u*(1-u)*x2", "0.5*u*(1-u)", "0"], 3)
+    m = _path_through_ball()
+    with pytest.raises(po.DomainError, match=r"gauge flow exits domain at node 3$"):
+        ps.gauge_flow(s, m, beta, s_steps=4, check_residual=False)
+
+
+def test_point_only_in_domain_is_refused_on_a_batch():
+    # one bool from the norm of the whole (m, n) array would pass nodes 3-7
+    good = po.rot_invariant3(ex.parse("1", ["R"]), r_min=0.5)
+    s = po.PoissonStructure(n=3, alpha=good.alpha, dalpha=good.dalpha,
+                            in_domain=lambda x: bool(np.linalg.norm(x) >= 0.5),
+                            name="point_only")
+    with pytest.raises(ValueError, match=r"in_domain of point_only returned shape \(\)"):
+        ps.gauss_residual(s, _path_through_ball())
+
+
 def test_symplectic_pairing_antisymmetric():
     rng = np.random.default_rng(4)
     a = ps.TangentVector(rng.random((64, 2)), rng.random((64, 2)))

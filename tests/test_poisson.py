@@ -6,6 +6,14 @@ from psgroupoid import pathspace as ps
 from psgroupoid import poisson as po
 
 
+def _su2_constants():
+    f = np.zeros((3, 3, 3))
+    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        f[i, j, k] = 1.0
+        f[j, i, k] = -1.0
+    return f
+
+
 def test_constant_structure_jacobi():
     s = po.constant_structure([[0.0, 1.0], [-1.0, 0.0]])
     assert po.jacobi_residual(s, [0.3, -1.2]) == 0.0
@@ -25,12 +33,31 @@ def test_two_domain_values_and_gradient():
     assert d[1, 0, 1] == 2.0
 
 
+def _assert_batch_matches_points(s, X):
+    """alpha and dalpha of a batch equal the stacks of their values at
+    each point, and alpha_at / dalpha_at equal them too."""
+    for evaluate, at, rank in ((s.alpha, s.alpha_at, 2), (s.dalpha, s.dalpha_at, 3)):
+        stack = np.stack([evaluate(x) for x in X])
+        assert stack.shape == (len(X),) + (s.n,) * rank
+        assert np.allclose(evaluate(X), stack, rtol=1e-15, atol=0)
+        assert np.allclose(at(X), stack, rtol=1e-15, atol=0)
+
+
 @pytest.mark.parametrize("src", ["0", "x2", "sin(x1)+2"])
 def test_two_domain_batch_with_constant_partials(src):
     s = po.two_domain(ex.parse(src, ["x1", "x2"]))
-    X = np.array([[0.3, -1.2], [1.5, 0.7], [-2.0, 0.1]])
-    assert np.allclose(s.alpha_batch(X), [s.alpha(x) for x in X], rtol=1e-15, atol=0)
-    assert np.allclose(s.dalpha_batch(X), [s.dalpha(x) for x in X], rtol=1e-15, atol=0)
+    _assert_batch_matches_points(s, np.array([[0.3, -1.2], [1.5, 0.7], [-2.0, 0.1]]))
+
+
+@pytest.mark.parametrize("s", [
+    po.constant_structure([[0.0, 1.0], [-1.0, 0.0]]),
+    po.kirillov_kostant(_su2_constants()),
+], ids=["constant", "kirillov_kostant"])
+def test_linear_structures_batch_matches_points(s):
+    X = np.random.default_rng(5).standard_normal((4, s.n))
+    _assert_batch_matches_points(s, X)
+    assert s.alpha(X[0]).shape == (s.n, s.n)
+    assert s.in_domain is None
 
 
 def test_two_domain_jacobi_trivial_in_2d():
@@ -38,14 +65,6 @@ def test_two_domain_jacobi_trivial_in_2d():
     rng = np.random.default_rng(0)
     for x in rng.uniform(-3, 3, size=(20, 2)):
         assert po.jacobi_residual(s, x) <= 1e-14
-
-
-def _su2_constants():
-    f = np.zeros((3, 3, 3))
-    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-        f[i, j, k] = 1.0
-        f[j, i, k] = -1.0
-    return f
 
 
 def test_kirillov_kostant_su2_jacobi():
@@ -103,9 +122,16 @@ def test_rot_invariant3_matches_closed_form():
 
 def test_rot_invariant3_batch_with_constant_profile():
     s = po.rot_invariant3(ex.parse("1", ["R"]))
-    X = np.array([[0.3, -1.2, 0.5], [1.5, 0.7, -0.2]])
-    assert np.allclose(s.alpha_batch(X), [s.alpha(x) for x in X], rtol=1e-15, atol=0)
-    assert np.allclose(s.dalpha_batch(X), [s.dalpha(x) for x in X], rtol=1e-15, atol=0)
+    _assert_batch_matches_points(s, np.array([[0.3, -1.2, 0.5], [1.5, 0.7, -0.2]]))
+
+
+def test_rot_invariant3_in_domain_on_a_batch_holding_the_origin():
+    s = po.rot_invariant3(ex.parse("1", ["R"]), r_min=0.5)
+    X = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.3, 0.3, 0.3], [0.0, -0.6, 0.0]])
+    inside = s.in_domain(X)
+    assert inside.shape == (4,)
+    assert inside.tolist() == [bool(s.in_domain(x)) for x in X] == [True, False, True, True]
+    assert not s.in_domain([0.0, 0.0, 0.0])
 
 
 def test_rot_invariant3_gradient_by_finite_difference():
@@ -164,3 +190,22 @@ def test_koszul_bracket_of_exact_forms_is_exact():
     for x, br in zip(X, ps.koszul_bracket_values(s, beta, gamma, X)):
         want = [ex.evaluate(o, {"x1": x[0], "x2": x[1]}) for o in oracle]
         assert np.allclose(br, want, atol=1e-11)
+
+
+def test_batch_entry_points_refuse_point_only_evaluators():
+    A = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    s = po.PoissonStructure(n=2, alpha=lambda x: A, dalpha=lambda x: np.zeros((2, 2, 2)),
+                            in_domain=lambda x: True, name="point_only")
+    X = np.zeros((4, 2))
+    with pytest.raises(ValueError, match=r"alpha of point_only returned shape \(2, 2\)"):
+        s.alpha_at(X)
+    with pytest.raises(ValueError, match=r"dalpha of point_only returned shape \(2, 2, 2\)"):
+        s.dalpha_at(X)
+
+
+def test_batch_evaluators_are_not_constructor_options():
+    s = po.constant_structure([[0.0, 1.0], [-1.0, 0.0]])
+    assert s.d2alpha is s.alpha_batch is s.dalpha_batch is None
+    with pytest.raises(TypeError):
+        po.PoissonStructure(n=2, alpha=s.alpha, dalpha=s.dalpha, in_domain=s.in_domain,
+                            alpha_batch=s.alpha)

@@ -24,7 +24,7 @@ import numpy as np
 __all__ = [
     "Expr", "Const", "Var", "Neg", "Add", "Sub", "Mul", "Div", "Pow", "Call",
     "ExprError", "SyntaxExprError", "UnknownIdentifierError", "DomainError",
-    "parse", "differentiate", "to_string",
+    "parse", "differentiate", "polynomial_degree", "to_string",
 ]
 
 _FUNCTIONS = ("sin", "cos", "exp", "log", "sqrt")
@@ -612,6 +612,23 @@ def _pow(base, k):
     if k == 1:
         return base
     return Pow(base, k)
+
+
+def polynomial_degree(e: Expr) -> int | None:
+    """Degree of ``e`` as a polynomial in its variables, or None where it
+    is not one. Syntactic, so an upper bound: x1 - x1 has degree 1."""
+    if isinstance(e, (Const, Var)):
+        return int(isinstance(e, Var))
+    if isinstance(e, (Neg, Call)):
+        d = polynomial_degree(e.arg)
+        return d if isinstance(e, Neg) or d == 0 else None
+    if isinstance(e, Pow):
+        d = polynomial_degree(e.base)
+        return None if d is None or (e.exponent < 0 < d) else d * max(e.exponent, 0)
+    a, b = polynomial_degree(e.left), polynomial_degree(e.right)
+    if a is None or b is None or (isinstance(e, Div) and b > 0):
+        return None
+    return a + b if isinstance(e, Mul) else max(a, b)
 
 
 def differentiate(e: Expr, var: str) -> Expr:

@@ -77,8 +77,8 @@ def test_criterion_02_quantum_plane_h_psi_closed_forms():
         worst = max(worst,
                     abs(g2.h_map(QP, g) - h_ref) / abs(h_ref),
                     abs(g2.psi(QP, g) - psi_ref) / abs(psi_ref))
-    _check("criterion 2 (h and psi closed forms)", worst <= 1e-12,
-           f"max relative error {worst:.3e} over 100 points (tol 1e-12)")
+    _check("criterion 2 (h and psi closed forms)", worst <= 1e-13,
+           f"max relative error {worst:.3e} over 100 points (tol 1e-13)")
 
 
 ALGEBRAIC_AXIOMS = ["identity_left_right", "identity_elements", "inverse",
@@ -112,11 +112,11 @@ def test_criterion_04_symplectic_structure():
             P = g2.bivector(p, g)
             antisym = max(antisym, float(np.max(np.abs(P + P.T))))
     ok = (devs["omega_inverse"] <= 1e-9 and antisym == 0.0
-          and devs["jacobi_P"] <= 1e-4 and devs["d_omega"] <= 1e-4)
+          and devs["jacobi_P"] <= 1e-12 and devs["d_omega"] <= 1e-9)
     _check("criterion 4 (omega P = I, antisymmetry, Jacobi, d omega)", ok,
            f"omega*P-I {devs['omega_inverse']:.3e} (tol 1e-9), "
-           f"antisym {antisym:.1e}, Jacobi {devs['jacobi_P']:.3e} (tol 1e-4), "
-           f"d omega {devs['d_omega']:.3e} (tol 1e-4)")
+           f"antisym {antisym:.1e}, Jacobi {devs['jacobi_P']:.3e} (tol 1e-12), "
+           f"d omega {devs['d_omega']:.3e} (tol 1e-9)")
 
 
 def test_criterion_05_source_target_inversion_pullback():
@@ -128,11 +128,12 @@ def test_criterion_05_source_target_inversion_pullback():
                      "inversion_anti_poisson", "product_pullback"]:
             devs[name] = max(devs.get(name, 0.0), rep[name]["max_dev"])
             ok = ok and rep[name]["passed"]
-    _check("criterion 5 (source/target Poisson, inversion, pullback)", ok,
+    _check("criterion 5 (source/target Poisson, inversion, pullback)",
+           ok and devs["product_pullback"] <= 1e-10,
            f"left {devs['left_poisson']:.3e} (tol 1e-9), "
            f"right {devs['right_anti_poisson']:.3e} (tol 1e-9), "
            f"inversion {devs['inversion_anti_poisson']:.3e} (tol 1e-6), "
-           f"pullback {devs['product_pullback']:.3e} (tol 1e-4)")
+           f"pullback {devs['product_pullback']:.3e} (tol 1e-10)")
 
 
 def test_criterion_06_path_groupoid_consistency():

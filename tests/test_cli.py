@@ -63,6 +63,8 @@ def test_g2d_verify_passes(capsys):
     assert data["all_passed"] is True
     assert set(data["checks"]) >= {"identity_elements", "associativity",
                                    "omega_inverse", "product_pullback"}
+    assert data["checks"]["identity_elements"]["count"] == 10
+    assert data["checks"]["product_pullback"]["count"] == 5
 
 
 def test_g2d_verify_deterministic(capsys):
@@ -245,5 +247,6 @@ def test_verify_exit_code_reflects_failure(capsys, monkeypatch):
 def test_import_leaves_scipy_out():
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
-    code = "import sys, psgroupoid.cli; sys.exit('scipy' in sys.modules)"
+    code = ("import sys, psgroupoid.cli; "
+            "sys.exit('scipy' in sys.modules or 'numpy.polynomial' in sys.modules)")
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

@@ -261,3 +261,155 @@ def test_d_omega_where_h_is_small():
     # itself with a step of 1e-6 gave d omega = 1.39
     report = g2.verify_axioms(QP, BOX, samples=10, seed=43)
     assert report["d_omega"]["passed"], report["d_omega"]
+
+
+# --- one division-free formula for h and psi, exact derivatives ----------
+
+def test_h_just_below_the_old_branch_switch():
+    # |phi| = 5e-10: closed form (1 - x2 pi2)(1 + x1 pi1) = 0.5 + 1.25e-10
+    h = g2.h_map(QP, pt([5e-10, 1.0], [0.5, 0.5]))
+    assert math.isclose(h, 0.5 + 1.25e-10, rel_tol=1e-13)
+
+
+PSI_PROBE = ((6.0170770435519216e-05, 0.210501258325833),
+             (0.643640542576271, -1.8210066516286916))
+
+
+def test_psi_is_pi1_pi2_across_the_zero_locus():
+    pi = (0.643640542576271, -1.8210066516286916)
+    cases = [((a, 1.0), pi) for a in (1e-11, 1e-9, 1e-7, 1e-5, 1e-3)]
+    cases += [((1.0, -a), pi) for a in (1e-11, 1e-9, 1e-7, 1e-5, 1e-3)]
+    for x, p_ in cases + [PSI_PROBE]:
+        assert math.isclose(g2.psi(QP, pt(x, p_)), p_[0] * p_[1], rel_tol=1e-13), x
+
+
+def _mp_sin_reference(c, x, pi):
+    """h, psi and grad psi of phi = sin(x1) + c by 50-digit mpmath
+    quadrature of h = 1 + int grad phi(y) . v and psi = -int (1-s) v^T
+    Hess phi(y) v, y(s) = x + s phi(x) v, v = (-pi2, pi1); grad psi by
+    mpmath's differentiation of that quadrature."""
+    mp = pytest.importorskip("mpmath").mp
+
+    def h_psi(x1, x2, p1, p2):
+        phi = mp.sin(x1) + c
+        y1 = lambda s: x1 - s * phi * p2  # noqa: E731
+        h = 1 + mp.quad(lambda s: -p2 * mp.cos(y1(s)), [0, 1])
+        psi = mp.quad(lambda s: (1 - s) * p2 ** 2 * mp.sin(y1(s)), [0, 1])
+        return h, psi
+
+    with mp.workdps(50):
+        z = [mp.mpf(float(v)) for v in (*x, *pi)]
+        h, psi = h_psi(*z)
+        grad = [float(mp.diff(lambda t, k=k: h_psi(
+            *[v + t if j == k else v for j, v in enumerate(z)])[1], 0)) for k in range(4)]
+        return float(h), float(psi), np.array(grad)
+
+
+@pytest.mark.parametrize("c, x, pi", [
+    (2.0, (0.3, -1.2), (0.4, -0.9)),
+    (2.0, (7.1, 2.0), (-0.8, 0.95)),
+    (2.0, (-9.5, 0.0), (1.0, 1.0)),
+    (0.0, (1e-12, 0.5), (0.3, 0.8)),
+    (0.0, (-3e-10, 0.5), (0.3, 0.8)),
+    (0.0, (2e-7, 0.5), (-0.6, -0.8)),
+    (0.0, (1e-4, 0.5), (0.3, 0.8)),
+])
+def test_h_psi_and_grad_psi_match_mpmath(c, x, pi):
+    p = g2.Phi2D.parse("sin(x1)" if c == 0.0 else f"sin(x1)+{c!r}")
+    g = pt(x, pi)
+    h, psi, grad = _mp_sin_reference(c, x, pi)
+    assert math.isclose(g2.h_map(p, g), h, rel_tol=1e-13)
+    assert math.isclose(g2.psi(p, g), psi, rel_tol=1e-13)
+    assert np.max(np.abs(g2._psi_gradient(p, g) - grad)) <= 1e-13 * np.max(np.abs(grad))
+
+
+def test_steep_phi_raises_instead_of_an_unconverged_value():
+    p = g2.Phi2D.parse("sin(1e4*x1)+2")
+    g = pt([0.3, 0.2], [0.5, 1.0])
+    for f in (g2.h_map, g2.psi):
+        with pytest.raises(RuntimeError, match="not converged"):
+            f(p, g)
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 64, 1024])
+def test_gauss_legendre_rule_is_exact_for_degree_2n_minus_1(n):
+    s, w = np.array(g2._gauss_legendre(n)).T
+    for k in (0, 1, n, 2 * n - 1):
+        assert math.isclose(np.dot(s ** k, w), 1.0 / (k + 1), rel_tol=1e-12), k
+
+
+@pytest.mark.parametrize("src, nodes", [
+    ("0", 1), ("x2", 1), ("x1*x2", 1), ("x1^3*x2/2 - 4", 2), ("(x1 + x2)^9", 5),
+    ("sin(x1)+2", None), ("1/x1", None), ("exp(2)*x1^2", 1),
+])
+def test_rule_nodes_follow_the_polynomial_degree(src, nodes):
+    assert g2.Phi2D.parse(src).nodes == nodes
+
+
+def test_polynomial_rule_is_exact_for_a_quartic():
+    # phi = x1^4 + x2^3 x1: two nodes integrate h exactly; closed form
+    # h = phi(x_f) / phi(x)
+    p = g2.Phi2D.parse("x1^4 + x2^3*x1")
+    g = pt([0.7, -1.3], [0.4, 0.25])
+    xf = g2.x_f(p, g)
+    assert math.isclose(g2.h_map(p, g), p(xf) / p(g.x), rel_tol=1e-13)
+
+
+@pytest.mark.parametrize("src", ["x2", "0"])
+def test_constant_partials_make_no_expression_calls(src, monkeypatch):
+    p = g2.Phi2D.parse(src)
+    calls = []
+    original = g2.ex.evaluate
+    monkeypatch.setattr(g2.ex, "evaluate", lambda *a: calls.append(a) or original(*a))
+    x = np.array([0.3, -0.4])
+    point = {"x1": 0.3, "x2": -0.4, "v1": 0.5, "v2": 0.7}
+    assert len(p.grad(x)) == 2 and len(p.hessian(x)) == 3
+    assert len(p.dalong(1, point)) == len(p.dalong(2, point)) == 4
+    assert len(p.grad((np.zeros(5), np.ones(5)))) == 2
+    assert calls == []
+
+
+def test_sampling_draw_order_is_pinned():
+    g = g2.sample_points(QP, BOX, 1, np.random.default_rng(7))[0]
+    assert list(g.x) == [-4.902608246917508, -1.0984738823470686]
+    assert list(g.pi) == [0.009096517915906599, 0.10699470414898493]
+    a, b = g2.sample_composable_pairs(QP, BOX, 1, np.random.default_rng(7))[0]
+    assert list(a.x) == [-0.675879493494218, 8.343355463857044]
+    assert list(a.pi) == [0.2584525089820209, 0.028235293199027733]
+    assert list(b.x) == [-0.516657770722767, 6.885915180002002]
+    assert list(b.pi) == [-0.006253129212991482, -0.5049701559453383]
+
+
+def test_verify_axioms_counts_the_checks_it_ran():
+    report = g2.verify_axioms(QP, BOX, samples=100, seed=0)
+    counts = {name: entry["count"] for name, entry in report.items()}
+    assert counts.pop("associativity") == 59
+    assert counts.pop("product_pullback") == 50
+    assert set(counts.values()) == {100}
+
+
+def test_exact_derivatives_match_finite_differences():
+    # an independent check of dP and grad h: central differences of P and h
+    p = g2.Phi2D.parse("sin(x1)*x2 + x1^2")
+    g = pt([0.4, 0.9], [0.3, -0.5])
+    z, step = np.concatenate([g.x, g.pi]), 1e-6
+    for k in range(4):
+        dz = np.zeros(4)
+        dz[k] = step
+        hi, lo = pt(z[:2] + dz[:2], z[2:] + dz[2:]), pt(z[:2] - dz[:2], z[2:] - dz[2:])
+        dP = (g2.bivector(p, hi) - g2.bivector(p, lo)) / (2 * step)
+        dh = (g2.h_map(p, hi) - g2.h_map(p, lo)) / (2 * step)
+        assert np.max(np.abs(g2._bivector_gradient(p, g)[k] - dP)) < 1e-8
+        assert abs(g2._h_gradient(p, g)[k] - dh) < 1e-8
+
+
+def test_inverse_is_a_unit_where_h_is_small():
+    # h = 9.8e-4 here; -pi / h from the accurate h leaves g^-1 g off the unit
+    # by 1.2e-11, since the rounding of x_f enters g^-1 amplified by 1/h
+    g = pt([-8.987604754031263, -0.9805924134492479],
+           [0.11083312432264436, -0.7616589513562826])
+    gi = g2.inverse(QP, g)
+    for prod in (g2.multiply(QP, g, gi), g2.multiply(QP, gi, g, tol=1e-6)):
+        assert np.max(np.abs(prod.pi)) <= 1e-12
+    report = g2.verify_axioms(QP, BOX, samples=10, seed=43)
+    assert report["inverse"]["passed"], report["inverse"]

@@ -261,6 +261,7 @@ def test_d_omega_where_h_is_small():
     # itself with a step of 1e-6 gave d omega = 1.39
     report = g2.verify_axioms(QP, BOX, samples=10, seed=43)
     assert report["d_omega"]["passed"], report["d_omega"]
+    assert report["inverse"]["passed"], report["inverse"]
 
 
 # --- one division-free formula for h and psi, exact derivatives ----------
@@ -363,10 +364,20 @@ def test_constant_partials_make_no_expression_calls(src, monkeypatch):
     monkeypatch.setattr(g2.ex, "evaluate", lambda *a: calls.append(a) or original(*a))
     x = np.array([0.3, -0.4])
     point = {"x1": 0.3, "x2": -0.4, "v1": 0.5, "v2": 0.7}
-    assert len(p.grad(x)) == 2 and len(p.hessian(x)) == 3
+    assert p.grad(x).shape == (2,) and p.hessian(x).shape == (2, 2)
     assert len(p.dalong(1, point)) == len(p.dalong(2, point)) == 4
-    assert len(p.grad((np.zeros(5), np.ones(5)))) == 2
+    assert p.grad((np.zeros(5), np.ones(5))).shape == (2, 5)
     assert calls == []
+
+
+def test_grad_and_hessian_are_arrays_of_the_point_shape():
+    p = g2.Phi2D.parse("x1^3 + x2")
+    assert np.array_equal(p.grad((2.0, 1.0)), [12.0, 1.0])
+    assert np.array_equal(p.hessian((2.0, 1.0)), [[12.0, 0.0], [0.0, 0.0]])
+    x = (np.array([1.0, 2.0, 3.0]), 0.5)
+    assert np.array_equal(p.grad(x), [[3.0, 12.0, 27.0], [1.0, 1.0, 1.0]])
+    assert p.hessian(x).shape == (2, 2, 3)
+    assert np.array_equal(p.hessian((2.0, 1.0)) @ [1.0, 1.0], [12.0, 0.0])
 
 
 def test_sampling_draw_order_is_pinned():
@@ -403,13 +414,35 @@ def test_exact_derivatives_match_finite_differences():
         assert abs(g2._h_gradient(p, g)[k] - dh) < 1e-8
 
 
-def test_inverse_is_a_unit_where_h_is_small():
-    # h = 9.8e-4 here; -pi / h from the accurate h leaves g^-1 g off the unit
-    # by 1.2e-11, since the rounding of x_f enters g^-1 amplified by 1/h
-    g = pt([-8.987604754031263, -0.9805924134492479],
-           [0.11083312432264436, -0.7616589513562826])
+@pytest.mark.parametrize("x, pi", [
+    ([-8.987604754031263, -0.9805924134492479], [0.11083312432264436, -0.7616589513562826]),
+    ([-3.323820595764781, 0.28452319125422854], [0.30051700014662774, -0.6768399025498912]),
+])
+def test_inverse_is_a_unit_where_h_is_small(x, pi):
+    # h = 9.8e-4 and 1.4e-3 here; -pi / h from the integral h leaves g^-1 g
+    # off the unit by 1.2e-11 and 3.9e-12, since the relative error of h
+    # enters g^-1 g amplified by 1/h
+    g = pt(x, pi)
     gi = g2.inverse(QP, g)
     for prod in (g2.multiply(QP, g, gi), g2.multiply(QP, gi, g, tol=1e-6)):
         assert np.max(np.abs(prod.pi)) <= 1e-12
-    report = g2.verify_axioms(QP, BOX, samples=10, seed=43)
-    assert report["inverse"]["passed"], report["inverse"]
+
+
+def test_inverse_is_a_unit_next_to_a_slanted_zero_locus():
+    # phi = x1 - 1 at x1 = 1 + 2^-40: h = 0.7 exactly, but x_f1 rounds by
+    # 0.2 ulp, so phi(x_f) / phi(x) is off by a relative 7e-5
+    p = g2.Phi2D.parse("x1 - 1")
+    g = pt([1.0 + 2.0 ** -40, 0.0], [0.2, 0.3])
+    assert g2.contains(p, g2.Domain2D(-2, 2, -2, 2), g)
+    gi = g2.inverse(p, g)
+    assert np.allclose(gi.pi, -g.pi / 0.7, rtol=1e-15, atol=0.0)
+    for prod in (g2.multiply(p, g, gi), g2.multiply(p, gi, g, tol=1e-6)):
+        assert np.max(np.abs(prod.pi)) <= 1e-15
+
+
+@pytest.mark.parametrize("seed", [102, 172])
+def test_inversion_anti_poisson_where_h_is_small(seed):
+    # h ~ 2e-4 on these draws; J P J^T formed as a plain product leaves
+    # 2.4e-6 and 1.1e-6 of rounding against a residual of 2e-8 and 3e-7
+    report = g2.verify_axioms(QP, BOX, samples=20, seed=seed)
+    assert report["inversion_anti_poisson"]["passed"], report["inversion_anti_poisson"]

@@ -453,17 +453,11 @@ def embed(p: Phi2D, g: GroupoidPoint2D, N: int = ps.DEFAULT_GRID,
     (-pi_2, pi_1), constant E = pi, eta recovered as eta = E / H with
     H(u) = 1 + int_0^u (d2 phi E_1 - d1 phi E_2).
 
-    With ``tapered`` the path is reparametrized by u -> 3u^2 - 2u^3 so
-    that eta vanishes at the endpoints (for concatenation)."""
+    With ``tapered`` the path is reparametrized by the quintic smoothstep
+    u -> u^3 (10 - 15u + 6u^2) (``pathspace.taper``) so that eta vanishes
+    at the endpoints (for concatenation)."""
     u = np.linspace(0.0, 1.0, N + 1)
-    if tapered:
-        # quintic smoothstep: rate and its derivative vanish at the ends,
-        # so glued paths stay C^2 at the junction
-        scale = u ** 3 * (10.0 - 15.0 * u + 6.0 * u ** 2)
-        rate = 30.0 * u ** 2 * (1.0 - u) ** 2
-    else:
-        scale = u
-        rate = np.ones_like(u)
+    scale, rate = ps.taper(u, tapered)
     phi0 = p(g.x)
     direction = phi0 * np.array([-g.pi[1], g.pi[0]])
     X = g.x[None, :] + scale[:, None] * direction[None, :]

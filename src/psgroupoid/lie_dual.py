@@ -25,7 +25,7 @@ from typing import Callable
 import numpy as np
 
 from . import pathspace as ps
-from .poisson import PoissonStructure, kirillov_kostant
+from .poisson import _EPS3, PoissonStructure, kirillov_kostant
 
 __all__ = [
     "LieAlgebraSpec", "LieGroupoidPoint", "builtin_spec",
@@ -37,26 +37,42 @@ __all__ = [
 ANTIPODE_RADIUS = 1e-6
 
 
+EXPM_ORDER = 14   # Taylor degree: remainder under eps for norms up to EXPM_THETA
+EXPM_THETA = 0.5
+
+
 def expm(a) -> np.ndarray:
-    """Matrix exponential. scipy is imported here, on first use, so that
-    importing the package does not pay for it; callers look ``expm`` up
-    as a module attribute at call time."""
-    from scipy.linalg import expm as scipy_expm
-    return scipy_expm(a)
+    """Exponential of a matrix or a stack (..., d, d): each matrix halved
+    s times to infinity norm <= EXPM_THETA, Taylor by Horner, squared s
+    times (Moler & Van Loan, SIAM Rev. 45, 2003). Callers look ``expm``
+    up as a module attribute at call time."""
+    a = np.asarray(a, dtype=float)
+    if not np.all(np.isfinite(a)):
+        raise ValueError("matrix exponential of a non-finite matrix")
+    norm = np.max(np.sum(np.abs(a), axis=-1), axis=-1)
+    s = np.maximum(np.frexp(norm / EXPM_THETA)[1], 0)
+    scaled = np.ldexp(a, -s[..., None, None])
+    eye = np.eye(a.shape[-1])
+    t = eye
+    for k in range(EXPM_ORDER, 0, -1):
+        t = eye + (scaled @ t) / k
+    for level in range(int(np.max(s, initial=0))):
+        t = np.where((s > level)[..., None, None], t @ t, t)
+    return t
 
 
 @dataclass(frozen=True)
 class LieAlgebraSpec:
     """Structure constants f[i, j, k] (antisymmetric in i, j), a faithful
-    matrix representation of the basis, and a projection back onto the
-    group manifold."""
+    matrix representation of the basis, a projection back onto the group
+    manifold and the principal group logarithm."""
 
     n: int
     f: np.ndarray
     basis: np.ndarray  # (n, d, d)
     project: Callable[[np.ndarray], np.ndarray]
+    log: Callable[[np.ndarray], np.ndarray]
     name: str = "lie"
-    log: Callable[[np.ndarray], np.ndarray] | None = None
     _basis_pinv: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -85,24 +101,11 @@ class LieAlgebraSpec:
         conjugated = g @ self.basis @ np.linalg.inv(g)
         return self._basis_pinv @ conjugated.reshape(self.n, -1).T
 
-    def group_log(self, g) -> np.ndarray:
-        if self.log is not None:
-            return self.log(g)
-        from scipy.linalg import logm
-        w = logm(np.asarray(g, dtype=float))
-        if np.max(np.abs(w.imag)) > 1e-8:
-            raise ValueError("matrix logarithm has a large imaginary part")
-        return w.real
-
     def homomorphism_defect(self) -> float:
         """max |[rho_i, rho_j] - f^{ij}_k rho_k|."""
-        worst = 0.0
-        for i in range(self.n):
-            for j in range(self.n):
-                comm = self.basis[i] @ self.basis[j] - self.basis[j] @ self.basis[i]
-                target = np.einsum("k,kab->ab", self.f[i, j], self.basis)
-                worst = max(worst, float(np.max(np.abs(comm - target))))
-        return worst
+        products = self.basis[:, None] @ self.basis[None, :]
+        comm = products - products.transpose(1, 0, 2, 3)
+        return float(np.max(np.abs(comm - np.einsum("ijk,kab->ijab", self.f, self.basis))))
 
     def group_membership_defect(self, g) -> float:
         return float(np.max(np.abs(self.project(g) - g)))
@@ -149,21 +152,8 @@ def _quat_log(m):
     if np.linalg.norm(q - np.array([-1.0, 0, 0, 0])) < ANTIPODE_RADIUS:
         raise ValueError("group element too close to the antipode; "
                          "the logarithm branch is ambiguous")
-    w = np.clip(q[0], -1.0, 1.0)
-    vec = q[1:]
-    norm_vec = np.linalg.norm(vec)
-    if norm_vec < 1e-300:
-        return np.zeros((4, 4))
-    theta = np.arctan2(norm_vec, w)
-    return quat_to_matrix(np.concatenate([[0.0], theta * vec / norm_vec]))
-
-
-def _epsilon3():
-    f = np.zeros((3, 3, 3))
-    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-        f[i, j, k] = 1.0
-        f[j, i, k] = -1.0
-    return f
+    theta = np.arctan2(np.linalg.norm(q[1:]), q[0])  # |q[1:]| = sin(theta)
+    return quat_to_matrix(np.concatenate([[0.0], q[1:] / np.sinc(theta / np.pi)]))
 
 
 def _su2_spec():
@@ -173,8 +163,8 @@ def _su2_spec():
         quat_to_matrix([0.0, 0.0, 0.5, 0.0]),
         quat_to_matrix([0.0, 0.0, 0.0, 0.5]),
     ])
-    return LieAlgebraSpec(n=3, f=_epsilon3(), basis=basis,
-                          project=_quat_project, name="su2", log=_quat_log)
+    return LieAlgebraSpec(n=3, f=_EPS3, basis=basis, project=_quat_project,
+                          log=_quat_log, name="su2")
 
 
 def _so3_project(m):
@@ -186,19 +176,34 @@ def _so3_project(m):
     return R
 
 
+def _so3_log(m):
+    """Inverse Rodrigues: theta / sin(theta) times the antisymmetric part
+    of a rotation, with theta from its sine and cosine; undefined near
+    theta = pi, where the antisymmetric part loses the axis."""
+    m = np.asarray(m, dtype=float)
+    skew = 0.5 * (m - m.T)
+    sin_theta = np.linalg.norm([skew[2, 1], skew[0, 2], skew[1, 0]])
+    theta = np.arctan2(sin_theta, 0.5 * (np.trace(m) - 1.0))
+    if np.pi - theta < ANTIPODE_RADIUS:
+        raise ValueError("rotation angle too close to pi; "
+                         "the logarithm branch is ambiguous")
+    return skew / np.sinc(theta / np.pi)
+
+
 def _so3_spec():
-    basis = np.zeros((3, 3, 3))
-    for i in range(3):
-        for j in range(3):
-            for k in range(3):
-                basis[i, j, k] = -_epsilon3()[i, j, k]
-    return LieAlgebraSpec(n=3, f=_epsilon3(), basis=basis,
-                          project=_so3_project, name="so3")
+    # rho(w) v = w x v: [e_i, e_j] = eps_{ijk} e_k
+    return LieAlgebraSpec(n=3, f=_EPS3, basis=-_EPS3, project=_so3_project,
+                          log=_so3_log, name="so3")
 
 
 def _heis_project(m):
-    out = np.triu(m, 1)
-    return out + np.eye(3)
+    return np.triu(m, 1) + np.eye(3)
+
+
+def _heis_log(m):
+    """Exact: N = g - I is nilpotent of step 3, so log g = N - N^2 / 2."""
+    n = np.asarray(m, dtype=float) - np.eye(3)
+    return n - 0.5 * (n @ n)
 
 
 def _heisenberg_spec():
@@ -209,8 +214,8 @@ def _heisenberg_spec():
     basis[0, 0, 1] = 1.0  # e1 = E_{12}
     basis[1, 1, 2] = 1.0  # e2 = E_{23}
     basis[2, 0, 2] = 1.0  # e3 = E_{13}
-    return LieAlgebraSpec(n=3, f=f, basis=basis,
-                          project=_heis_project, name="heisenberg3")
+    return LieAlgebraSpec(n=3, f=f, basis=basis, project=_heis_project,
+                          log=_heis_log, name="heisenberg3")
 
 
 _BUILTINS = {"su2": _su2_spec, "so3": _so3_spec, "heisenberg3": _heisenberg_spec}
@@ -233,25 +238,18 @@ def kk_structure(spec: LieAlgebraSpec) -> PoissonStructure:
 
 
 def holonomy(spec: LieAlgebraSpec, m: ps.DiscretizedMorphism) -> np.ndarray:
-    """Parallel transport over [0, 1]: RK4 for hol' = hol . eta_hat with
-    linear interpolation of eta, renormalized onto the group each step."""
+    """Parallel transport over [0, 1] for hol' = hol . eta_hat: the
+    path-ordered product of exp(du eta_hat) at each interval's midpoint,
+    with eta interpolated linearly there. Second order in du; each step is
+    a group element, so the product stays on the group up to rounding."""
     if m.n != spec.n:
         raise ValueError("representation size mismatch")
-    N = m.N
-    du = 1.0 / N
-    mats = np.einsum("mj,jab->mab", m.eta, spec.basis)
-    h = np.eye(spec.d)
-    for k in range(N):
-        e0 = mats[k]
-        e1 = mats[k + 1]
-        eh = 0.5 * (e0 + e1)
-        k1 = h @ e0
-        k2 = (h + 0.5 * du * k1) @ eh
-        k3 = (h + 0.5 * du * k2) @ eh
-        k4 = (h + du * k3) @ e1
-        h = h + (du / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        h = spec.project(h)
-    return h
+    mid = 0.5 * (m.eta[:-1] + m.eta[1:]) / m.N
+    steps = expm(np.einsum("mj,jab->mab", mid, spec.basis))
+    while len(steps) > 1:  # pairwise products keep the path order
+        even = len(steps) // 2 * 2
+        steps = np.concatenate([steps[0:even:2] @ steps[1:even:2], steps[even:]])
+    return steps[0]
 
 
 def to_groupoid(spec: LieAlgebraSpec, m: ps.DiscretizedMorphism,
@@ -269,23 +267,15 @@ def from_groupoid(spec: LieAlgebraSpec, xi, g, N: int = ps.DEFAULT_GRID,
     eta_hat = log g, X(u) = Ad_{h(u)}^T xi = exp(u ad_w)^T xi for
     w = log g, since Ad exp = exp ad.
 
-    With ``tapered`` the path is reparametrized by u -> 3u^2 - 2u^3 so
-    eta vanishes at the endpoints (for concatenation)."""
+    With ``tapered`` the path is reparametrized by the quintic smoothstep
+    u -> u^3 (10 - 15u + 6u^2) (``pathspace.taper``) so eta vanishes at
+    the endpoints (for concatenation)."""
     xi = np.asarray(xi, dtype=float)
     g = np.asarray(g, dtype=float)
     if spec.group_membership_defect(g) > 1e-8:
         raise ValueError("g is not on the group manifold")
-    w = spec.group_log(g)
-    comps = spec.components(w)
-    u = np.linspace(0.0, 1.0, N + 1)
-    if tapered:
-        # quintic smoothstep: C^2 at the endpoints, so concatenations of
-        # tapered representatives keep the discretization order
-        scale = u ** 3 * (10.0 - 15.0 * u + 6.0 * u ** 2)
-        rate = 30.0 * u ** 2 * (1.0 - u) ** 2
-    else:
-        scale = u
-        rate = np.ones_like(u)
+    comps = spec.components(spec.log(g))
+    scale, rate = ps.taper(np.linspace(0.0, 1.0, N + 1), tapered)
     eta = np.outer(rate, comps)
     ad = np.einsum("j,jim->mi", comps, spec.f)  # [w, e_i] = ad[m, i] e_m
     X = xi @ expm(scale[:, None, None] * ad)
@@ -297,10 +287,6 @@ def coadjoint(spec: LieAlgebraSpec, g, xi) -> np.ndarray:
     transpose-inverse: Ad*_g = ((Ad_g)^{-1})^T."""
     A = spec.adjoint_matrix(np.asarray(g, dtype=float))
     return np.linalg.inv(A).T @ np.asarray(xi, dtype=float)
-
-
-def left_lie(point: LieGroupoidPoint) -> np.ndarray:
-    return point.xi.copy()
 
 
 def right_lie(spec: LieAlgebraSpec, point: LieGroupoidPoint) -> np.ndarray:

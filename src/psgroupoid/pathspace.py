@@ -25,17 +25,19 @@ __all__ = [
     "gauge_vector_field", "gauge_flow", "symplectic_pairing",
     "hamiltonian", "hamiltonian_values", "hamiltonian_check",
     "koszul_bracket_values", "equivariance_defect",
-    "concatenate", "reverse",
-    "DEFAULT_GRID", "DEFAULT_FLOW_STEPS",
+    "concatenate", "reverse", "taper",
+    "DEFAULT_GRID", "DEFAULT_FLOW_STEPS", "MIN_NODES",
 ]
 
 DEFAULT_GRID = 1000
 DEFAULT_FLOW_STEPS = 64
+MIN_NODES = 3  # the one-sided end stencils of path_derivative take three
 
 
 @dataclass(frozen=True)
 class DiscretizedMorphism:
-    """Grid sampling of (X, eta); X and eta have shape (N+1, n)."""
+    """Grid sampling of (X, eta); X and eta have shape (N+1, n) with at
+    least MIN_NODES nodes."""
 
     n: int
     X: np.ndarray
@@ -46,6 +48,8 @@ class DiscretizedMorphism:
         eta = np.asarray(self.eta, dtype=float)
         if X.ndim != 2 or X.shape[1] != self.n or X.shape != eta.shape:
             raise ValueError("X and eta must both have shape (N+1, n)")
+        if len(X) < MIN_NODES:
+            raise ValueError(f"a path needs at least {MIN_NODES} nodes, got {len(X)}")
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "eta", eta)
 
@@ -152,6 +156,16 @@ class GaugeField:
         return np.stack(cols, axis=-1)
 
 
+def taper(u: np.ndarray, tapered: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Reparametrization (scale(u), scale'(u)) of a straight representative
+    on the grid u: the identity, or with ``tapered`` the quintic smoothstep
+    u^3 (10 - 15u + 6u^2), whose rate and its derivative vanish at the
+    ends, so glued paths stay C^2 at the junction."""
+    if not tapered:
+        return u, np.ones_like(u)
+    return u ** 3 * (10.0 - 15.0 * u + 6.0 * u ** 2), 30.0 * u ** 2 * (1.0 - u) ** 2
+
+
 def path_derivative(Y: np.ndarray) -> np.ndarray:
     """d/du of nodal values: central differences inside, second-order
     one-sided at the ends. Y has shape (N+1, ...)."""
@@ -194,13 +208,16 @@ def _check_domain(s: PoissonStructure, X: np.ndarray, message: str):
 
 def solve_gauss(s: PoissonStructure, x0, eta: np.ndarray,
                 N: int | None = None) -> DiscretizedMorphism:
-    """Integrate X' = -alpha(X) eta_u from X(0) = x0 by RK4 with linear
-    interpolation of eta between nodes."""
+    """Integrate X' = -alpha(X) eta_u from X(0) = x0 by RK4 steps that
+    take eta at each interval's midpoint as the mean of its two nodes;
+    that linear interpolation makes the solution second order in du."""
     eta = np.asarray(eta, dtype=float)
     if N is None:
         N = eta.shape[0] - 1
     if eta.shape != (N + 1, s.n):
         raise ValueError("eta must be sampled on the same grid, shape (N+1, n)")
+    if N + 1 < MIN_NODES:
+        raise ValueError(f"a path needs at least {MIN_NODES} nodes, got {N + 1}")
     x = s.check_point(x0)
     du = 1.0 / N
     X = np.empty((N + 1, s.n))

@@ -168,6 +168,7 @@ _EPS3 = np.zeros((3, 3, 3))
 for _i, _j, _k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
     _EPS3[_i, _j, _k] = 1.0
     _EPS3[_j, _i, _k] = -1.0
+_EPS3.setflags(write=False)  # shared by the so3 and su2 specs
 
 
 def _radius(x):

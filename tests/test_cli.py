@@ -179,6 +179,30 @@ def test_lie_holonomy_cli(tmp_path, capsys):
     assert abs(np.linalg.norm(q) - 1.0) < 1e-12
 
 
+def _short_path_file(tmp_path, nodes):
+    path = tmp_path / "short.json"
+    path.write_text(json.dumps({"n": 3, "N": nodes - 1, "X": [[0.3, 0.2, 0.5]] * nodes,
+                                "etaU": [[0.2, 0.1, 0.0]] * nodes}))
+    return str(path)
+
+
+@pytest.mark.parametrize("argv", [
+    ["lie", "holonomy", "--spec", "su2", "--in", "{N=0}"],
+    ["flow", "invariants", "--structure", "su2", "--in", "{N=1}"],
+    ["flow", "solve", "--structure", "phi2d:x1*x2", "--x0", "1,1",
+     "--eta", "0.5;0.25", "--grid", "0"],
+    ["lie", "roundtrip", "--xi", "0.3,0.2,0.5", "--g", "0.8,0.1,0.2,0.55", "--grid", "0"],
+    ["lie", "roundtrip", "--xi", "0.3,0.2,0.5", "--g", "0.8,0.1,0.2,0.55", "--grid", "1"],
+])
+def test_too_short_paths_are_usage_errors(argv, tmp_path, capsys):
+    # these used to end in ZeroDivisionError or IndexError tracebacks
+    files = {"{N=0}": _short_path_file(tmp_path, 1), "{N=1}": _short_path_file(tmp_path, 2)}
+    code, _, err = run([files.get(a, a) for a in argv], capsys)
+    assert code == 2
+    report = json.loads(err)
+    assert report["kind"] == "usage" and "at least 3 nodes" in report["error"]
+
+
 def test_radial_analyze_json_and_csv(capsys):
     data = run_json(["radial", "analyze", "--f", "R/(1+(R-1)^3)",
                      "--range", "0.6,1.4", "--samples", "64"], capsys)
@@ -244,9 +268,35 @@ def test_verify_exit_code_reflects_failure(capsys, monkeypatch):
     assert json.loads(out)["all_passed"] is False
 
 
-def test_import_leaves_scipy_out():
+SCIPY_FREE_RUN = """
+import contextlib, io, sys
+import psgroupoid.cli
+assert 'scipy' not in sys.modules and 'numpy.polynomial' not in sys.modules
+from psgroupoid import cli, lie_dual as ld
+for name in ("su2", "so3", "heisenberg3"):
+    spec = ld.builtin_spec(name)
+    g = ld.expm(spec.rho([0.3, -0.2, 0.5]))
+    ld.to_groupoid(spec, ld.from_groupoid(spec, [0.1, 0.2, 0.3], g, N=50))
+    ld.holonomy(spec, ld.from_groupoid(spec, [0.1, 0.2, 0.3], g, N=50, tapered=True))
+with contextlib.redirect_stdout(io.StringIO()):
+    for argv in (["lie", "roundtrip", "--spec", "so3", "--xi", "1,2,3", "--grid", "400",
+                  "--g", "0.36,0.48,-0.8,-0.8,0.6,0,0.48,0.64,0.6"],
+                 ["lie", "holonomy", "--in", sys.argv[1]]):
+        assert cli.main(argv) == 0
+sys.exit('scipy' in sys.modules)
+"""
+
+
+def test_import_leaves_scipy_out(tmp_path):
+    # importing the CLI, and running the Lie-dual maps and commands on every
+    # built-in spec, loads no scipy
+    from psgroupoid import lie_dual as ld
+
+    path = tmp_path / "m.json"
+    spec = ld.builtin_spec("su2")
+    path.write_text(ld.from_groupoid(spec, [0.3, 0.2, 0.5], spec.project(np.eye(4)), N=20).to_json())
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
-    code = ("import sys, psgroupoid.cli; "
-            "sys.exit('scipy' in sys.modules or 'numpy.polynomial' in sys.modules)")
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    proc = subprocess.run([sys.executable, "-c", SCIPY_FREE_RUN, str(path)], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

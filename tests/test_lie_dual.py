@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -5,6 +7,9 @@ from scipy.linalg import expm
 from psgroupoid import lie_dual as ld
 from psgroupoid import pathspace as ps
 from psgroupoid import poisson as po
+
+
+SPECS = ["su2", "so3", "heisenberg3"]
 
 
 @pytest.fixture(scope="module")
@@ -67,17 +72,92 @@ def test_holonomy_stays_on_group(su2):
     assert abs(np.linalg.norm(ld.matrix_to_quat(hol)) - 1.0) < 1e-12
 
 
-def test_from_groupoid_roundtrip(su2):
+def test_from_groupoid_roundtrip():
     rng = np.random.default_rng(2)
-    s = ld.kk_structure(su2)
-    for _ in range(5):
-        xi = rng.standard_normal(3)
-        g = _random_group(su2, rng, scale=0.5)
-        m = ld.from_groupoid(su2, xi, g, N=2000)
-        assert ps.gauss_residual(s, m) < 1e-6
-        back = ld.to_groupoid(su2, m)
-        assert np.max(np.abs(back.xi - xi)) < 1e-8
-        assert np.max(np.abs(back.g - g)) < 1e-8
+    for name in SPECS:
+        spec = ld.builtin_spec(name)
+        s = ld.kk_structure(spec)
+        for _ in range(5):
+            xi = rng.standard_normal(3)
+            g = _random_group(spec, rng, scale=0.5)
+            m = ld.from_groupoid(spec, xi, g, N=2000)
+            assert ps.gauss_residual(s, m) < 1e-6, name
+            back = ld.to_groupoid(spec, m)
+            assert np.max(np.abs(back.xi - xi)) < 1e-8, name
+            assert np.max(np.abs(back.g - g)) < 1e-8, name
+
+
+def _ball_stack(rng, count, radius):
+    """count vectors in R^3 with norms uniform in [0, radius]."""
+    w = rng.standard_normal((count, 3))
+    return w * (radius * rng.uniform(0.0, 1.0, count) / np.linalg.norm(w, axis=1))[:, None]
+
+
+@pytest.mark.parametrize("name", SPECS)
+def test_expm_matches_scipy_on_stacks(name):
+    spec = ld.builtin_spec(name)
+    w = _ball_stack(np.random.default_rng(9), 200, np.pi)
+    rho = np.einsum("mj,jab->mab", w, spec.basis)
+    ad = np.einsum("pj,jim->pmi", w, spec.f)  # [w, e_i] = ad[m, i] e_m
+    for stack in (rho, ad, rho.reshape(4, 50, spec.d, spec.d)):
+        got = ld.expm(stack)
+        ref = np.reshape([expm(a) for a in stack.reshape(-1, *stack.shape[-2:])], stack.shape)
+        assert got.shape == stack.shape
+        assert np.max(np.abs(got - ref)) <= 1e-14
+    assert np.max(np.abs(ld.expm(rho[7]) - expm(rho[7]))) <= 1e-14
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_expm_rejects_non_finite_input(bad):
+    a = np.zeros((2, 3, 3))
+    a[1, 0, 2] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        ld.expm(a)
+
+
+@pytest.mark.parametrize("name", SPECS)
+def test_log_inverts_expm(name):
+    spec = ld.builtin_spec(name)
+    for w in _ball_stack(np.random.default_rng(10), 50, 3.0):
+        back = spec.components(spec.log(ld.expm(spec.rho(w))))
+        assert np.max(np.abs(back - w)) < 1e-12
+
+
+def test_so3_log_raises_near_pi():
+    so3 = ld.builtin_spec("so3")
+    axis = np.array([1.0, 2.0, 2.0]) / 3.0
+    near = ld.expm(so3.rho((np.pi - 1e-7) * axis))
+    with pytest.raises(ValueError, match="close to pi"):
+        so3.log(near)
+    with pytest.raises(ValueError, match="close to pi"):
+        ld.from_groupoid(so3, [1.0, 0.0, 0.0], near, N=100)
+    inside = (np.pi - 1e-3) * axis
+    assert np.max(np.abs(so3.components(so3.log(ld.expm(so3.rho(inside)))) - inside)) < 1e-10
+
+
+def _sample_holonomy(spec, N):
+    u = np.linspace(0.0, 1.0, N + 1)
+    eta = np.stack([np.sin(3 * u), np.cos(2 * u), u ** 2], axis=1)
+    return ld.holonomy(spec, ps.DiscretizedMorphism(n=3, X=np.ones((N + 1, 3)), eta=eta))
+
+
+@pytest.mark.parametrize("name", SPECS)
+def test_holonomy_is_second_order(name):
+    # differences of successive halvings fall by 2^order
+    spec = ld.builtin_spec(name)
+    h250, h500, h1000 = (_sample_holonomy(spec, N) for N in (250, 500, 1000))
+    order = np.log2(np.max(np.abs(h250 - h500)) / np.max(np.abs(h500 - h1000)))
+    assert abs(order - 2.0) <= 0.3
+
+
+@pytest.mark.parametrize("name", SPECS)
+def test_holonomy_stays_on_group_without_projecting(name):
+    def refuse(_):
+        raise AssertionError("holonomy projected onto the group")
+
+    spec = dataclasses.replace(ld.builtin_spec(name), project=refuse)
+    hol = _sample_holonomy(spec, 2000)
+    assert ld.builtin_spec(name).group_membership_defect(hol) <= 1e-13
 
 
 def test_casimir_constant_along_representatives(su2):

@@ -28,6 +28,29 @@ def test_morphism_shape_validation():
         ps.DiscretizedMorphism(n=2, X=np.zeros((5, 2)), eta=np.zeros((4, 2)))
 
 
+@pytest.mark.parametrize("nodes", [1, 2])
+def test_morphism_rejects_too_few_nodes(nodes):
+    with pytest.raises(ValueError, match="at least 3 nodes"):
+        ps.DiscretizedMorphism(n=2, X=np.zeros((nodes, 2)), eta=np.zeros((nodes, 2)))
+
+
+@pytest.mark.parametrize("N", [0, 1])
+def test_solve_gauss_rejects_too_short_grids(N):
+    # N = 0 used to divide by zero before any check
+    with pytest.raises(ValueError, match="at least 3 nodes"):
+        ps.solve_gauss(_phi_structure(), [1.0, 1.0], np.zeros((N + 1, 2)))
+
+
+@pytest.mark.parametrize("tapered", [False, True])
+def test_taper_rate_is_the_derivative_of_scale(tapered):
+    u = np.linspace(0.0, 1.0, 401)
+    scale, rate = ps.taper(u, tapered)
+    assert scale[0] == 0.0 and scale[-1] == 1.0
+    assert np.max(np.abs(ps.path_derivative(scale) - rate)) < 1e-3
+    if tapered:
+        assert rate[0] == rate[-1] == 0.0
+
+
 def test_morphism_json_round_trip():
     m = ps.DiscretizedMorphism(n=2, X=np.random.default_rng(0).random((9, 2)),
                                eta=np.random.default_rng(1).random((9, 2)))

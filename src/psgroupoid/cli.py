@@ -288,7 +288,7 @@ def _run_flow(args) -> int:
     residual = ps.gauss_residual(s, m)
     report = {"residual": residual}
     if kind == "phi2d":
-        pt = g2.invariants(payload, m, residual_tol=np.inf, structure=s)
+        pt = g2.invariants(payload, m, residual_tol=np.inf)
         report["x"] = pt.x
         report["pi"] = pt.pi
     elif kind == "lie":

@@ -31,12 +31,13 @@ __all__ = [
 ]
 
 BRANCH_SWITCH = 1e-9  # below this |phi(x)|, contains takes h as linear along the ray
-RAY_NODES = 256   # pieces of the ray enclosed at the first level of contains
-RAY_DEPTH = 40    # bisections after which contains leaves a piece undecided
+RAY_SPLIT = 16    # pieces contains cuts an undecided piece of the ray into
+RAY_DEPTH = 12    # cuts after which a piece, 16^-12 = 2^-48 of the ray, is undecided
 RAY_MAX_PIECES = 1 << 16  # bound on the pieces contains keeps open at once
 QUAD_FIRST_NODES = 8    # nodes of the first adaptive rule
 QUAD_MAX_NODES = 1024   # nodes past which the adaptive rule gives up
 QUAD_TOL = 1e-13        # accepted relative error of the adaptive rule
+SAMPLE_MAX_TRIES = 200000  # draws after which rejection sampling gives up
 
 
 class Phi2D:
@@ -232,12 +233,13 @@ def contains(p: Phi2D, d: Domain2D, g: GroupoidPoint2D) -> bool:
       + O(t^2 |phi(x)|), so the answer can be wrong where h comes within
       O(|phi(x)|) of 0 on the ray;
     * otherwise h(t) = phi(x_f(t)) / phi(x) > 0 iff s phi > 0 on the
-      segment, s = sign(phi(x)), decided exactly from phi at RAY_NODES + 1
-      evenly spaced nodes (one with s phi <= 0 witnesses non-membership),
-      then from interval enclosures of phi on the pieces between them,
-      bisecting those whose enclosure does not exclude 0.
+      segment, s = sign(phi(x)), decided exactly by one subdivision loop
+      from the whole segment: a piece whose interval enclosure of phi
+      excludes 0 is done, the others are cut into RAY_SPLIT equal pieces,
+      and s phi is checked at x_f and at each new cut, where a value <= 0
+      witnesses non-membership.
 
-    A piece undecided after RAY_DEPTH bisections, or a ray needing more
+    A piece undecided after RAY_DEPTH cuts, or a ray needing more
     than RAY_MAX_PIECES open pieces at once (a bound on time and memory,
     reached only where the enclosures overestimate phi's range by orders
     of magnitude, as for 1e7*(x1 - x1) + 1), makes the answer "not a
@@ -259,7 +261,6 @@ def _contains(p: Phi2D, d: Domain2D, g: GroupoidPoint2D) -> bool:
     if abs(phi0) < BRANCH_SWITCH:
         return h_map(p, g) > 0.0
     sign = np.sign(phi0)
-    ts = np.linspace(0.0, 1.0, RAY_NODES + 1)
 
     def positive_at(t):
         return bool(np.all(sign * p(_ray_points(g, phi0, t)) > 0.0))
@@ -273,21 +274,22 @@ def _contains(p: Phi2D, d: Domain2D, g: GroupoidPoint2D) -> bool:
         lo, hi = ex.evaluate_interval(p.phi, box)
         return np.minimum(sign * lo, sign * hi) > 0.0
 
-    if not positive_at(ts):
+    if not positive_at(1.0):
         return False
-    lo_t, hi_t = ts[:-1], ts[1:]
+    # piece starts and the common width are dyadic, so every t is exact
+    lo_t, width = np.zeros(1), 1.0
     for _ in range(RAY_DEPTH):
-        undecided = ~certified(lo_t, hi_t)
-        if not undecided.any():
+        lo_t = lo_t[~certified(lo_t, lo_t + width)]
+        if not lo_t.size:
             return True
-        if 2 * np.count_nonzero(undecided) > RAY_MAX_PIECES:
+        if RAY_SPLIT * lo_t.size > RAY_MAX_PIECES:
             return False
-        lo_t, hi_t = lo_t[undecided], hi_t[undecided]
-        mid = 0.5 * (lo_t + hi_t)
-        if not positive_at(mid):
+        width /= RAY_SPLIT
+        cuts = (lo_t[:, None] + width * np.arange(1, RAY_SPLIT)).ravel()
+        if not positive_at(cuts):
             return False
-        lo_t, hi_t = np.concatenate([lo_t, mid]), np.concatenate([mid, hi_t])
-    return bool(np.all(certified(lo_t, hi_t)))
+        lo_t = np.concatenate([lo_t, cuts])
+    return bool(np.all(certified(lo_t, lo_t + width)))
 
 
 def _ray_points(g: GroupoidPoint2D, phi0: float, t):
@@ -478,14 +480,11 @@ def _cumtrapz(y, x):
 
 
 def invariants(p: Phi2D, m: ps.DiscretizedMorphism,
-               residual_tol: float = 1e-4,
-               structure: PoissonStructure | None = None) -> GroupoidPoint2D:
+               residual_tol: float = 1e-4) -> GroupoidPoint2D:
     """Recover (x, pi) from a constraint solution: x = X(0),
     H = exp int T with T = d2 phi eta_1 - d1 phi eta_2, and
     pi_i = int eta_i H."""
-    if structure is None:
-        structure = p.structure()
-    res = ps.gauss_residual(structure, m)
+    res = ps.gauss_residual(p.structure(), m)
     if res > residual_tol:
         raise ValueError(f"not a constraint solution (residual {res:g})")
     u = m.u
@@ -499,23 +498,22 @@ def invariants(p: Phi2D, m: ps.DiscretizedMorphism,
 # ---------------------------------------------------------------------------
 # Sampling and the axiom report
 
-def sample_points(p: Phi2D, d: Domain2D, count: int, rng,
-                  pi_box: float = 1.0, max_tries: int = 200000):
+def sample_points(p: Phi2D, d: Domain2D, count: int, rng, pi_box: float = 1.0):
     """Rejection-sample groupoid points with x in the rectangle and pi
     in [-pi_box, pi_box]^2."""
-    return _rejection_sample(count, max_tries, "groupoid points",
+    return _rejection_sample(count, "groupoid points",
                              lambda: _draw_point(p, d, rng, pi_box))
 
 
 def sample_composable_pairs(p: Phi2D, d: Domain2D, count: int, rng,
-                            pi_box: float = 1.0, max_tries: int = 200000):
+                            pi_box: float = 1.0):
     """Composable pairs (g, g2) with left(g2) = right(g)."""
     def draw():
         g = _draw_point(p, d, rng, pi_box)
         g2 = None if g is None else _draw_point(p, d, rng, pi_box, x_f(p, g))
         return None if g2 is None else (g, g2)
 
-    return _rejection_sample(count, max_tries, "composable pairs", draw)
+    return _rejection_sample(count, "composable pairs", draw)
 
 
 def _draw_point(p, d, rng, pi_box, x=None):
@@ -526,11 +524,11 @@ def _draw_point(p, d, rng, pi_box, x=None):
     return g if contains(p, d, g) else None
 
 
-def _rejection_sample(count, max_tries, what, draw):
+def _rejection_sample(count, what, draw):
     out, tries = [], 0
     while len(out) < count:
         tries += 1
-        if tries > max_tries:
+        if tries > SAMPLE_MAX_TRIES:
             raise RuntimeError(f"sampling failed to find enough {what}")
         item = draw()
         if item is not None:
@@ -538,13 +536,13 @@ def _rejection_sample(count, max_tries, what, draw):
     return out
 
 
-AXIOM_TOLERANCES = {
+AXIOM_TOLERANCES = {  # in the order verify_axioms runs the checks
     "identity_left_right": 1e-12,
     "identity_elements": 1e-12,
     "inverse": 1e-12,
-    "associativity": 1e-12,
-    "cocycle": 1e-12,
     "right_of_product": 1e-12,
+    "cocycle": 1e-12,
+    "associativity": 1e-12,
     "omega_inverse": 1e-9,
     "jacobi_P": 1e-9,
     "d_omega": 1e-4,
@@ -567,26 +565,27 @@ def _bivector_gradient(p: Phi2D, g: GroupoidPoint2D) -> np.ndarray:
 
 
 def verify_axioms(p: Phi2D, d: Domain2D, samples: int = 100, seed: int = 0,
-                  tolerances: dict | None = None, pi_box: float = 1.0) -> dict:
-    """Numeric verification of the groupoid axioms on ``samples`` sampled
-    points and composable pairs: {check: {"max_dev", "tol", "worst_point",
-    "count", "passed"}}, "count" being the evaluations the check ran.
-    Associativity runs only where a freshly drawn third factor is a member,
-    the product pullback on the first half of the pairs. Derivatives are
-    exact: dP (``_bivector_gradient``) for Jacobi and d omega = 0, and for
-    the pullback the Jacobians on (x, pi, pi2) of the product,
+                  pi_box: float = 1.0) -> dict:
+    """Numeric verification of the groupoid axioms on ``samples`` (at
+    least 1) sampled points and composable pairs: {check: {"max_dev",
+    "tol", "worst_point", "count", "passed"}} for every check of
+    AXIOM_TOLERANCES, "count" being the evaluations the check ran. A check
+    that ran 0 times has "max_dev" -1.0 and fails. Associativity runs only
+    where a freshly drawn third factor is a member, the product pullback
+    on the first half of the pairs. Derivatives are exact: dP
+    (``_bivector_gradient``) for Jacobi and d omega = 0, and for the
+    pullback the Jacobians on (x, pi, pi2) of the product,
     [[I, 0], [pi2 (x) grad h, h I]], and of (x_f, pi2)."""
-    tol = dict(AXIOM_TOLERANCES)
-    if tolerances:
-        tol.update(tolerances)
+    if samples < 1:
+        raise ValueError(f"verify_axioms needs at least 1 sample, got {samples}")
     rng = np.random.default_rng(seed)
     points = sample_points(p, d, samples, rng, pi_box=pi_box)
     pairs = sample_composable_pairs(p, d, samples, rng, pi_box=pi_box)
-    report = {}
+    report = {name: {"max_dev": -1.0, "tol": tol, "worst_point": None, "count": 0}
+              for name, tol in AXIOM_TOLERANCES.items()}
 
     def record(name, dev, *where):
-        entry = report.setdefault(
-            name, {"max_dev": -1.0, "tol": tol[name], "worst_point": None, "count": 0})
+        entry = report[name]
         entry["count"] += 1
         if dev > entry["max_dev"]:
             entry["max_dev"] = float(dev)
@@ -649,5 +648,5 @@ def verify_axioms(p: Phi2D, d: Domain2D, samples: int = 100, seed: int = 0,
                g.x, g.pi, g2.pi)
 
     for entry in report.values():
-        entry["passed"] = bool(entry["max_dev"] <= entry["tol"])
+        entry["passed"] = bool(entry["count"] > 0 and entry["max_dev"] <= entry["tol"])
     return report

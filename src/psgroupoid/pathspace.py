@@ -100,12 +100,12 @@ class GaugeField:
 
     Components are expressions over (x1..xn, u); symbolic partials in
     every x_j and in u are cached. Boundary vanishing is checked
-    numerically at construction on 50 random x points. A 1-form is a
-    gauge field with no u, built with ``validate=False``, at ``u=None``.
+    numerically at construction on 50 x points drawn uniformly from
+    [-2, 2]^n with seed 0. A 1-form is a gauge field with no u, built
+    with ``validate=False``, at ``u=None``.
     """
 
-    def __init__(self, components: Sequence[ex.Expr], n: int,
-                 validate=True, sample_box=2.0, seed=0):
+    def __init__(self, components: Sequence[ex.Expr], n: int, validate=True):
         if len(components) != n:
             raise ValueError("need one component per target dimension")
         self.n = n
@@ -117,8 +117,7 @@ class GaugeField:
         )
         self.du = tuple(ex.differentiate(c, "u") for c in components)
         if validate:
-            rng = np.random.default_rng(seed)
-            pts = rng.uniform(-sample_box, sample_box, size=(50, n))
+            pts = np.random.default_rng(0).uniform(-2.0, 2.0, size=(50, n))
             for u_end in (0.0, 1.0):
                 vals = self.value(pts, np.full(50, u_end))
                 if np.max(np.abs(vals)) > 1e-12:
@@ -206,18 +205,17 @@ def _check_domain(s: PoissonStructure, X: np.ndarray, message: str):
         raise DomainError(f"{message} at node {np.argmin(inside)}")
 
 
-def solve_gauss(s: PoissonStructure, x0, eta: np.ndarray,
-                N: int | None = None) -> DiscretizedMorphism:
-    """Integrate X' = -alpha(X) eta_u from X(0) = x0 by RK4 steps that
-    take eta at each interval's midpoint as the mean of its two nodes;
-    that linear interpolation makes the solution second order in du."""
+def solve_gauss(s: PoissonStructure, x0, eta: np.ndarray) -> DiscretizedMorphism:
+    """Integrate X' = -alpha(X) eta_u from X(0) = x0 over the grid of eta,
+    N = len(eta) - 1, by RK4 steps that take eta at each interval's
+    midpoint as the mean of its two nodes; that linear interpolation makes
+    the solution second order in du."""
     eta = np.asarray(eta, dtype=float)
-    if N is None:
-        N = eta.shape[0] - 1
-    if eta.shape != (N + 1, s.n):
-        raise ValueError("eta must be sampled on the same grid, shape (N+1, n)")
-    if N + 1 < MIN_NODES:
-        raise ValueError(f"a path needs at least {MIN_NODES} nodes, got {N + 1}")
+    if eta.ndim != 2 or eta.shape[1] != s.n:
+        raise ValueError("eta must be sampled on the grid, shape (N+1, n)")
+    if len(eta) < MIN_NODES:
+        raise ValueError(f"a path needs at least {MIN_NODES} nodes, got {len(eta)}")
+    N = len(eta) - 1
     x = s.check_point(x0)
     du = 1.0 / N
     X = np.empty((N + 1, s.n))
@@ -268,13 +266,12 @@ def gauge_vector_field(s: PoissonStructure, m: DiscretizedMorphism,
 
 def gauge_flow(s: PoissonStructure, m: DiscretizedMorphism, beta: GaugeField,
                s_steps: int = DEFAULT_FLOW_STEPS, s_total: float = 1.0,
-               residual_tol: float = 1e-5,
                check_residual: bool = True) -> DiscretizedMorphism:
-    """Flow a constraint solution along the gauge vector field of beta,
-    RK4 in the flow parameter over [0, s_total]."""
-    if check_residual and gauss_residual(s, m) > residual_tol:
+    """Flow a constraint solution (Gauss residual <= 1e-5) along the gauge
+    vector field of beta, RK4 in the flow parameter over [0, s_total]."""
+    if check_residual and gauss_residual(s, m) > 1e-5:
         raise ValueError("gauge_flow requires a constraint solution "
-                         f"(residual above {residual_tol:g})")
+                         "(residual above 1e-05)")
     h = s_total / s_steps
     X, eta = m.X.copy(), m.eta.copy()
 
@@ -333,10 +330,11 @@ def _random_smooth_tangent(rng, N, n, modes=4):
 
 
 def hamiltonian_check(s: PoissonStructure, m: DiscretizedMorphism,
-                      beta: GaugeField, trials: int = 20, seed: int = 0,
-                      eps: float = 1e-5) -> float:
+                      beta: GaugeField, trials: int = 20, seed: int = 0) -> float:
     """Verify iota_{xi_beta} omega = dH_beta against central finite
-    differences along random smooth variations; returns the max defect."""
+    differences of step 1e-5 along random smooth variations; returns the
+    max defect."""
+    eps = 1e-5
     rng = np.random.default_rng(seed)
     xi = gauge_vector_field(s, m, beta)
     worst = 0.0
@@ -371,30 +369,28 @@ def koszul_bracket_values(s: PoissonStructure, beta: GaugeField,
 
 
 def equivariance_defect(s: PoissonStructure, m: DiscretizedMorphism,
-                        beta: GaugeField, gamma: GaugeField,
-                        eps: float = 1e-4, s_steps: int = 8) -> float:
+                        beta: GaugeField, gamma: GaugeField) -> float:
     """|d/ds H_gamma(flow by xi_beta) - H_{[beta,gamma]}| at s = 0,
-    by a small finite flow of size eps (off-shell allowed)."""
-    flowed = gauge_flow(s, m, beta, s_steps=s_steps, s_total=eps,
-                        check_residual=False)
+    by a finite flow of size eps = 1e-4 in 8 steps (off-shell allowed)."""
+    eps = 1e-4
+    flowed = gauge_flow(s, m, beta, s_steps=8, s_total=eps, check_residual=False)
     lhs = (hamiltonian(s, flowed, gamma) - hamiltonian(s, m, gamma)) / eps
     rhs = hamiltonian_values(s, m, koszul_bracket_values(s, beta, gamma, m.X, m.u))
     return abs(lhs - rhs)
 
 
 def concatenate(m1: DiscretizedMorphism, m2: DiscretizedMorphism,
-                endpoint_tol: float = 1e-8,
-                junction_eta_tol: float = 1e-6) -> DiscretizedMorphism:
+                endpoint_tol: float = 1e-8) -> DiscretizedMorphism:
     """Doubled-speed gluing: first half runs m1 at 2u, second half m2 at
     2u - 1, with eta rescaled by 2. Representatives must match at the
-    junction and have (near-)vanishing eta there."""
+    junction and have |eta| <= 1e-6 there."""
     if m1.n != m2.n or m1.N != m2.N:
         raise ValueError("grid mismatch")
     if np.linalg.norm(m1.X[-1] - m2.X[0]) > endpoint_tol:
         raise ValueError("endpoint mismatch: right end of m1 differs from "
                          "left end of m2")
     junction = max(np.linalg.norm(m1.eta[-1]), np.linalg.norm(m2.eta[0]))
-    if junction > junction_eta_tol:
+    if junction > 1e-6:
         raise ValueError(f"eta too large at the junction ({junction:g}); "
                          "use a tapered representative")
     N = m1.N

@@ -88,7 +88,7 @@ def jacobi_residual(s: PoissonStructure, x) -> float:
 # ---------------------------------------------------------------------------
 # Built-in constructors
 
-def constant_structure(matrix, name="constant") -> PoissonStructure:
+def constant_structure(matrix) -> PoissonStructure:
     A = np.array(matrix, dtype=float)
     n = A.shape[0]
     if A.shape != (n, n) or not np.allclose(A, -A.T, atol=1e-12):
@@ -97,14 +97,14 @@ def constant_structure(matrix, name="constant") -> PoissonStructure:
         n=n,
         alpha=lambda x: np.zeros(np.shape(x)[:-1] + (n, n)) + A,
         dalpha=lambda x: np.zeros(np.shape(x)[:-1] + (n, n, n)),
-        name=name,
+        name="constant",
     )
 
 
 _EPS2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 
-def two_domain(phi: ex.Expr, name="two_domain") -> PoissonStructure:
+def two_domain(phi: ex.Expr) -> PoissonStructure:
     """alpha^{ij} = eps^{ij} phi(x1, x2) on R^2, eps^{12} = +1."""
     d1 = ex.differentiate(phi, "x1")
     d2 = ex.differentiate(phi, "x2")
@@ -121,7 +121,7 @@ def two_domain(phi: ex.Expr, name="two_domain") -> PoissonStructure:
         grads = np.array([ex.evaluate(d1, p), ex.evaluate(d2, p)]).T
         return grads[..., None, None] * _EPS2
 
-    return PoissonStructure(n=2, alpha=alpha, dalpha=dalpha, name=name)
+    return PoissonStructure(n=2, alpha=alpha, dalpha=dalpha, name="two_domain")
 
 
 def kirillov_kostant(f, name="kirillov_kostant") -> PoissonStructure:
@@ -176,7 +176,7 @@ def _radius(x):
     return np.sqrt(np.vecdot(x, x))
 
 
-def rot_invariant3(f: ex.Expr, r_min=1e-6, name="rot_invariant3") -> PoissonStructure:
+def rot_invariant3(f: ex.Expr, r_min=1e-6) -> PoissonStructure:
     """alpha^{ij}(x) = f(|x|) eps^{ijk} x^k on R^3 minus a small ball
     around the origin."""
     fprime = ex.differentiate(f, "R")
@@ -199,5 +199,5 @@ def rot_invariant3(f: ex.Expr, r_min=1e-6, name="rot_invariant3") -> PoissonStru
     return PoissonStructure(
         n=3, alpha=alpha, dalpha=dalpha,
         in_domain=lambda x: _radius(np.asarray(x, dtype=float)) >= r_min,
-        name=name,
+        name="rot_invariant3",
     )

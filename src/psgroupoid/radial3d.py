@@ -19,6 +19,7 @@ __all__ = [
 ]
 
 FOUR_PI = 4.0 * math.pi
+STRATUM_TOL = 1e-9  # |C - 1| up to which a radius is on the constant-area stratum
 
 FIBER_SU2 = "SU2"
 FIBER_S2XR = "S2xR"
@@ -96,9 +97,9 @@ def c_invariant_from_area(p: RadialProfile, R):
     return 1.0 - p.f_at(R) * ex.evaluate(p.darea, {"R": R}) / FOUR_PI
 
 
-def classify_fiber(p: RadialProfile, R: float, tol: float = 1e-9) -> str:
-    """S2xR on the constant-area stratum |C - 1| <= tol, SU2 otherwise."""
-    return FIBER_S2XR if abs(c_invariant(p, R) - 1.0) <= tol else FIBER_SU2
+def classify_fiber(p: RadialProfile, R: float) -> str:
+    """S2xR on the constant-area stratum |C - 1| <= STRATUM_TOL, else SU2."""
+    return FIBER_S2XR if abs(c_invariant(p, R) - 1.0) <= STRATUM_TOL else FIBER_SU2
 
 
 def period(p: RadialProfile, R):
@@ -170,7 +171,7 @@ def analyze(p: RadialProfile, n_samples: int = 512) -> dict:
         verdict = VERDICT_SMOOTH_REGULAR
 
     columns = (grid, A, dA, C,
-               np.where(np.abs(C - 1.0) <= 1e-9, FIBER_S2XR, FIBER_SU2),
+               np.where(np.abs(C - 1.0) <= STRATUM_TOL, FIBER_S2XR, FIBER_SU2),
                ex.evaluate(p.period_expr, {"R": grid}))
     samples = [dict(zip(("R", "A", "dA", "C", "fiber", "period"), row))
                for row in zip(*(column.tolist() for column in columns))]
@@ -219,16 +220,15 @@ def radial_gauss_residual(p: RadialProfile, m: ps.DiscretizedMorphism) -> float:
     return float(np.max(np.linalg.norm(res, axis=1)))
 
 
-def rescale(p: RadialProfile, m: ps.DiscretizedMorphism,
-            c_margin: float = 1e-6) -> ps.DiscretizedMorphism:
+def rescale(p: RadialProfile, m: ps.DiscretizedMorphism) -> ps.DiscretizedMorphism:
     """New covector a with radial part f/(1-C) eta_r and tangential part
     f eta_t, bringing the constraint to the unit-coefficient form
     X' + a_t x X = 0. Undefined where C = 1 (constant-area stratum)."""
     radii, C = _path_radii(p, m, p.c_expr)
-    stratum = np.abs(C - 1.0) <= c_margin
+    stratum = np.abs(C - 1.0) <= 1e-6
     if stratum.any():
         R = radii[np.argmax(stratum)]
-        raise ValueError(f"C(R) = 1 within {c_margin:g} at R = {R:g}; "
+        raise ValueError(f"C(R) = 1 within 1e-06 at R = {R:g}; "
                          "rescaling is undefined on this stratum")
     p.check_range(radii)
     f = p.f_at(radii)

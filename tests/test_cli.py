@@ -67,6 +67,20 @@ def test_g2d_verify_passes(capsys):
     assert data["checks"]["product_pullback"]["count"] == 5
 
 
+def test_g2d_verify_without_samples_is_a_usage_error(capsys):
+    code, out, err = run(["g2d", "verify", "--phi", "x1*x2", "--samples", "0"], capsys)
+    assert code == 2 and out == ""
+    assert "at least 1 sample" in json.loads(err)["error"]
+
+
+def test_g2d_verify_fails_when_a_check_never_ran(capsys):
+    data = run_json(["g2d", "verify", "--phi", "x1*x2", "--samples", "1",
+                     "--seed", "0"], capsys, expect_code=1)
+    assert data["all_passed"] is False
+    assert data["checks"]["associativity"]["count"] == 0
+    assert data["checks"]["associativity"]["passed"] is False
+
+
 def test_g2d_verify_deterministic(capsys):
     argv = ["g2d", "verify", "--phi", "x2", "--samples", "8", "--seed", "1"]
     code1, out1, _ = run(argv, capsys)
@@ -201,6 +215,15 @@ def test_too_short_paths_are_usage_errors(argv, tmp_path, capsys):
     assert code == 2
     report = json.loads(err)
     assert report["kind"] == "usage" and "at least 3 nodes" in report["error"]
+
+
+def test_lie_holonomy_overflow_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"n": 3, "N": 2, "X": [[0.0, 0.0, 0.0]] * 3,
+                                "etaU": [[1e300, 0.0, 0.0]] * 3}))
+    code, _, err = run(["lie", "holonomy", "--spec", "so3", "--in", str(path)], capsys)
+    assert code == 2
+    assert json.loads(err)["error"] == "matrix exponential overflows"
 
 
 def test_radial_analyze_json_and_csv(capsys):

@@ -127,6 +127,14 @@ def test_membership_undecided_is_not_member():
                        pt([0.5, 0.5], [1.0, -2.0]))
 
 
+@pytest.mark.xfail(strict=True, reason="the natural enclosure of 1e5*(x1 - x1) certifies "
+                   "only pieces under 2^-17 of the ray, more than RAY_MAX_PIECES of them; "
+                   "a mean-value enclosure would certify phi = 1")
+def test_membership_despite_a_dependency_problem():
+    p = g2.Phi2D.parse("1e5*(x1 - x1) + 1")
+    assert g2.contains(p, BOX, pt([0.5, 0.5], [1.0, -2.0]))
+
+
 def test_membership_where_phi_is_undefined_on_the_ray():
     # phi = log(x1): from x = (2, 1) with pi = (0, 3) the ray runs along x1
     # down to 2 - 3 log 2 < 0, inside the rectangle but outside x1 > 0
@@ -397,6 +405,21 @@ def test_verify_axioms_counts_the_checks_it_ran():
     assert counts.pop("associativity") == 59
     assert counts.pop("product_pullback") == 50
     assert set(counts.values()) == {100}
+
+
+@pytest.mark.parametrize("samples", [0, -1])
+def test_verify_axioms_rejects_an_empty_sample(samples):
+    with pytest.raises(ValueError, match="at least 1 sample"):
+        g2.verify_axioms(QP, BOX, samples=samples)
+
+
+def test_verify_axioms_fails_a_check_that_never_ran():
+    # with one sample and seed 0 no third factor is a member
+    report = g2.verify_axioms(QP, BOX, samples=1, seed=0)
+    assert list(report) == list(g2.AXIOM_TOLERANCES)
+    assert report.pop("associativity") == {
+        "max_dev": -1.0, "tol": 1e-12, "worst_point": None, "count": 0, "passed": False}
+    assert all(entry["count"] == 1 and entry["passed"] for entry in report.values())
 
 
 def test_exact_derivatives_match_finite_differences():

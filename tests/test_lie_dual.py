@@ -116,6 +116,21 @@ def test_expm_rejects_non_finite_input(bad):
 
 
 @pytest.mark.parametrize("name", SPECS)
+def test_expm_raises_where_squaring_overflows(name):
+    # exp(1e300 e_j) is exact and finite for the nilpotent heisenberg3
+    # basis; the N^2 / 2 term of exp(rho(1e300, 1e300, 1e300)) overflows
+    spec = ld.builtin_spec(name)
+    a = spec.rho(np.full(3, 1e300)) if name == "heisenberg3" else 1e300 * spec.basis
+    with pytest.raises(ValueError, match="matrix exponential overflows"):
+        ld.expm(a)
+
+
+def test_expm_of_a_huge_nilpotent_is_exact():
+    basis = ld.builtin_spec("heisenberg3").basis
+    assert np.array_equal(ld.expm(1e300 * basis), np.eye(3) + 1e300 * basis)
+
+
+@pytest.mark.parametrize("name", SPECS)
 def test_log_inverts_expm(name):
     spec = ld.builtin_spec(name)
     for w in _ball_stack(np.random.default_rng(10), 50, 3.0):

@@ -10,8 +10,8 @@ Subcommand groups:
 * ``expr``   — expression evaluation and symbolic differentiation.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or parse error.
-All JSON output prints floats with 17 significant digits so values
-round-trip exactly; errors go to standard error as a JSON object."""
+JSON output prints each float in the shortest form that reads back to
+the same double; errors go to standard error as a JSON object."""
 
 from __future__ import annotations
 
@@ -26,7 +26,7 @@ from . import groupoid2d as g2
 from . import lie_dual as ld
 from . import pathspace as ps
 from . import radial3d as rad
-from .poisson import PoissonStructure, constant_structure, rot_invariant3
+from .poisson import constant_structure, rot_invariant3
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -43,33 +43,21 @@ class _Parser(argparse.ArgumentParser):
 
 
 # ---------------------------------------------------------------------------
-# JSON with exact float round-trip
+# JSON output
 
-def _fmt(value) -> str:
-    if isinstance(value, bool) or value is None:
-        return json.dumps(value)
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        v = float(value)
-        if v != v or v in (float("inf"), float("-inf")):
-            raise CLIError("non-finite number in output")
-        return format(v, ".17g")
-    if isinstance(value, str):
-        return json.dumps(value)
-    if isinstance(value, dict):
-        items = ", ".join(f"{json.dumps(str(k))}: {_fmt(v)}"
-                          for k, v in value.items())
-        return "{" + items + "}"
-    if isinstance(value, np.ndarray):
-        return _fmt(value.tolist())
-    if isinstance(value, (list, tuple)):
-        return "[" + ", ".join(_fmt(v) for v in value) + "]"
+def _plain(value):
+    """numpy arrays and scalars as the Python values json writes."""
+    if isinstance(value, (np.ndarray, np.generic)):
+        return value.tolist()
     raise TypeError(f"cannot serialize {type(value)!r}")
 
 
 def emit(obj, stream=None):
-    print(_fmt(obj), file=stream or sys.stdout)
+    try:
+        text = json.dumps(obj, default=_plain, allow_nan=False)
+    except ValueError:
+        raise CLIError("non-finite number in output") from None
+    print(text, file=stream or sys.stdout)
 
 
 # ---------------------------------------------------------------------------
@@ -82,6 +70,8 @@ def _floats(text, count=None):
         raise CLIError(f"expected comma-separated numbers, got {text!r}")
     if count is not None and len(vals) != count:
         raise CLIError(f"expected {count} comma-separated numbers, got {text!r}")
+    if np.isnan(vals).any():
+        raise CLIError(f"expected numbers, got NaN in {text!r}")
     return np.array(vals)
 
 
@@ -130,8 +120,7 @@ def _save_morphism(path, m: ps.DiscretizedMorphism):
 def _group_element(spec: ld.LieAlgebraSpec, text):
     vals = _floats(text)
     if spec.name == "su2" and len(vals) == 4:
-        q = vals / np.linalg.norm(vals)
-        return ld.quat_to_matrix(q)
+        return spec.project(ld.quat_to_matrix(vals))
     if len(vals) == spec.d * spec.d:
         return spec.project(vals.reshape(spec.d, spec.d))
     raise CLIError(f"--g for {spec.name} takes "
@@ -449,19 +438,11 @@ _RUNNERS = {"g2d": _run_g2d, "flow": _run_flow, "lie": _run_lie,
 def _preprocess(argv):
     """Join ``--flag -1,2`` into ``--flag=-1,2`` so values that begin
     with a negative number are not mistaken for options."""
-    if argv is None:
-        argv = sys.argv[1:]
     out = []
-    skip = False
-    for k, tok in enumerate(argv):
-        if skip:
-            skip = False
-            continue
-        nxt = argv[k + 1] if k + 1 < len(argv) else None
-        if (tok.startswith("--") and "=" not in tok and nxt is not None
-                and len(nxt) > 1 and nxt[0] == "-" and nxt[1].isdigit()):
-            out.append(f"{tok}={nxt}")
-            skip = True
+    for tok in sys.argv[1:] if argv is None else argv:
+        if (out and out[-1].startswith("--") and "=" not in out[-1]
+                and tok.startswith("-") and tok[1:2].isdigit()):
+            out[-1] = f"{out[-1]}={tok}"
         else:
             out.append(tok)
     return out

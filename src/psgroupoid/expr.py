@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,134 +113,97 @@ class Call(Expr):
 # ---------------------------------------------------------------------------
 # Parsing
 
-class _Tokenizer:
-    def __init__(self, source):
-        self.source = source
-        self.pos = 0
-
-    def skip_ws(self):
-        while self.pos < len(self.source) and self.source[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self):
-        self.skip_ws()
-        if self.pos >= len(self.source):
-            return None
-        return self.source[self.pos]
-
-    def expect(self, char):
-        if self.peek() != char:
-            raise SyntaxExprError(f"expected {char!r}", self.pos)
-        self.pos += 1
-
-    def read_number(self):
-        start = self.pos
-        src = self.source
-        while self.pos < len(src) and (src[self.pos].isdigit() or src[self.pos] == "."):
-            self.pos += 1
-        if self.pos < len(src) and src[self.pos] in "eE":
-            mark = self.pos
-            self.pos += 1
-            if self.pos < len(src) and src[self.pos] in "+-":
-                self.pos += 1
-            if self.pos < len(src) and src[self.pos].isdigit():
-                while self.pos < len(src) and src[self.pos].isdigit():
-                    self.pos += 1
-            else:
-                self.pos = mark
-        text = src[start:self.pos]
-        try:
-            return float(text)
-        except ValueError:
-            raise SyntaxExprError(f"bad number {text!r}", start) from None
-
-    def read_ident(self):
-        start = self.pos
-        src = self.source
-        while self.pos < len(src) and (src[self.pos].isalnum() or src[self.pos] == "_"):
-            self.pos += 1
-        return src[start:self.pos], start
+# a number, a name, or one other character; whitespace separates tokens
+_TOKEN = re.compile(r"(?P<number>[\d.]+(?:[eE][+-]?\d+)?)|(?P<name>[^\W\d]\w*)|(?P<other>\S)")
 
 
 class _Parser:
     def __init__(self, source, variables):
-        self.tok = _Tokenizer(source)
+        self.tokens = [(t.lastgroup, t.group(), t.start()) for t in _TOKEN.finditer(source)]
+        self.tokens.append(("end", None, len(source)))
+        self.next = 0
         self.variables = frozenset(variables)
+
+    def peek(self):
+        return self.tokens[self.next][1]
+
+    def offset(self):
+        return self.tokens[self.next][2]
+
+    def expect(self, char):
+        if self.peek() != char:
+            raise SyntaxExprError(f"expected {char!r}", self.offset())
+        self.next += 1
 
     def parse(self):
         node = self.expr()
-        if self.tok.peek() is not None:
-            raise SyntaxExprError("unexpected trailing input", self.tok.pos)
+        if self.peek() is not None:
+            raise SyntaxExprError("unexpected trailing input", self.offset())
         return node
 
     def expr(self):
-        node = self.term()
-        while self.tok.peek() in ("+", "-"):
-            op = self.tok.peek()
-            self.tok.pos += 1
-            rhs = self.term()
-            node = Add(node, rhs) if op == "+" else Sub(node, rhs)
-        return node
+        return self.chain(self.term, {"+": Add, "-": Sub})
 
     def term(self):
-        node = self.factor()
-        while self.tok.peek() in ("*", "/"):
-            op = self.tok.peek()
-            self.tok.pos += 1
-            rhs = self.factor()
-            node = Mul(node, rhs) if op == "*" else Div(node, rhs)
+        return self.chain(self.factor, {"*": Mul, "/": Div})
+
+    def chain(self, operand, operators):
+        """operand (operator operand)*, grouped from the left."""
+        node = operand()
+        while self.peek() in operators:
+            op = operators[self.peek()]
+            self.next += 1
+            node = op(node, operand())
         return node
 
     def factor(self):
         node = self.base()
-        if self.tok.peek() == "^":
-            self.tok.pos += 1
+        if self.peek() == "^":
+            self.next += 1
             node = Pow(node, self.integer())
         return node
 
     def integer(self):
-        ch = self.tok.peek()
         sign = 1
-        if ch == "-":
+        if self.peek() == "-":
             sign = -1
-            self.tok.pos += 1
-            ch = self.tok.peek()
-        if ch is None or not ch.isdigit():
-            raise SyntaxExprError("expected integer exponent", self.tok.pos)
-        start = self.tok.pos
-        while self.tok.pos < len(self.tok.source) and self.tok.source[self.tok.pos].isdigit():
-            self.tok.pos += 1
-        return sign * int(self.tok.source[start:self.tok.pos])
+            self.next += 1
+        kind, text, offset = self.tokens[self.next]
+        if kind != "number" or not text.isdigit():
+            raise SyntaxExprError("expected integer exponent", offset)
+        self.next += 1
+        return sign * int(text)
 
     def base(self):
-        ch = self.tok.peek()
-        if ch is None:
-            raise SyntaxExprError("unexpected end of input", self.tok.pos)
-        if ch == "-":
-            self.tok.pos += 1
+        kind, text, offset = self.tokens[self.next]
+        if kind == "end":
+            raise SyntaxExprError("unexpected end of input", offset)
+        self.next += 1
+        if text == "-":
             return Neg(self.factor())
-        if ch == "(":
-            self.tok.pos += 1
+        if text == "(":
             node = self.expr()
-            self.tok.expect(")")
+            self.expect(")")
             return node
-        if ch.isdigit() or ch == ".":
-            return Const(self.tok.read_number())
-        if ch.isalpha() or ch == "_":
-            name, start = self.tok.read_ident()
-            if self.tok.peek() == "(":
-                if name not in _FUNCTIONS:
-                    raise UnknownIdentifierError(name, start)
-                self.tok.pos += 1
+        if kind == "number":
+            try:
+                return Const(float(text))
+            except ValueError:
+                raise SyntaxExprError(f"bad number {text!r}", offset) from None
+        if kind == "name":
+            if self.peek() == "(":
+                if text not in _FUNCTIONS:
+                    raise UnknownIdentifierError(text, offset)
+                self.next += 1
                 arg = self.expr()
-                self.tok.expect(")")
-                return Call(name, arg)
-            if name in _FUNCTIONS:
-                raise SyntaxExprError(f"function {name!r} needs an argument", start)
-            if name not in self.variables:
-                raise UnknownIdentifierError(name, start)
-            return Var(name)
-        raise SyntaxExprError(f"unexpected character {ch!r}", self.tok.pos)
+                self.expect(")")
+                return Call(text, arg)
+            if text in _FUNCTIONS:
+                raise SyntaxExprError(f"function {text!r} needs an argument", offset)
+            if text not in self.variables:
+                raise UnknownIdentifierError(text, offset)
+            return Var(text)
+        raise SyntaxExprError(f"unexpected character {text!r}", offset)
 
 
 def parse(source: str, variables) -> Expr:
@@ -675,40 +639,24 @@ def differentiate(e: Expr, var: str) -> Expr:
 # ---------------------------------------------------------------------------
 # Printing (parse . to_string . parse is the identity on ASTs)
 
-_PREC = {"add": 1, "mul": 2, "neg": 3, "pow": 4, "atom": 5}
-
-
-def _prec(e):
-    if isinstance(e, (Add, Sub)):
-        return _PREC["add"]
-    if isinstance(e, (Mul, Div)):
-        return _PREC["mul"]
-    if isinstance(e, Neg):
-        return _PREC["neg"]
-    if isinstance(e, Pow):
-        return _PREC["pow"]
-    return _PREC["atom"]
+_PREC = {Add: 1, Sub: 1, Mul: 2, Div: 2, Neg: 3, Pow: 4}  # atoms bind at 5
+_INFIX = {Add: " + ", Sub: " - ", Mul: "*", Div: "/"}
 
 
 def to_string(e: Expr) -> str:
     if isinstance(e, Const):
         if e.value < 0:
-            return f"(-{_fmt_number(-e.value)})"
-        return _fmt_number(e.value)
+            return f"(-{_number_text(-e.value)})"
+        return _number_text(e.value)
     if isinstance(e, Var):
         return e.name
     if isinstance(e, Neg):
-        return "-" + _wrap(e.arg, _PREC["neg"] + 1)
-    if isinstance(e, Add):
-        return _wrap(e.left, _PREC["add"]) + " + " + _wrap(e.right, _PREC["add"] + 1)
-    if isinstance(e, Sub):
-        return _wrap(e.left, _PREC["add"]) + " - " + _wrap(e.right, _PREC["add"] + 1)
-    if isinstance(e, Mul):
-        return _wrap(e.left, _PREC["mul"]) + "*" + _wrap(e.right, _PREC["mul"] + 1)
-    if isinstance(e, Div):
-        return _wrap(e.left, _PREC["mul"]) + "/" + _wrap(e.right, _PREC["mul"] + 1)
+        return "-" + _wrap(e.arg, _PREC[Neg] + 1)
+    if isinstance(e, (Add, Sub, Mul, Div)):
+        level = _PREC[type(e)]
+        return _wrap(e.left, level) + _INFIX[type(e)] + _wrap(e.right, level + 1)
     if isinstance(e, Pow):
-        return _wrap(e.base, _PREC["pow"] + 1) + "^" + str(e.exponent)
+        return _wrap(e.base, _PREC[Pow] + 1) + "^" + str(e.exponent)
     if isinstance(e, Call):
         return f"{e.func}({to_string(e.arg)})"
     raise TypeError(f"not an Expr node: {e!r}")
@@ -716,12 +664,12 @@ def to_string(e: Expr) -> str:
 
 def _wrap(e, minimum):
     text = to_string(e)
-    if _prec(e) < minimum:
+    if _PREC.get(type(e), 5) < minimum:
         return "(" + text + ")"
     return text
 
 
-def _fmt_number(v):
+def _number_text(v):
     if v == int(v) and abs(v) < 1e15:
         return str(int(v))
     return repr(v)

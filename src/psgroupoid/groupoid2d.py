@@ -458,25 +458,18 @@ def embed(p: Phi2D, g: GroupoidPoint2D, N: int = ps.DEFAULT_GRID,
     With ``tapered`` the path is reparametrized by the quintic smoothstep
     u -> u^3 (10 - 15u + 6u^2) (``pathspace.taper``) so that eta vanishes
     at the endpoints (for concatenation)."""
-    u = np.linspace(0.0, 1.0, N + 1)
-    scale, rate = ps.taper(u, tapered)
+    scale, rate = ps.taper(np.linspace(0.0, 1.0, N + 1), tapered)
     phi0 = p(g.x)
     direction = phi0 * np.array([-g.pi[1], g.pi[0]])
     X = g.x[None, :] + scale[:, None] * direction[None, :]
     g1, g2 = p.grad(X.T)
     that = (g2 * g.pi[0] - g1 * g.pi[1]) * rate  # dH/du along the path
-    H = 1.0 + _cumtrapz(that, u)
+    H = 1.0 + ps.path_integral(that)
     if np.min(H) <= 0.0:
         raise ValueError("H(u) <= 0 along the representative; "
                          "(x, pi) is not in the groupoid")
     eta = (rate / H)[:, None] * g.pi[None, :]
     return ps.DiscretizedMorphism(n=2, X=X, eta=eta)
-
-
-def _cumtrapz(y, x):
-    out = np.zeros_like(y)
-    out[1:] = np.cumsum(0.5 * (y[1:] + y[:-1]) * np.diff(x))
-    return out
 
 
 def invariants(p: Phi2D, m: ps.DiscretizedMorphism,
@@ -487,11 +480,10 @@ def invariants(p: Phi2D, m: ps.DiscretizedMorphism,
     res = ps.gauss_residual(p.structure(), m)
     if res > residual_tol:
         raise ValueError(f"not a constraint solution (residual {res:g})")
-    u = m.u
     g1, g2 = p.grad(m.X.T)
     T = g2 * m.eta[:, 0] - g1 * m.eta[:, 1]
-    H = np.exp(_cumtrapz(T, u))
-    pi = np.trapezoid(m.eta * H[:, None], dx=1.0 / m.N, axis=0)
+    H = np.exp(ps.path_integral(T))
+    pi = ps.path_integral(m.eta * H[:, None])[-1]
     return GroupoidPoint2D(m.X[0], pi)
 
 
@@ -500,7 +492,8 @@ def invariants(p: Phi2D, m: ps.DiscretizedMorphism,
 
 def sample_points(p: Phi2D, d: Domain2D, count: int, rng, pi_box: float = 1.0):
     """Rejection-sample groupoid points with x in the rectangle and pi
-    in [-pi_box, pi_box]^2."""
+    in [-pi_box, pi_box]^2; ValueError unless both have finite size."""
+    _check_bounded(d, pi_box)
     return _rejection_sample(count, "groupoid points",
                              lambda: _draw_point(p, d, rng, pi_box))
 
@@ -508,12 +501,20 @@ def sample_points(p: Phi2D, d: Domain2D, count: int, rng, pi_box: float = 1.0):
 def sample_composable_pairs(p: Phi2D, d: Domain2D, count: int, rng,
                             pi_box: float = 1.0):
     """Composable pairs (g, g2) with left(g2) = right(g)."""
+    _check_bounded(d, pi_box)
+
     def draw():
         g = _draw_point(p, d, rng, pi_box)
         g2 = None if g is None else _draw_point(p, d, rng, pi_box, x_f(p, g))
         return None if g2 is None else (g, g2)
 
     return _rejection_sample(count, "composable pairs", draw)
+
+
+def _check_bounded(d, pi_box):
+    """ValueError unless uniform draws over the rectangle and pi box exist."""
+    if not all(math.isfinite(w) for w in (d.xmax - d.xmin, d.ymax - d.ymin, 2.0 * pi_box)):
+        raise ValueError("sampling needs a rectangle and a pi box of finite size")
 
 
 def _draw_point(p, d, rng, pi_box, x=None):

@@ -39,14 +39,20 @@ ANTIPODE_RADIUS = 1e-6
 
 EXPM_ORDER = 14   # Taylor degree: remainder under eps for norms up to EXPM_THETA
 EXPM_THETA = 0.5
+EXPM_CHECKED_HALVINGS = 30
+EXPM_DET_TOL = 1e-6
 
 
 def expm(a) -> np.ndarray:
     """Exponential of a matrix or a stack (..., d, d): each matrix halved
     s times to infinity norm <= EXPM_THETA, Taylor by Horner, squared s
     times (Moler & Van Loan, SIAM Rev. 45, 2003). ValueError where a
-    squaring overflows. Callers look ``expm`` up as a module attribute at
-    call time."""
+    squaring overflows, and where a matrix halved more than
+    EXPM_CHECKED_HALVINGS times has |log det exp A - tr A| > EXPM_DET_TOL:
+    each squaring doubles the rounding error, which can take the result
+    of a huge argument off the group (to 30 halvings, su2 and so3 stay
+    near 1e-7). Callers look ``expm`` up as a module attribute at call
+    time."""
     a = np.asarray(a, dtype=float)
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix exponential of a non-finite matrix")
@@ -62,6 +68,12 @@ def expm(a) -> np.ndarray:
             t = np.where((s > level)[..., None, None], t @ t, t)
     if not np.all(np.isfinite(t)):
         raise ValueError("matrix exponential overflows")
+    checked = s > EXPM_CHECKED_HALVINGS
+    if np.any(checked):
+        sign, logdet = np.linalg.slogdet(t[checked])
+        departure = np.abs(logdet - np.trace(a[checked], axis1=-2, axis2=-1))
+        if np.any((sign <= 0) | ~(departure <= EXPM_DET_TOL)):
+            raise ValueError("matrix exponential loses its accuracy: argument too large")
     return t
 
 
@@ -145,14 +157,16 @@ def matrix_to_quat(m) -> np.ndarray:
 
 def _quat_project(m):
     q = matrix_to_quat(m)
-    return quat_to_matrix(q / np.linalg.norm(q))
+    norm = np.linalg.norm(q)
+    if not 0.0 < norm < np.inf:
+        raise ValueError("quaternion must have a finite nonzero norm")
+    return quat_to_matrix(q / norm)
 
 
 def _quat_log(m):
     """Principal log of a unit quaternion as a left-multiplication
     matrix; undefined near the antipode -1."""
-    q = matrix_to_quat(m)
-    q = q / np.linalg.norm(q)
+    q = matrix_to_quat(_quat_project(m))
     if np.linalg.norm(q - np.array([-1.0, 0, 0, 0])) < ANTIPODE_RADIUS:
         raise ValueError("group element too close to the antipode; "
                          "the logarithm branch is ambiguous")
@@ -248,7 +262,7 @@ def holonomy(spec: LieAlgebraSpec, m: ps.DiscretizedMorphism) -> np.ndarray:
     a group element, so the product stays on the group up to rounding."""
     if m.n != spec.n:
         raise ValueError("representation size mismatch")
-    mid = 0.5 * (m.eta[:-1] + m.eta[1:]) / m.N
+    mid = ps.midpoints(m.eta) / m.N
     steps = expm(np.einsum("mj,jab->mab", mid, spec.basis))
     while len(steps) > 1:  # pairwise products keep the path order
         even = len(steps) // 2 * 2

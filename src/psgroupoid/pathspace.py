@@ -3,9 +3,11 @@ Gauss-law integration, gauge flows, the symplectic pairing and the
 constraint Hamiltonians, plus concatenation and reversal of solutions.
 
 eta is stored as the du-coefficient eta_u sampled at the N+1 nodes
-u_k = k/N. Derivatives in u are central differences at interior nodes
-and second-order one-sided at the ends, consistent with the trapezoid
-quadrature used for all integrals.
+u_k = k/N. Three rules act on the grid, all second order in du, and no
+other module codes its own: ``path_derivative`` (central differences
+inside, one-sided at the ends), ``path_integral`` (the cumulative
+trapezoid rule) and ``midpoints`` (the mean of each interval's two nodes,
+linear interpolation).
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from .poisson import DomainError, PoissonStructure
 
 __all__ = [
     "DiscretizedMorphism", "TangentVector", "GaugeField",
-    "path_derivative", "gauss_residual", "solve_gauss",
+    "path_derivative", "path_integral", "midpoints", "gauss_residual", "solve_gauss",
     "gauge_vector_field", "gauge_flow", "symplectic_pairing",
     "hamiltonian", "hamiltonian_values", "hamiltonian_check",
     "koszul_bracket_values", "equivariance_defect",
@@ -137,22 +139,20 @@ class GaugeField:
 
     def value(self, X, u) -> np.ndarray:
         """beta at a batch of points: X (m, n), u (m,) or None -> (m, n)."""
-        p = self._point(X, u)
-        cols = [ex.evaluate(c, p) for c in self.components]
-        return np.stack(cols, axis=-1)
+        return _stack(self.components, self._point(X, u))
 
     def jacobian_x(self, X, u) -> np.ndarray:
         """J[m, i, j] = d beta_i / d x_j."""
         p = self._point(X, u)
-        rows = []
-        for row in self.dx:
-            rows.append(np.stack([ex.evaluate(d, p) for d in row], axis=-1))
-        return np.stack(rows, axis=-2)
+        return np.stack([_stack(row, p) for row in self.dx], axis=-2)
 
     def partial_u(self, X, u) -> np.ndarray:
-        p = self._point(X, u)
-        cols = [ex.evaluate(d, p) for d in self.du]
-        return np.stack(cols, axis=-1)
+        return _stack(self.du, self._point(X, u))
+
+
+def _stack(exprs, point) -> np.ndarray:
+    """The values of exprs at the point, stacked along a new last axis."""
+    return np.stack([ex.evaluate(e, point) for e in exprs], axis=-1)
 
 
 def taper(u: np.ndarray, tapered: bool) -> tuple[np.ndarray, np.ndarray]:
@@ -175,6 +175,20 @@ def path_derivative(Y: np.ndarray) -> np.ndarray:
     out[0] = (-3 * Y[0] + 4 * Y[1] - Y[2]) / (2 * du)
     out[-1] = (3 * Y[-1] - 4 * Y[-2] + Y[-3]) / (2 * du)
     return out
+
+
+def path_integral(Y: np.ndarray) -> np.ndarray:
+    """int_0^{u_k} du of nodal values by the trapezoid rule, in the shape
+    of Y, (N+1, ...); the last row is the integral over [0, 1]."""
+    out = np.zeros_like(Y, dtype=float)
+    np.cumsum(midpoints(Y) / (Y.shape[0] - 1), axis=0, out=out[1:])
+    return out
+
+
+def midpoints(Y: np.ndarray) -> np.ndarray:
+    """Values at each interval's midpoint as the mean of its two nodes,
+    shape (N, ...)."""
+    return 0.5 * (Y[:-1] + Y[1:])
 
 
 def _constraint_vector(s: PoissonStructure, m: DiscretizedMorphism) -> np.ndarray:
@@ -223,7 +237,7 @@ def solve_gauss(s: PoissonStructure, x0, eta: np.ndarray) -> DiscretizedMorphism
     # alpha(x) @ -eta has the bits of -alpha(x) @ eta; negating eta and
     # forming its midpoints once per path saves array operations per step
     e = -eta
-    e_mid = 0.5 * (e[:-1] + e[1:])
+    e_mid = midpoints(e)
     alpha, in_domain = s.alpha, s.in_domain
     half, sixth = 0.5 * du, du / 6.0
     for k in range(N):
@@ -295,8 +309,7 @@ def symplectic_pairing(a: TangentVector, b: TangentVector) -> float:
     if a.dX.shape != b.dX.shape:
         raise ValueError("grid mismatch")
     integrand = np.sum(a.dX * b.dEta - b.dX * a.dEta, axis=1)
-    N = a.dX.shape[0] - 1
-    return float(np.trapezoid(integrand, dx=1.0 / N))
+    return float(path_integral(integrand)[-1])
 
 
 def hamiltonian_values(s: PoissonStructure, m: DiscretizedMorphism,
@@ -304,7 +317,7 @@ def hamiltonian_values(s: PoissonStructure, m: DiscretizedMorphism,
     """H for nodewise covector values: int <X' + alpha eta, values> du."""
     C = _constraint_vector(s, m)
     integrand = np.sum(C * values, axis=1)
-    return float(np.trapezoid(integrand, dx=1.0 / m.N))
+    return float(path_integral(integrand)[-1])
 
 
 def hamiltonian(s: PoissonStructure, m: DiscretizedMorphism,

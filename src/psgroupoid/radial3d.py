@@ -31,7 +31,7 @@ VERDICT_SINGULAR = "singular"
 
 @dataclass(frozen=True)
 class RadialProfile:
-    """Radial coefficient f(R) on a validity range 0 < Rmin < Rmax,
+    """Radial coefficient f(R) on a finite validity range 0 < Rmin < Rmax,
     required to be nonvanishing there (checked on a 1024-point sample).
     Each quantity below takes a radius or an array of radii."""
 
@@ -45,8 +45,8 @@ class RadialProfile:
     period_expr: ex.Expr = field(init=False)
 
     def __post_init__(self):
-        if not (0.0 < self.r_min < self.r_max):
-            raise ValueError("range must satisfy 0 < Rmin < Rmax")
+        if not (0.0 < self.r_min < self.r_max < math.inf):
+            raise ValueError("range must satisfy 0 < Rmin < Rmax < inf")
         R = ex.Var("R")
         # A(R) = 4 pi R / f(R), kept symbolic so A' and A'' are exact
         a = ex.Mul(ex.Const(FOUR_PI), ex.Div(R, self.f))
@@ -242,6 +242,5 @@ def analyze_to_csv(report: dict) -> str:
     """Plot-ready CSV of the per-sample table with a header row."""
     lines = ["R,A,dA,C,fiber,period"]
     for s in report["samples"]:
-        lines.append("{R:.17g},{A:.17g},{dA:.17g},{C:.17g},{fiber},"
-                     "{period:.17g}".format(**s))
+        lines.append("{R!r},{A!r},{dA!r},{C!r},{fiber},{period!r}".format(**s))
     return "\n".join(lines) + "\n"

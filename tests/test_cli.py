@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -226,6 +227,16 @@ def test_lie_holonomy_overflow_is_a_usage_error(tmp_path, capsys):
     assert json.loads(err)["error"] == "matrix exponential overflows"
 
 
+def test_lie_holonomy_of_a_huge_rotation_is_a_usage_error(tmp_path, capsys):
+    # no squaring overflows here, but the parent printed the zero matrix
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"n": 3, "N": 2, "X": [[0.0, 0.0, 0.0]] * 3,
+                                "etaU": [[1e300, 1e300, 0.0]] * 3}))
+    code, out, err = run(["lie", "holonomy", "--spec", "so3", "--in", str(path)], capsys)
+    assert code == 2 and out == ""
+    assert "loses its accuracy" in json.loads(err)["error"]
+
+
 def test_radial_analyze_json_and_csv(capsys):
     data = run_json(["radial", "analyze", "--f", "R/(1+(R-1)^3)",
                      "--range", "0.6,1.4", "--samples", "64"], capsys)
@@ -267,9 +278,104 @@ def test_g2d_member_where_phi_is_undefined(capsys):
 
 
 def test_json_floats_round_trip_exactly(capsys):
-    # 17 significant digits reproduce the binary double exactly
+    # json prints the shortest text that reads back to the same double
     data = run_json(["expr", "eval", "--expr", "1/3", "--vars", ""], capsys)
     assert data["value"] == 1.0 / 3.0
+    assert run(["expr", "eval", "--expr", "1/10"], capsys)[1] == '{"value": 0.1}\n'
+
+
+def test_emit_writes_numpy_values_and_refuses_non_finite_ones(capsys):
+    cli.emit({"a": np.arange(2), "b": np.float32(0.5), "c": np.bool_(True), "d": (np.int64(3),)})
+    assert capsys.readouterr().out == '{"a": [0, 1], "b": 0.5, "c": true, "d": [3]}\n'
+    with pytest.raises(cli.CLIError, match="non-finite number in output"):
+        cli.emit({"x": [1.0, np.nan]})
+    with pytest.raises(TypeError):
+        cli.emit({"x": object()})
+
+
+def _morphism_file(tmp_path, capsys, structure, x0, eta, grid=200):
+    path = str(tmp_path / "m.json")
+    run_json(["flow", "solve", "--structure", structure, "--x0", x0, "--eta", eta,
+              "--grid", str(grid), "--out", path], capsys)
+    return path
+
+
+def test_flow_invariants_of_a_lie_dual_path(tmp_path, capsys):
+    path = _morphism_file(tmp_path, capsys, "su2", "0.3,0.2,0.5", "0.2;0.1*u*(1-u);0")
+    data = run_json(["flow", "invariants", "--structure", "su2", "--in", path], capsys)
+    assert data["passed"] is True and data["xi"] == [0.3, 0.2, 0.5]
+    assert abs(np.linalg.norm(data["g"]["quaternion"]) - 1.0) < 1e-12
+    assert np.array(data["g"]["matrix"]).shape == (4, 4)
+
+
+def test_flow_invariants_of_a_radial_path(tmp_path, capsys):
+    structure = "radial:R/(1+(R-1)^3)"
+    path = _morphism_file(tmp_path, capsys, structure, "0.6,0.3,0.5", "0.2;-0.1;0.3*u")
+    data = run_json(["flow", "invariants", "--structure", structure, "--in", path], capsys)
+    assert data["passed"] is True
+    assert data["radius_drift"] < 1e-9  # |X| is a Casimir
+    assert abs(data["radial_residual"] - data["residual"]) < 1e-10
+
+
+def test_flow_invariants_of_a_constant_structure(tmp_path, capsys):
+    matrix = tmp_path / "p.json"
+    matrix.write_text(json.dumps({"matrix": [[0.0, 2.0], [-2.0, 0.0]]}))
+    structure = f"constant:{matrix}"
+    path = _morphism_file(tmp_path, capsys, structure, "1,-1", "0.5;0.25")
+    data = run_json(["flow", "invariants", "--structure", structure, "--in", path], capsys)
+    # X' = -alpha eta is constant: X(1) = X(0) - (2 * 0.25, -2 * 0.5)
+    assert data["passed"] is True and data["x_start"] == [1.0, -1.0]
+    assert np.allclose(data["x_end"], [0.5, 0.0], atol=1e-14)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["flow", "invariants", "--structure", "so4", "--in", "m.json"],
+     "unknown structure 'so4'; expected phi2d:EXPR, su2, so3, heisenberg3, radial:EXPR, "
+     "or constant:FILE"),
+    (["flow", "solve", "--structure", "phi2d:x1*x2", "--x0", "1,1", "--eta", "0.5"],
+     "--eta needs 2 components for this structure"),
+])
+def test_flow_usage_errors(argv, message, capsys):
+    code, out, err = run(argv, capsys)
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": message, "kind": "usage"}
+
+
+def test_flow_solve_prints_the_morphism_it_writes(tmp_path, capsys):
+    argv = ["flow", "solve", "--structure", "phi2d:x1*x2", "--x0", "1,1",
+            "--eta", "0.4*u*(1-u);0.2", "--grid", "50"]
+    printed = run_json(argv, capsys)
+    path = tmp_path / "m.json"
+    written = run_json(argv + ["--out", str(path)], capsys)
+    assert written["out"] == str(path) and "morphism" not in written
+    assert printed["morphism"] == json.loads(path.read_text())
+    assert printed["residual"] == written["residual"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["g2d", "verify", "--phi", "x1*x2", "--domain=-inf,inf,-10,10", "--samples", "2"],
+     "sampling needs a rectangle and a pi box of finite size"),
+    (["g2d", "member", "--phi", "x1*x2", "--x", "1,1", "--pi", "nan,0"],
+     "expected numbers, got NaN in 'nan,0'"),
+    (["lie", "mul", "--spec", "su2", "--xi", "1,2,3", "--g", "0,0,0,0", "--g2", "1,0,0,0"],
+     "quaternion must have a finite nonzero norm"),
+    (["lie", "roundtrip", "--spec", "su2", "--xi", "1,2,3", "--g", ",".join(["0"] * 16)],
+     "quaternion must have a finite nonzero norm"),
+    (["radial", "analyze", "--f", "R", "--range", "0.5,inf"],
+     "range must satisfy 0 < Rmin < Rmax < inf"),
+])
+def test_bad_numbers_are_usage_errors_without_warnings(argv, message, capsys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(argv, capsys)
+    assert code == 2 and out == "" and caught == []
+    assert json.loads(err) == {"error": message, "kind": "usage"}
+
+
+def test_g2d_member_on_an_unbounded_rectangle(capsys):
+    data = run_json(["g2d", "member", "--phi", "x1*x2", "--domain=-inf,inf,-10,10",
+                     "--x", "1,1", "--pi", "0.5,0.25"], capsys)
+    assert data == {"member": True}
 
 
 def test_verify_exit_code_reflects_failure(capsys, monkeypatch):

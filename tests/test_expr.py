@@ -51,6 +51,30 @@ def test_parse_errors(bad):
         ex.parse(bad, VARS)
 
 
+@pytest.mark.parametrize("bad, message", [
+    ("x1^2.0", "expected integer exponent at offset 3"),
+    ("x1^5E5", "expected integer exponent at offset 3"),
+    ("x1^\u00b2", "expected integer exponent at offset 3"),  # a superscript two
+    ("x1 + 1.2.3", "bad number '1.2.3' at offset 5"),
+    ("(x1 + 2", "expected ')' at offset 7"),
+    ("x1 x2", "unexpected trailing input at offset 3"),
+    ("x1 * $", "unexpected character '$' at offset 5"),
+    ("2e", "unexpected trailing input at offset 1"),
+    ("sin + 1", "function 'sin' needs an argument at offset 0"),
+    ("x1 -  ", "unexpected end of input at offset 6"),
+])
+def test_parse_error_messages_and_offsets(bad, message):
+    with pytest.raises(ex.SyntaxExprError) as info:
+        ex.parse(bad, VARS)
+    assert str(info.value) == message
+
+
+def test_parse_reads_exponents_signs_and_spaces():
+    assert ex.to_string(ex.parse(" x1 ^ - 2*2.5e-1 + x2^10", VARS)) == "x1^-2*0.25 + x2^10"
+    with pytest.raises(ex.UnknownIdentifierError, match="'foo' at offset 3"):
+        ex.parse("2*(foo(x1))", VARS)
+
+
 def test_domain_errors():
     with pytest.raises(ex.DomainError):
         ev("1/x1", x1=0.0)

@@ -128,6 +128,26 @@ def test_expm_raises_where_squaring_overflows(name):
 def test_expm_of_a_huge_nilpotent_is_exact():
     basis = ld.builtin_spec("heisenberg3").basis
     assert np.array_equal(ld.expm(1e300 * basis), np.eye(3) + 1e300 * basis)
+    assert np.linalg.det(ld.expm(1e300 * basis[0])) == 1.0
+
+
+@pytest.mark.parametrize("name, w", [("so3", [1e20, 0.0, 0.0]), ("su2", [1e17, 1e17, 0.0])])
+def test_expm_raises_where_rounding_swamps_a_huge_rotation(name, w):
+    # no squaring overflows, yet the ~60 squarings left det 0 for so3 and
+    # 1.6e34 for su2, where det exp A = exp tr A = 1
+    spec = ld.builtin_spec(name)
+    with pytest.raises(ValueError, match="loses its accuracy"):
+        ld.expm(spec.rho(w))
+    with pytest.raises(ValueError, match="loses its accuracy"):
+        ld.expm(np.stack([spec.rho([0.3, 0.2, 0.1]), spec.rho(w)]))
+
+
+@pytest.mark.parametrize("name", ["su2", "so3"])
+def test_expm_keeps_large_rotations_on_the_group(name):
+    # 1e8 needs 28 or 29 halvings, under the determinant check's threshold
+    spec = ld.builtin_spec(name)
+    g = ld.expm(spec.rho([1e8, 0.0, 0.0]))
+    assert spec.group_membership_defect(g) < 1e-6
 
 
 @pytest.mark.parametrize("name", SPECS)

@@ -68,6 +68,27 @@ def test_path_derivative_exact_on_quadratics():
     assert np.allclose(D[:, 1], 3.0, atol=1e-12)
 
 
+def test_path_integral_is_the_cumulative_trapezoid_rule():
+    u = np.linspace(0.0, 1.0, 11)
+    Y = np.stack([3 * u + 1, u ** 2], axis=1)
+    I = ps.path_integral(Y)
+    assert I.shape == Y.shape and np.all(I[0] == 0.0)
+    assert np.allclose(I[:, 0], 1.5 * u ** 2 + u, atol=1e-15)  # exact on lines
+    assert np.allclose(I[-1], [2.5, 1 / 3 + 1 / 600], atol=1e-15)  # du^2 / 6 on u^2
+    assert ps.path_integral(u ** 3)[-1] == pytest.approx(np.trapezoid(u ** 3, u), abs=1e-16)
+
+
+def test_path_integral_is_second_order():
+    errors = [abs(ps.path_integral(np.exp(np.linspace(0.0, 1.0, N + 1)))[-1] - (math.e - 1))
+              for N in (50, 100, 200)]
+    assert [round(math.log2(a / b), 2) for a, b in zip(errors, errors[1:])] == [2.0, 2.0]
+
+
+def test_midpoints_are_the_mean_of_each_interval():
+    Y = np.array([[0.0, 4.0], [1.0, 2.0], [3.0, 2.0]])
+    assert np.array_equal(ps.midpoints(Y), [[0.5, 3.0], [2.0, 2.0]])
+
+
 def test_solve_gauss_residual_small_and_converges():
     s = _phi_structure()
     eta = _smooth_eta(500, 2, seed=2)

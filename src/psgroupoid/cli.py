@@ -120,9 +120,12 @@ def _save_morphism(path, m: ps.DiscretizedMorphism):
 def _group_element(spec: ld.LieAlgebraSpec, text):
     vals = _floats(text)
     if spec.name == "su2" and len(vals) == 4:
-        return spec.project(ld.quat_to_matrix(vals))
+        return spec.project(ld.quat_to_matrix(vals))  # a quaternion names its direction
     if len(vals) == spec.d * spec.d:
-        return spec.project(vals.reshape(spec.d, spec.d))
+        g = vals.reshape(spec.d, spec.d)
+        if spec.group_membership_defect(g) > 1e-8:
+            raise CLIError(f"--g is not an element of the group of {spec.name}")
+        return spec.project(g)
     raise CLIError(f"--g for {spec.name} takes "
                    + ("a quaternion w,x,y,z" if spec.name == "su2"
                       else f"{spec.d * spec.d} row-major entries"))

@@ -18,8 +18,7 @@ from . import expr as ex
 __all__ = [
     "PoissonStructure",
     "constant_structure", "two_domain", "kirillov_kostant",
-    "rot_invariant3", "structure_constants_from_json",
-    "jacobi_residual", "DomainError",
+    "rot_invariant3", "jacobi_residual", "DomainError",
 ]
 
 
@@ -37,16 +36,36 @@ class PoissonStructure:
     (n, n, n) and a bool; for a batch, arrays of shape (m, n, n),
     (m, n, n, n) and (m,). ``in_domain=None`` means all of R^n. The
     batch entry points ``alpha_at``, ``dalpha_at`` and
-    ``pathspace._check_domain`` raise ValueError on any other shape."""
+    ``pathspace._check_domain`` raise ValueError on any other shape.
+
+    ``sharp(x, e)`` is the contraction alpha^{ij}(x) e_j. It takes x and
+    e as length-n sequences of components, not as rows: each component
+    is a number, for one point, and then ``sharp`` returns a tuple of n
+    floats; or each is an array, for a batch (``sharp(X.T, E.T)`` for
+    X and E of shape (m, n)), and then it returns a tuple of n arrays of
+    shape (m,). The constructors below give it in closed form; a
+    structure built from callables alone gets one derived from
+    ``alpha``."""
 
     n: int
     alpha: Callable[[np.ndarray], np.ndarray]
     dalpha: Callable[[np.ndarray], np.ndarray]
     in_domain: Optional[Callable[[np.ndarray], np.ndarray]] = None
     name: str = "poisson"
+    sharp: Optional[Callable] = None
     # not constructor options: perfbench/tracer.py reads these names and
     # skips them while they are None
     d2alpha = alpha_batch = dalpha_batch = None
+
+    def __post_init__(self):
+        if self.sharp is None:
+            object.__setattr__(self, "sharp", self._sharp_from_alpha)
+
+    def _sharp_from_alpha(self, x, e):
+        X, E = np.array(x, dtype=float).T, np.array(e, dtype=float)
+        if X.ndim == 1:
+            return tuple((self.alpha(X) @ E).tolist())
+        return tuple(np.einsum("mij,jm->im", self.alpha_at(X), E))
 
     def check_point(self, x):
         x = np.asarray(x, dtype=float)
@@ -93,11 +112,13 @@ def constant_structure(matrix) -> PoissonStructure:
     n = A.shape[0]
     if A.shape != (n, n) or not np.allclose(A, -A.T, atol=1e-12):
         raise ValueError("constant structure needs an antisymmetric square matrix")
+    rows = A.tolist()
     return PoissonStructure(
         n=n,
         alpha=lambda x: np.zeros(np.shape(x)[:-1] + (n, n)) + A,
         dalpha=lambda x: np.zeros(np.shape(x)[:-1] + (n, n, n)),
         name="constant",
+        sharp=lambda x, e: tuple(sum(a * v for a, v in zip(row, e)) for row in rows),
     )
 
 
@@ -121,7 +142,13 @@ def two_domain(phi: ex.Expr) -> PoissonStructure:
         grads = np.array([ex.evaluate(d1, p), ex.evaluate(d2, p)]).T
         return grads[..., None, None] * _EPS2
 
-    return PoissonStructure(n=2, alpha=alpha, dalpha=dalpha, name="two_domain")
+    # alpha(x) e = phi (e2, -e1)
+    def sharp(x, e):
+        p = ex.evaluate(phi, {"x1": x[0], "x2": x[1]})
+        return p * e[1], -p * e[0]
+
+    return PoissonStructure(n=2, alpha=alpha, dalpha=dalpha, name="two_domain",
+                            sharp=sharp)
 
 
 def kirillov_kostant(f, name="kirillov_kostant") -> PoissonStructure:
@@ -134,34 +161,21 @@ def kirillov_kostant(f, name="kirillov_kostant") -> PoissonStructure:
     if not np.allclose(f, -np.transpose(f, (1, 0, 2)), atol=1e-12):
         raise ValueError("structure constants must be antisymmetric in (i, j)")
     dmat = np.transpose(f, (2, 0, 1)).copy()  # d_k alpha^{ij} = f^{ij}_k
+    # per i, the nonzero (j, k, f^{ij}_k) of sum_jk f^{ij}_k x_k e_j
+    terms = [[(j, k, float(f[i, j, k])) for j in range(n) for k in range(n) if f[i, j, k]]
+             for i in range(n)]
+
+    def sharp(x, e):
+        zero = 0.0 * e[0]  # a number or an array of the batch shape
+        return tuple(sum((c * x[k] * e[j] for j, k, c in row), zero) for row in terms)
 
     return PoissonStructure(
         n=n,
         alpha=lambda x: np.einsum("ijk,...k->...ij", f, np.asarray(x, dtype=float)),
         dalpha=lambda x: np.zeros(np.shape(x)[:-1] + dmat.shape) + dmat,
         name=name,
+        sharp=sharp,
     )
-
-
-def structure_constants_from_json(entries, n) -> np.ndarray:
-    """Build f[i, j, k] from a JSON array of triples (i, j, k, value),
-    1-based indices; antisymmetry in (i, j) is validated."""
-    f = np.zeros((n, n, n))
-    for item in entries:
-        i, j, k, value = item
-        i, j, k = int(i) - 1, int(j) - 1, int(k) - 1
-        if not (0 <= i < n and 0 <= j < n and 0 <= k < n):
-            raise ValueError(f"index out of range in entry {item}")
-        if f[i, j, k] not in (0.0, float(value)):
-            raise ValueError(f"conflicting duplicate entry {item}")
-        f[i, j, k] = float(value)
-    full = f - np.transpose(f, (1, 0, 2))
-    # entries that explicitly listed both orientations must agree
-    listed_both = (f != 0) & (np.transpose(f, (1, 0, 2)) != 0)
-    if np.any(listed_both & ~np.isclose(f, -np.transpose(f, (1, 0, 2)))):
-        raise ValueError("structure constants not antisymmetric in (i, j)")
-    full[listed_both] = f[listed_both]
-    return full
 
 
 _EPS3 = np.zeros((3, 3, 3))
@@ -196,8 +210,16 @@ def rot_invariant3(f: ex.Expr, r_min=1e-6) -> PoissonStructure:
         term1 = (fp / r)[..., None, None, None] * x[..., :, None, None] * base[..., None, :, :]
         return term1 + fv[..., None, None, None] * np.transpose(_EPS3, (2, 0, 1))
 
+    # alpha(x) e = e x w with w = f(R) x
+    def sharp(x, e):
+        x1, x2, x3 = x
+        e1, e2, e3 = e
+        fv = ex.evaluate(f, {"R": (x1 * x1 + x2 * x2 + x3 * x3) ** 0.5})
+        w1, w2, w3 = fv * x1, fv * x2, fv * x3
+        return e2 * w3 - e3 * w2, e3 * w1 - e1 * w3, e1 * w2 - e2 * w1
+
     return PoissonStructure(
         n=3, alpha=alpha, dalpha=dalpha,
         in_domain=lambda x: _radius(np.asarray(x, dtype=float)) >= r_min,
-        name="rot_invariant3",
+        name="rot_invariant3", sharp=sharp,
     )

@@ -183,6 +183,31 @@ def test_lie_mul_cli(capsys):
     assert np.allclose(q, expect / np.linalg.norm(expect), atol=1e-12)
 
 
+_I3 = "1,0,0,0,1,0,0,0,1"
+
+
+@pytest.mark.parametrize("spec, g, g2", [
+    ("so3", "0,0,0,0,0,0,0,0,0", _I3),
+    ("so3", "5,0,0,0,5,0,0,0,5", _I3),
+    ("heisenberg3", "1,2,3,0.5,1,4,0,0,1", _I3),
+    # the quaternion 2 as its 4x4 matrix; four numbers name a direction
+    ("su2", "2,0,0,0,0,2,0,0,0,0,2,0,0,0,0,2", "1,0,0,0"),
+])
+def test_lie_mul_refuses_a_g_off_the_group(spec, g, g2, capsys):
+    # these used to be projected onto the group, zeros onto the identity
+    code, out, err = run(["lie", "mul", "--spec", spec, "--xi", "1,2,3",
+                          "--g", g, "--g2", g2], capsys)
+    assert code == 2 and out == ""
+    report = json.loads(err)
+    assert report["error"] == f"--g is not an element of the group of {spec}"
+
+
+def test_lie_mul_accepts_a_group_matrix(capsys):
+    data = run_json(["lie", "mul", "--spec", "heisenberg3", "--xi", "1,2,3",
+                     "--g", "1,2,3,0,1,4,0,0,1", "--g2", _I3], capsys)
+    assert data["g"]["matrix"] == [[1, 2, 3], [0, 1, 4], [0, 0, 1]]
+
+
 def test_lie_holonomy_cli(tmp_path, capsys):
     path = str(tmp_path / "m.json")
     run_json(["flow", "solve", "--structure", "su2", "--x0", "0.3,0.2,0.5",

@@ -89,6 +89,20 @@ def test_midpoints_are_the_mean_of_each_interval():
     assert np.array_equal(ps.midpoints(Y), [[0.5, 3.0], [2.0, 2.0]])
 
 
+@pytest.mark.parametrize("N", [3, 4, 9])
+def test_cubic_midpoints_are_exact_on_cubics(N):
+    u = np.linspace(0.0, 1.0, N + 1)
+    Y = np.stack([u ** 3 - 2 * u, 1 - u ** 2], axis=1)
+    mid = 0.5 * (u[:-1] + u[1:])
+    assert np.allclose(ps.cubic_midpoints(Y), np.stack([mid ** 3 - 2 * mid, 1 - mid ** 2], axis=1),
+                       rtol=0, atol=1e-15)
+
+
+def test_cubic_midpoints_of_three_nodes_are_the_means():
+    Y = np.array([[0.0, 4.0], [1.0, 2.0], [3.0, 2.0]])
+    assert np.array_equal(ps.cubic_midpoints(Y), ps.midpoints(Y))
+
+
 def test_solve_gauss_residual_small_and_converges():
     s = _phi_structure()
     eta = _smooth_eta(500, 2, seed=2)
@@ -108,10 +122,46 @@ def test_solve_gauss_constant_structure_is_linear_flow():
     u = np.linspace(0, 1, N + 1)
     eta = np.stack([np.sin(PI * u), np.cos(PI * u) - 1.0], axis=1)
     m = ps.solve_gauss(s, [0.5, -0.25], eta)
-    Ieta = np.zeros_like(eta)
-    Ieta[1:] = np.cumsum(0.5 * (eta[1:] + eta[:-1]) / N, axis=0)
+    Ieta = np.stack([(1.0 - np.cos(PI * u)) / PI, np.sin(PI * u) / PI - u], axis=1)
     expect = np.array([0.5, -0.25])[None, :] - Ieta @ A.T
-    assert np.max(np.abs(m.X - expect)) < 1e-6
+    assert np.max(np.abs(m.X - expect)) < 1e-10
+
+
+@pytest.mark.parametrize("name", ["x1*x2", "cubic"])
+def test_solve_gauss_is_fourth_order(name):
+    if name == "cubic":
+        s, x0 = po.rot_invariant3(ex.parse("R/(1+(R-1)^3)", ["R"])), [0.5, -0.6, 0.4]
+    else:
+        s, x0 = _phi_structure(), [1.0, 0.8]
+    ends = [ps.solve_gauss(s, x0, _smooth_eta(N, s.n, seed=9, amp=1.0)).X[-1]
+            for N in (80, 160, 320)]
+    order = math.log2(np.max(np.abs(ends[0] - ends[1])) / np.max(np.abs(ends[1] - ends[2])))
+    assert abs(order - 4.0) <= 0.3
+
+
+def _half_plane(alpha_limit=math.inf):
+    """Constant structure on x1 < 1.45, whose alpha raises from x1 >= alpha_limit."""
+    good = po.constant_structure([[0.0, 1.0], [-1.0, 0.0]])
+
+    def alpha(x):
+        if np.any(np.asarray(x)[..., 0] >= alpha_limit):
+            raise po.DomainError("alpha undefined")
+        return good.alpha(x)
+
+    return po.PoissonStructure(n=2, alpha=alpha, dalpha=good.dalpha,
+                               in_domain=lambda x: np.asarray(x)[..., 0] < 1.45,
+                               name="half_plane")
+
+
+@pytest.mark.parametrize("alpha_limit", [math.inf, 1.55])
+def test_solve_gauss_names_the_first_node_outside_the_domain(alpha_limit):
+    # X1 = 1 + u on 10 intervals; node 5 is the first with X1 >= 1.45, and
+    # with alpha_limit the step after it fails, which must not hide that
+    eta = np.tile([0.0, -1.0], (11, 1))
+    with pytest.raises(po.DomainError, match=r"^trajectory exits domain at node 5$"):
+        ps.solve_gauss(_half_plane(alpha_limit), [1.0, 0.0], eta)
+    m = ps.solve_gauss(_half_plane(alpha_limit), [1.0, 0.0], 0.4 * eta)
+    assert np.allclose(m.X, [[1.0 + 0.04 * k, 0.0] for k in range(11)], rtol=0, atol=1e-15)
 
 
 def test_gauge_field_boundary_validation():

@@ -95,16 +95,6 @@ def test_non_poisson_bivector_detected():
     assert po.jacobi_residual(s, [1.0, 1.0, 1.0]) > 0.1
 
 
-def test_structure_constants_from_json():
-    entries = [(1, 2, 3, 1.0), (2, 3, 1, 1.0), (3, 1, 2, 1.0)]
-    f = po.structure_constants_from_json(entries, 3)
-    assert np.array_equal(f, _su2_constants())
-    with pytest.raises(ValueError):
-        po.structure_constants_from_json([(1, 2, 3, 1.0), (2, 1, 3, 1.0)], 3)
-    with pytest.raises(ValueError):
-        po.structure_constants_from_json([(0, 2, 3, 1.0)], 3)
-
-
 def test_rot_invariant3_matches_closed_form():
     s = po.rot_invariant3(ex.parse("R", ["R"]))
     x = np.array([1.0, 2.0, 2.0])  # |x| = 3
@@ -209,3 +199,99 @@ def test_batch_evaluators_are_not_constructor_options():
     with pytest.raises(TypeError):
         po.PoissonStructure(n=2, alpha=s.alpha, dalpha=s.dalpha, in_domain=s.in_domain,
                             alpha_batch=s.alpha)
+
+
+# --- sharp ---------------------------------------------------------------
+
+def _sharp_structures():
+    cubic = po.rot_invariant3(ex.parse("R/(1+(R-1)^3)", ["R"]))
+    return {
+        "constant": po.constant_structure([[0.0, 2.0, -0.5], [-2.0, 0.0, 1.5], [0.5, -1.5, 0.0]]),
+        "two_domain": po.two_domain(ex.parse("x1*x2 + sin(x1)", ["x1", "x2"])),
+        "kirillov_kostant": po.kirillov_kostant(_su2_constants()),
+        "rot_invariant3": cubic,
+        "callables": po.PoissonStructure(n=3, alpha=cubic.alpha, dalpha=cubic.dalpha),
+    }
+
+
+@pytest.mark.parametrize("name", list(_sharp_structures()))
+def test_sharp_is_alpha_times_the_covector(name):
+    s = _sharp_structures()[name]
+    rng = np.random.default_rng(11)
+    X = rng.uniform(0.5, 1.5, (6, s.n)) * rng.choice([-1.0, 1.0], (6, s.n))
+    E = rng.standard_normal((6, s.n))
+    a = s.alpha_at(X)
+    want = np.einsum("mij,mj->mi", a, E)
+    scale = np.einsum("mij,mj->mi", np.abs(a), np.abs(E))  # bounds the rounding
+    batch = s.sharp(X.T, E.T)
+    assert len(batch) == s.n and all(np.shape(c) == (6,) for c in batch)
+    assert np.all(np.abs(np.stack(batch, axis=1) - want) <= 1e-15 * scale)
+    for x, e, w, sc in zip(X, E, want, scale):
+        point = s.sharp(x.tolist(), e.tolist())
+        assert type(point) is tuple and all(type(c) is float for c in point)
+        assert np.all(np.abs(np.array(point) - w) <= 1e-15 * sc)
+
+
+def test_sharp_of_constant_phi_is_an_array_on_a_batch():
+    s = po.two_domain(ex.parse("2", ["x1", "x2"]))
+    X, E = np.ones((4, 2)), np.arange(8.0).reshape(4, 2)
+    assert np.array_equal(np.stack(s.sharp(X.T, E.T), axis=1), 2.0 * E[:, ::-1] * [1, -1])
+
+
+def test_derived_sharp_refuses_point_only_alpha_on_a_batch():
+    A = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    s = po.PoissonStructure(n=2, alpha=lambda x: A, dalpha=lambda x: np.zeros((2, 2, 2)),
+                            name="point_only")
+    assert s.sharp([3.0, 4.0], [1.0, 2.0]) == (2.0, -1.0)
+    with pytest.raises(ValueError, match=r"alpha of point_only returned shape \(2, 2\)"):
+        s.sharp(np.zeros((2, 4)), np.zeros((2, 4)))
+
+
+# Values of the implementation that contracted alpha_at(X) by einsum, on
+# fixed off-shell paths (u on 41 nodes) and at every tenth node of X.
+_U = np.linspace(0.0, 1.0, 41)
+_X2 = np.stack([1.0 + 0.3 * np.sin(np.pi * _U), 1.0 + 0.2 * _U], axis=1)
+_E2 = np.stack([0.4 * np.cos(2 * _U), 0.3 - _U * _U], axis=1)
+_X3 = np.stack([0.8 + 0.1 * _U, 0.3 * np.sin(3 * _U), 0.5 - 0.2 * _U * _U], axis=1)
+_E3 = np.stack([0.2 + _U, np.cos(_U), -0.5 * _U], axis=1)
+_EARLIER = {
+    "two_domain": (1.828640170896743, [
+        [-1.2232442754839328, 3.1585290151921033], [-2.1350937875929574, 4.2448638954658975],
+        [-2.4846072909741883, 5.118862666638428], [-2.085436053078001, 5.424678180815769],
+        [-0.9398931305807191, 4.918529015192103]]),
+    "constant": (2.4042184476949138, [
+        [-2.7635465813520725, 6.0], [-2.904226463903706, 7.1909545442950495],
+        [-2.831262411585491, 7.920000000000001], [-2.904226463903706, 7.875807358037435],
+        [-2.7635465813520725, 7.199999999999999]]),
+    "kirillov_kostant": (1.9176160135407139, [
+        [-0.10399999999999998, 0.0, -0.2624],
+        [-0.09088096243690785, 0.05032054365301308, -0.16906742658869545],
+        [-0.06945286199330994, 0.0713487264091921, -0.11336719134000439],
+        [-0.051119346377844994, 0.04375345970355893, -0.11320994771825676],
+        [-0.032387437371149796, 0.003427338606535324, -0.13361621544888114]]),
+    "rot_invariant3": (1.8705835026810755, [
+        [-0.14116276424062776, 0.0, -0.27448729161894],
+        [-0.12705994144093735, 0.03988532952181756, -0.18812176621237486],
+        [-0.0999934586470294, 0.061291069952175814, -0.13009093856316328],
+        [-0.0767973995429106, 0.03604393636618697, -0.12322531983918128],
+        [-0.05131442243809528, 0.0022882276595506124, -0.13375334579322762]]),
+}
+
+
+@pytest.mark.parametrize("name", list(_EARLIER))
+def test_residual_and_koszul_bracket_keep_their_values(name):
+    s = {
+        "two_domain": po.two_domain(ex.parse("x1*x2", ["x1", "x2"])),
+        "constant": po.constant_structure([[0.0, 2.0], [-2.0, 0.0]]),
+        "kirillov_kostant": po.kirillov_kostant(_su2_constants()),
+        "rot_invariant3": po.rot_invariant3(ex.parse("R/(1+(R-1)^3)", ["R"])),
+    }[name]
+    X, E = (_X2, _E2) if s.n == 2 else (_X3, _E3)
+    forms = (["x2", "x1^2"], ["sin(x1)", "x2"]) if s.n == 2 else \
+        (["x2*x3", "x1^2", "cos(x3)"], ["x1", "sin(x2)", "x1*x3"])
+    beta, gamma = (ps.GaugeField.parse(f, s.n, validate=False) for f in forms)
+    residual, bracket = _EARLIER[name]
+    got = ps.gauss_residual(s, ps.DiscretizedMorphism(n=s.n, X=X, eta=E))
+    assert abs(got - residual) <= 1e-14 * residual
+    got = ps.koszul_bracket_values(s, beta, gamma, X[::10])
+    assert np.max(np.abs(got - bracket)) <= 1e-14 * np.max(np.abs(bracket))

@@ -15,6 +15,7 @@ differentiation total. Unary minus applies to a whole factor so that
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
 import re
@@ -25,7 +26,7 @@ import numpy as np
 __all__ = [
     "Expr", "Const", "Var", "Neg", "Add", "Sub", "Mul", "Div", "Pow", "Call",
     "ExprError", "SyntaxExprError", "UnknownIdentifierError", "DomainError",
-    "parse", "differentiate", "polynomial_degree", "to_string",
+    "parse", "differentiate", "polynomial_degree", "split_out", "to_string",
 ]
 
 _FUNCTIONS = ("sin", "cos", "exp", "log", "sqrt")
@@ -270,7 +271,7 @@ def _on_arrays(run, point):
 def _compile_root(e: Expr):
     """``e``'s closure, or for a constant ``e`` one that scans the point."""
     run = constant = _compile(e)
-    if not _has_variables(e):
+    if not _variables(e):
         def run(p):
             for v in p.values():
                 if v.__class__ is not float and v.__class__ not in _NUMBERS:
@@ -280,10 +281,31 @@ def _compile_root(e: Expr):
     return run
 
 
-def _has_variables(e: Expr) -> bool:
-    return isinstance(e, Var) or any(
-        _has_variables(getattr(e, name))
-        for name in ("arg", "base", "left", "right") if hasattr(e, name))
+_CHILDREN = ("arg", "base", "left", "right")
+
+
+def _variables(e: Expr) -> frozenset:
+    if isinstance(e, Var):
+        return frozenset((e.name,))
+    return frozenset().union(*(_variables(getattr(e, c)) for c in _CHILDREN if hasattr(e, c)))
+
+
+def split_out(exprs, name: str) -> tuple[list, dict]:
+    """``exprs`` with each largest subtree whose only variable is ``name``
+    replaced by a new variable ``name#k``, and a dict from each new name
+    to its subtree (equal subtrees share one). Bound to the value of its
+    subtree, a new variable gives the value of the original to the bit."""
+    names = {}
+
+    def rewrite(e):
+        found = _variables(e)
+        if found == {name}:
+            return Var(names.setdefault(e, f"{name}#{len(names)}"))
+        if name not in found:
+            return e
+        return dataclasses.replace(e, **{c: rewrite(getattr(e, c)) for c in _CHILDREN if hasattr(e, c)})
+
+    return [rewrite(e) for e in exprs], {new: e for e, new in names.items()}
 
 
 def _finite(x):

@@ -476,10 +476,9 @@ def invariants(p: Phi2D, m: ps.DiscretizedMorphism,
                residual_tol: float = 1e-4) -> GroupoidPoint2D:
     """Recover (x, pi) from a constraint solution: x = X(0),
     H = exp int T with T = d2 phi eta_1 - d1 phi eta_2, and
-    pi_i = int eta_i H."""
-    res = ps.gauss_residual(p.structure(), m)
-    if res > residual_tol:
-        raise ValueError(f"not a constraint solution (residual {res:g})")
+    pi_i = int eta_i H. m must pass ``pathspace.require_solution`` at
+    residual_tol."""
+    ps.require_solution(p.structure(), m, residual_tol)
     g1, g2 = p.grad(m.X.T)
     T = g2 * m.eta[:, 0] - g1 * m.eta[:, 1]
     H = np.exp(ps.path_integral(T))

@@ -272,10 +272,9 @@ def holonomy(spec: LieAlgebraSpec, m: ps.DiscretizedMorphism) -> np.ndarray:
 
 def to_groupoid(spec: LieAlgebraSpec, m: ps.DiscretizedMorphism,
                 residual_tol: float = 1e-5) -> LieGroupoidPoint:
-    """(X(0), hol(eta)) for a Gauss-law solution."""
-    res = ps.gauss_residual(kk_structure(spec), m)
-    if res > residual_tol:
-        raise ValueError(f"not a constraint solution (residual {res:g})")
+    """(X(0), hol(eta)) for a Gauss-law solution, one that passes
+    ``pathspace.require_solution`` at residual_tol."""
+    ps.require_solution(kk_structure(spec), m, residual_tol)
     return LieGroupoidPoint(xi=m.X[0], g=holonomy(spec, m))
 
 

@@ -10,6 +10,10 @@ ends), ``path_integral`` (the cumulative trapezoid rule) and
 interpolation), all second order in du, and ``cubic_midpoints`` (the
 cubic through four neighbouring nodes, fourth order), which
 ``solve_gauss`` uses, so that solver is fourth order.
+
+``gauge_flow`` steps arrays of shape (n, N+1), one row per component,
+with the gauge field bound to the grid once (``GaugeField.on_grid``).
+``require_solution`` decides what counts as a constraint solution.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from .poisson import DomainError, PoissonStructure
 __all__ = [
     "DiscretizedMorphism", "TangentVector", "GaugeField",
     "path_derivative", "path_integral", "midpoints", "cubic_midpoints",
-    "gauss_residual", "solve_gauss",
+    "gauss_residual", "require_solution", "solve_gauss",
     "gauge_vector_field", "gauge_flow", "symplectic_pairing",
     "hamiltonian", "hamiltonian_values", "hamiltonian_check",
     "koszul_bracket_values", "equivariance_defect",
@@ -104,10 +108,13 @@ class GaugeField:
     """Gauge parameter beta_i(x, u) with beta(x, 0) = beta(x, 1) = 0.
 
     Components are expressions over (x1..xn, u); symbolic partials in
-    every x_j and in u are cached. Boundary vanishing is checked
-    numerically at construction on 50 x points drawn uniformly from
-    [-2, 2]^n with seed 0. A 1-form is a gauge field with no u, built
-    with ``validate=False``, at ``u=None``.
+    every x_j and in u are cached. ``on_grid(u)`` binds the field to the
+    u values of a grid, or to u=None for a 1-form: each largest subtree
+    whose only variable is u is evaluated once, there, and a constant
+    partial is a plain number. Boundary vanishing is checked numerically
+    at construction on 50 x points drawn uniformly from [-2, 2]^n with
+    seed 0. A 1-form is a gauge field with no u, built with
+    ``validate=False``, at ``u=None``.
     """
 
     def __init__(self, components: Sequence[ex.Expr], n: int, validate=True):
@@ -121,6 +128,10 @@ class GaugeField:
             tuple(ex.differentiate(c, v) for v in names) for c in components
         )
         self.du = tuple(ex.differentiate(c, "u") for c in components)
+        # the components, then the x partials row by row, then the u partials
+        flat, self._u_parts = ex.split_out(self.components + sum(self.dx, ()) + self.du, "u")
+        self._exprs = flat[:n] + [float(e.value) if isinstance(e, ex.Const) else e
+                                  for e in flat[n:]]
         if validate:
             pts = np.random.default_rng(0).uniform(-2.0, 2.0, size=(50, n))
             for u_end in (0.0, 1.0):
@@ -133,29 +144,26 @@ class GaugeField:
         names = [f"x{i + 1}" for i in range(n)] + ["u"]
         return cls(tuple(ex.parse(s, names) for s in sources), n, **kw)
 
-    def _point(self, X, u):
-        X = np.asarray(X, dtype=float)
-        p = {name: X[..., i] for i, name in enumerate(self._names)}
-        if u is not None:
-            p["u"] = np.asarray(u, dtype=float)
-        return p
+    def on_grid(self, u):
+        """At u (shape (m,)) or None, the map from component arrays X[j] =
+        x_{j+1} (shape (m,)) to lists beta[i], J[i][j] = d beta_i / d x_j
+        and d_u beta[i]."""
+        point = {} if u is None else {"u": np.asarray(u, dtype=float)}
+        bound = {name: ex.evaluate(part, point) for name, part in self._u_parts.items()}
+        # an expression that is one split-out subtree is its value
+        exprs = [bound.get(e.name, e) if isinstance(e, ex.Var) else e for e in self._exprs]
+        names, n = self._names, self.n
+
+        def at(X):
+            p = dict(bound)
+            p.update(zip(names, X))
+            v = [ex.evaluate(e, p) if isinstance(e, ex.Expr) else e for e in exprs]
+            return v[:n], [v[n * i:n * (i + 1)] for i in range(1, n + 1)], v[n * (n + 1):]
+        return at
 
     def value(self, X, u) -> np.ndarray:
         """beta at a batch of points: X (m, n), u (m,) or None -> (m, n)."""
-        return _stack(self.components, self._point(X, u))
-
-    def jacobian_x(self, X, u) -> np.ndarray:
-        """J[m, i, j] = d beta_i / d x_j."""
-        p = self._point(X, u)
-        return np.stack([_stack(row, p) for row in self.dx], axis=-2)
-
-    def partial_u(self, X, u) -> np.ndarray:
-        return _stack(self.du, self._point(X, u))
-
-
-def _stack(exprs, point) -> np.ndarray:
-    """The values of exprs at the point, stacked along a new last axis."""
-    return np.stack([ex.evaluate(e, point) for e in exprs], axis=-1)
+        return np.stack(self.on_grid(u)(np.asarray(X, dtype=float).T)[0], axis=1)
 
 
 def taper(u: np.ndarray, tapered: bool) -> tuple[np.ndarray, np.ndarray]:
@@ -209,11 +217,6 @@ def cubic_midpoints(Y: np.ndarray) -> np.ndarray:
     return out
 
 
-def _constraint_vector(s: PoissonStructure, m: DiscretizedMorphism) -> np.ndarray:
-    """C^j(u_k) = X'^j + alpha^{jk} eta_k, nodewise."""
-    return path_derivative(m.X) + _sharp_rows(s, m.X, m.eta)
-
-
 def _sharp_rows(s: PoissonStructure, X: np.ndarray, E: np.ndarray) -> np.ndarray:
     """alpha^{ij}(X) E_j over rows of X and E, shape (m, n)."""
     return np.stack(s.sharp(X.T, E.T), axis=1)
@@ -224,8 +227,18 @@ def gauss_residual(s: PoissonStructure, m: DiscretizedMorphism) -> float:
     if m.n != s.n:
         raise ValueError("dimension mismatch")
     _check_domain(s, m.X, "X exits domain")
-    C = _constraint_vector(s, m)
+    C = path_derivative(m.X) + _sharp_rows(s, m.X, m.eta)
     return float(np.max(np.linalg.norm(C, axis=1)))
+
+
+def require_solution(s: PoissonStructure, m: DiscretizedMorphism, tol: float,
+                     message: str = "not a constraint solution (residual {:g})"):
+    """ValueError with ``message``, formatted with the Gauss residual,
+    unless it is at most tol * max(1, max nodal |X'|): the end stencils
+    of ``path_derivative`` err in proportion to the speed of the path."""
+    res = gauss_residual(s, m)
+    if res > tol * max(1.0, float(np.max(np.linalg.norm(path_derivative(m.X), axis=1)))):
+        raise ValueError(message.format(res))
 
 
 def _check_domain(s: PoissonStructure, X: np.ndarray, message: str):
@@ -286,48 +299,55 @@ def gauge_vector_field(s: PoissonStructure, m: DiscretizedMorphism,
     dEta_i = d_u beta_i + d_i alpha^{jk} eta_j beta_k - C^j d_i beta_j
     with C^j = d_u X^j + alpha^{jk} eta_k and d_u the total u-derivative
     along X(u)."""
+    dX, dEta = _gauge_field(s, beta, m.u)(m.X.T, m.eta.T)
+    return TangentVector(dX=dX.T, dEta=dEta.T)
+
+
+def _gauge_field(s: PoissonStructure, beta: GaugeField, u: np.ndarray):
+    """The gauge vector field of beta bound to the grid u: (X, eta) ->
+    (dX, dEta) on arrays of shape (n, len(u)), one row per component."""
     if beta.n != s.n:
         raise ValueError("gauge field dimension mismatch")
-    u = m.u
-    Xp = path_derivative(m.X)
-    d = s.dalpha_at(m.X)  # d[m, l, i, j] = d_l alpha^{ij}
-    C = Xp + _sharp_rows(s, m.X, m.eta)
-    b = beta.value(m.X, u)
-    Jb = beta.jacobian_x(m.X, u)  # Jb[m, i, j] = d beta_i / d x_j
-    bu = beta.partial_u(m.X, u)
+    at, sharp, dsharp = beta.on_grid(u), s.sharp, s.dsharp
 
-    dX = -_sharp_rows(s, m.X, b)
-    total_du = bu + np.einsum("mij,mj->mi", Jb, Xp)
-    term2 = np.einsum("mijk,mjk->mi", d, m.eta[:, :, None] * b[:, None, :])
-    term3 = np.einsum("mj,mji->mi", C, Jb)
-    dEta = total_du + term2 - term3
-    return TangentVector(dX=dX, dEta=dEta)
+    def field(X, eta):
+        Xp = path_derivative(X.T).T
+        b, J, bu = at(X)
+        C = [xp + a for xp, a in zip(Xp, sharp(X, eta))]
+        minus_dX, term2 = sharp(X, b), dsharp(X, eta, b)
+        dX, dEta = np.empty_like(Xp), np.empty_like(Xp)
+        for i in range(s.n):
+            dX[i] = -minus_dX[i]
+            dEta[i] = (bu[i] + sum(a * v for a, v in zip(J[i], Xp)) + term2[i]
+                       - sum(c * row[i] for c, row in zip(C, J)))
+        return dX, dEta
+    return field
 
 
 def gauge_flow(s: PoissonStructure, m: DiscretizedMorphism, beta: GaugeField,
                s_steps: int = DEFAULT_FLOW_STEPS, s_total: float = 1.0,
                check_residual: bool = True) -> DiscretizedMorphism:
-    """Flow a constraint solution (Gauss residual <= 1e-5) along the gauge
-    vector field of beta, RK4 in the flow parameter over [0, s_total]."""
-    if check_residual and gauss_residual(s, m) > 1e-5:
-        raise ValueError("gauge_flow requires a constraint solution "
-                         "(residual above 1e-05)")
+    """Flow a constraint solution (``require_solution`` at 1e-5) along
+    the gauge vector field of beta, RK4 in the flow parameter over
+    [0, s_total] in s_steps >= 1 steps. beta is bound to the grid once,
+    and the stages run on (n, N+1) arrays of components."""
+    if s_steps < 1:
+        raise ValueError(f"gauge_flow needs at least 1 step, got {s_steps}")
+    if check_residual:
+        require_solution(s, m, 1e-5, "gauge_flow requires a constraint solution "
+                                     "(residual above 1e-05)")
+    field = _gauge_field(s, beta, m.u)
     h = s_total / s_steps
-    X, eta = m.X.copy(), m.eta.copy()
-
-    def rhs(X, eta):
-        v = gauge_vector_field(s, DiscretizedMorphism(n=m.n, X=X, eta=eta), beta)
-        return v.dX, v.dEta
-
+    X, eta = m.X.T.copy(), m.eta.T.copy()
     for _ in range(s_steps):
-        k1x, k1e = rhs(X, eta)
-        k2x, k2e = rhs(X + 0.5 * h * k1x, eta + 0.5 * h * k1e)
-        k3x, k3e = rhs(X + 0.5 * h * k2x, eta + 0.5 * h * k2e)
-        k4x, k4e = rhs(X + h * k3x, eta + h * k3e)
+        k1x, k1e = field(X, eta)
+        k2x, k2e = field(X + 0.5 * h * k1x, eta + 0.5 * h * k1e)
+        k3x, k3e = field(X + 0.5 * h * k2x, eta + 0.5 * h * k2e)
+        k4x, k4e = field(X + h * k3x, eta + h * k3e)
         X = X + (h / 6.0) * (k1x + 2 * k2x + 2 * k3x + k4x)
         eta = eta + (h / 6.0) * (k1e + 2 * k2e + 2 * k3e + k4e)
-    _check_domain(s, X, "gauge flow exits domain")
-    return DiscretizedMorphism(n=m.n, X=X, eta=eta)
+    _check_domain(s, X.T, "gauge flow exits domain")
+    return DiscretizedMorphism(n=m.n, X=X.T, eta=eta.T)
 
 
 def symplectic_pairing(a: TangentVector, b: TangentVector) -> float:
@@ -341,7 +361,7 @@ def symplectic_pairing(a: TangentVector, b: TangentVector) -> float:
 def hamiltonian_values(s: PoissonStructure, m: DiscretizedMorphism,
                        values: np.ndarray) -> float:
     """H for nodewise covector values: int <X' + alpha eta, values> du."""
-    C = _constraint_vector(s, m)
+    C = path_derivative(m.X) + _sharp_rows(s, m.X, m.eta)
     integrand = np.sum(C * values, axis=1)
     return float(path_integral(integrand)[-1])
 
@@ -372,7 +392,9 @@ def hamiltonian_check(s: PoissonStructure, m: DiscretizedMorphism,
                       beta: GaugeField, trials: int = 20, seed: int = 0) -> float:
     """Verify iota_{xi_beta} omega = dH_beta against central finite
     differences of step 1e-5 along random smooth variations; returns the
-    max defect."""
+    max defect over trials >= 1 variations."""
+    if trials < 1:
+        raise ValueError(f"hamiltonian_check needs at least 1 trial, got {trials}")
     eps = 1e-5
     rng = np.random.default_rng(seed)
     xi = gauge_vector_field(s, m, beta)
@@ -396,16 +418,12 @@ def koszul_bracket_values(s: PoissonStructure, beta: GaugeField,
     + alpha^{jk} (d_j beta_i gamma_k + beta_j d_k gamma_i) at points X
     (m, n); u rides along pointwise, and is None for 1-forms. By the
     antisymmetry of alpha, alpha^{jk} beta_j = -(alpha beta)^k."""
-    X = np.asarray(X, dtype=float)
-    d = s.dalpha_at(X)
-    b = beta.value(X, u)
-    g = gamma.value(X, u)
-    Jb = beta.jacobian_x(X, u)
-    Jg = gamma.jacobian_x(X, u)
-    term1 = np.einsum("mijk,mjk->mi", d, b[:, :, None] * g[:, None, :])
-    term2 = np.einsum("mij,mj->mi", Jb, _sharp_rows(s, X, g))
-    term3 = np.einsum("mik,mk->mi", Jg, _sharp_rows(s, X, b))
-    return term1 + term2 - term3
+    x = np.asarray(X, dtype=float).T
+    b, Jb, _ = beta.on_grid(u)(x)
+    g, Jg, _ = gamma.on_grid(u)(x)
+    term1, alpha_g, alpha_b = s.dsharp(x, b, g), s.sharp(x, g), s.sharp(x, b)
+    return np.stack([term1[i] + sum(a * v for a, v in zip(Jb[i], alpha_g))
+                     - sum(a * v for a, v in zip(Jg[i], alpha_b)) for i in range(s.n)], axis=1)
 
 
 def equivariance_defect(s: PoissonStructure, m: DiscretizedMorphism,

@@ -43,9 +43,10 @@ class PoissonStructure:
     is a number, for one point, and then ``sharp`` returns a tuple of n
     floats; or each is an array, for a batch (``sharp(X.T, E.T)`` for
     X and E of shape (m, n)), and then it returns a tuple of n arrays of
-    shape (m,). The constructors below give it in closed form; a
-    structure built from callables alone gets one derived from
-    ``alpha``."""
+    shape (m,). ``dsharp(x, e, b)``, d_i alpha^{jk}(x) e_j b_k, takes
+    and returns components in the same way. The constructors below give
+    both in closed form; a structure built from callables alone gets
+    them derived from ``alpha`` and ``dalpha``."""
 
     n: int
     alpha: Callable[[np.ndarray], np.ndarray]
@@ -53,6 +54,7 @@ class PoissonStructure:
     in_domain: Optional[Callable[[np.ndarray], np.ndarray]] = None
     name: str = "poisson"
     sharp: Optional[Callable] = None
+    dsharp: Optional[Callable] = None
     # not constructor options: perfbench/tracer.py reads these names and
     # skips them while they are None
     d2alpha = alpha_batch = dalpha_batch = None
@@ -60,12 +62,20 @@ class PoissonStructure:
     def __post_init__(self):
         if self.sharp is None:
             object.__setattr__(self, "sharp", self._sharp_from_alpha)
+        if self.dsharp is None:
+            object.__setattr__(self, "dsharp", self._dsharp_from_dalpha)
 
     def _sharp_from_alpha(self, x, e):
         X, E = np.array(x, dtype=float).T, np.array(e, dtype=float)
         if X.ndim == 1:
             return tuple((self.alpha(X) @ E).tolist())
         return tuple(np.einsum("mij,jm->im", self.alpha_at(X), E))
+
+    def _dsharp_from_dalpha(self, x, e, b):
+        X, E, B = np.array(x, dtype=float).T, np.array(e, dtype=float), np.array(b, dtype=float)
+        if X.ndim == 1:
+            return tuple(np.einsum("ijk,j,k->i", self.dalpha(X), E, B).tolist())
+        return tuple(np.einsum("mijk,jm,km->im", self.dalpha_at(X), E, B))
 
     def check_point(self, x):
         x = np.asarray(x, dtype=float)
@@ -119,6 +129,7 @@ def constant_structure(matrix) -> PoissonStructure:
         dalpha=lambda x: np.zeros(np.shape(x)[:-1] + (n, n, n)),
         name="constant",
         sharp=lambda x, e: tuple(sum(a * v for a, v in zip(row, e)) for row in rows),
+        dsharp=lambda x, e, b: (0.0 * e[0],) * n,
     )
 
 
@@ -147,8 +158,14 @@ def two_domain(phi: ex.Expr) -> PoissonStructure:
         p = ex.evaluate(phi, {"x1": x[0], "x2": x[1]})
         return p * e[1], -p * e[0]
 
+    # d_i alpha^{jk} e_j b_k = d_i phi (e1 b2 - e2 b1)
+    def dsharp(x, e, b):
+        p = {"x1": x[0], "x2": x[1]}
+        w = e[0] * b[1] - e[1] * b[0]
+        return ex.evaluate(d1, p) * w, ex.evaluate(d2, p) * w
+
     return PoissonStructure(n=2, alpha=alpha, dalpha=dalpha, name="two_domain",
-                            sharp=sharp)
+                            sharp=sharp, dsharp=dsharp)
 
 
 def kirillov_kostant(f, name="kirillov_kostant") -> PoissonStructure:
@@ -164,10 +181,17 @@ def kirillov_kostant(f, name="kirillov_kostant") -> PoissonStructure:
     # per i, the nonzero (j, k, f^{ij}_k) of sum_jk f^{ij}_k x_k e_j
     terms = [[(j, k, float(f[i, j, k])) for j in range(n) for k in range(n) if f[i, j, k]]
              for i in range(n)]
+    # per i, the nonzero (j, k, f^{jk}_i) of sum_jk d_i alpha^{jk} e_j b_k
+    dterms = [[(j, k, float(f[j, k, i])) for j in range(n) for k in range(n) if f[j, k, i]]
+              for i in range(n)]
 
     def sharp(x, e):
         zero = 0.0 * e[0]  # a number or an array of the batch shape
         return tuple(sum((c * x[k] * e[j] for j, k, c in row), zero) for row in terms)
+
+    def dsharp(x, e, b):
+        zero = 0.0 * e[0]
+        return tuple(sum((c * e[j] * b[k] for j, k, c in row), zero) for row in dterms)
 
     return PoissonStructure(
         n=n,
@@ -175,6 +199,7 @@ def kirillov_kostant(f, name="kirillov_kostant") -> PoissonStructure:
         dalpha=lambda x: np.zeros(np.shape(x)[:-1] + dmat.shape) + dmat,
         name=name,
         sharp=sharp,
+        dsharp=dsharp,
     )
 
 
@@ -218,8 +243,17 @@ def rot_invariant3(f: ex.Expr, r_min=1e-6) -> PoissonStructure:
         w1, w2, w3 = fv * x1, fv * x2, fv * x3
         return e2 * w3 - e3 * w2, e3 * w1 - e1 * w3, e1 * w2 - e2 * w1
 
+    # d_i alpha^{jk} e_j b_k = f'(R) / R x_i ((e x b) . x) + f(R) (e x b)_i
+    def dsharp(x, e, b):
+        (x1, x2, x3), (e1, e2, e3), (b1, b2, b3) = x, e, b
+        c1, c2, c3 = e2 * b3 - e3 * b2, e3 * b1 - e1 * b3, e1 * b2 - e2 * b1
+        p = {"R": (x1 * x1 + x2 * x2 + x3 * x3) ** 0.5}
+        fv = ex.evaluate(f, p)
+        g = ex.evaluate(fprime, p) / p["R"] * (c1 * x1 + c2 * x2 + c3 * x3)
+        return g * x1 + fv * c1, g * x2 + fv * c2, g * x3 + fv * c3
+
     return PoissonStructure(
         n=3, alpha=alpha, dalpha=dalpha,
         in_domain=lambda x: _radius(np.asarray(x, dtype=float)) >= r_min,
-        name="rot_invariant3", sharp=sharp,
+        name="rot_invariant3", sharp=sharp, dsharp=dsharp,
     )

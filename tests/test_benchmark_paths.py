@@ -1,0 +1,28 @@
+"""Every operation and check of the benchmark's ``paths`` workload
+(perfbench/workloads.py, imported read-only) on fixed rounds, among them
+round 86 of seed 8, where a tapered concatenation that the invariants
+recover to 7e-7 used to fail the absolute Gauss-residual bound."""
+
+import importlib
+from pathlib import Path
+
+import pytest
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+@pytest.mark.parametrize("seed, rounds", [(8, [86]), (3, [0, 1])])
+def test_paths_rounds_pass_every_check(seed, rounds, monkeypatch, tmp_path):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    paths = workloads.Paths(seed, tmp_path)
+    failed = []
+    for index in rounds:
+        for op in paths.round(index):
+            try:
+                message = op.check(op.call())
+            except Exception as err:  # a raising operation is a failed one
+                message = repr(err)
+            if message and not op.fault:  # the benchmark's known faults
+                failed.append(f"round {index} {op.kind}: {message}")
+    assert failed == []

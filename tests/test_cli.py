@@ -366,6 +366,17 @@ def test_flow_usage_errors(argv, message, capsys):
     assert json.loads(err) == {"error": message, "kind": "usage"}
 
 
+@pytest.mark.parametrize("steps", ["0", "-3"])
+def test_flow_gauge_refuses_fewer_than_one_step(tmp_path, capsys, steps):
+    # --steps 0 used to end in a ZeroDivisionError, --steps=-3 to print the input path
+    path = _morphism_file(tmp_path, capsys, "phi2d:x1*x2", "1,1", "0.4*u*(1-u);0.2")
+    code, out, err = run(["flow", "gauge", "--structure", "phi2d:x1*x2", "--in", path,
+                          "--beta", "0.1*u*(1-u)*x2;0", f"--steps={steps}"], capsys)
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": f"gauge_flow needs at least 1 step, got {steps}",
+                               "kind": "usage"}
+
+
 def test_flow_solve_prints_the_morphism_it_writes(tmp_path, capsys):
     argv = ["flow", "solve", "--structure", "phi2d:x1*x2", "--x0", "1,1",
             "--eta", "0.4*u*(1-u);0.2", "--grid", "50"]

@@ -110,6 +110,21 @@ def test_missing_variable_value():
         ex.evaluate(e, {"x1": 1.0})
 
 
+def test_split_out_replaces_the_largest_subtrees_of_one_variable():
+    names = ["x1", "u"]
+    exprs = [ex.parse(src, names) for src in
+             ("0.3*sin(3*u)*x1 + u*(1-u)", "x1*sin(3*u)", "sin(3*u) - x1^2", "x1^2", "2")]
+    rewritten, parts = ex.split_out(exprs, "u")
+    # sin(3*u) occurs twice and has one name
+    assert sorted(ex.to_string(e) for e in parts.values()) == ["0.3*sin(3*u)", "sin(3*u)", "u*(1 - u)"]
+    assert [ex.to_string(e) for e in rewritten[3:]] == ["x1^2", "2"]  # no u: unchanged
+    u, x1 = np.linspace(0.0, 1.0, 9), np.linspace(-1.0, 2.0, 9)
+    point = {"x1": x1, **{name: ex.evaluate(e, {"u": u}) for name, e in parts.items()}}
+    for old, new in zip(exprs, rewritten):
+        assert ex.to_string(new).count("u#") == ex.to_string(new).count("u")
+        assert np.array_equal(ex.evaluate(new, point), ex.evaluate(old, {"x1": x1, "u": u}))
+
+
 def test_evaluate_on_arrays_matches_numbers():
     e = ex.parse("sin(x1)*x2 + x1^3", VARS)
     xs = np.linspace(-2, 2, 17)

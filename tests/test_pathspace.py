@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from psgroupoid import expr as ex
+from psgroupoid import lie_dual as ld
 from psgroupoid import pathspace as ps
 from psgroupoid import poisson as po
 
@@ -309,3 +310,143 @@ def test_reverse_then_concatenate_gives_trivial_invariants():
     loop = ps.concatenate(m, ps.reverse(m))
     assert np.allclose(loop.X[0], loop.X[-1])
     assert ps.gauss_residual(s, loop) < 5e-5
+
+
+# --- the gauge field bound to a grid ------------------------------------
+
+def _direct(exprs, X, u):
+    """Values of exprs by ex.evaluate at the rows of X and u (or no u)."""
+    p = {f"x{i + 1}": X[:, i] for i in range(X.shape[1])}
+    if u is not None:
+        p["u"] = u
+    return [ex.evaluate(e, p) for e in exprs]
+
+
+@pytest.mark.parametrize("sources, u", [
+    # mixed subtrees, a u-only component, a constant one and a constant partial
+    (["0.3*sin(3.141592653589793*u)*x2 + u*(1-u)", "2*u*(1-u)", "exp(u)*x1*x3 - cos(u)"],
+     np.linspace(0.0, 1.0, 7)),
+    (["x2*x3", "1", "sin(x1)*x3"], None),  # a 1-form
+])
+def test_bound_gauge_field_matches_direct_evaluation(sources, u):
+    beta = ps.GaugeField.parse(sources, 3, validate=False)
+    X = np.random.default_rng(13).uniform(-1.5, 1.5, (7, 3))
+    b, J, bu = beta.on_grid(u)(X.T)
+    assert [np.shape(v) for v in b] == [(7,)] * 3
+    exprs = beta.components + sum(beta.dx, ()) + beta.du
+    for k, (got, e, want) in enumerate(zip(b + sum(J, []) + bu, exprs, _direct(exprs, X, u))):
+        if k >= 3 and isinstance(e, ex.Const):  # a constant partial is a plain number
+            assert type(got) is float and got == e.value
+        else:
+            assert np.array_equal(np.broadcast_to(got, (7,)), want)
+    assert np.array_equal(beta.value(X, u), np.stack(_direct(beta.components, X, u), axis=1))
+
+
+@pytest.mark.parametrize("source, u, message", [
+    ("x1*log(u - 0.5)", np.linspace(0.0, 1.0, 5), "log of nonpositive value"),
+    ("x1*u", None, "variable 'u' not bound"),
+])
+def test_bound_gauge_field_raises_the_domain_error_of_direct_evaluation(source, u, message):
+    beta = ps.GaugeField.parse([source, "0"], 2, validate=False)
+    X = np.ones((5, 2))
+    with pytest.raises(ex.DomainError, match=message):
+        _direct(beta.components, X, u)
+    with pytest.raises(ex.DomainError, match=message):
+        beta.on_grid(u)(X.T)
+
+
+def _einsum_gauge_vector_field(s, m, beta):
+    """The gauge vector field by the einsum formula over alpha_at,
+    dalpha_at and the symbolic partials of beta."""
+    def stack(exprs):
+        return np.stack([np.broadcast_to(v, (m.N + 1,)) for v in _direct(exprs, m.X, m.u)],
+                        axis=-1)
+
+    b, bu = stack(beta.components), stack(beta.du)
+    Jb = np.stack([stack(row) for row in beta.dx], axis=1)  # Jb[m, i, j] = d beta_i / d x_j
+    a, d = s.alpha_at(m.X), s.dalpha_at(m.X)
+    Xp = ps.path_derivative(m.X)
+    C = Xp + np.einsum("mij,mj->mi", a, m.eta)
+    dX = -np.einsum("mij,mj->mi", a, b)
+    dEta = (bu + np.einsum("mij,mj->mi", Jb, Xp) + np.einsum("mijk,mj,mk->mi", d, m.eta, b)
+            - np.einsum("mj,mji->mi", C, Jb))
+    return dX, dEta
+
+
+@pytest.mark.parametrize("name", ["two_domain", "kirillov_kostant", "rot_invariant3", "constant"])
+def test_gauge_vector_field_matches_the_einsum_formula(name):
+    s = {
+        "two_domain": _phi_structure(),
+        "kirillov_kostant": po.kirillov_kostant(ld.builtin_spec("su2").f),
+        "rot_invariant3": po.rot_invariant3(ex.parse("R/(1+(R-1)^3)", ["R"])),
+        "constant": po.constant_structure([[0.0, 2.0], [-2.0, 0.0]]),
+    }[name]
+    N = 60
+    u = np.linspace(0.0, 1.0, N + 1)
+    if s.n == 2:
+        X = np.stack([1.0 + 0.3 * np.sin(PI * u), 1.0 + 0.2 * u], axis=1)
+        sources = ["0.2*sin(3.141592653589793*u)*x2", "0.1*u*(1-u)*x1^2"]
+    else:
+        X = np.stack([0.8 + 0.1 * u, 0.3 * np.sin(3 * u), 0.5 - 0.2 * u * u], axis=1)
+        sources = ["u*(1-u)*x2*x3", "0.5*sin(3.141592653589793*u)", "u*(1-u)*cos(x1)"]
+    m = ps.DiscretizedMorphism(n=s.n, X=X, eta=_smooth_eta(N, s.n, seed=14))
+    beta = ps.GaugeField.parse(sources, s.n)
+    v = ps.gauge_vector_field(s, m, beta)
+    for got, want in zip((v.dX, v.dEta), _einsum_gauge_vector_field(s, m, beta)):
+        assert np.max(np.abs(got - want)) <= 1e-13 * max(1.0, np.max(np.abs(want)))
+
+
+def test_gauge_flow_is_fourth_order_in_its_steps():
+    s = _phi_structure()
+    m = ps.solve_gauss(s, [1.0, 0.8], _smooth_eta(100, 2, seed=15))
+    beta = ps.GaugeField.parse(["0.2*sin(3.141592653589793*u)*x2", "0.1*u*(1-u)*x1"], 2)
+    ends = [ps.gauge_flow(s, m, beta, s_steps=k, check_residual=False).X for k in (4, 8, 16)]
+    order = math.log2(np.max(np.abs(ends[0] - ends[1])) / np.max(np.abs(ends[1] - ends[2])))
+    assert abs(order - 4.0) <= 0.3
+
+
+@pytest.mark.parametrize("steps", [0, -3])
+def test_gauge_flow_refuses_fewer_than_one_step(steps):
+    s = _phi_structure()
+    m = ps.solve_gauss(s, [1.0, 1.0], _smooth_eta(50, 2, seed=16))
+    beta = ps.GaugeField.parse(["u*(1-u)*x2", "0"], 2)
+    with pytest.raises(ValueError, match=f"^gauge_flow needs at least 1 step, got {steps}$"):
+        ps.gauge_flow(s, m, beta, s_steps=steps)
+
+
+def test_hamiltonian_check_refuses_zero_trials():
+    s = _phi_structure()
+    m = ps.solve_gauss(s, [1.0, 1.0], _smooth_eta(50, 2, seed=16))
+    beta = ps.GaugeField.parse(["u*(1-u)*x2", "0"], 2)
+    with pytest.raises(ValueError, match="^hamiltonian_check needs at least 1 trial, got 0$"):
+        ps.hamiltonian_check(s, m, beta, trials=0)
+
+
+# --- the constraint-solution gate ----------------------------------------
+
+def _line(speed, offset):
+    """X = (1 + speed u, 1) on 11 nodes with eta chosen so that
+    X' + alpha eta = (offset, 0) under the constant structure eps."""
+    u = np.linspace(0.0, 1.0, 11)
+    X = np.stack([1.0 + speed * u, np.ones_like(u)], axis=1)
+    eta = np.tile([0.0, offset - speed], (11, 1))  # alpha eta = (eta_2, -eta_1)
+    return ps.DiscretizedMorphism(n=2, X=X, eta=eta)
+
+
+@pytest.mark.parametrize("speed, offset, passes", [
+    (0.5, 0.9e-5, True), (0.5, 1.1e-5, False),   # slow paths: the bound is tol
+    (20.0, 1.9e-4, True), (20.0, 2.1e-4, False),  # tol times the speed
+])
+def test_require_solution_scales_the_bound_with_the_speed(speed, offset, passes):
+    s = po.constant_structure([[0.0, 1.0], [-1.0, 0.0]])
+    m = _line(speed, offset)
+    assert ps.gauss_residual(s, m) == pytest.approx(offset, rel=1e-6)
+    if passes:
+        ps.require_solution(s, m, 1e-5)
+        return
+    with pytest.raises(ValueError, match=rf"^not a constraint solution \(residual {offset:g}\)$"):
+        ps.require_solution(s, m, 1e-5)
+    beta = ps.GaugeField.parse(["u*(1-u)", "0"], 2)
+    with pytest.raises(ValueError, match=r"^gauge_flow requires a constraint solution "
+                                         r"\(residual above 1e-05\)$"):
+        ps.gauge_flow(s, m, beta)

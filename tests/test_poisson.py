@@ -247,6 +247,24 @@ def test_derived_sharp_refuses_point_only_alpha_on_a_batch():
         s.sharp(np.zeros((2, 4)), np.zeros((2, 4)))
 
 
+@pytest.mark.parametrize("name", list(_sharp_structures()))
+def test_dsharp_is_dalpha_contracted_with_both_covectors(name):
+    s = _sharp_structures()[name]
+    rng = np.random.default_rng(12)
+    X = rng.uniform(0.5, 1.5, (6, s.n)) * rng.choice([-1.0, 1.0], (6, s.n))
+    E, B = rng.standard_normal((2, 6, s.n))
+    d = s.dalpha_at(X)
+    want = np.einsum("mijk,mj,mk->mi", d, E, B)
+    scale = np.einsum("mijk,mj,mk->mi", np.abs(d), np.abs(E), np.abs(B))  # bounds the rounding
+    batch = s.dsharp(X.T, E.T, B.T)
+    assert len(batch) == s.n and all(np.shape(c) == (6,) for c in batch)
+    assert np.all(np.abs(np.stack(batch, axis=1) - want) <= 4e-15 * scale)
+    for x, e, b, w, sc in zip(X, E, B, want, scale):
+        point = s.dsharp(x.tolist(), e.tolist(), b.tolist())
+        assert type(point) is tuple and all(type(c) is float for c in point)
+        assert np.all(np.abs(np.array(point) - w) <= 4e-15 * sc)
+
+
 # Values of the implementation that contracted alpha_at(X) by einsum, on
 # fixed off-shell paths (u on 41 nodes) and at every tenth node of X.
 _U = np.linspace(0.0, 1.0, 41)

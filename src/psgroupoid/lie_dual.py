@@ -25,7 +25,7 @@ from typing import Callable
 import numpy as np
 
 from . import pathspace as ps
-from .poisson import _EPS3, PoissonStructure, kirillov_kostant
+from .poisson import PoissonStructure, kirillov_kostant
 
 __all__ = [
     "LieAlgebraSpec", "LieGroupoidPoint", "builtin_spec",
@@ -172,6 +172,13 @@ def _quat_log(m):
                          "the logarithm branch is ambiguous")
     theta = np.arctan2(np.linalg.norm(q[1:]), q[0])  # |q[1:]| = sin(theta)
     return quat_to_matrix(np.concatenate([[0.0], q[1:] / np.sinc(theta / np.pi)]))
+
+
+_EPS3 = np.zeros((3, 3, 3))
+for _i, _j, _k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+    _EPS3[_i, _j, _k] = 1.0
+    _EPS3[_j, _i, _k] = -1.0
+_EPS3.setflags(write=False)  # shared by the so3 and su2 specs
 
 
 def _su2_spec():

@@ -13,7 +13,7 @@ cubic through four neighbouring nodes, fourth order), which
 
 ``gauge_flow`` steps arrays of shape (n, N+1), one row per component,
 with the gauge field bound to the grid once (``GaugeField.on_grid``).
-``require_solution`` decides what counts as a constraint solution.
+``check_solution`` decides what counts as a constraint solution.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .poisson import DomainError, PoissonStructure
 __all__ = [
     "DiscretizedMorphism", "TangentVector", "GaugeField",
     "path_derivative", "path_integral", "midpoints", "cubic_midpoints",
-    "gauss_residual", "require_solution", "solve_gauss",
+    "gauss_residual", "check_solution", "require_solution", "solve_gauss",
     "gauge_vector_field", "gauge_flow", "symplectic_pairing",
     "hamiltonian", "hamiltonian_values", "hamiltonian_check",
     "koszul_bracket_values", "equivariance_defect",
@@ -231,13 +231,21 @@ def gauss_residual(s: PoissonStructure, m: DiscretizedMorphism) -> float:
     return float(np.max(np.linalg.norm(C, axis=1)))
 
 
+def check_solution(s: PoissonStructure, m: DiscretizedMorphism,
+                   tol: float) -> tuple[float, bool]:
+    """The Gauss residual of m and whether it is at most
+    tol * max(1, max nodal |X'|): the end stencils of ``path_derivative``
+    err in proportion to the speed of the path."""
+    res = gauss_residual(s, m)
+    return res, res <= tol * max(1.0, float(np.max(np.linalg.norm(path_derivative(m.X), axis=1))))
+
+
 def require_solution(s: PoissonStructure, m: DiscretizedMorphism, tol: float,
                      message: str = "not a constraint solution (residual {:g})"):
     """ValueError with ``message``, formatted with the Gauss residual,
-    unless it is at most tol * max(1, max nodal |X'|): the end stencils
-    of ``path_derivative`` err in proportion to the speed of the path."""
-    res = gauss_residual(s, m)
-    if res > tol * max(1.0, float(np.max(np.linalg.norm(path_derivative(m.X), axis=1)))):
+    unless ``check_solution`` passes m at tol."""
+    res, passed = check_solution(s, m, tol)
+    if not passed:
         raise ValueError(message.format(res))
 
 

@@ -28,54 +28,31 @@ class DomainError(ValueError):
 
 @dataclass(frozen=True)
 class PoissonStructure:
-    """Bundle of evaluators for an antisymmetric bivector field on R^n.
+    """An antisymmetric bivector field alpha on R^n, given by two
+    contractions and a domain.
 
-    ``alpha``, ``dalpha`` and ``in_domain`` each take one point, shape
-    (n,) (a list too), or a batch of points, shape (m, n). For one point
-    they return alpha^{ij} with shape (n, n), d_k alpha^{ij} with shape
-    (n, n, n) and a bool; for a batch, arrays of shape (m, n, n),
-    (m, n, n, n) and (m,). ``in_domain=None`` means all of R^n. The
-    batch entry points ``alpha_at``, ``dalpha_at`` and
-    ``pathspace._check_domain`` raise ValueError on any other shape.
-
-    ``sharp(x, e)`` is the contraction alpha^{ij}(x) e_j. It takes x and
-    e as length-n sequences of components, not as rows: each component
-    is a number, for one point, and then ``sharp`` returns a tuple of n
-    floats; or each is an array, for a batch (``sharp(X.T, E.T)`` for
-    X and E of shape (m, n)), and then it returns a tuple of n arrays of
-    shape (m,). ``dsharp(x, e, b)``, d_i alpha^{jk}(x) e_j b_k, takes
-    and returns components in the same way. The constructors below give
-    both in closed form; a structure built from callables alone gets
-    them derived from ``alpha`` and ``dalpha``."""
+    ``sharp(x, e)`` is alpha^{ij}(x) e_j and ``dsharp(x, e, b)`` is
+    d_i alpha^{jk}(x) e_j b_k. They take x, e and b as length-n
+    sequences of components, not as rows: each component is a number,
+    for one point, and then they return a tuple of n floats; or an
+    array, for a batch (``sharp(X.T, E.T)`` for X and E of shape
+    (m, n)), and then a tuple of n arrays of shape (m,). A batch may
+    mix in numbers, as ``alpha`` and ``dalpha`` pass the basis
+    covectors; the constructors below give both in closed form.
+    ``in_domain`` takes one point, shape (n,), or a batch, shape (m, n),
+    and returns a bool or a bool array of shape (m,); ``None`` means all
+    of R^n, and ``pathspace._check_domain`` raises ValueError on any
+    other shape. ``alpha`` and ``dalpha`` are derived from ``sharp`` and
+    ``dsharp``."""
 
     n: int
-    alpha: Callable[[np.ndarray], np.ndarray]
-    dalpha: Callable[[np.ndarray], np.ndarray]
+    sharp: Callable
+    dsharp: Callable
     in_domain: Optional[Callable[[np.ndarray], np.ndarray]] = None
     name: str = "poisson"
-    sharp: Optional[Callable] = None
-    dsharp: Optional[Callable] = None
-    # not constructor options: perfbench/tracer.py reads these names and
-    # skips them while they are None
+    # perfbench/tracer.py reads these names by getattr and skips them while None
     d2alpha = alpha_batch = dalpha_batch = None
-
-    def __post_init__(self):
-        if self.sharp is None:
-            object.__setattr__(self, "sharp", self._sharp_from_alpha)
-        if self.dsharp is None:
-            object.__setattr__(self, "dsharp", self._dsharp_from_dalpha)
-
-    def _sharp_from_alpha(self, x, e):
-        X, E = np.array(x, dtype=float).T, np.array(e, dtype=float)
-        if X.ndim == 1:
-            return tuple((self.alpha(X) @ E).tolist())
-        return tuple(np.einsum("mij,jm->im", self.alpha_at(X), E))
-
-    def _dsharp_from_dalpha(self, x, e, b):
-        X, E, B = np.array(x, dtype=float).T, np.array(e, dtype=float), np.array(b, dtype=float)
-        if X.ndim == 1:
-            return tuple(np.einsum("ijk,j,k->i", self.dalpha(X), E, B).tolist())
-        return tuple(np.einsum("mijk,jm,km->im", self.dalpha_at(X), E, B))
+    # no __slots__: perfbench/tracer.py sets its wrapped alpha and dalpha on the instance
 
     def check_point(self, x):
         x = np.asarray(x, dtype=float)
@@ -85,22 +62,34 @@ class PoissonStructure:
             raise DomainError(f"point {x} outside domain of {self.name}")
         return x
 
-    def alpha_at(self, X):
-        """alpha over a batch of points X with shape (m, n) -> (m, n, n)."""
-        X = np.asarray(X, dtype=float)
-        return self._batch_result(self.alpha(X), X, "alpha", 2)
+    def alpha(self, x):
+        """alpha^{ij} at one point x, shape (n,) -> (n, n), or over a
+        batch, shape (m, n) -> (m, n, n): ``sharp`` of each basis covector."""
+        x = np.asarray(x, dtype=float)
+        a = _stack([self.sharp(x.T, e) for e in np.eye(self.n)], x)  # a[j, i] = alpha^{ij}
+        return np.moveaxis(a, (0, 1), (-1, -2))
 
-    def dalpha_at(self, X):
-        """dalpha over a batch of points X with shape (m, n) -> (m, n, n, n)."""
-        X = np.asarray(X, dtype=float)
-        return self._batch_result(self.dalpha(X), X, "dalpha", 3)
+    def dalpha(self, x):
+        """d_k alpha^{ij} at one point x, shape (n,) -> (n, n, n), or over
+        a batch, shape (m, n) -> (m, n, n, n): ``dsharp`` of each pair of
+        basis covectors."""
+        x = np.asarray(x, dtype=float)
+        basis = np.eye(self.n)
+        d = _stack([self.dsharp(x.T, e, b) for e in basis for b in basis], x)
+        d = d.reshape((self.n,) * 3 + d.shape[2:])  # d[i, j, k] = d_k alpha^{ij}
+        return np.moveaxis(d, (0, 1, 2), (-2, -1, -3))
 
-    def _batch_result(self, value, X, what, rank):
-        expected = (len(X),) + (self.n,) * rank
-        if np.shape(value) != expected:
-            raise ValueError(f"{what} of {self.name} returned shape "
-                             f"{np.shape(value)} on a batch, expected {expected}")
-        return value
+    # perfbench/tracer.py wraps the class's batch evaluators by these names
+    alpha_at = alpha
+    dalpha_at = dalpha
+
+
+def _stack(tuples, x):
+    """Tuples of components as one array, shape (len(tuples), n) + the
+    batch shape of x; a number, as ``constant_structure``'s ``sharp``
+    returns for any x, is broadcast to the batch shape."""
+    shape = x.shape[:-1]
+    return np.array([[np.broadcast_to(c, shape) for c in t] for t in tuples])
 
 
 def jacobi_residual(s: PoissonStructure, x) -> float:
@@ -125,33 +114,16 @@ def constant_structure(matrix) -> PoissonStructure:
     rows = A.tolist()
     return PoissonStructure(
         n=n,
-        alpha=lambda x: np.zeros(np.shape(x)[:-1] + (n, n)) + A,
-        dalpha=lambda x: np.zeros(np.shape(x)[:-1] + (n, n, n)),
-        name="constant",
         sharp=lambda x, e: tuple(sum(a * v for a, v in zip(row, e)) for row in rows),
         dsharp=lambda x, e, b: (0.0 * e[0],) * n,
+        name="constant",
     )
-
-
-_EPS2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 
 def two_domain(phi: ex.Expr) -> PoissonStructure:
     """alpha^{ij} = eps^{ij} phi(x1, x2) on R^2, eps^{12} = +1."""
     d1 = ex.differentiate(phi, "x1")
     d2 = ex.differentiate(phi, "x2")
-
-    # x.T[0] of one point is a number, which takes evaluate's float path
-    def alpha(x):
-        x = np.asarray(x, dtype=float).T
-        v = ex.evaluate(phi, {"x1": x[0], "x2": x[1]})
-        return np.asarray(v)[..., None, None] * _EPS2
-
-    def dalpha(x):
-        x = np.asarray(x, dtype=float).T
-        p = {"x1": x[0], "x2": x[1]}
-        grads = np.array([ex.evaluate(d1, p), ex.evaluate(d2, p)]).T
-        return grads[..., None, None] * _EPS2
 
     # alpha(x) e = phi (e2, -e1)
     def sharp(x, e):
@@ -164,8 +136,7 @@ def two_domain(phi: ex.Expr) -> PoissonStructure:
         w = e[0] * b[1] - e[1] * b[0]
         return ex.evaluate(d1, p) * w, ex.evaluate(d2, p) * w
 
-    return PoissonStructure(n=2, alpha=alpha, dalpha=dalpha, name="two_domain",
-                            sharp=sharp, dsharp=dsharp)
+    return PoissonStructure(n=2, sharp=sharp, dsharp=dsharp, name="two_domain")
 
 
 def kirillov_kostant(f, name="kirillov_kostant") -> PoissonStructure:
@@ -177,7 +148,6 @@ def kirillov_kostant(f, name="kirillov_kostant") -> PoissonStructure:
         raise ValueError("structure constants must have shape (n, n, n)")
     if not np.allclose(f, -np.transpose(f, (1, 0, 2)), atol=1e-12):
         raise ValueError("structure constants must be antisymmetric in (i, j)")
-    dmat = np.transpose(f, (2, 0, 1)).copy()  # d_k alpha^{ij} = f^{ij}_k
     # per i, the nonzero (j, k, f^{ij}_k) of sum_jk f^{ij}_k x_k e_j
     terms = [[(j, k, float(f[i, j, k])) for j in range(n) for k in range(n) if f[i, j, k]]
              for i in range(n)]
@@ -193,21 +163,7 @@ def kirillov_kostant(f, name="kirillov_kostant") -> PoissonStructure:
         zero = 0.0 * e[0]
         return tuple(sum((c * e[j] * b[k] for j, k, c in row), zero) for row in dterms)
 
-    return PoissonStructure(
-        n=n,
-        alpha=lambda x: np.einsum("ijk,...k->...ij", f, np.asarray(x, dtype=float)),
-        dalpha=lambda x: np.zeros(np.shape(x)[:-1] + dmat.shape) + dmat,
-        name=name,
-        sharp=sharp,
-        dsharp=dsharp,
-    )
-
-
-_EPS3 = np.zeros((3, 3, 3))
-for _i, _j, _k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-    _EPS3[_i, _j, _k] = 1.0
-    _EPS3[_j, _i, _k] = -1.0
-_EPS3.setflags(write=False)  # shared by the so3 and su2 specs
+    return PoissonStructure(n=n, sharp=sharp, dsharp=dsharp, name=name)
 
 
 def _radius(x):
@@ -219,21 +175,6 @@ def rot_invariant3(f: ex.Expr, r_min=1e-6) -> PoissonStructure:
     """alpha^{ij}(x) = f(|x|) eps^{ijk} x^k on R^3 minus a small ball
     around the origin."""
     fprime = ex.differentiate(f, "R")
-
-    def alpha(x):
-        x = np.asarray(x, dtype=float)
-        fv = np.asarray(ex.evaluate(f, {"R": _radius(x)}))
-        return fv[..., None, None] * np.einsum("ijk,...k->...ij", _EPS3, x)
-
-    def dalpha(x):
-        x = np.asarray(x, dtype=float)
-        r = _radius(x)
-        fv = np.asarray(ex.evaluate(f, {"R": r}))
-        fp = np.asarray(ex.evaluate(fprime, {"R": r}))
-        base = np.einsum("ijk,...k->...ij", _EPS3, x)
-        # d_l alpha^{ij} = f'(R) x^l / R * eps^{ijk} x^k + f(R) eps^{ijl}
-        term1 = (fp / r)[..., None, None, None] * x[..., :, None, None] * base[..., None, :, :]
-        return term1 + fv[..., None, None, None] * np.transpose(_EPS3, (2, 0, 1))
 
     # alpha(x) e = e x w with w = f(R) x
     def sharp(x, e):
@@ -253,7 +194,7 @@ def rot_invariant3(f: ex.Expr, r_min=1e-6) -> PoissonStructure:
         return g * x1 + fv * c1, g * x2 + fv * c2, g * x3 + fv * c3
 
     return PoissonStructure(
-        n=3, alpha=alpha, dalpha=dalpha,
+        n=3, sharp=sharp, dsharp=dsharp,
         in_domain=lambda x: _radius(np.asarray(x, dtype=float)) >= r_min,
-        name="rot_invariant3", sharp=sharp, dsharp=dsharp,
+        name="rot_invariant3",
     )

@@ -30,6 +30,8 @@ RETIRED = [
     (po.constant_structure, "name"),
     (po.two_domain, "name"),
     (po.rot_invariant3, "name"),
+    (po.PoissonStructure, "alpha"),
+    (po.PoissonStructure, "dalpha"),
 ]
 
 

@@ -11,6 +11,9 @@ import numpy as np
 import pytest
 
 from psgroupoid import cli
+from psgroupoid import expr as ex
+from psgroupoid import groupoid2d as g2
+from psgroupoid import pathspace as ps
 
 
 def run(argv, capsys):
@@ -202,6 +205,15 @@ def test_lie_mul_refuses_a_g_off_the_group(spec, g, g2, capsys):
     assert report["error"] == f"--g is not an element of the group of {spec}"
 
 
+@pytest.mark.parametrize("g", ["100,0,0,0", "0.5,0,0,0"])
+def test_lie_mul_refuses_a_quaternion_off_unit_length(g, capsys):
+    # these used to be normalized, 100,0,0,0 to the identity
+    code, out, err = run(["lie", "mul", "--spec", "su2", "--xi", "1,2,3",
+                          "--g", g, "--g2", "1,0,0,0"], capsys)
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": "--g is not a unit quaternion", "kind": "usage"}
+
+
 def test_lie_mul_accepts_a_group_matrix(capsys):
     data = run_json(["lie", "mul", "--spec", "heisenberg3", "--xi", "1,2,3",
                      "--g", "1,2,3,0,1,4,0,0,1", "--g2", _I3], capsys)
@@ -351,6 +363,29 @@ def test_flow_invariants_of_a_constant_structure(tmp_path, capsys):
     # X' = -alpha eta is constant: X(1) = X(0) - (2 * 0.25, -2 * 0.5)
     assert data["passed"] is True and data["x_start"] == [1.0, -1.0]
     assert np.allclose(data["x_end"], [0.5, 0.0], atol=1e-14)
+
+
+def _glued_x1x2_path():
+    """Two tapered straight x1*x2 representatives glued at (x_f, 0): an
+    exact path with max |X'| about 21 and Gauss residual about 2.3e-4."""
+    p = g2.Phi2D(ex.parse("x1*x2", ["x1", "x2"]))
+    xa, pa = np.array([2.0, 2.5]), np.array([0.4, -0.3])
+    xb = xa + xa[0] * xa[1] * np.array([-pa[1], pa[0]])
+    return ps.concatenate(g2.embed(p, g2.GroupoidPoint2D(xa, pa), N=1000, tapered=True),
+                          g2.embed(p, g2.GroupoidPoint2D(xb, [0.3, 0.2]), N=1000, tapered=True))
+
+
+@pytest.mark.parametrize("eta_offset, code", [(0.0, 0), (0.01, 1)])
+def test_flow_invariants_scales_the_bound_with_the_speed(tmp_path, capsys, eta_offset, code):
+    # the fast exact path used to fail the absolute bound residual <= --tol
+    m = _glued_x1x2_path()
+    path = tmp_path / "m.json"
+    path.write_text(ps.DiscretizedMorphism(n=2, X=m.X, eta=m.eta + eta_offset).to_json())
+    data = run_json(["flow", "invariants", "--structure", "phi2d:x1*x2", "--in", str(path)],
+                    capsys, expect_code=code)
+    assert data["residual"] > 1e-4 and data["passed"] is (code == 0)
+    if code == 0:
+        assert np.allclose(data["x"], [2.0, 2.5], atol=1e-12)
 
 
 @pytest.mark.parametrize("argv, message", [

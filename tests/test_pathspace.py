@@ -141,15 +141,15 @@ def test_solve_gauss_is_fourth_order(name):
 
 
 def _half_plane(alpha_limit=math.inf):
-    """Constant structure on x1 < 1.45, whose alpha raises from x1 >= alpha_limit."""
+    """Constant structure on x1 < 1.45, whose sharp raises from x1 >= alpha_limit."""
     good = po.constant_structure([[0.0, 1.0], [-1.0, 0.0]])
 
-    def alpha(x):
-        if np.any(np.asarray(x)[..., 0] >= alpha_limit):
+    def sharp(x, e):
+        if np.any(np.asarray(x[0]) >= alpha_limit):
             raise po.DomainError("alpha undefined")
-        return good.alpha(x)
+        return good.sharp(x, e)
 
-    return po.PoissonStructure(n=2, alpha=alpha, dalpha=good.dalpha,
+    return po.PoissonStructure(n=2, sharp=sharp, dsharp=good.dsharp,
                                in_domain=lambda x: np.asarray(x)[..., 0] < 1.45,
                                name="half_plane")
 
@@ -208,7 +208,7 @@ def test_gauge_flow_names_the_first_node_outside_the_domain():
 def test_point_only_in_domain_is_refused_on_a_batch():
     # one bool from the norm of the whole (m, n) array would pass nodes 3-7
     good = po.rot_invariant3(ex.parse("1", ["R"]), r_min=0.5)
-    s = po.PoissonStructure(n=3, alpha=good.alpha, dalpha=good.dalpha,
+    s = po.PoissonStructure(n=3, sharp=good.sharp, dsharp=good.dsharp,
                             in_domain=lambda x: bool(np.linalg.norm(x) >= 0.5),
                             name="point_only")
     with pytest.raises(ValueError, match=r"in_domain of point_only returned shape \(\)"):
@@ -355,16 +355,43 @@ def test_bound_gauge_field_raises_the_domain_error_of_direct_evaluation(source, 
         beta.on_grid(u)(X.T)
 
 
-def _einsum_gauge_vector_field(s, m, beta):
-    """The gauge vector field by the einsum formula over alpha_at,
-    dalpha_at and the symbolic partials of beta."""
+_EPS2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
+
+
+def _closed_forms(name, X):
+    """alpha^{ij} and d_k alpha^{ij} of the structures of
+    ``test_gauge_vector_field_matches_the_einsum_formula`` over the rows of
+    X, with shapes (m, n, n) and (m, n, n, n), from the closed forms phi
+    eps, f^{ij}_k x_k and f(R) eps x."""
+    m = len(X)
+    if name == "constant":
+        return np.broadcast_to(2.0 * _EPS2, (m, 2, 2)), np.zeros((m, 2, 2, 2))
+    if name == "two_domain":  # phi = x1*x2
+        x1, x2 = X.T
+        return (x1 * x2)[:, None, None] * _EPS2, X[:, ::-1, None, None] * _EPS2
+    eps = ld.builtin_spec("su2").f  # eps^{ijk}
+    base = np.einsum("ijk,mk->mij", eps, X)
+    if name == "kirillov_kostant":
+        return base, np.broadcast_to(np.transpose(eps, (2, 0, 1)), (m, 3, 3, 3))
+    # f(R) = R / q, q = 1 + (R - 1)^3; d_l alpha^{ij} = f'(R) x_l / R eps^{ijk} x_k + f(R) eps^{ijl}
+    R = np.linalg.norm(X, axis=1)
+    q = 1.0 + (R - 1.0) ** 3
+    f, fp = R / q, (q - 3.0 * R * (R - 1.0) ** 2) / q ** 2
+    d = ((fp / R)[:, None, None, None] * X[:, :, None, None] * base[:, None]
+         + f[:, None, None, None] * np.transpose(eps, (2, 0, 1)))
+    return f[:, None, None] * base, d
+
+
+def _einsum_gauge_vector_field(name, m, beta):
+    """The gauge vector field by the einsum formula over the closed forms
+    of alpha and dalpha and the symbolic partials of beta."""
     def stack(exprs):
         return np.stack([np.broadcast_to(v, (m.N + 1,)) for v in _direct(exprs, m.X, m.u)],
                         axis=-1)
 
     b, bu = stack(beta.components), stack(beta.du)
     Jb = np.stack([stack(row) for row in beta.dx], axis=1)  # Jb[m, i, j] = d beta_i / d x_j
-    a, d = s.alpha_at(m.X), s.dalpha_at(m.X)
+    a, d = _closed_forms(name, m.X)
     Xp = ps.path_derivative(m.X)
     C = Xp + np.einsum("mij,mj->mi", a, m.eta)
     dX = -np.einsum("mij,mj->mi", a, b)
@@ -392,7 +419,7 @@ def test_gauge_vector_field_matches_the_einsum_formula(name):
     m = ps.DiscretizedMorphism(n=s.n, X=X, eta=_smooth_eta(N, s.n, seed=14))
     beta = ps.GaugeField.parse(sources, s.n)
     v = ps.gauge_vector_field(s, m, beta)
-    for got, want in zip((v.dX, v.dEta), _einsum_gauge_vector_field(s, m, beta)):
+    for got, want in zip((v.dX, v.dEta), _einsum_gauge_vector_field(name, m, beta)):
         assert np.max(np.abs(got - want)) <= 1e-13 * max(1.0, np.max(np.abs(want)))
 
 

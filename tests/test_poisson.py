@@ -35,12 +35,11 @@ def test_two_domain_values_and_gradient():
 
 def _assert_batch_matches_points(s, X):
     """alpha and dalpha of a batch equal the stacks of their values at
-    each point, and alpha_at / dalpha_at equal them too."""
-    for evaluate, at, rank in ((s.alpha, s.alpha_at, 2), (s.dalpha, s.dalpha_at, 3)):
+    each point."""
+    for evaluate, rank in ((s.alpha, 2), (s.dalpha, 3)):
         stack = np.stack([evaluate(x) for x in X])
         assert stack.shape == (len(X),) + (s.n,) * rank
         assert np.allclose(evaluate(X), stack, rtol=1e-15, atol=0)
-        assert np.allclose(at(X), stack, rtol=1e-15, atol=0)
 
 
 @pytest.mark.parametrize("src", ["0", "x2", "sin(x1)+2"])
@@ -76,21 +75,17 @@ def test_kirillov_kostant_su2_jacobi():
 
 def test_non_poisson_bivector_detected():
     # alpha^{12} = x3*x1, alpha^{13} = x2, alpha^{23} = 1 fails Jacobi
-    def alpha(x):
-        return np.array([[0.0, x[2] * x[0], x[1]],
-                         [-x[2] * x[0], 0.0, 1.0],
-                         [-x[1], -1.0, 0.0]])
+    def sharp(x, e):
+        return (x[2] * x[0] * e[1] + x[1] * e[2],
+                -x[2] * x[0] * e[0] + e[2],
+                -x[1] * e[0] - e[1])
 
-    def dalpha(x):
-        d = np.zeros((3, 3, 3))
-        d[0, 0, 1] = x[2]
-        d[2, 0, 1] = x[0]
-        d[1, 0, 2] = 1.0
-        for k in range(3):
-            d[k] = d[k] - d[k].T
-        return d
+    # d_1 alpha^{12} = x3, d_3 alpha^{12} = x1, d_2 alpha^{13} = 1
+    def dsharp(x, e, b):
+        w12, w13 = e[0] * b[1] - e[1] * b[0], e[0] * b[2] - e[2] * b[0]
+        return x[2] * w12, w13, x[0] * w12
 
-    s = po.PoissonStructure(n=3, alpha=alpha, dalpha=dalpha,
+    s = po.PoissonStructure(n=3, sharp=sharp, dsharp=dsharp,
                             in_domain=lambda x: True, name="broken")
     assert po.jacobi_residual(s, [1.0, 1.0, 1.0]) > 0.1
 
@@ -182,36 +177,51 @@ def test_koszul_bracket_of_exact_forms_is_exact():
         assert np.allclose(br, want, atol=1e-11)
 
 
-def test_batch_entry_points_refuse_point_only_evaluators():
-    A = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    s = po.PoissonStructure(n=2, alpha=lambda x: A, dalpha=lambda x: np.zeros((2, 2, 2)),
-                            in_domain=lambda x: True, name="point_only")
-    X = np.zeros((4, 2))
-    with pytest.raises(ValueError, match=r"alpha of point_only returned shape \(2, 2\)"):
-        s.alpha_at(X)
-    with pytest.raises(ValueError, match=r"dalpha of point_only returned shape \(2, 2, 2\)"):
-        s.dalpha_at(X)
-
-
 def test_batch_evaluators_are_not_constructor_options():
     s = po.constant_structure([[0.0, 1.0], [-1.0, 0.0]])
     assert s.d2alpha is s.alpha_batch is s.dalpha_batch is None
     with pytest.raises(TypeError):
-        po.PoissonStructure(n=2, alpha=s.alpha, dalpha=s.dalpha, in_domain=s.in_domain,
+        po.PoissonStructure(n=2, sharp=s.sharp, dsharp=s.dsharp, in_domain=s.in_domain,
                             alpha_batch=s.alpha)
 
 
 # --- sharp ---------------------------------------------------------------
 
+_A3 = [[0.0, 2.0, -0.5], [-2.0, 0.0, 1.5], [0.5, -1.5, 0.0]]
+_EPS2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
+
+
 def _sharp_structures():
-    cubic = po.rot_invariant3(ex.parse("R/(1+(R-1)^3)", ["R"]))
     return {
-        "constant": po.constant_structure([[0.0, 2.0, -0.5], [-2.0, 0.0, 1.5], [0.5, -1.5, 0.0]]),
+        "constant": po.constant_structure(_A3),
         "two_domain": po.two_domain(ex.parse("x1*x2 + sin(x1)", ["x1", "x2"])),
         "kirillov_kostant": po.kirillov_kostant(_su2_constants()),
-        "rot_invariant3": cubic,
-        "callables": po.PoissonStructure(n=3, alpha=cubic.alpha, dalpha=cubic.dalpha),
+        "rot_invariant3": po.rot_invariant3(ex.parse("R/(1+(R-1)^3)", ["R"])),
     }
+
+
+def _closed_forms(name, X):
+    """alpha^{ij} and d_k alpha^{ij} of ``_sharp_structures()[name]`` over
+    the rows of X, with shapes (m, n, n) and (m, n, n, n), from the closed
+    forms phi eps, f^{ij}_k x_k and f(R) eps x."""
+    m = len(X)
+    if name == "constant":
+        return np.broadcast_to(_A3, (m, 3, 3)), np.zeros((m, 3, 3, 3))
+    if name == "two_domain":
+        x1, x2 = X.T
+        phi, grad = x1 * x2 + np.sin(x1), np.stack([x2 + np.cos(x1), x1], axis=1)
+        return phi[:, None, None] * _EPS2, grad[:, :, None, None] * _EPS2
+    eps = _su2_constants()
+    base = np.einsum("ijk,mk->mij", eps, X)  # eps^{ijk} x_k
+    if name == "kirillov_kostant":
+        return base, np.broadcast_to(np.transpose(eps, (2, 0, 1)), (m, 3, 3, 3))
+    # f(R) = R / q, q = 1 + (R - 1)^3; d_l alpha^{ij} = f'(R) x_l / R eps^{ijk} x_k + f(R) eps^{ijl}
+    R = np.linalg.norm(X, axis=1)
+    q = 1.0 + (R - 1.0) ** 3
+    f, fp = R / q, (q - 3.0 * R * (R - 1.0) ** 2) / q ** 2
+    d = ((fp / R)[:, None, None, None] * X[:, :, None, None] * base[:, None]
+         + f[:, None, None, None] * np.transpose(eps, (2, 0, 1)))
+    return f[:, None, None] * base, d
 
 
 @pytest.mark.parametrize("name", list(_sharp_structures()))
@@ -220,7 +230,7 @@ def test_sharp_is_alpha_times_the_covector(name):
     rng = np.random.default_rng(11)
     X = rng.uniform(0.5, 1.5, (6, s.n)) * rng.choice([-1.0, 1.0], (6, s.n))
     E = rng.standard_normal((6, s.n))
-    a = s.alpha_at(X)
+    a = _closed_forms(name, X)[0]
     want = np.einsum("mij,mj->mi", a, E)
     scale = np.einsum("mij,mj->mi", np.abs(a), np.abs(E))  # bounds the rounding
     batch = s.sharp(X.T, E.T)
@@ -238,22 +248,13 @@ def test_sharp_of_constant_phi_is_an_array_on_a_batch():
     assert np.array_equal(np.stack(s.sharp(X.T, E.T), axis=1), 2.0 * E[:, ::-1] * [1, -1])
 
 
-def test_derived_sharp_refuses_point_only_alpha_on_a_batch():
-    A = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    s = po.PoissonStructure(n=2, alpha=lambda x: A, dalpha=lambda x: np.zeros((2, 2, 2)),
-                            name="point_only")
-    assert s.sharp([3.0, 4.0], [1.0, 2.0]) == (2.0, -1.0)
-    with pytest.raises(ValueError, match=r"alpha of point_only returned shape \(2, 2\)"):
-        s.sharp(np.zeros((2, 4)), np.zeros((2, 4)))
-
-
 @pytest.mark.parametrize("name", list(_sharp_structures()))
 def test_dsharp_is_dalpha_contracted_with_both_covectors(name):
     s = _sharp_structures()[name]
     rng = np.random.default_rng(12)
     X = rng.uniform(0.5, 1.5, (6, s.n)) * rng.choice([-1.0, 1.0], (6, s.n))
     E, B = rng.standard_normal((2, 6, s.n))
-    d = s.dalpha_at(X)
+    d = _closed_forms(name, X)[1]
     want = np.einsum("mijk,mj,mk->mi", d, E, B)
     scale = np.einsum("mijk,mj,mk->mi", np.abs(d), np.abs(E), np.abs(B))  # bounds the rounding
     batch = s.dsharp(X.T, E.T, B.T)
@@ -263,6 +264,58 @@ def test_dsharp_is_dalpha_contracted_with_both_covectors(name):
         point = s.dsharp(x.tolist(), e.tolist(), b.tolist())
         assert type(point) is tuple and all(type(c) is float for c in point)
         assert np.all(np.abs(np.array(point) - w) <= 4e-15 * sc)
+
+
+# alpha^{ij} and d_k alpha^{ij} for i < j, as the constructors' own closed
+# forms gave them before alpha and dalpha were derived from sharp and dsharp,
+# at the rows of X: name -> (X, [alpha per row], [[d_k alpha per k] per row])
+_RECORDED = {
+    "constant": ([[0.7, -1.3, 0.2], [-2.1, 0.4, 1.1]],
+                 [[2.0, -0.5, 1.5], [2.0, -0.5, 1.5]],
+                 [[[0.0, 0.0, 0.0]] * 3] * 2),
+    "two_domain": ([[0.7, -1.3], [-2.1, 0.4], [1.5, 2.0]],
+                   [[-0.2657823127623089], [-1.7032093666488737], [3.9974949866040546]],
+                   [[[-0.5351578127155115], [0.7]], [[-0.10484610459985755], [-2.1]],
+                    [[2.070737201667703], [1.5]]]),
+    "kirillov_kostant": ([[0.7, -1.3, 0.2], [-2.1, 0.4, 1.1]],
+                         [[0.2, 1.3, 0.7], [1.1, -0.4, -2.1]],
+                         [[[0.0, 0.0, 1.0], [0.0, -1.0, 0.0], [1.0, 0.0, 0.0]]] * 2),
+    "rot_invariant3": ([[0.8, 0.3, -0.5], [-0.6, 1.1, 0.4]],
+                       [[-0.49497524934359155, -0.2969851496061549, 0.7919603989497466],
+                        [0.5101285587846226, -1.4028535366577122, -0.7651928381769338]],
+                       [[[-0.4039402125762619, -0.24236412754575712, 1.6362548388092022],
+                         [-0.1514775797160982, -1.080837046516842, 0.24236412754575715],
+                         [1.2424131315473468, 0.1514775797160982, -0.4039402125762619]],
+                        [[-0.10963190681401694, 0.3014877437385466, 1.4397692571825818],
+                         [0.2009918291590311, -1.828048927148892, -0.30148774373854664],
+                         [1.3484093348375676, -0.20099182915903108, -0.10963190681401695]]]),
+}
+
+
+def _antisymmetric(upper, n):
+    """The antisymmetric (..., n, n) arrays with entries ``upper`` above
+    the diagonal, row by row."""
+    out = np.zeros(np.shape(upper)[:-1] + (n, n))
+    i, j = np.triu_indices(n, 1)
+    out[..., i, j] = upper
+    out[..., j, i] = np.negative(upper)
+    return out
+
+
+@pytest.mark.parametrize("name", list(_RECORDED))
+def test_alpha_and_dalpha_keep_the_recorded_values(name):
+    s = _sharp_structures()[name]
+    X, upper_a, upper_d = _RECORDED[name]
+    X, want_a, want_d = np.array(X), _antisymmetric(upper_a, s.n), _antisymmetric(upper_d, s.n)
+    # rot_invariant3's dalpha was f'(R) x / R times eps x plus f(R) eps, in another order
+    tol = 1e-15 * np.max(np.abs(want_d)) if name == "rot_invariant3" else 0.0
+    a, d = s.alpha(X), s.dalpha(X)
+    assert a.shape == (len(X), s.n, s.n) and d.shape == (len(X), s.n, s.n, s.n)
+    assert np.array_equal(a, want_a) and np.max(np.abs(d - want_d)) <= tol
+    for x, wa, wd in zip(X.tolist(), want_a, want_d):
+        a, d = s.alpha(x), s.dalpha(x)
+        assert a.shape == (s.n, s.n) and d.shape == (s.n, s.n, s.n)
+        assert np.array_equal(a, wa) and np.max(np.abs(d - wd)) <= tol
 
 
 # Values of the implementation that contracted alpha_at(X) by einsum, on

@@ -1,5 +1,8 @@
-"""Scalar expressions in named real variables: parsing, evaluation on
-numbers and arrays, interval enclosures, symbolic differentiation.
+"""Scalar expressions in named real variables: parsing, symbolic
+differentiation, and one compiler for their values. A ``Program``
+compiles an expression, or several that share subexpressions, into one
+straight-line Python function, and runs it on numbers, on numpy arrays
+(``evaluate``) and on interval enclosures (``evaluate_interval``).
 
 Grammar (whitespace insignificant)::
 
@@ -18,6 +21,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+import operator
 import re
 from dataclasses import dataclass
 
@@ -26,7 +30,8 @@ import numpy as np
 __all__ = [
     "Expr", "Const", "Var", "Neg", "Add", "Sub", "Mul", "Div", "Pow", "Call",
     "ExprError", "SyntaxExprError", "UnknownIdentifierError", "DomainError",
-    "parse", "differentiate", "polynomial_degree", "split_out", "to_string",
+    "Program", "parse", "evaluate", "evaluate_interval", "differentiate",
+    "polynomial_degree", "split_out", "to_string",
 ]
 
 _FUNCTIONS = ("sin", "cos", "exp", "log", "sqrt")
@@ -54,10 +59,10 @@ class DomainError(ExprError):
 
 
 class Expr:
-    """Immutable expression tree node. ``_compiled`` and ``_root`` cache
-    the closures that ``evaluate`` runs."""
+    """Immutable expression tree node. ``_program`` caches the Program
+    that ``evaluate`` runs."""
 
-    __slots__ = ("_compiled", "_root")
+    __slots__ = ("_program",)
 
 
 @dataclass(frozen=True, slots=True)
@@ -215,73 +220,164 @@ def parse(source: str, variables) -> Expr:
 
 
 # ---------------------------------------------------------------------------
-# Evaluation
+# Evaluation: one compiler, three kinds of value
 
 _NUMBERS = frozenset({float, int, np.float64})
 _NOT_FINITE = "value overflows or is not finite"
 
 
-def evaluate(e: Expr, point: dict):
-    """Value of ``e`` at ``point``, a map from variable names to numbers
-    or to numpy arrays that broadcast together. Numbers give a float.
-    Where a variable of ``e`` is an array, the result is an array of the
-    variables' broadcast shape; a constant ``e`` then takes the
-    broadcast shape of all the values.
+def evaluate(e, point: dict):
+    """Value of ``e``, an Expr or a Program, at ``point``, a map from
+    variable names to numbers or to numpy arrays that broadcast together.
+    Numbers give a float. Where a variable of ``e`` is an array, the
+    result is an array of the variables' broadcast shape; a constant
+    ``e`` then takes the broadcast shape of all the values. A Program
+    gives the list of its roots' values, each of that shape on arrays.
 
     One domain rule covers both: the value is defined when every node of
     ``e`` is a finite number, no divisor is 0, no power with a negative
     exponent has base 0, no log has an argument <= 0 and no sqrt one
-    < 0 (0^0 is 1). Otherwise DomainError. An array raises exactly when
-    one of its elements would raise as a number."""
+    < 0 (0^0 is 1), and ``point`` binds every variable. Otherwise
+    DomainError. An array raises exactly when one of its elements would
+    raise as a number, and a Program when one of its roots would."""
     try:
-        run = e._root
+        program = e._program
     except AttributeError:
-        run = _compile_root(e)
+        program = Program(e)
     try:
-        value = run(point)
-    except _Arrays:
-        return _on_arrays(e._compiled, point)
-    except ArithmeticError:  # math.exp overflow, 1/x^k of an underflowed x^k
-        raise DomainError(_NOT_FINITE) from None
-    if value - value == 0.0:
+        value = program.numbers(point)
+    except (_Arrays, ArithmeticError, KeyError):  # an array, or an error the array run reports
+        return program.on_arrays(point)
+    if (value - value == 0.0) if program.single else all(v - v == 0.0 for v in value):
         return value
     raise DomainError(_NOT_FINITE)
+
+
+def evaluate_interval(e, box: dict):
+    """Natural interval extension over a batch of boxes: ``box`` maps
+    each variable name to a pair ``(lo, hi)`` of broadcastable arrays,
+    and the result is a pair ``(lo, hi)`` of arrays with
+    ``lo <= e(x) <= hi`` for every x in each box where ``evaluate``
+    would succeed (Moore, Kearfott & Cloud, *Introduction to Interval
+    Analysis*, SIAM 2009); of a Program, the list of its roots' pairs.
+
+    Every node's result is widened outward by one ulp, which covers the
+    rounding of IEEE arithmetic and of elementary functions accurate to
+    one ulp. A denominator or negative-power base whose interval holds 0
+    gives (-inf, inf). A box that leaves the domain of ``log`` or
+    ``sqrt`` gives NaN bounds, and NaN propagates through every later
+    node, so such an enclosure never excludes any value."""
+    program = getattr(e, "_program", None) or Program(e)
+    shape = _broadcast_shape([b for pair in box.values() for b in pair])
+    values = _run(program.intervals, box)
+    bounds = [(np.broadcast_to(lo, shape).astype(float), np.broadcast_to(hi, shape).astype(float))
+              for lo, hi in ([values] if program.single else values)]
+    return bounds[0] if program.single else bounds
+
+
+class Program:
+    """One Expr, or a sequence of them (the roots), compiled into one
+    straight-line Python function, ``source``, with one slot per distinct
+    subexpression: nodes are hash-consed on their kind and their
+    children's slots, constants on their ``repr`` (0.0 is not -0.0). Each
+    operation is a call by name, and the one source runs in three
+    namespaces that give the names their meaning: ``numbers`` and
+    ``arrays``, for ``evaluate``, and ``intervals``, on (lo, hi) pairs,
+    for ``evaluate_interval``. An Expr compiles into a Program of its
+    own, once, when it is first evaluated."""
+
+    __slots__ = ("single", "source", "numbers", "arrays", "intervals", "_program")
+
+    def __init__(self, roots):
+        self.single, self._program = isinstance(roots, Expr), self  # evaluate reads e._program
+        names, memo, varying, constants, lines = {}, {}, set(), {}, []
+
+        def slot(e):
+            """The name of e's slot, after the lines that fill it."""
+            if id(e) in memo:
+                return memo[id(e)]
+            args = [slot(getattr(e, c)) for c in _CHILDREN if hasattr(e, c)]
+            if isinstance(e, Const):
+                key = repr(e.value)
+            elif isinstance(e, Var):
+                key = f"p[{e.name!r}]"
+            elif isinstance(e, Pow):  # with the bits of |k| for _ipow
+                key = f"POW({args[0]}, {e.exponent}, {bin(abs(e.exponent))[3:]!r})"
+            elif isinstance(e, Call) and e.func in _FUNCTIONS:
+                key = f"{e.func}({args[0]})"
+            elif type(e) in _OPERATORS:
+                key = f"{_OPERATORS[type(e)]}({', '.join(args)})"
+            else:
+                raise TypeError(f"not an Expr node: {e!r}")
+            if key not in names:
+                name = names[key] = ("c" if isinstance(e, Const) else "s") + str(len(names))
+                if isinstance(e, Const):
+                    constants[name] = e.value
+                else:
+                    lines.append(f"{name} = {key}")
+                if isinstance(e, Var):  # a number as a float, anything else through VAR
+                    lines.append(f"if {name}.__class__ is not float: "
+                                 f"{name} = float({name}) if {name}.__class__ in NUMBERS else VAR({name})")
+                if isinstance(e, Var) or not varying.isdisjoint(args):
+                    varying.add(name)
+            memo[id(e)] = names[key]
+            return names[key]
+
+        results = [slot(r) for r in ([roots] if self.single else roots)]
+        if not varying.issuperset(results):  # a constant root: any array in p is a batch
+            lines.insert(0, "for v in p.values(): v.__class__ is float or v.__class__ in NUMBERS or VAR(v)")
+        lines.append(f"return {results[0]}" if self.single else f"return [{', '.join(results)}]")
+        self.source = "def run(p):\n" + "".join(f"    {line}\n" for line in lines)
+        code = compile(self.source, "<expr.Program>", "exec")
+        bounds = {name: (np.asarray(v), np.asarray(v)) for name, v in constants.items()}
+        namespaces = [dict(_ON_NUMBERS, **constants), dict(_ON_ARRAYS, **constants),
+                      dict(_ON_INTERVALS, **bounds)]
+        for namespace in namespaces:
+            exec(code, namespace)
+        self.numbers, self.arrays, self.intervals = (n["run"] for n in namespaces)
+        if self.single:
+            object.__setattr__(roots, "_program", self)
+
+    def on_arrays(self, point):
+        """``arrays`` at ``point``, the roots checked to be finite in one pass
+        and each that is a number given the broadcast shape of the point."""
+        values = _run(self.arrays, point)
+        _require(np.isfinite(values if self.single else np.concatenate(values, None)), _NOT_FINITE)
+        roots, shape = [values] if self.single else values, None
+        for k, v in enumerate(roots):
+            if v.__class__ is float:
+                shape = shape or _broadcast_shape(list(point.values()))
+                roots[k] = np.full(shape, v)
+        return roots[0] if self.single else roots
+
+
+_OPERATORS = {Neg: "NEG", Add: "ADD", Sub: "SUB", Mul: "MUL", Div: "DIV"}
+_CHILDREN = ("arg", "base", "left", "right")
+
+
+def _broadcast_shape(values):
+    """The shape of ``values`` broadcast, by np.broadcast, 64 values at a time."""
+    return np.broadcast(*(np.broadcast(*values[k:k + 64]) for k in range(0, len(values), 64))).shape
+
+
+def _run(run, point):
+    """``run(point)`` with IEEE warnings off; an unbound variable or a math
+    overflow raises DomainError."""
+    try:
+        with np.errstate(all="ignore"):
+            return run(point)
+    except KeyError as err:
+        raise DomainError(f"variable {err.args[0]!r} not bound") from None
+    except ArithmeticError:
+        raise DomainError(_NOT_FINITE) from None
 
 
 class _Arrays(Exception):
     """Raised where an evaluation on numbers meets an array."""
 
 
-class _ArrayPoint(dict):
-    """A point on which compiled variables pass arrays through."""
-
-
-def _on_arrays(run, point):
-    try:
-        with np.errstate(all="ignore"):
-            value = run(_ArrayPoint(point))
-            _require(_finite(value), _NOT_FINITE)
-    except ArithmeticError:  # of a constant part, as in exp(1000)
-        raise DomainError(_NOT_FINITE) from None
-    if value.__class__ is float:  # of a constant expression
-        value = np.full(np.broadcast_shapes(*map(np.shape, point.values())), value)
-    return value
-
-
-def _compile_root(e: Expr):
-    """``e``'s closure, or for a constant ``e`` one that scans the point."""
-    run = constant = _compile(e)
-    if not _variables(e):
-        def run(p):
-            for v in p.values():
-                if v.__class__ is not float and v.__class__ not in _NUMBERS:
-                    raise _Arrays
-            return constant(p)
-    object.__setattr__(e, "_root", run)
-    return run
-
-
-_CHILDREN = ("arg", "base", "left", "right")
+def _raise_arrays(v):
+    raise _Arrays
 
 
 def _variables(e: Expr) -> frozenset:
@@ -329,6 +425,26 @@ def _ipow(x, bits):
     return y
 
 
+# The operations of a Program's source on numbers and arrays. Past its
+# own domain, an operation checks only arguments whose non-finite values
+# it could turn finite; the check of the roots rejects the rest.
+
+def _quotient(num, den):
+    _require(den != 0.0, "division by zero")
+    _require(_finite(den), _NOT_FINITE)
+    return num / den
+
+
+def _power(x, k, bits):
+    if k > 0:
+        return _ipow(x, bits)
+    _require(_finite(x), _NOT_FINITE)
+    if k == 0:
+        return x * 0.0 + 1.0  # 1 in the type and shape of x
+    _require(x != 0.0, "zero raised to a negative power")
+    return 1.0 / _ipow(x, bits)
+
+
 _ARGUMENT_DOMAINS = {  # function -> (test of the argument, message)
     "exp": (_finite, _NOT_FINITE),  # exp(-inf) would be a finite 0
     "log": (lambda x: x > 0.0, "log of nonpositive value"),
@@ -336,120 +452,77 @@ _ARGUMENT_DOMAINS = {  # function -> (test of the argument, message)
 }
 
 
-def _compile(e: Expr):
-    """The closure point -> value of ``e`` for numbers and arrays, cached
-    on the node. Past its own domain, a node checks only arguments whose
-    non-finite values it could turn finite; the root rejects the rest."""
-    try:
-        return e._compiled
-    except AttributeError:
-        pass
-    if isinstance(e, Const):
-        value = e.value
-        run = lambda p: value  # noqa: E731
-    elif isinstance(e, Var):
-        name = e.name
+def _function(name):
+    scalar, vector = getattr(math, name), getattr(np, name)
+    test, message = _ARGUMENT_DOMAINS.get(name, (None, None))
 
-        def run(p):
-            try:
-                v = p[name]
-            except KeyError:
-                raise DomainError(f"variable {name!r} not bound") from None
-            if v.__class__ is float:
-                return v
-            if v.__class__ in _NUMBERS:
-                return float(v)
-            if p.__class__ is _ArrayPoint:
-                return np.asarray(v, dtype=float)
-            raise _Arrays
-    elif isinstance(e, Neg):
-        a = _compile(e.arg)
-        run = lambda p: -a(p)  # noqa: E731
-    elif isinstance(e, (Add, Sub, Mul)):
-        a, b = _compile(e.left), _compile(e.right)
-        run = {Add: lambda p: a(p) + b(p), Sub: lambda p: a(p) - b(p),
-               Mul: lambda p: a(p) * b(p)}[type(e)]
-    elif isinstance(e, Div):
-        a, b = _compile(e.left), _compile(e.right)
-
-        def run(p):
-            num, den = a(p), b(p)
-            _require(den != 0.0, "division by zero")
-            _require(_finite(den), _NOT_FINITE)
-            return num / den
-    elif isinstance(e, Pow):
-        a, k = _compile(e.base), e.exponent
-        bits = bin(abs(k))[3:]
-
-        def run(p):
-            x = a(p)
-            if k > 0:
-                return _ipow(x, bits)
-            _require(_finite(x), _NOT_FINITE)
-            if k == 0:
-                return x * 0.0 + 1.0  # 1 in the type and shape of x
-            _require(x != 0.0, "zero raised to a negative power")
-            return 1.0 / _ipow(x, bits)
-    elif isinstance(e, Call) and e.func in _FUNCTIONS:
-        a = _compile(e.arg)
-        scalar, vector = getattr(math, e.func), getattr(np, e.func)
-        test, message = _ARGUMENT_DOMAINS.get(e.func, (None, None))
-
-        def run(p):
-            x = a(p)
-            if test is not None:
-                _require(test(x), message)
-            if x.__class__ is not float:
-                return vector(x)  # sin(inf) is nan, which the root rejects
-            try:
-                return scalar(x)
-            except ValueError:  # math.sin(inf)
-                raise DomainError(_NOT_FINITE) from None
-    else:
-        raise TypeError(f"not an Expr node: {e!r}")
-    object.__setattr__(e, "_compiled", run)
+    def run(x):
+        if test is not None:
+            _require(test(x), message)
+        if x.__class__ is not float:
+            return vector(x)  # sin(inf) is nan, which the root check rejects
+        try:
+            return scalar(x)
+        except ValueError:  # math.sin(inf)
+            raise DomainError(_NOT_FINITE) from None
     return run
 
 
-def evaluate_interval(e: Expr, box: dict) -> tuple:
-    """Natural interval extension over a batch of boxes: ``box`` maps
-    each variable name to a pair ``(lo, hi)`` of broadcastable arrays,
-    and the result is a pair ``(lo, hi)`` of arrays with
-    ``lo <= e(x) <= hi`` for every x in each box where ``evaluate``
-    would succeed (Moore, Kearfott & Cloud, *Introduction to Interval
-    Analysis*, SIAM 2009).
+_OPERATIONS = {"NUMBERS": _NUMBERS, "NEG": operator.neg, "ADD": operator.add, "SUB": operator.sub,
+               "MUL": operator.mul, "DIV": _quotient, "POW": _power,
+               **{f: _function(f) for f in _FUNCTIONS}}
+_ON_NUMBERS = dict(_OPERATIONS, VAR=_raise_arrays)
+_ON_ARRAYS = dict(_OPERATIONS, VAR=lambda v: np.asarray(v, dtype=float))
 
-    Every node's result is widened outward by one ulp, which covers the
-    rounding of IEEE arithmetic and of elementary functions accurate to
-    one ulp. A denominator or negative-power base whose interval holds 0
-    gives (-inf, inf). A box that leaves the domain of ``log`` or
-    ``sqrt`` gives NaN bounds, and NaN propagates through every later
-    node, so such an enclosure never excludes any value."""
-    shape = np.broadcast_shapes(*(np.shape(b) for pair in box.values()
-                                  for b in pair))
-    with np.errstate(all="ignore"):
-        lo, hi = _interval(e, box)
-    return (np.broadcast_to(lo, shape).astype(float),
-            np.broadcast_to(hi, shape).astype(float))
 
+# The operations of a Program's source on intervals, (lo, hi) pairs
 
 def _outward(lo, hi):
     return np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf)
 
 
+def _inside(ok, lo, hi):
+    """(lo, hi) where ``ok``, NaN where an argument leaves the domain."""
+    return np.where(ok, lo, np.nan), np.where(ok, hi, np.nan)
+
+
 def _poison(lo, hi, *args):
     """NaN wherever one of the argument enclosures ``args`` is NaN."""
-    bad = np.zeros(np.shape(lo), dtype=bool)
-    for a in args:
-        bad = bad | np.isnan(a)
-    return np.where(bad, np.nan, lo), np.where(bad, np.nan, hi)
+    return _inside(~functools.reduce(np.logical_or, map(np.isnan, args)), lo, hi)
 
 
 def _hull(*values):
-    """Componentwise (min, max) over the candidate values; NaN if any
-    candidate is NaN."""
+    """Componentwise (min, max) over the candidates, widened; NaN if any is."""
     return _outward(functools.reduce(np.minimum, values),
                     functools.reduce(np.maximum, values))
+
+
+def _quotient_range(a, b):
+    (alo, ahi), (blo, bhi) = a, b
+    lo, hi = _hull(alo / blo, alo / bhi, ahi / blo, ahi / bhi)
+    pole = (blo <= 0.0) & (bhi >= 0.0)  # (-inf, inf) where the divisor can be 0
+    return _poison(np.where(pole, -np.inf, lo), np.where(pole, np.inf, hi), alo, ahi, blo, bhi)
+
+
+def _power_range(a, k, bits):
+    """Range of x^k over a for |k| = int("1" + bits, 2). The products of
+    ``_ipow`` are monotone in |x| and each is within half an ulp, so its
+    values at the ends, widened by one ulp per product, enclose both the
+    exact power and the one ``evaluate`` computes."""
+    blo, bhi = a
+    if k == 0:
+        return _poison(np.ones_like(blo), np.ones_like(bhi), blo, bhi)
+    lo, hi = _ipow(blo, bits), _ipow(bhi, bits)
+    if k % 2 == 0:
+        straddles = (blo < 0.0) & (bhi > 0.0)
+        lo, hi = np.where(straddles, 0.0, np.minimum(lo, hi)), np.maximum(lo, hi)
+    for _ in range(max(1, len(bits) + bits.count("1"))):
+        lo, hi = _outward(lo, hi)
+    if k > 0:
+        return lo, hi
+    rlo, rhi = _outward(1.0 / hi, 1.0 / lo)
+    pole = (lo <= 0.0) & (hi >= 0.0)
+    return _poison(np.where(pole, -np.inf, rlo), np.where(pole, np.inf, rhi), lo, hi)
 
 
 def _periodic_range(lo, hi, func, peak, trough):
@@ -468,73 +541,23 @@ def _periodic_range(lo, hi, func, peak, trough):
     return np.maximum(bottom, -1.0), np.minimum(top, 1.0)
 
 
-def _power_range(lo, hi, k):
-    """Range of x^k over [lo, hi] for an integer k >= 1. The products of
-    ``_ipow`` are monotone in |x| and each is within half an ulp, so its
-    values at the ends, widened by one ulp per product, enclose both the
-    exact power and the one ``evaluate`` computes."""
-    bits = bin(k)[3:]
-    a, b = _ipow(lo, bits), _ipow(hi, bits)
-    if k % 2:
-        low, high = a, b
-    else:
-        straddles = (lo < 0.0) & (hi > 0.0)
-        low, high = np.where(straddles, 0.0, np.minimum(a, b)), np.maximum(a, b)
-    for _ in range(max(1, len(bits) + bits.count("1"))):
-        low, high = _outward(low, high)
-    return low, high
+def _sqrt_range(a):
+    lo, hi = _outward(np.sqrt(a[0]), np.sqrt(a[1]))
+    return _inside(a[0] >= 0.0, np.maximum(lo, 0.0), hi)
 
 
-def _interval(e, box):
-    if isinstance(e, Const):
-        return np.asarray(e.value), np.asarray(e.value)
-    if isinstance(e, Var):
-        lo, hi = box[e.name]
-        return np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
-    if isinstance(e, Neg):
-        lo, hi = _interval(e.arg, box)
-        return -hi, -lo
-    if isinstance(e, (Add, Sub, Mul, Div)):
-        alo, ahi = _interval(e.left, box)
-        blo, bhi = _interval(e.right, box)
-        if isinstance(e, Add):
-            return _outward(alo + blo, ahi + bhi)
-        if isinstance(e, Sub):
-            return _outward(alo - bhi, ahi - blo)
-        if isinstance(e, Mul):
-            return _hull(alo * blo, alo * bhi, ahi * blo, ahi * bhi)
-        lo, hi = _hull(alo / blo, alo / bhi, ahi / blo, ahi / bhi)
-        pole = (blo <= 0.0) & (bhi >= 0.0)
-        lo, hi = np.where(pole, -np.inf, lo), np.where(pole, np.inf, hi)
-        return _poison(lo, hi, alo, ahi, blo, bhi)
-    if isinstance(e, Pow):
-        blo, bhi = _interval(e.base, box)
-        k = e.exponent
-        if k == 0:
-            return _poison(np.ones_like(blo), np.ones_like(bhi), blo, bhi)
-        lo, hi = _power_range(blo, bhi, abs(k))
-        if k > 0:
-            return lo, hi
-        rlo, rhi = _outward(1.0 / hi, 1.0 / lo)
-        pole = (lo <= 0.0) & (hi >= 0.0)
-        rlo, rhi = np.where(pole, -np.inf, rlo), np.where(pole, np.inf, rhi)
-        return _poison(rlo, rhi, lo, hi)
-    if isinstance(e, Call):
-        lo, hi = _interval(e.arg, box)
-        if e.func == "sin":
-            return _periodic_range(lo, hi, np.sin, 0.5 * math.pi, -0.5 * math.pi)
-        if e.func == "cos":
-            return _periodic_range(lo, hi, np.cos, 0.0, math.pi)
-        if e.func == "exp":
-            return _outward(np.exp(lo), np.exp(hi))
-        if e.func == "log":
-            rlo, rhi = _outward(np.log(lo), np.log(hi))
-            return np.where(lo > 0.0, rlo, np.nan), np.where(lo > 0.0, rhi, np.nan)
-        if e.func == "sqrt":
-            rlo, rhi = _outward(np.sqrt(lo), np.sqrt(hi))
-            rlo = np.maximum(rlo, 0.0)
-            return np.where(lo >= 0.0, rlo, np.nan), np.where(lo >= 0.0, rhi, np.nan)
-    raise TypeError(f"not an Expr node: {e!r}")
+_ON_INTERVALS = {
+    "NUMBERS": _NUMBERS, "VAR": lambda bounds: tuple(np.asarray(b, dtype=float) for b in bounds),
+    "NEG": lambda a: (-a[1], -a[0]),
+    "ADD": lambda a, b: _outward(a[0] + b[0], a[1] + b[1]),
+    "SUB": lambda a, b: _outward(a[0] - b[1], a[1] - b[0]),
+    "MUL": lambda a, b: _hull(a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1]),
+    "DIV": _quotient_range, "POW": _power_range,
+    "sin": lambda a: _periodic_range(*a, np.sin, 0.5 * math.pi, -0.5 * math.pi),
+    "cos": lambda a: _periodic_range(*a, np.cos, 0.0, math.pi),
+    "exp": lambda a: _outward(np.exp(a[0]), np.exp(a[1])), "sqrt": _sqrt_range,
+    "log": lambda a: _inside(a[0] > 0.0, *_outward(np.log(a[0]), np.log(a[1]))),
+}
 
 
 # ---------------------------------------------------------------------------

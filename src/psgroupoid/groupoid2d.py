@@ -42,12 +42,13 @@ SAMPLE_MAX_TRIES = 200000  # draws after which rejection sampling gives up
 
 class Phi2D:
     """phi(x1, x2) and its cached partials d1, d2, d11, d12, d22, with
-    ``grad`` and ``hessian`` as arrays at x = (x1, x2) of numbers or arrays;
-    constant partials are folded into numbers once. At a ``point`` {x1, x2,
-    v1, v2}, ``along[k - 1]`` is the k-th derivative of phi along v (k = 1,
-    2) in one expression call, and ``dalong(k, point)`` its partials in x1,
-    x2, v1, v2. ``nodes``: ceil(d / 2) Gauss-Legendre nodes integrate the
-    ray integrands of a polynomial phi of degree d."""
+    ``grad`` and ``hessian`` as arrays at x = (x1, x2) of numbers or arrays,
+    each from one call of a compiled ``ex.Program``, in which a constant
+    partial takes the broadcast shape of x. At a ``point`` {x1, x2, v1, v2},
+    ``along[k - 1]`` is the k-th derivative of phi along v (k = 1, 2), and
+    ``dalong(k, point)`` the list of its partials in x1, x2, v1, v2, each
+    in one expression call. ``nodes``: ceil(d / 2) Gauss-Legendre nodes
+    integrate the ray integrands of a polynomial phi of degree d."""
 
     def __init__(self, phi: ex.Expr):
         self.phi = phi
@@ -62,10 +63,10 @@ class Phi2D:
             return functools.reduce(ex.Add, terms) if terms else ex.Const(0.0)
 
         alongs = along(self.d1, self.d2), along(along(self.d11, self.d12), along(self.d12, self.d22))
-        self._grad = _fold((self.d1, self.d2))
-        self._hessian = _fold((self.d11, self.d12, self.d22))
+        self._grad = ex.Program((self.d1, self.d2))
+        self._hessian = ex.Program((self.d11, self.d12, self.d22))
         self.along = tuple(functools.partial(ex.evaluate, e) for e in alongs)
-        self._dalong = tuple(_fold([ex.differentiate(e, n) for n in ("x1", "x2", "v1", "v2")])
+        self._dalong = tuple(ex.Program([ex.differentiate(e, n) for n in ("x1", "x2", "v1", "v2")])
                              for e in alongs)
         degree = ex.polynomial_degree(phi)
         self.nodes = (None if degree is None or degree > 2 * QUAD_MAX_NODES
@@ -79,39 +80,17 @@ class Phi2D:
         return ex.evaluate(self.phi, {"x1": x[0], "x2": x[1]})
 
     def grad(self, x) -> np.ndarray:
-        return _stack(self._grad, x)
+        return np.array(ex.evaluate(self._grad, {"x1": x[0], "x2": x[1]}))
 
     def hessian(self, x) -> np.ndarray:
-        h11, h12, h22 = _stack(self._hessian, x)
+        h11, h12, h22 = ex.evaluate(self._hessian, {"x1": x[0], "x2": x[1]})
         return np.array([[h11, h12], [h12, h22]])
 
     def dalong(self, order, point) -> list:
-        return _values(self._dalong[order - 1], point)
+        return ex.evaluate(self._dalong[order - 1], point)
 
     def structure(self) -> PoissonStructure:
         return two_domain(self.phi)
-
-
-def _fold(exprs) -> list:
-    """Constants as their values and variables as their names, so that
-    ``_values`` reads them without an expression call."""
-    return [e.value if isinstance(e, ex.Const) else e.name if isinstance(e, ex.Var) else e
-            for e in exprs]
-
-
-def _values(exprs, point) -> list:
-    return [e if e.__class__ is float else point[e] if e.__class__ is str
-            else ex.evaluate(e, point) for e in exprs]
-
-
-def _stack(exprs, x) -> np.ndarray:
-    """``_values`` at x = (x1, x2) as one array, folded constants taking the
-    broadcast shape of x1 and x2 where either is an array."""
-    values = _values(exprs, {"x1": x[0], "x2": x[1]})
-    if isinstance(x[0], np.ndarray) or isinstance(x[1], np.ndarray):
-        shape = np.broadcast(x[0], x[1]).shape
-        values = [np.broadcast_to(v, shape) for v in values]
-    return np.array(values)
 
 
 @dataclass(frozen=True)
@@ -332,8 +311,8 @@ def inverse(p: Phi2D, g: GroupoidPoint2D) -> GroupoidPoint2D:
     ray = x1, x2, pi1, pi2, phi = _ray(p, g)
     xf = _ray_end(ray)
     phi_f = p(xf)
-    f1, f2 = _values(p._grad, {"x1": xf[0], "x2": xf[1]})
-    d1, d2 = _values(p._grad, {"x1": x1, "x2": x2})
+    f1, f2 = ex.evaluate(p._grad, {"x1": xf[0], "x2": xf[1]})
+    d1, d2 = ex.evaluate(p._grad, {"x1": x1, "x2": x2})
     c1, c2 = abs(x1) + abs(phi * pi2), abs(x2) + abs(phi * pi1)
     err_q, err_h = c1 * abs(f1) + c2 * abs(f2), c1 * abs(f1 - d1) + c2 * abs(f2 - d2)
     if phi_f and err_q * abs(phi_f) <= abs(phi) * (abs(phi) + abs(phi_f - phi) + err_h):

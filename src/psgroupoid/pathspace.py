@@ -110,8 +110,10 @@ class GaugeField:
     Components are expressions over (x1..xn, u); symbolic partials in
     every x_j and in u are cached. ``on_grid(u)`` binds the field to the
     u values of a grid, or to u=None for a 1-form: each largest subtree
-    whose only variable is u is evaluated once, there, and a constant
-    partial is a plain number. Boundary vanishing is checked numerically
+    whose only variable is u is evaluated once, there, and the components
+    and all their partials then run as one compiled ``ex.Program``, one
+    expression call per batch of points, in which a constant partial takes
+    the shape of the batch. Boundary vanishing is checked numerically
     at construction on 50 x points drawn uniformly from [-2, 2]^n with
     seed 0. A 1-form is a gauge field with no u, built with
     ``validate=False``, at ``u=None``.
@@ -129,9 +131,9 @@ class GaugeField:
         )
         self.du = tuple(ex.differentiate(c, "u") for c in components)
         # the components, then the x partials row by row, then the u partials
-        flat, self._u_parts = ex.split_out(self.components + sum(self.dx, ()) + self.du, "u")
-        self._exprs = flat[:n] + [float(e.value) if isinstance(e, ex.Const) else e
-                                  for e in flat[n:]]
+        flat, parts = ex.split_out(self.components + sum(self.dx, ()) + self.du, "u")
+        self._program = ex.Program(flat)
+        self._u_names, self._u_program = tuple(parts), ex.Program(parts.values())
         if validate:
             pts = np.random.default_rng(0).uniform(-2.0, 2.0, size=(50, n))
             for u_end in (0.0, 1.0):
@@ -149,15 +151,13 @@ class GaugeField:
         x_{j+1} (shape (m,)) to lists beta[i], J[i][j] = d beta_i / d x_j
         and d_u beta[i]."""
         point = {} if u is None else {"u": np.asarray(u, dtype=float)}
-        bound = {name: ex.evaluate(part, point) for name, part in self._u_parts.items()}
-        # an expression that is one split-out subtree is its value
-        exprs = [bound.get(e.name, e) if isinstance(e, ex.Var) else e for e in self._exprs]
-        names, n = self._names, self.n
+        bound = dict(zip(self._u_names, ex.evaluate(self._u_program, point)))
+        names, n, program = self._names, self.n, self._program
 
         def at(X):
             p = dict(bound)
             p.update(zip(names, X))
-            v = [ex.evaluate(e, p) if isinstance(e, ex.Expr) else e for e in exprs]
+            v = ex.evaluate(program, p)
             return v[:n], [v[n * i:n * (i + 1)] for i in range(1, n + 1)], v[n * (n + 1):]
         return at
 

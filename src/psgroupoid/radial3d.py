@@ -43,6 +43,7 @@ class RadialProfile:
     d2area: ex.Expr = field(init=False)
     c_expr: ex.Expr = field(init=False)
     period_expr: ex.Expr = field(init=False)
+    columns: ex.Program = field(init=False, repr=False, compare=False)  # A, A', C, period, A''
 
     def __post_init__(self):
         if not (0.0 < self.r_min < self.r_max < math.inf):
@@ -62,6 +63,7 @@ class RadialProfile:
         grid = np.linspace(self.r_min, self.r_max, 1024)
         if np.any(np.abs(ex.evaluate(self.f, {"R": grid})) < 1e-12):
             raise ValueError("f must be nonzero on the range")
+        object.__setattr__(self, "columns", ex.Program((a, darea, c, period, self.d2area)))
 
     @classmethod
     def parse(cls, source: str, r_min: float, r_max: float) -> "RadialProfile":
@@ -136,9 +138,7 @@ def analyze(p: RadialProfile, n_samples: int = 512) -> dict:
     if n_samples < 2:
         raise ValueError("need at least two samples")
     grid = np.linspace(p.r_min, p.r_max, n_samples)
-    A = ex.evaluate(p.area_expr, {"R": grid})
-    dA = ex.evaluate(p.darea, {"R": grid})
-    C = ex.evaluate(p.c_expr, {"R": grid})
+    A, dA, C, periods, d2 = ex.evaluate(p.columns, {"R": grid})
     scale = max(1.0, float(np.max(np.abs(A))))
     nonconstant = float(np.max(A) - np.min(A)) > 1e-8 * scale
 
@@ -155,7 +155,6 @@ def analyze(p: RadialProfile, n_samples: int = 512) -> dict:
         critical.append({"R": float(grid[-1]), "kind": "zero"})
     # degenerate zeros: A' touches zero without changing sign; locate
     # candidates as extrema of A' and keep those at plateau level
-    d2 = ex.evaluate(p.d2area, {"R": grid})
     for k in np.flatnonzero(search & ((d2[:-1] < 0) != (d2[1:] < 0))):
         root = _bisect(p.d2area, float(grid[k]), float(grid[k + 1]))
         if abs(ex.evaluate(p.darea, {"R": root})) <= 1e-12 * scale:
@@ -171,8 +170,7 @@ def analyze(p: RadialProfile, n_samples: int = 512) -> dict:
         verdict = VERDICT_SMOOTH_REGULAR
 
     columns = (grid, A, dA, C,
-               np.where(np.abs(C - 1.0) <= STRATUM_TOL, FIBER_S2XR, FIBER_SU2),
-               ex.evaluate(p.period_expr, {"R": grid}))
+               np.where(np.abs(C - 1.0) <= STRATUM_TOL, FIBER_S2XR, FIBER_SU2), periods)
     samples = [dict(zip(("R", "A", "dA", "C", "fiber", "period"), row))
                for row in zip(*(column.tolist() for column in columns))]
     return {

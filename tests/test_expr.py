@@ -106,8 +106,11 @@ def test_constants_take_the_shape_of_the_point():
 
 def test_missing_variable_value():
     e = ex.parse("x1+x2", VARS)
-    with pytest.raises(ex.ExprError):
-        ex.evaluate(e, {"x1": 1.0})
+    for x1 in (1.0, np.ones(3)):
+        with pytest.raises(ex.DomainError, match="variable 'x2' not bound"):
+            ex.evaluate(e, {"x1": x1})
+    with pytest.raises(ex.DomainError, match="variable 'x2' not bound"):
+        ex.evaluate_interval(e, {"x1": (np.zeros(3), np.ones(3))})
 
 
 def test_split_out_replaces_the_largest_subtrees_of_one_variable():
@@ -162,6 +165,26 @@ def test_evaluate_interval_encloses_values(src):
                     pytest.fail(f"{value!r} outside [{lo[k]!r}, {hi[k]!r}] at {point}")
         # an enclosure is NaN only where the box leaves the domain
         assert undefined or not (np.isnan(lo[k]) or np.isnan(hi[k]))
+
+
+def test_program_gives_each_root_its_own_value():
+    roots = [ex.parse(src, VARS) for src in ("sin(x1)*x2 + x1^3", "x1^3", "2^3", "x1/x2")]
+    roots += [ex.Const(-0.0), ex.Const(0.0), ex.Var("x2")]
+    program = ex.Program(roots)
+    for point in ({"x1": 0.3, "x2": -1.7}, {"x1": np.linspace(-1.0, 1.0, 5), "x2": 0.5}):
+        shape = np.shape(point["x1"])
+        values = ex.evaluate(program, point)
+        assert len(values) == len(roots)
+        for got, root in zip(values, roots):
+            # to the bit, the sign of a zero too; every root takes the batch shape
+            want = np.broadcast_to(ex.evaluate(root, point), shape)
+            assert np.shape(got) == shape and np.asarray(got).tobytes() == want.tobytes()
+        assert math.copysign(1.0, np.ravel(values[4])[0]) == -1.0
+        assert math.copysign(1.0, np.ravel(values[5])[0]) == 1.0
+    # the DomainError of one root is the whole program's
+    for x2 in (0.0, np.array([1.0, 0.0])):
+        with pytest.raises(ex.DomainError, match="division by zero"):
+            ex.evaluate(program, {"x1": 0.3, "x2": x2})
 
 
 def test_differentiate_known():
@@ -262,3 +285,62 @@ def test_arrays_follow_the_domain_rule_of_numbers(e, points):
     assert arr.shape == (len(points),)
     for a, v in zip(arr, values):
         assert math.isclose(a, v, rel_tol=1e-14)
+
+
+# --- property: interval enclosures of composite expressions ---------------
+
+def _shared_node(children):
+    # _domain_node plus a subtree used twice and a subtree of constants only
+    return st.one_of(
+        _domain_node(children),
+        children.map(lambda c: ex.Sub(ex.Mul(c, c), c)),
+        children.map(lambda c: ex.Add(c, ex.Mul(ex.Const(0.1), ex.Const(3.0)))),
+    )
+
+
+def _subtrees(e):
+    yield e
+    for c in ("arg", "base", "left", "right"):
+        if hasattr(e, c):
+            yield from _subtrees(getattr(e, c))
+
+
+def _leaves_domain(node, lo, hi, argument):
+    """Whether an enclosure leaves the domain of its node: it is
+    unbounded, or it is that of a log or sqrt argument reaching below."""
+    if np.isinf(lo) or np.isinf(hi):
+        return True
+    if isinstance(node, ex.Call) and node.func in ("log", "sqrt"):
+        alo = argument[0]
+        return alo <= 0.0 if node.func == "log" else alo < 0.0
+    return False
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.recursive(_leaf(), _shared_node, max_leaves=10),
+       st.lists(st.tuples(st.floats(-3, 3), st.floats(-3, 3), st.floats(-6, 0.5),
+                          st.floats(-6, 0.5)), min_size=1, max_size=4))
+def test_enclosures_of_composite_expressions_hold_every_value(e, boxes):
+    centre = np.array([b[:2] for b in boxes])
+    half = 10.0 ** np.array([b[2:] for b in boxes])
+    lo_box, hi_box = centre - half, centre + half
+    box = {name: (lo_box[:, j], hi_box[:, j]) for j, name in enumerate(VARS)}
+    lo, hi = ex.evaluate_interval(e, box)
+    nodes = list(_subtrees(e))
+    enclosures = ex.evaluate_interval(ex.Program(nodes), box)
+    assert enclosures[0][0].tobytes() == lo.tobytes() and enclosures[0][1].tobytes() == hi.tobytes()
+    for k in range(len(boxes)):
+        for s1 in (0.0, 0.3, 1.0):
+            for s2 in (0.0, 0.7, 1.0):
+                point = {name: min(hi_box[k, j], lo_box[k, j] + s * 2 * half[k, j])
+                         for j, (name, s) in enumerate(zip(VARS, (s1, s2)))}
+                try:
+                    value = ex.evaluate(e, point)
+                except ex.DomainError:
+                    continue
+                assert np.isnan(lo[k]) or lo[k] <= value <= hi[k], (value, lo[k], hi[k], point)
+        if np.isnan(lo[k]) or np.isnan(hi[k]):
+            # NaN only where the enclosure of some node leaves its domain
+            where = {id(n): (elo[k], ehi[k]) for n, (elo, ehi) in zip(nodes, enclosures)}
+            assert any(_leaves_domain(n, *where[id(n)], where.get(id(getattr(n, "arg", None))))
+                       for n in nodes)

@@ -11,7 +11,8 @@ Subcommand groups:
 
 Exit codes: 0 success, 1 verification failure, 2 usage or parse error.
 JSON output prints each float in the shortest form that reads back to
-the same double; errors go to standard error as a JSON object."""
+the same double; errors go to standard error as a JSON object. Each
+command imports only the model modules it runs."""
 
 from __future__ import annotations
 
@@ -22,15 +23,12 @@ import sys
 import numpy as np
 
 from . import expr as ex
-from . import groupoid2d as g2
-from . import lie_dual as ld
 from . import pathspace as ps
-from . import radial3d as rad
-from .poisson import constant_structure, rot_invariant3
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_USAGE = 2
+RESIDUAL_TOL = 1e-4  # gate of ``flow solve`` and default of ``flow invariants --tol``
 
 
 class CLIError(Exception):
@@ -78,15 +76,19 @@ def _floats(text, count=None):
 def _parse_structure(token):
     """--structure value -> (PoissonStructure, kind, payload)."""
     if token in ("su2", "so3", "heisenberg3"):
+        from . import lie_dual as ld
         spec = ld.builtin_spec(token)
         return ld.kk_structure(spec), "lie", spec
     if token.startswith("phi2d:"):
+        from . import groupoid2d as g2
         phi = g2.Phi2D.parse(token[len("phi2d:"):])
         return phi.structure(), "phi2d", phi
     if token.startswith("radial:"):
+        from .poisson import rot_invariant3
         f = ex.parse(token[len("radial:"):], ["R"])
         return rot_invariant3(f), "radial", f
     if token.startswith("constant:"):
+        from .poisson import constant_structure
         path = token[len("constant:"):]
         try:
             with open(path) as fh:
@@ -117,7 +119,8 @@ def _save_morphism(path, m: ps.DiscretizedMorphism):
         raise CLIError(f"cannot write morphism file: {err}")
 
 
-def _group_element(spec: ld.LieAlgebraSpec, text):
+def _group_element(spec, text):
+    from . import lie_dual as ld
     vals = _floats(text)
     if spec.name == "su2" and len(vals) == 4:
         g = spec.project(ld.quat_to_matrix(vals))  # refuses a zero or infinite norm first
@@ -135,7 +138,8 @@ def _group_element(spec: ld.LieAlgebraSpec, text):
                       else f"{spec.d * spec.d} row-major entries"))
 
 
-def _group_json(spec: ld.LieAlgebraSpec, g):
+def _group_json(spec, g):
+    from . import lie_dual as ld
     out = {"matrix": np.asarray(g)}
     if spec.name == "su2":
         out["quaternion"] = ld.matrix_to_quat(g)
@@ -167,6 +171,7 @@ def _add_g2d(sub):
 
 
 def _run_g2d(args) -> int:
+    from . import groupoid2d as g2
     phi = g2.Phi2D.parse(args.phi)
     dom = _floats(args.domain, 4)
     d = g2.Domain2D(dom[0], dom[1], dom[2], dom[3])
@@ -227,7 +232,7 @@ def _add_flow(sub):
     q = ops.add_parser("invariants")
     q.add_argument("--structure", required=True)
     q.add_argument("--in", dest="infile", required=True)
-    q.add_argument("--tol", type=float, default=1e-4)
+    q.add_argument("--tol", type=float, default=RESIDUAL_TOL)
 
     q = ops.add_parser("concat")
     q.add_argument("--in", dest="infile", required=True)
@@ -264,9 +269,10 @@ def _run_flow(args) -> int:
         u = np.linspace(0.0, 1.0, args.grid + 1)
         eta = np.stack([ex.evaluate(c, {"u": u}) for c in comps], axis=1)
         m = ps.solve_gauss(s, x0, eta)
+        residual, passed = ps.check_solution(s, m, RESIDUAL_TOL)
         emit(_morphism_report(m, args.out,
-                              {"residual": ps.gauss_residual(s, m)}))
-        return EXIT_OK
+                              {"residual": residual, "passed": passed}))
+        return EXIT_OK if passed else EXIT_VERIFY
 
     if args.op == "gauge":
         m = _load_morphism(args.infile)
@@ -284,15 +290,18 @@ def _run_flow(args) -> int:
     residual, passed = ps.check_solution(s, m, args.tol)
     report = {"residual": residual}
     if kind == "phi2d":
+        from . import groupoid2d as g2
         pt = g2.invariants(payload, m, residual_tol=np.inf)
         report["x"] = pt.x
         report["pi"] = pt.pi
     elif kind == "lie":
+        from . import lie_dual as ld
         spec = payload
         pt = ld.LieGroupoidPoint(xi=m.X[0], g=ld.holonomy(spec, m))
         report["xi"] = pt.xi
         report["g"] = _group_json(spec, pt.g)
     elif kind == "radial":
+        from . import radial3d as rad
         radii = np.linalg.norm(m.X, axis=1)
         profile = rad.RadialProfile(payload, float(radii.min()) * 0.9,
                                     float(radii.max()) * 1.1)
@@ -332,6 +341,7 @@ def _add_lie(sub):
 
 
 def _run_lie(args) -> int:
+    from . import lie_dual as ld
     spec = ld.builtin_spec(args.spec)
     if args.op == "roundtrip":
         xi = _floats(args.xi, spec.n)
@@ -375,6 +385,7 @@ def _add_radial(sub):
 
 
 def _run_radial(args) -> int:
+    from . import radial3d as rad
     lo, hi = _floats(args.rrange, 2)
     profile = rad.RadialProfile.parse(args.f, float(lo), float(hi))
     report = rad.analyze(profile, args.samples)

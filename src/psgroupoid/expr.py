@@ -54,8 +54,9 @@ class UnknownIdentifierError(ExprError):
         self.offset = offset
 
 
-class DomainError(ExprError):
-    pass
+class DomainError(ExprError, ValueError):
+    """A value outside the domain: of a function, of the floats, or of a
+    Poisson structure (``poisson`` raises this class too)."""
 
 
 class Expr:

@@ -25,7 +25,6 @@ __all__ = [
     "Phi2D", "Domain2D", "GroupoidPoint2D",
     "x_f", "h_map", "psi", "contains", "left", "right",
     "multiply", "inverse", "bivector", "symplectic_form",
-    "printed_form_matrix", "printed_form_discrepancy",
     "embed", "invariants", "sample_points", "sample_composable_pairs",
     "verify_axioms", "AXIOM_TOLERANCES",
 ]
@@ -48,7 +47,8 @@ class Phi2D:
     ``along[k - 1]`` is the k-th derivative of phi along v (k = 1, 2), and
     ``dalong(k, point)`` the list of its partials in x1, x2, v1, v2, each
     in one expression call. ``nodes``: ceil(d / 2) Gauss-Legendre nodes
-    integrate the ray integrands of a polynomial phi of degree d."""
+    integrate the ray integrands of a polynomial phi of degree d.
+    ``structure()`` is the one ``poisson.two_domain`` of phi, built here."""
 
     def __init__(self, phi: ex.Expr):
         self.phi = phi
@@ -71,6 +71,7 @@ class Phi2D:
         degree = ex.polynomial_degree(phi)
         self.nodes = (None if degree is None or degree > 2 * QUAD_MAX_NODES
                       else max(1, (degree + 1) // 2))
+        self._structure = two_domain(phi)
 
     @classmethod
     def parse(cls, source: str) -> "Phi2D":
@@ -90,7 +91,7 @@ class Phi2D:
         return ex.evaluate(self._dalong[order - 1], point)
 
     def structure(self) -> PoissonStructure:
-        return two_domain(self.phi)
+        return self._structure
 
 
 @dataclass(frozen=True)
@@ -394,35 +395,6 @@ def symplectic_form(p: Phi2D, g: GroupoidPoint2D) -> np.ndarray:
     omega . P = I by construction (P is invertible on the groupoid
     because h > 0)."""
     return np.linalg.inv(bivector(p, g))
-
-
-def printed_form_matrix(p: Phi2D, g: GroupoidPoint2D) -> np.ndarray:
-    """A transcribed closed-form expression for the 2-form, kept only
-    for the term-by-term cross-check against inv(P). One of the two
-    dx2^dpi2 coefficients is suspected to be a typo for dx1^dpi2."""
-    phi = p(g.x)
-    d1, d2 = p.grad(g.x)
-    h = h_map(p, g)
-    ps_ = psi(p, g)
-    pi1, pi2 = g.pi
-    W = np.zeros((4, 4))
-    W[0, 1] = ps_
-    W[0, 2] = 1.0 - pi2 * d1
-    W[1, 3] = pi1 * d1 + (1.0 + pi1 * d2)
-    W[1, 2] = -pi2 * d2
-    W[2, 3] = -phi
-    return (W - W.T) / h
-
-
-def printed_form_discrepancy(p: Phi2D, g: GroupoidPoint2D) -> dict:
-    """Entrywise |inv(P) - printed form|, keyed by coordinate pair."""
-    names = ("x1", "x2", "pi1", "pi2")
-    diff = symplectic_form(p, g) - printed_form_matrix(p, g)
-    out = {}
-    for a in range(4):
-        for b in range(a + 1, 4):
-            out[f"d{names[a]}^d{names[b]}"] = float(abs(diff[a, b]))
-    return out
 
 
 # ---------------------------------------------------------------------------

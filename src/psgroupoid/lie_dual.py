@@ -3,7 +3,8 @@ eta, the mutually inverse maps between path space and g* x G, coadjoint
 action and group-side multiplication, with su(2) realized via unit
 quaternions.
 
-Convention contract (fixed once, asserted by ``convention_self_test``):
+Convention contract (fixed once, asserted by ``test_convention_contract``
+in ``tests/test_lie_dual.py``):
 
 * eta is identified with the Lie-algebra-valued matrix
   ``eta_hat(u) = sum_j eta_j(u) rho(e_j)``;
@@ -30,7 +31,7 @@ from .poisson import PoissonStructure, kirillov_kostant
 __all__ = [
     "LieAlgebraSpec", "LieGroupoidPoint", "builtin_spec",
     "kk_structure", "holonomy", "to_groupoid", "from_groupoid",
-    "coadjoint", "multiply_lie", "convention_self_test",
+    "coadjoint", "multiply_lie",
     "quat_to_matrix", "matrix_to_quat",
 ]
 
@@ -331,25 +332,3 @@ def multiply_lie(spec: LieAlgebraSpec, a: LieGroupoidPoint,
 
 def inverse_lie(spec: LieAlgebraSpec, a: LieGroupoidPoint) -> LieGroupoidPoint:
     return LieGroupoidPoint(xi=right_lie(spec, a), g=np.linalg.inv(a.g))
-
-
-def convention_self_test(spec: LieAlgebraSpec, N: int = 400) -> dict:
-    """Assert the convention contract at points drawn with seed 0: (a)
-    geodesic representatives have small Gauss residual, (b) concatenation
-    maps to the group product in path order. Returns the defects."""
-    rng = np.random.default_rng(0)
-    s = kk_structure(spec)
-    xi = rng.standard_normal(spec.n)
-    g1 = spec.project(expm(spec.rho(0.7 * rng.standard_normal(spec.n))))
-    g2 = spec.project(expm(spec.rho(0.7 * rng.standard_normal(spec.n))))
-    m1 = from_groupoid(spec, xi, g1, N=N, tapered=True)
-    res = ps.gauss_residual(s, m1)
-    m2 = from_groupoid(spec, right_lie(spec, LieGroupoidPoint(xi, g1)),
-                       g2, N=N, tapered=True)
-    glued = ps.concatenate(m1, m2, endpoint_tol=1e-6)
-    hol = holonomy(spec, glued)
-    order_defect = float(np.max(np.abs(hol - spec.project(g1 @ g2))))
-    result = {"gauss_residual": float(res), "product_order_defect": order_defect}
-    if res > 1e-4 or order_defect > 1e-4:
-        raise AssertionError(f"convention contract violated: {result}")
-    return result

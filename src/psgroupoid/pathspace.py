@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from . import expr as ex
-from .poisson import DomainError, PoissonStructure
+from .poisson import PoissonStructure
 
 __all__ = [
     "DiscretizedMorphism", "TangentVector", "GaugeField",
@@ -258,7 +258,7 @@ def _check_domain(s: PoissonStructure, X: np.ndarray, message: str):
         raise ValueError(f"in_domain of {s.name} returned shape {np.shape(inside)} "
                          f"on a batch, expected ({len(X)},)")
     if not np.all(inside):
-        raise DomainError(f"{message} at node {np.argmin(inside)}")
+        raise ex.DomainError(f"{message} at node {np.argmin(inside)}")
 
 
 def solve_gauss(s: PoissonStructure, x0, eta: np.ndarray) -> DiscretizedMorphism:

@@ -14,16 +14,13 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import expr as ex
+from .expr import DomainError
 
 __all__ = [
     "PoissonStructure",
     "constant_structure", "two_domain", "kirillov_kostant",
     "rot_invariant3", "jacobi_residual", "DomainError",
 ]
-
-
-class DomainError(ValueError):
-    """Point outside the structure's domain."""
 
 
 @dataclass(frozen=True)

@@ -93,12 +93,6 @@ def c_invariant(p: RadialProfile, R):
     return ex.evaluate(p.c_expr, {"R": R})
 
 
-def c_invariant_from_area(p: RadialProfile, R):
-    """The same invariant through the area derivative (cross-check)."""
-    p.check_range(R)
-    return 1.0 - p.f_at(R) * ex.evaluate(p.darea, {"R": R}) / FOUR_PI
-
-
 def classify_fiber(p: RadialProfile, R: float) -> str:
     """S2xR on the constant-area stratum |C - 1| <= STRATUM_TOL, else SU2."""
     return FIBER_S2XR if abs(c_invariant(p, R) - 1.0) <= STRATUM_TOL else FIBER_SU2

@@ -266,8 +266,9 @@ def test_criterion_09_radial_classification():
     for q, lo, hi in ((p_one, 0.5, 2.0), (p_lin, 0.5, 2.0),
                       (p_cub, 0.6, 1.4)):
         for R in np.linspace(lo, hi, 101):
-            c_err = max(c_err, abs(rad.c_invariant(q, R)
-                                   - rad.c_invariant_from_area(q, R)))
+            # C = R f'/f against C = 1 - f A' / (4 pi)
+            c_from_area = 1.0 - q.f_at(R) * ex.evaluate(q.darea, {"R": R}) / rad.FOUR_PI
+            c_err = max(c_err, abs(rad.c_invariant(q, R) - c_from_area))
     # residuals: radial vs generic, and the rescaled su(2) system
     s_cub = rot_invariant3(ex.parse(cubic, ["R"]))
     rng = np.random.default_rng(109)

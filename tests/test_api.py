@@ -1,14 +1,61 @@
-"""Options no caller set are fixed values now; passing one is a TypeError."""
+"""The public surface: every name a module exports exists, the package
+root exports nothing, each CLI command imports only its model, and
+options no caller set are fixed values now (passing one is a TypeError)."""
 
 import inspect
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from psgroupoid import expr as ex
 from psgroupoid import groupoid2d as g2
 from psgroupoid import lie_dual as ld
 from psgroupoid import pathspace as ps
 from psgroupoid import poisson as po
 from psgroupoid import radial3d as rad
+
+MODULES = [ex, po, ps, g2, ld, rad]
+
+
+@pytest.mark.parametrize("module", MODULES, ids=[m.__name__ for m in MODULES])
+def test_every_exported_name_exists(module):
+    assert [name for name in module.__all__ if not hasattr(module, name)] == []
+
+
+IMPORTS_OF_A_COMMAND = """
+import contextlib, io, json, sys
+import psgroupoid
+root = sorted(vars(psgroupoid))
+from psgroupoid import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(sys.argv[1:])
+print(json.dumps({"root": root, "code": code, "loaded": sorted(sys.modules)}))
+"""
+
+
+@pytest.mark.parametrize("argv, left_out", [
+    (["expr", "eval", "--expr", "1"], ["groupoid2d", "lie_dual", "radial3d"]),
+    (["lie", "mul", "--xi", "1,2,3", "--g", "1,0,0,0", "--g2", "1,0,0,0"],
+     ["groupoid2d", "radial3d"]),
+], ids=["expr", "lie"])
+def test_a_command_imports_only_its_model(argv, left_out):
+    # in a fresh interpreter: the root holds only __version__ and dunder
+    # names, and the command loads none of the other models
+    src = str(Path(ps.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", IMPORTS_OF_A_COMMAND, *argv],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert "__version__" in out["root"]
+    assert [n for n in out["root"] if not (n.startswith("__") and n.endswith("__"))] == []
+    assert out["code"] == 0
+    assert [m for m in left_out if f"psgroupoid.{m}" in out["loaded"]] == []
+
 
 RETIRED = [
     (g2.verify_axioms, "tolerances"),
@@ -24,7 +71,6 @@ RETIRED = [
     (ps.equivariance_defect, "eps"),
     (ps.equivariance_defect, "s_steps"),
     (ld.multiply_lie, "tol"),
-    (ld.convention_self_test, "seed"),
     (rad.classify_fiber, "tol"),
     (rad.rescale, "c_margin"),
     (po.constant_structure, "name"),

@@ -413,14 +413,43 @@ def test_flow_gauge_refuses_fewer_than_one_step(tmp_path, capsys, steps):
 
 
 def test_flow_solve_prints_the_morphism_it_writes(tmp_path, capsys):
+    # at grid 50 the end stencils put the residual, 1.3e-4, over the gate:
+    # the morphism is printed or written all the same, and the exit is 1
     argv = ["flow", "solve", "--structure", "phi2d:x1*x2", "--x0", "1,1",
             "--eta", "0.4*u*(1-u);0.2", "--grid", "50"]
-    printed = run_json(argv, capsys)
+    printed = run_json(argv, capsys, expect_code=1)
     path = tmp_path / "m.json"
-    written = run_json(argv + ["--out", str(path)], capsys)
+    written = run_json(argv + ["--out", str(path)], capsys, expect_code=1)
     assert written["out"] == str(path) and "morphism" not in written
     assert printed["morphism"] == json.loads(path.read_text())
     assert printed["residual"] == written["residual"]
+    assert printed["passed"] is written["passed"] is False
+
+
+def test_flow_solve_fails_where_invariants_fails(tmp_path, capsys):
+    # this solve used to report its residual, 1.1e-3, and exit 0, while
+    # flow invariants on the same file reported "passed": false and exit 1
+    structure = "radial:1/(R-0.5)"
+    path = str(tmp_path / "m.json")
+    solved = run_json(["flow", "solve", "--structure", structure, "--x0", "1,0,0",
+                       "--eta", "1;1;1", "--grid", "100", "--out", path], capsys,
+                      expect_code=1)
+    checked = run_json(["flow", "invariants", "--structure", structure, "--in", path],
+                       capsys, expect_code=1)
+    assert solved["passed"] is checked["passed"] is False
+    assert solved["residual"] == checked["residual"] > 1e-3
+
+
+@pytest.mark.parametrize("x0, c", [("0.5,0.5", [0.3, 0.3, -0.3, -0.3]),
+                                   ("1.5,1.5", [-0.3, 0.3, 0.3, -0.3]),
+                                   ("1.5,0.5", [0.3, -0.3, 0.3, 0.3])])
+def test_flow_solve_on_the_benchmark_grid_passes(x0, c, capsys):
+    # the x1*x2 solves of the cli-cold benchmark, at the corners of its draws
+    pi_u = "3.141592653589793*u"
+    eta = f"{c[0]}*sin({pi_u}) + {c[1]}*sin(2*{pi_u});{c[2]}*sin({pi_u}) + {c[3]}*sin(2*{pi_u})"
+    data = run_json(["flow", "solve", "--structure", "phi2d:x1*x2", f"--x0={x0}",
+                     "--eta", eta, "--grid", "1000"], capsys)
+    assert data["passed"] is True and data["residual"] < 1e-5
 
 
 @pytest.mark.parametrize("argv, message", [

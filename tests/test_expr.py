@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -285,6 +286,22 @@ def test_arrays_follow_the_domain_rule_of_numbers(e, points):
     assert arr.shape == (len(points),)
     for a, v in zip(arr, values):
         assert math.isclose(a, v, rel_tol=1e-14)
+
+
+# the exact values of the operations on the doubles of each box, in
+# mpmath at 200 bits; a bound that is only a rounded value misses them
+EXACT = {"x1 + x2": lambda a, b: a + b, "x1 * x2": lambda a, b: a * b,
+         "x1 / x2": lambda a, b: a / b,
+         "x1*x2 + x1/x2 - x2": lambda a, b: a * b + a / b - b}
+
+
+@pytest.mark.parametrize("src", EXACT)
+@pytest.mark.parametrize("x1, x2", [(0.1, 0.2), (1 / 3, 3.0), (0.7, 0.3)])
+def test_point_enclosures_hold_the_exact_value(src, x1, x2):
+    lo, hi = ex.evaluate_interval(ex.parse(src, VARS), {"x1": (x1, x1), "x2": (x2, x2)})
+    with mpmath.workprec(200):
+        exact = EXACT[src](mpmath.mpf(x1), mpmath.mpf(x2))
+        assert mpmath.mpf(float(lo)) <= exact <= mpmath.mpf(float(hi))
 
 
 # --- property: interval enclosures of composite expressions ---------------

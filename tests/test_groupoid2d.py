@@ -166,12 +166,41 @@ def test_symplectic_form_inverts_bivector():
     assert np.max(np.abs(W @ g2.bivector(QP, g) - np.eye(4))) < 1e-12
 
 
+def printed_form_matrix(p, g):
+    """A transcribed closed-form expression for the 2-form, kept only
+    for the term-by-term cross-check against inv(P). One of the two
+    dx2^dpi2 coefficients is suspected to be a typo for dx1^dpi2."""
+    phi = p(g.x)
+    d1, d2 = p.grad(g.x)
+    h = g2.h_map(p, g)
+    ps_ = g2.psi(p, g)
+    pi1, pi2 = g.pi
+    W = np.zeros((4, 4))
+    W[0, 1] = ps_
+    W[0, 2] = 1.0 - pi2 * d1
+    W[1, 3] = pi1 * d1 + (1.0 + pi1 * d2)
+    W[1, 2] = -pi2 * d2
+    W[2, 3] = -phi
+    return (W - W.T) / h
+
+
+def printed_form_discrepancy(p, g):
+    """Entrywise |inv(P) - printed form|, keyed by coordinate pair."""
+    names = ("x1", "x2", "pi1", "pi2")
+    diff = g2.symplectic_form(p, g) - printed_form_matrix(p, g)
+    out = {}
+    for a in range(4):
+        for b in range(a + 1, 4):
+            out[f"d{names[a]}^d{names[b]}"] = float(abs(diff[a, b]))
+    return out
+
+
 def test_printed_form_discrepancy_localized():
     # the transcribed closed-form 2-form disagrees with inv(P) only in
     # the entries involving dpi2 against the base coordinates, which is
     # consistent with a single misprinted differential
     g = pt([1.1, 0.9], [0.25, 0.4])
-    diff = g2.printed_form_discrepancy(QP, g)
+    diff = printed_form_discrepancy(QP, g)
     # the entries not involving dpi2 agree exactly ...
     assert diff["dx1^dx2"] < 1e-12
     assert diff["dx1^dpi1"] < 1e-12
@@ -189,6 +218,40 @@ def test_embed_is_constraint_solution_and_invariants_round_trip():
     back = g2.invariants(QP, m)
     assert np.max(np.abs(back.x - g.x)) < 1e-6
     assert np.max(np.abs(back.pi - g.pi)) < 1e-6
+
+
+def test_structure_is_built_once(monkeypatch):
+    # invariants used to build, and differentiate, a structure per path
+    p = g2.Phi2D.parse("sin(x1)*x2 + 2")
+    m = g2.embed(p, pt([0.3, 0.7], [0.2, -0.1]))
+    calls = []
+    original = g2.ex.differentiate
+    monkeypatch.setattr(g2.ex, "differentiate", lambda *a: calls.append(a) or original(*a))
+    g2.invariants(p, m)
+    assert calls == [] and p.structure() is p.structure()
+
+
+# the seven phi of the target check; at seed 7 the worst |x_f(g) - X(1)|
+# reads 7.0e-8 for x1*x2, 2.8e-7 for sin(x1)+2 and 0 for phi = 0
+TARGET_PHI = ["x1*x2", "x2", "sin(x1)+2", "x1^3 - x2", "(x1-0.5)*(x1-0.5-0.001)",
+              "exp(x1) - 2", "0"]
+
+
+@pytest.mark.parametrize("src", TARGET_PHI)
+def test_solved_path_ends_at_the_closed_form_target(src):
+    # two routes to the target of a path: its own endpoint X(1), from
+    # solve_gauss, and x_f of the groupoid point invariants recovers
+    p = g2.Phi2D.parse(src)
+    rng = np.random.default_rng(7)
+    u = np.linspace(0.0, 1.0, 1001)
+    for _ in range(3):
+        x0 = rng.uniform(-1.0, 1.0, 2)
+        a, b = rng.uniform(-0.5, 0.5, (2, 2))
+        m = ps.solve_gauss(p.structure(), x0, np.outer(np.sin(np.pi * u), a)
+                           + np.outer(u * (1.0 - u), b))
+        g = g2.invariants(p, m)
+        assert np.max(np.abs(g2.x_f(p, g) - m.X[-1])) <= 1e-6
+        assert g2.contains(p, BOX, g)
 
 
 def test_embed_tapered_endpoints_vanish():

@@ -347,11 +347,11 @@ def _run_lie(args) -> int:
         xi = _floats(args.xi, spec.n)
         g = _group_element(spec, args.g)
         m = ld.from_groupoid(spec, xi, g, N=args.grid)
-        residual = ps.gauss_residual(ld.kk_structure(spec), m)
-        back = ld.to_groupoid(spec, m)
+        residual, solved = ps.check_solution(ld.kk_structure(spec), m, ld.RESIDUAL_TOL)
+        back = ld.LieGroupoidPoint(xi=m.X[0], g=ld.holonomy(spec, m))
         xi_err = float(np.max(np.abs(back.xi - xi)))
         g_err = float(np.max(np.abs(back.g - g)))
-        passed = max(xi_err, g_err) <= args.tol
+        passed = solved and max(xi_err, g_err) <= args.tol
         emit({"xi": back.xi, "g": _group_json(spec, back.g),
               "residual": residual, "xi_error": xi_err, "g_error": g_err,
               "passed": passed})

@@ -31,11 +31,12 @@ from .poisson import PoissonStructure, kirillov_kostant
 __all__ = [
     "LieAlgebraSpec", "LieGroupoidPoint", "builtin_spec",
     "kk_structure", "holonomy", "to_groupoid", "from_groupoid",
-    "coadjoint", "multiply_lie",
+    "coadjoint", "right_lie", "multiply_lie", "inverse_lie", "expm",
     "quat_to_matrix", "matrix_to_quat",
 ]
 
 ANTIPODE_RADIUS = 1e-6
+RESIDUAL_TOL = 1e-5  # gate of ``to_groupoid`` and of ``lie roundtrip``
 
 
 EXPM_ORDER = 14   # Taylor degree: remainder under eps for norms up to EXPM_THETA
@@ -279,7 +280,7 @@ def holonomy(spec: LieAlgebraSpec, m: ps.DiscretizedMorphism) -> np.ndarray:
 
 
 def to_groupoid(spec: LieAlgebraSpec, m: ps.DiscretizedMorphism,
-                residual_tol: float = 1e-5) -> LieGroupoidPoint:
+                residual_tol: float = RESIDUAL_TOL) -> LieGroupoidPoint:
     """(X(0), hol(eta)) for a Gauss-law solution, one that passes
     ``pathspace.require_solution`` at residual_tol."""
     ps.require_solution(kk_structure(spec), m, residual_tol)

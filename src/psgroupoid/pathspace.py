@@ -217,18 +217,17 @@ def cubic_midpoints(Y: np.ndarray) -> np.ndarray:
     return out
 
 
-def _sharp_rows(s: PoissonStructure, X: np.ndarray, E: np.ndarray) -> np.ndarray:
-    """alpha^{ij}(X) E_j over rows of X and E, shape (m, n)."""
-    return np.stack(s.sharp(X.T, E.T), axis=1)
+def _constraint(s: PoissonStructure, m: DiscretizedMorphism) -> tuple[np.ndarray, np.ndarray]:
+    """X' and the Gauss-law constraint X' + alpha(X) eta of m, each of
+    shape (N+1, n)."""
+    Xp = path_derivative(m.X)
+    return Xp, Xp + np.stack(s.sharp(m.X.T, m.eta.T), axis=1)
 
 
 def gauss_residual(s: PoissonStructure, m: DiscretizedMorphism) -> float:
-    """Max nodal Euclidean norm of X' + alpha(X) eta."""
-    if m.n != s.n:
-        raise ValueError("dimension mismatch")
-    _check_domain(s, m.X, "X exits domain")
-    C = path_derivative(m.X) + _sharp_rows(s, m.X, m.eta)
-    return float(np.max(np.linalg.norm(C, axis=1)))
+    """Max nodal Euclidean norm of X' + alpha(X) eta, the residual that
+    ``check_solution`` grades."""
+    return check_solution(s, m, 0.0)[0]
 
 
 def check_solution(s: PoissonStructure, m: DiscretizedMorphism,
@@ -236,8 +235,12 @@ def check_solution(s: PoissonStructure, m: DiscretizedMorphism,
     """The Gauss residual of m and whether it is at most
     tol * max(1, max nodal |X'|): the end stencils of ``path_derivative``
     err in proportion to the speed of the path."""
-    res = gauss_residual(s, m)
-    return res, res <= tol * max(1.0, float(np.max(np.linalg.norm(path_derivative(m.X), axis=1))))
+    if m.n != s.n:
+        raise ValueError("dimension mismatch")
+    _check_domain(s, m.X, "X exits domain")
+    Xp, C = _constraint(s, m)
+    res = float(np.max(np.linalg.norm(C, axis=1)))
+    return res, res <= tol * max(1.0, float(np.max(np.linalg.norm(Xp, axis=1))))
 
 
 def require_solution(s: PoissonStructure, m: DiscretizedMorphism, tol: float,
@@ -369,8 +372,7 @@ def symplectic_pairing(a: TangentVector, b: TangentVector) -> float:
 def hamiltonian_values(s: PoissonStructure, m: DiscretizedMorphism,
                        values: np.ndarray) -> float:
     """H for nodewise covector values: int <X' + alpha eta, values> du."""
-    C = path_derivative(m.X) + _sharp_rows(s, m.X, m.eta)
-    integrand = np.sum(C * values, axis=1)
+    integrand = np.sum(_constraint(s, m)[1] * values, axis=1)
     return float(path_integral(integrand)[-1])
 
 

@@ -33,9 +33,12 @@ class PoissonStructure:
     sequences of components, not as rows: each component is a number,
     for one point, and then they return a tuple of n floats; or an
     array, for a batch (``sharp(X.T, E.T)`` for X and E of shape
-    (m, n)), and then a tuple of n arrays of shape (m,). A batch may
-    mix in numbers, as ``alpha`` and ``dalpha`` pass the basis
-    covectors; the constructors below give both in closed form.
+    (m, n)), and then a tuple of n arrays of shape (m,). Components of
+    any shapes that broadcast together must give components of the
+    broadcast shape, or of one that broadcasts to it: ``alpha`` passes
+    the basis covectors on a trailing axis and ``dalpha`` the pairs of
+    them on two, each in one call, and a batch's components then get
+    size-1 axes there. The constructors below give both in closed form.
     ``in_domain`` takes one point, shape (n,), or a batch, shape (m, n),
     and returns a bool or a bool array of shape (m,); ``None`` means all
     of R^n, and ``pathspace._check_domain`` raises ValueError on any
@@ -61,32 +64,25 @@ class PoissonStructure:
 
     def alpha(self, x):
         """alpha^{ij} at one point x, shape (n,) -> (n, n), or over a
-        batch, shape (m, n) -> (m, n, n): ``sharp`` of each basis covector."""
+        batch, shape (m, n) -> (m, n, n): one ``sharp`` of the basis
+        covectors, on a trailing axis."""
         x = np.asarray(x, dtype=float)
-        a = _stack([self.sharp(x.T, e) for e in np.eye(self.n)], x)  # a[j, i] = alpha^{ij}
-        return np.moveaxis(a, (0, 1), (-1, -2))
+        a = self.sharp(x if x.ndim == 1 else x.T[..., None], np.eye(self.n))  # a[i][..., j] = alpha^{ij}
+        return np.stack([np.broadcast_to(c, x.shape[:-1] + (self.n,)) for c in a], axis=-2)
 
     def dalpha(self, x):
         """d_k alpha^{ij} at one point x, shape (n,) -> (n, n, n), or over
-        a batch, shape (m, n) -> (m, n, n, n): ``dsharp`` of each pair of
-        basis covectors."""
+        a batch, shape (m, n) -> (m, n, n, n): one ``dsharp`` of the pairs
+        of basis covectors, on two trailing axes."""
         x = np.asarray(x, dtype=float)
         basis = np.eye(self.n)
-        d = _stack([self.dsharp(x.T, e, b) for e in basis for b in basis], x)
-        d = d.reshape((self.n,) * 3 + d.shape[2:])  # d[i, j, k] = d_k alpha^{ij}
-        return np.moveaxis(d, (0, 1, 2), (-2, -1, -3))
+        d = self.dsharp(x if x.ndim == 1 else x.T[..., None, None],
+                        basis[:, :, None], basis[:, None, :])  # d[k][..., i, j] = d_k alpha^{ij}
+        return np.stack([np.broadcast_to(c, x.shape[:-1] + (self.n, self.n)) for c in d], axis=-3)
 
     # perfbench/tracer.py wraps the class's batch evaluators by these names
     alpha_at = alpha
     dalpha_at = dalpha
-
-
-def _stack(tuples, x):
-    """Tuples of components as one array, shape (len(tuples), n) + the
-    batch shape of x; a number, as ``constant_structure``'s ``sharp``
-    returns for any x, is broadcast to the batch shape."""
-    shape = x.shape[:-1]
-    return np.array([[np.broadcast_to(c, shape) for c in t] for t in tuples])
 
 
 def jacobi_residual(s: PoissonStructure, x) -> float:
@@ -119,8 +115,7 @@ def constant_structure(matrix) -> PoissonStructure:
 
 def two_domain(phi: ex.Expr) -> PoissonStructure:
     """alpha^{ij} = eps^{ij} phi(x1, x2) on R^2, eps^{12} = +1."""
-    d1 = ex.differentiate(phi, "x1")
-    d2 = ex.differentiate(phi, "x2")
+    grad = ex.Program((ex.differentiate(phi, "x1"), ex.differentiate(phi, "x2")))
 
     # alpha(x) e = phi (e2, -e1)
     def sharp(x, e):
@@ -129,9 +124,9 @@ def two_domain(phi: ex.Expr) -> PoissonStructure:
 
     # d_i alpha^{jk} e_j b_k = d_i phi (e1 b2 - e2 b1)
     def dsharp(x, e, b):
-        p = {"x1": x[0], "x2": x[1]}
+        g1, g2 = ex.evaluate(grad, {"x1": x[0], "x2": x[1]})
         w = e[0] * b[1] - e[1] * b[0]
-        return ex.evaluate(d1, p) * w, ex.evaluate(d2, p) * w
+        return g1 * w, g2 * w
 
     return PoissonStructure(n=2, sharp=sharp, dsharp=dsharp, name="two_domain")
 
@@ -171,7 +166,7 @@ def _radius(x):
 def rot_invariant3(f: ex.Expr, r_min=1e-6) -> PoissonStructure:
     """alpha^{ij}(x) = f(|x|) eps^{ijk} x^k on R^3 minus a small ball
     around the origin."""
-    fprime = ex.differentiate(f, "R")
+    f_and_fprime = ex.Program((f, ex.differentiate(f, "R")))
 
     # alpha(x) e = e x w with w = f(R) x
     def sharp(x, e):
@@ -185,9 +180,9 @@ def rot_invariant3(f: ex.Expr, r_min=1e-6) -> PoissonStructure:
     def dsharp(x, e, b):
         (x1, x2, x3), (e1, e2, e3), (b1, b2, b3) = x, e, b
         c1, c2, c3 = e2 * b3 - e3 * b2, e3 * b1 - e1 * b3, e1 * b2 - e2 * b1
-        p = {"R": (x1 * x1 + x2 * x2 + x3 * x3) ** 0.5}
-        fv = ex.evaluate(f, p)
-        g = ex.evaluate(fprime, p) / p["R"] * (c1 * x1 + c2 * x2 + c3 * x3)
+        R = (x1 * x1 + x2 * x2 + x3 * x3) ** 0.5
+        fv, fp = ex.evaluate(f_and_fprime, {"R": R})
+        g = fp / R * (c1 * x1 + c2 * x2 + c3 * x3)
         return g * x1 + fv * c1, g * x2 + fv * c2, g * x3 + fv * c3
 
     return PoissonStructure(

@@ -15,7 +15,7 @@ from . import pathspace as ps
 
 __all__ = [
     "RadialProfile", "area", "c_invariant", "classify_fiber", "period",
-    "analyze", "decompose", "radial_gauss_residual", "rescale",
+    "analyze", "analyze_to_csv", "decompose", "radial_gauss_residual", "rescale",
 ]
 
 FOUR_PI = 4.0 * math.pi

@@ -26,6 +26,14 @@ def test_every_exported_name_exists(module):
     assert [name for name in module.__all__ if not hasattr(module, name)] == []
 
 
+@pytest.mark.parametrize("module", MODULES, ids=[m.__name__ for m in MODULES])
+def test_every_public_function_and_class_is_exported(module):
+    public = [name for name, value in vars(module).items()
+              if not name.startswith("_") and (inspect.isfunction(value) or inspect.isclass(value))
+              and value.__module__ == module.__name__]
+    assert [name for name in public if name not in module.__all__] == []
+
+
 IMPORTS_OF_A_COMMAND = """
 import contextlib, io, json, sys
 import psgroupoid

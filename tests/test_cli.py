@@ -177,6 +177,16 @@ def test_lie_roundtrip_cli(capsys):
     assert data["xi_error"] <= 1e-6 and data["g_error"] <= 1e-6
 
 
+@pytest.mark.parametrize("grid, passes", [(20, False), (400, True)])
+def test_lie_roundtrip_gates_the_solution(grid, passes, capsys):
+    # at grid 20 the residual, 6.4e-3, fails the gate of to_groupoid: that
+    # used to be reported as a usage error, exit 2, for valid input
+    data = run_json(["lie", "roundtrip", "--xi", "1,2,3", "--g", "0.8,0.6,0,0",
+                     "--grid", str(grid)], capsys, expect_code=0 if passes else 1)
+    assert data["passed"] is passes and data["xi_error"] == 0.0 and data["g_error"] <= 1e-12
+    assert (data["residual"] < 1e-4) is passes
+
+
 def test_lie_mul_cli(capsys):
     data = run_json(["lie", "mul", "--spec", "su2", "--xi", "0.3,0.2,0.5",
                      "--g", "1,0,0,0", "--g2", "0.8,0.1,0.2,0.55"], capsys)

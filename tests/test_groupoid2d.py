@@ -254,6 +254,29 @@ def test_solved_path_ends_at_the_closed_form_target(src):
         assert g2.contains(p, BOX, g)
 
 
+@pytest.mark.parametrize("src", TARGET_PHI)
+def test_glued_solutions_map_to_the_product(src):
+    # two routes to a product: the invariants of two glued solutions, and
+    # multiply of their invariants; at seed 7 the worst |pi| gap reads
+    # 7.4e-10 for x1*x2, 7.8e-9 for the close roots and 4.8e-16 for phi = 0
+    p = g2.Phi2D.parse(src)
+    rng = np.random.default_rng(7)
+    u = np.linspace(0.0, 1.0, 1001)
+    for _ in range(3):
+        start = rng.uniform(-1.0, 1.0, 2)
+        m = []
+        for _ in range(2):  # eta vanishes at both ends, so the paths glue
+            a, b = rng.uniform(-0.5, 0.5, (2, 2))
+            eta = (30.0 * u ** 2 * (1.0 - u) ** 2)[:, None] * (a + np.outer(u, b))
+            m.append(ps.solve_gauss(p.structure(), start, eta))
+            start = m[-1].X[-1]
+        glued = g2.invariants(p, ps.concatenate(*m))
+        product = g2.multiply(p, *(g2.invariants(p, path) for path in m), tol=1e-6)
+        assert np.max(np.abs(glued.x - product.x)) <= 1e-7
+        assert np.max(np.abs(glued.pi - product.pi)) <= 1e-7
+        assert g2.contains(p, BOX, product)
+
+
 def test_embed_tapered_endpoints_vanish():
     g = pt([1, 1], [0.5, 0.25])
     m = g2.embed(QP, g, N=500, tapered=True)

@@ -474,3 +474,13 @@ def test_require_solution_scales_the_bound_with_the_speed(speed, offset, passes)
     with pytest.raises(ValueError, match=r"^gauge_flow requires a constraint solution "
                                          r"\(residual above 1e-05\)$"):
         ps.gauge_flow(s, m, beta)
+
+
+def test_the_gate_differentiates_the_path_once(monkeypatch):
+    s = _phi_structure()
+    m = ps.solve_gauss(s, [1.0, 1.0], _smooth_eta(50, 2, seed=16))
+    calls = []
+    original = ps.path_derivative
+    monkeypatch.setattr(ps, "path_derivative", lambda Y: calls.append(Y) or original(Y))
+    residual, passed = ps.check_solution(s, m, 1e-2)
+    assert len(calls) == 1 and passed and residual == ps.gauss_residual(s, m)

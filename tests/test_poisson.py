@@ -318,6 +318,34 @@ def test_alpha_and_dalpha_keep_the_recorded_values(name):
         assert np.array_equal(a, wa) and np.max(np.abs(d - wd)) <= tol
 
 
+@pytest.mark.parametrize("name", list(_RECORDED))
+def test_alpha_and_dalpha_take_one_contraction_call_each(name):
+    s = _sharp_structures()[name]
+    calls = []
+    counted = po.PoissonStructure(
+        n=s.n, sharp=lambda *a: calls.append("sharp") or s.sharp(*a),
+        dsharp=lambda *a: calls.append("dsharp") or s.dsharp(*a))
+    X = np.array(_RECORDED[name][0])
+    for x in (X[0], X):
+        calls.clear()
+        assert np.array_equal(counted.alpha(x), s.alpha(x)) and calls == ["sharp"]
+        calls.clear()
+        assert np.array_equal(counted.dalpha(x), s.dalpha(x)) and calls == ["dsharp"]
+
+
+@pytest.mark.parametrize("name", ["two_domain", "rot_invariant3"])
+def test_dsharp_takes_one_expression_call(name, monkeypatch):
+    s = _sharp_structures()[name]
+    calls = []
+    original = ex.evaluate
+    monkeypatch.setattr(ex, "evaluate", lambda *a: calls.append(a) or original(*a))
+    X = np.array(_RECORDED[name][0])
+    for x, e in ((X[0], X[-1]), (X.T, X[::-1].T)):
+        calls.clear()
+        s.dsharp(x, e, x)
+        assert len(calls) == 1
+
+
 # Values of the implementation that contracted alpha_at(X) by einsum, on
 # fixed off-shell paths (u on 41 nodes) and at every tenth node of X.
 _U = np.linspace(0.0, 1.0, 41)

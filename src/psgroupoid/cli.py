@@ -25,6 +25,8 @@ import numpy as np
 from . import expr as ex
 from . import pathspace as ps
 
+__all__ = ["CLIError", "emit", "build_parser", "main"]
+
 EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_USAGE = 2

@@ -31,7 +31,7 @@ __all__ = [
     "Expr", "Const", "Var", "Neg", "Add", "Sub", "Mul", "Div", "Pow", "Call",
     "ExprError", "SyntaxExprError", "UnknownIdentifierError", "DomainError",
     "Program", "parse", "evaluate", "evaluate_interval", "differentiate",
-    "polynomial_degree", "split_out", "to_string",
+    "polynomial_degree", "split_out", "substitute", "to_string",
 ]
 
 _FUNCTIONS = ("sin", "cos", "exp", "log", "sqrt")
@@ -403,6 +403,14 @@ def split_out(exprs, name: str) -> tuple[list, dict]:
         return dataclasses.replace(e, **{c: rewrite(getattr(e, c)) for c in _CHILDREN if hasattr(e, c)})
 
     return [rewrite(e) for e in exprs], {new: e for e, new in names.items()}
+
+
+def substitute(e: Expr, values: dict) -> Expr:
+    """``e`` with each variable that ``values`` names replaced, all at once,
+    by the expression it maps to."""
+    if isinstance(e, Var):
+        return values.get(e.name, e)
+    return dataclasses.replace(e, **{c: substitute(getattr(e, c), values) for c in _CHILDREN if hasattr(e, c)})
 
 
 def _finite(x):

@@ -92,6 +92,7 @@ class LieAlgebraSpec:
     log: Callable[[np.ndarray], np.ndarray]
     name: str = "lie"
     _basis_pinv: np.ndarray = field(init=False, repr=False)
+    _kk_structure: PoissonStructure = field(init=False, repr=False)
 
     def __post_init__(self):
         f = np.asarray(self.f, dtype=float)
@@ -100,6 +101,7 @@ class LieAlgebraSpec:
         object.__setattr__(self, "basis", basis)
         flat = basis.reshape(self.n, -1)
         object.__setattr__(self, "_basis_pinv", np.linalg.pinv(flat.T))
+        object.__setattr__(self, "_kk_structure", kirillov_kostant(f, name=f"kk_{self.name}"))
 
     @property
     def d(self) -> int:
@@ -260,8 +262,8 @@ def builtin_spec(name: str) -> LieAlgebraSpec:
 # Operations
 
 def kk_structure(spec: LieAlgebraSpec) -> PoissonStructure:
-    """Kirillov-Kostant structure alpha^{ij}(x) = f^{ij}_k x^k."""
-    return kirillov_kostant(spec.f, name=f"kk_{spec.name}")
+    """Kirillov-Kostant structure alpha^{ij}(x) = f^{ij}_k x^k, one per spec."""
+    return spec._kk_structure
 
 
 def holonomy(spec: LieAlgebraSpec, m: ps.DiscretizedMorphism) -> np.ndarray:

@@ -9,7 +9,8 @@ ends), ``path_integral`` (the cumulative trapezoid rule) and
 ``midpoints`` (the mean of each interval's two nodes, linear
 interpolation), all second order in du, and ``cubic_midpoints`` (the
 cubic through four neighbouring nodes, fourth order), which
-``solve_gauss`` uses, so that solver is fourth order.
+``solve_gauss`` uses, so that solver is fourth order. Its RK4 step is one
+``ex.Program``, compiled from the bivector once per structure.
 
 ``gauge_flow`` steps arrays of shape (n, N+1), one row per component,
 with the gauge field bound to the grid once (``GaugeField.on_grid``).
@@ -19,6 +20,7 @@ with the gauge field bound to the grid once (``GaugeField.on_grid``).
 from __future__ import annotations
 
 import json
+import weakref
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -264,12 +266,35 @@ def _check_domain(s: PoissonStructure, X: np.ndarray, message: str):
         raise ex.DomainError(f"{message} at node {np.argmin(inside)}")
 
 
+_GAUSS_STEPS = weakref.WeakKeyDictionary()  # structure -> (variable names, compiled RK4 step)
+
+
+def _gauss_step(s: PoissonStructure):
+    """The RK4 step of X' = alpha(X) e as one Program, compiled once per
+    structure, and the names of its variables: the stages k1 = sharp(x, a),
+    k2 = sharp(x + half k1, b), k3 = sharp(x + half k2, b), k4 = sharp(x +
+    du k3, c) and x + sixth (k1 + 2 k2 + 2 k3 + k4), for e = a, b, c at the
+    interval's first node, midpoint and last node, in that order, so it has
+    their bits."""
+    if s not in _GAUSS_STEPS:
+        x, a, b, c = ([ex.Var(f"{v}{i + 1}") for i in range(s.n)] for v in "xabc")
+        du, half, sixth, two = ex.Var("du"), ex.Var("half"), ex.Var("sixth"), ex.Const(2.0)
+        k = [s.contraction(x, a)]
+        for h, e in ((half, b), (half, b), (du, c)):
+            k.append(s.contraction([ex.Add(xi, ex.Mul(h, ki)) for xi, ki in zip(x, k[-1])], e))
+        step = [ex.Add(xi, ex.Mul(sixth, ex.Add(ex.Add(ex.Add(k1, ex.Mul(two, k2)), ex.Mul(two, k3)), k4)))
+                for xi, k1, k2, k3, k4 in zip(x, *k)]
+        _GAUSS_STEPS[s] = [v.name for v in x + a + b + c + [du, half, sixth]], ex.Program(step)
+    return _GAUSS_STEPS[s]
+
+
 def solve_gauss(s: PoissonStructure, x0, eta: np.ndarray) -> DiscretizedMorphism:
     """Integrate X' = -alpha(X) eta_u from X(0) = x0 over the grid of eta,
     N = len(eta) - 1, by RK4 steps that take eta at each interval's
     midpoint from ``cubic_midpoints``, so the solution is fourth order in
-    du. The steps run on Python floats, through ``s.sharp``; every node
-    is checked against the domain of s."""
+    du. Each step is one evaluation, on Python floats, of the step that
+    ``_gauss_step`` compiles from the bivector of s; every node is checked
+    against the domain of s."""
     eta = np.asarray(eta, dtype=float)
     if eta.ndim != 2 or eta.shape[1] != s.n:
         raise ValueError("eta must be sampled on the grid, shape (N+1, n)")
@@ -278,22 +303,17 @@ def solve_gauss(s: PoissonStructure, x0, eta: np.ndarray) -> DiscretizedMorphism
     N = len(eta) - 1
     x = s.check_point(x0).tolist()
     du = 1.0 / N
-    # sharp(x, -eta) has the bits of -sharp(x, eta); negating eta and
+    # alpha(x) (-eta) has the bits of -(alpha(x) eta); negating eta and
     # forming its midpoints once per path saves operations per step
     e = -eta
     e_mid = cubic_midpoints(e).tolist()
     e = e.tolist()
-    sharp = s.sharp
+    names, step = _gauss_step(s)
     half, sixth = 0.5 * du, du / 6.0
     rows = [x]
     try:
         for k in range(N):
-            k1 = sharp(x, e[k])
-            k2 = sharp([a + half * b for a, b in zip(x, k1)], e_mid[k])
-            k3 = sharp([a + half * b for a, b in zip(x, k2)], e_mid[k])
-            k4 = sharp([a + du * b for a, b in zip(x, k3)], e[k + 1])
-            x = [a + sixth * (b1 + 2 * b2 + 2 * b3 + b4)
-                 for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)]
+            x = ex.evaluate(step, dict(zip(names, (*x, *e[k], *e_mid[k], *e[k + 1], du, half, sixth))))
             rows.append(x)
     finally:
         # every node in one batch; the first one outside the domain is the

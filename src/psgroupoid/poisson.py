@@ -1,5 +1,6 @@
-"""Poisson structures with first derivatives and the numeric Jacobi
-identity (the Koszul bracket is ``pathspace.koszul_bracket_values``).
+"""Poisson structures given by their bivector expressions, the
+contractions and first derivatives compiled from them, and the numeric
+Jacobi identity (the Koszul bracket is ``pathspace.koszul_bracket_values``).
 
 Index conventions: ``alpha(x)[i, j]`` is the bivector component
 ``alpha^{ij}(x)``; ``dalpha(x)[k, i, j]`` is the partial derivative
@@ -8,6 +9,8 @@ Index conventions: ``alpha(x)[i, j]`` is the bivector component
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -23,36 +26,48 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PoissonStructure:
-    """An antisymmetric bivector field alpha on R^n, given by two
-    contractions and a domain.
+def _variables(prefix: str, n: int) -> list:
+    return [ex.Var(f"{prefix}{i + 1}") for i in range(n)]
 
+
+def _sum(terms) -> ex.Expr:
+    """t1 + t2 + ... in order; 0 for no terms."""
+    terms = list(terms)
+    return functools.reduce(ex.Add, terms) if terms else ex.Const(0.0)
+
+
+@dataclass(frozen=True, eq=False)
+class PoissonStructure:
+    """An antisymmetric bivector field alpha on R^n and its domain.
+
+    ``bivector`` holds alpha^{ij} for i < j, row by row ((1, 2), (1, 3),
+    ..., (n-1, n)), as expressions over x1..xn: the one closed form, from
+    which everything else compiles, once per structure, on first use.
     ``sharp(x, e)`` is alpha^{ij}(x) e_j and ``dsharp(x, e, b)`` is
-    d_i alpha^{jk}(x) e_j b_k. They take x, e and b as length-n
-    sequences of components, not as rows: each component is a number,
-    for one point, and then they return a tuple of n floats; or an
-    array, for a batch (``sharp(X.T, E.T)`` for X and E of shape
-    (m, n)), and then a tuple of n arrays of shape (m,). Components of
-    any shapes that broadcast together must give components of the
-    broadcast shape, or of one that broadcasts to it: ``alpha`` passes
-    the basis covectors on a trailing axis and ``dalpha`` the pairs of
-    them on two, each in one call, and a batch's components then get
-    size-1 axes there. The constructors below give both in closed form.
-    ``in_domain`` takes one point, shape (n,), or a batch, shape (m, n),
-    and returns a bool or a bool array of shape (m,); ``None`` means all
-    of R^n, and ``pathspace._check_domain`` raises ValueError on any
-    other shape. ``alpha`` and ``dalpha`` are derived from ``sharp`` and
-    ``dsharp``."""
+    d_i alpha^{jk}(x) e_j b_k, each one ``ex.evaluate`` call. They take x,
+    e and b as length-n sequences of components, not as rows: numbers, for
+    one point, give a tuple of n floats, and arrays, for a batch
+    (``sharp(X.T, E.T)`` for X and E of shape (m, n)), a tuple of n arrays
+    of the components' broadcast shape. ``in_domain`` takes one point,
+    shape (n,), or a batch, shape (m, n), and returns a bool or a bool
+    array of shape (m,); ``None`` means all of R^n, and
+    ``pathspace._check_domain`` raises ValueError on any other shape.
+    Structures compare by identity."""
 
     n: int
-    sharp: Callable
-    dsharp: Callable
+    bivector: tuple
     in_domain: Optional[Callable[[np.ndarray], np.ndarray]] = None
     name: str = "poisson"
     # perfbench/tracer.py reads these names by getattr and skips them while None
     d2alpha = alpha_batch = dalpha_batch = None
-    # no __slots__: perfbench/tracer.py sets its wrapped alpha and dalpha on the instance
+    # no __slots__: perfbench/tracer.py sets its wrapped alpha and dalpha on
+    # the instance, and the compiled contractions are cached there
+
+    def __post_init__(self):
+        object.__setattr__(self, "bivector", tuple(self.bivector))
+        object.__setattr__(self, "_names", [f"{v}{i + 1}" for v in "xeb" for i in range(self.n)])
+        if len(self.bivector) != self.n * (self.n - 1) // 2:
+            raise ValueError(f"a bivector on R^{self.n} needs alpha^ij for each i < j")
 
     def check_point(self, x):
         x = np.asarray(x, dtype=float)
@@ -61,6 +76,37 @@ class PoissonStructure:
         if self.in_domain is not None and not self.in_domain(x):
             raise DomainError(f"point {x} outside domain of {self.name}")
         return x
+
+    def contraction(self, x, e) -> list:
+        """alpha^{ij}(x) e_j as n expressions, for sequences x and e of n
+        expressions: the sum over j in order, zero components left out."""
+        at, alpha = {f"x{i + 1}": xi for i, xi in enumerate(x)}, {}
+        for (i, j), a in zip(itertools.combinations(range(self.n), 2), self.bivector):
+            if a != ex.Const(0.0):
+                alpha[i, j] = ex.substitute(a, at)
+                alpha[j, i] = ex.Neg(alpha[i, j])
+        return [_sum(ex.Mul(alpha[i, j], e[j]) for j in range(self.n) if (i, j) in alpha)
+                for i in range(self.n)]
+
+    @functools.cached_property
+    def _sharp(self):
+        return ex.Program(self.contraction(_variables("x", self.n), _variables("e", self.n)))
+
+    @functools.cached_property
+    def _dsharp(self):
+        """sum over j < k of d_i alpha^{jk} (e_j b_k - e_k b_j), by ``ex.differentiate``"""
+        x, e, b = (_variables(prefix, self.n) for prefix in "xeb")
+        pairs = list(itertools.combinations(range(self.n), 2))
+        wedges = [ex.Sub(ex.Mul(e[j], b[k]), ex.Mul(e[k], b[j])) for j, k in pairs]
+        partials = [[ex.differentiate(a, v.name) for a in self.bivector] for v in x]
+        return ex.Program([_sum(ex.Mul(d, w) for d, w in zip(row, wedges) if d != ex.Const(0.0))
+                           for row in partials])
+
+    def sharp(self, x, e):
+        return tuple(ex.evaluate(self._sharp, dict(zip(self._names, (*x, *e)))))
+
+    def dsharp(self, x, e, b):
+        return tuple(ex.evaluate(self._dsharp, dict(zip(self._names, (*x, *e, *b)))))
 
     def alpha(self, x):
         """alpha^{ij} at one point x, shape (n,) -> (n, n), or over a
@@ -104,31 +150,13 @@ def constant_structure(matrix) -> PoissonStructure:
     n = A.shape[0]
     if A.shape != (n, n) or not np.allclose(A, -A.T, atol=1e-12):
         raise ValueError("constant structure needs an antisymmetric square matrix")
-    rows = A.tolist()
-    return PoissonStructure(
-        n=n,
-        sharp=lambda x, e: tuple(sum(a * v for a, v in zip(row, e)) for row in rows),
-        dsharp=lambda x, e, b: (0.0 * e[0],) * n,
-        name="constant",
-    )
+    return PoissonStructure(n=n, bivector=[ex.Const(a) for a in A[np.triu_indices(n, 1)].tolist()],
+                            name="constant")
 
 
 def two_domain(phi: ex.Expr) -> PoissonStructure:
     """alpha^{ij} = eps^{ij} phi(x1, x2) on R^2, eps^{12} = +1."""
-    grad = ex.Program((ex.differentiate(phi, "x1"), ex.differentiate(phi, "x2")))
-
-    # alpha(x) e = phi (e2, -e1)
-    def sharp(x, e):
-        p = ex.evaluate(phi, {"x1": x[0], "x2": x[1]})
-        return p * e[1], -p * e[0]
-
-    # d_i alpha^{jk} e_j b_k = d_i phi (e1 b2 - e2 b1)
-    def dsharp(x, e, b):
-        g1, g2 = ex.evaluate(grad, {"x1": x[0], "x2": x[1]})
-        w = e[0] * b[1] - e[1] * b[0]
-        return g1 * w, g2 * w
-
-    return PoissonStructure(n=2, sharp=sharp, dsharp=dsharp, name="two_domain")
+    return PoissonStructure(n=2, bivector=[phi], name="two_domain")
 
 
 def kirillov_kostant(f, name="kirillov_kostant") -> PoissonStructure:
@@ -140,22 +168,10 @@ def kirillov_kostant(f, name="kirillov_kostant") -> PoissonStructure:
         raise ValueError("structure constants must have shape (n, n, n)")
     if not np.allclose(f, -np.transpose(f, (1, 0, 2)), atol=1e-12):
         raise ValueError("structure constants must be antisymmetric in (i, j)")
-    # per i, the nonzero (j, k, f^{ij}_k) of sum_jk f^{ij}_k x_k e_j
-    terms = [[(j, k, float(f[i, j, k])) for j in range(n) for k in range(n) if f[i, j, k]]
-             for i in range(n)]
-    # per i, the nonzero (j, k, f^{jk}_i) of sum_jk d_i alpha^{jk} e_j b_k
-    dterms = [[(j, k, float(f[j, k, i])) for j in range(n) for k in range(n) if f[j, k, i]]
-              for i in range(n)]
-
-    def sharp(x, e):
-        zero = 0.0 * e[0]  # a number or an array of the batch shape
-        return tuple(sum((c * x[k] * e[j] for j, k, c in row), zero) for row in terms)
-
-    def dsharp(x, e, b):
-        zero = 0.0 * e[0]
-        return tuple(sum((c * e[j] * b[k] for j, k, c in row), zero) for row in dterms)
-
-    return PoissonStructure(n=n, sharp=sharp, dsharp=dsharp, name=name)
+    x = _variables("x", n)
+    return PoissonStructure(n=n, name=name, bivector=[
+        _sum(ex.Mul(ex.Const(c), x[k]) for k, c in enumerate(row) if c)
+        for row in f[np.triu_indices(n, 1)].tolist()])
 
 
 def _radius(x):
@@ -166,27 +182,10 @@ def _radius(x):
 def rot_invariant3(f: ex.Expr, r_min=1e-6) -> PoissonStructure:
     """alpha^{ij}(x) = f(|x|) eps^{ijk} x^k on R^3 minus a small ball
     around the origin."""
-    f_and_fprime = ex.Program((f, ex.differentiate(f, "R")))
-
-    # alpha(x) e = e x w with w = f(R) x
-    def sharp(x, e):
-        x1, x2, x3 = x
-        e1, e2, e3 = e
-        fv = ex.evaluate(f, {"R": (x1 * x1 + x2 * x2 + x3 * x3) ** 0.5})
-        w1, w2, w3 = fv * x1, fv * x2, fv * x3
-        return e2 * w3 - e3 * w2, e3 * w1 - e1 * w3, e1 * w2 - e2 * w1
-
-    # d_i alpha^{jk} e_j b_k = f'(R) / R x_i ((e x b) . x) + f(R) (e x b)_i
-    def dsharp(x, e, b):
-        (x1, x2, x3), (e1, e2, e3), (b1, b2, b3) = x, e, b
-        c1, c2, c3 = e2 * b3 - e3 * b2, e3 * b1 - e1 * b3, e1 * b2 - e2 * b1
-        R = (x1 * x1 + x2 * x2 + x3 * x3) ** 0.5
-        fv, fp = ex.evaluate(f_and_fprime, {"R": R})
-        g = fp / R * (c1 * x1 + c2 * x2 + c3 * x3)
-        return g * x1 + fv * c1, g * x2 + fv * c2, g * x3 + fv * c3
-
+    x1, x2, x3 = _variables("x", 3)
+    fR = ex.substitute(f, {"R": ex.parse("sqrt(x1*x1 + x2*x2 + x3*x3)", ["x1", "x2", "x3"])})
     return PoissonStructure(
-        n=3, sharp=sharp, dsharp=dsharp,
+        n=3, bivector=[ex.Mul(fR, x3), ex.Neg(ex.Mul(fR, x2)), ex.Mul(fR, x1)],
         in_domain=lambda x: _radius(np.asarray(x, dtype=float)) >= r_min,
         name="rot_invariant3",
     )

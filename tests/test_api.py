@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from psgroupoid import cli
 from psgroupoid import expr as ex
 from psgroupoid import groupoid2d as g2
 from psgroupoid import lie_dual as ld
@@ -18,7 +19,7 @@ from psgroupoid import pathspace as ps
 from psgroupoid import poisson as po
 from psgroupoid import radial3d as rad
 
-MODULES = [ex, po, ps, g2, ld, rad]
+MODULES = [ex, po, ps, g2, ld, rad, cli]
 
 
 @pytest.mark.parametrize("module", MODULES, ids=[m.__name__ for m in MODULES])
@@ -86,6 +87,8 @@ RETIRED = [
     (po.rot_invariant3, "name"),
     (po.PoissonStructure, "alpha"),
     (po.PoissonStructure, "dalpha"),
+    (po.PoissonStructure, "sharp"),
+    (po.PoissonStructure, "dsharp"),
 ]
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from psgroupoid import expr as ex
 from psgroupoid import lie_dual as ld
 from psgroupoid import pathspace as ps
 from psgroupoid import poisson as po
@@ -94,6 +95,16 @@ def test_from_groupoid_roundtrip():
             back = ld.to_groupoid(spec, m)
             assert np.max(np.abs(back.xi - xi)) < 1e-8, name
             assert np.max(np.abs(back.g - g)) < 1e-8, name
+
+
+def test_to_groupoid_compiles_once_per_spec(monkeypatch):
+    spec = ld.builtin_spec("su2")
+    m = ld.from_groupoid(spec, [0.3, -0.2, 0.5], _random_group(spec, np.random.default_rng(3)), N=500)
+    ld.to_groupoid(spec, m)
+    built, program = [], ex.Program
+    monkeypatch.setattr(ex, "Program", lambda *a: built.append(a) or program(*a))
+    ld.to_groupoid(spec, m)
+    assert built == [] and ld.kk_structure(spec) is ld.kk_structure(spec)
 
 
 def _ball_stack(rng, count, radius):

@@ -140,16 +140,63 @@ def test_solve_gauss_is_fourth_order(name):
     assert abs(order - 4.0) <= 0.3
 
 
+def _solve_gauss_by_sharp(s, x0, eta):
+    """The nodes of ``solve_gauss`` by four ``sharp`` calls per interval on
+    Python floats: the reference for its compiled step."""
+    N = len(eta) - 1
+    x = [float(v) for v in x0]
+    du = 1.0 / N
+    e = -eta
+    e_mid = ps.cubic_midpoints(e).tolist()
+    e = e.tolist()
+    half, sixth = 0.5 * du, du / 6.0
+    rows = [x]
+    for k in range(N):
+        k1 = s.sharp(x, e[k])
+        k2 = s.sharp([a + half * b for a, b in zip(x, k1)], e_mid[k])
+        k3 = s.sharp([a + half * b for a, b in zip(x, k2)], e_mid[k])
+        k4 = s.sharp([a + du * b for a, b in zip(x, k3)], e[k + 1])
+        x = [a + sixth * (b1 + 2 * b2 + 2 * b3 + b4)
+             for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)]
+        rows.append(x)
+    return np.array(rows)
+
+
+_PHI = ["x1*x2", "x2", "sin(x1)+2", "x1^3 - x2", "(x1-0.5)*(x1-0.5-0.001)", "exp(x1) - 2", "0"]
+_STEPPED = {
+    "constant": lambda: po.constant_structure([[0.0, 2.0, -0.5], [-2.0, 0.0, 1.5], [0.5, -1.5, 0.0]]),
+    **{f"two_domain[{src}]": (lambda src=src: _phi_structure(src)) for src in _PHI},
+    **{f"kk_{name}": (lambda name=name: ld.kk_structure(ld.builtin_spec(name)))
+       for name in ("su2", "so3", "heisenberg3")},
+    **{f"rot_invariant3[{src}]": (lambda src=src: po.rot_invariant3(ex.parse(src, ["R"])))
+       for src in ("R/(1+(R-1)^3)", "1/(1+R^2)")},
+}
+
+
+@pytest.mark.parametrize("name", list(_STEPPED))
+def test_solve_gauss_gives_the_bits_of_four_sharp_calls_per_interval(name):
+    s = _STEPPED[name]()
+    rng = np.random.default_rng(21)
+    x0 = rng.uniform(0.5, 1.0, s.n) * rng.choice([-1.0, 1.0], s.n)
+    eta = _smooth_eta(200, s.n, seed=21)
+    assert np.array_equal(ps.solve_gauss(s, x0, eta).X, _solve_gauss_by_sharp(s, x0, eta))
+
+
+def test_solve_gauss_compiles_its_step_once(monkeypatch):
+    s, eta = _phi_structure("sin(x1)+2"), _smooth_eta(20, 2)
+    built, program = [], ex.Program
+    monkeypatch.setattr(ex, "Program", lambda *a: built.append(a) or program(*a))
+    ps.solve_gauss(s, [1.0, 0.5], eta)
+    assert len(built) == 1
+    ps.solve_gauss(s, [0.3, -0.2], eta)
+    assert len(built) == 1
+
+
 def _half_plane(alpha_limit=math.inf):
-    """Constant structure on x1 < 1.45, whose sharp raises from x1 >= alpha_limit."""
-    good = po.constant_structure([[0.0, 1.0], [-1.0, 0.0]])
-
-    def sharp(x, e):
-        if np.any(np.asarray(x[0]) >= alpha_limit):
-            raise po.DomainError("alpha undefined")
-        return good.sharp(x, e)
-
-    return po.PoissonStructure(n=2, sharp=sharp, dsharp=good.dsharp,
+    """Constant structure on x1 < 1.45, whose alpha^12 is undefined from
+    x1 >= alpha_limit."""
+    src = "1" if alpha_limit == math.inf else f"1 + 0*log({alpha_limit!r} - x1)"
+    return po.PoissonStructure(n=2, bivector=[ex.parse(src, ["x1", "x2"])],
                                in_domain=lambda x: np.asarray(x)[..., 0] < 1.45,
                                name="half_plane")
 
@@ -208,7 +255,7 @@ def test_gauge_flow_names_the_first_node_outside_the_domain():
 def test_point_only_in_domain_is_refused_on_a_batch():
     # one bool from the norm of the whole (m, n) array would pass nodes 3-7
     good = po.rot_invariant3(ex.parse("1", ["R"]), r_min=0.5)
-    s = po.PoissonStructure(n=3, sharp=good.sharp, dsharp=good.dsharp,
+    s = po.PoissonStructure(n=3, bivector=good.bivector,
                             in_domain=lambda x: bool(np.linalg.norm(x) >= 0.5),
                             name="point_only")
     with pytest.raises(ValueError, match=r"in_domain of point_only returned shape \(\)"):

@@ -465,6 +465,8 @@ def _check_bounded(d, pi_box):
     """ValueError unless uniform draws over the rectangle and pi box exist."""
     if not all(math.isfinite(w) for w in (d.xmax - d.xmin, d.ymax - d.ymin, 2.0 * pi_box)):
         raise ValueError("sampling needs a rectangle and a pi box of finite size")
+    if pi_box < 0:
+        raise ValueError(f"pi_box must be at least 0, got {pi_box:g}")
 
 
 def _draw_point(p, d, rng, pi_box, x=None):

@@ -190,11 +190,11 @@ def test_criterion_07_moment_map():
     gamma = ps.GaugeField.parse(
         ["0.3*u*(1-u)*x1", "0.2*sin(3.141592653589793*u)*x1*x2"], 2)
     equiv = ps.equivariance_defect(s, m, beta, gamma)
-    ok = on_shell <= 1e-6 and dh_err <= 1e-4 and equiv <= 1e-3
+    ok = on_shell <= 1e-6 and dh_err <= 2e-6 and equiv <= 2e-8
     _check("criterion 7 (moment map)", ok,
            f"on-shell H {on_shell:.3e} (tol 1e-6), "
-           f"dH vs pairing {dh_err:.3e} (tol 1e-4, 20 trials), "
-           f"equivariance {equiv:.3e} (tol 1e-3)")
+           f"dH vs pairing {dh_err:.3e} (tol 2e-6, 20 trials), "
+           f"equivariance {equiv:.3e} (tol 2e-8)")
 
 
 def test_criterion_08_su2_dual():

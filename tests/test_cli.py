@@ -473,6 +473,8 @@ def test_flow_solve_on_the_benchmark_grid_passes(x0, c, capsys):
      "quaternion must have a finite nonzero norm"),
     (["radial", "analyze", "--f", "R", "--range", "0.5,inf"],
      "range must satisfy 0 < Rmin < Rmax < inf"),
+    (["g2d", "verify", "--phi", "x1*x2", "--samples", "3", "--pi-box", "-1"],
+     "pi_box must be at least 0, got -1"),
 ])
 def test_bad_numbers_are_usage_errors_without_warnings(argv, message, capsys):
     with warnings.catch_warnings(record=True) as caught:

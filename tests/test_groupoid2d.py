@@ -509,6 +509,17 @@ def test_sampling_draw_order_is_pinned():
     assert list(b.pi) == [-0.006253129212991482, -0.5049701559453383]
 
 
+@pytest.mark.parametrize("sampler", [g2.sample_points, g2.sample_composable_pairs])
+def test_sampling_refuses_a_negative_pi_box(sampler):
+    with pytest.raises(ValueError, match=r"^pi_box must be at least 0, got -1$"):
+        sampler(QP, BOX, 1, np.random.default_rng(7), pi_box=-1.0)
+
+
+def test_sampling_in_a_pi_box_of_size_zero_draws_units():
+    points = g2.sample_points(QP, BOX, 3, np.random.default_rng(7), pi_box=0.0)
+    assert all(list(g.pi) == [0.0, 0.0] for g in points)
+
+
 def test_verify_axioms_counts_the_checks_it_ran():
     report = g2.verify_axioms(QP, BOX, samples=100, seed=0)
     counts = {name: entry["count"] for name, entry in report.items()}

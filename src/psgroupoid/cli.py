@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 import numpy as np
@@ -57,7 +58,17 @@ def emit(obj, stream=None):
         text = json.dumps(obj, default=_plain, allow_nan=False)
     except ValueError:
         raise CLIError("non-finite number in output") from None
-    print(text, file=stream or sys.stdout)
+    _write(text + "\n", stream or sys.stdout)
+
+
+def _write(text, stream):
+    """text to stream, flushed; a reader that closed the pipe ends the output
+    and not the command, whose flush at exit then goes to os.devnull."""
+    try:
+        stream.write(text)
+        stream.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +239,6 @@ def _add_flow(sub):
                    help="semicolon-separated components in x1..xn and u, "
                         "vanishing at u=0 and u=1")
     q.add_argument("--time", type=float, default=1.0)
-    q.add_argument("--steps", type=int, default=ps.DEFAULT_FLOW_STEPS)
     q.add_argument("--out")
 
     q = ops.add_parser("invariants")
@@ -279,8 +289,7 @@ def _run_flow(args) -> int:
     if args.op == "gauge":
         m = _load_morphism(args.infile)
         beta = ps.GaugeField.parse(args.beta.split(";"), s.n)
-        flowed = ps.gauge_flow(s, m, beta, s_steps=args.steps,
-                               s_total=args.time)
+        flowed = ps.gauge_flow(s, m, beta, s_total=args.time)
         emit(_morphism_report(flowed, args.out, {
             "residual_before": ps.gauss_residual(s, m),
             "residual_after": ps.gauss_residual(s, flowed),
@@ -392,7 +401,7 @@ def _run_radial(args) -> int:
     profile = rad.RadialProfile.parse(args.f, float(lo), float(hi))
     report = rad.analyze(profile, args.samples)
     if args.csv:
-        sys.stdout.write(rad.analyze_to_csv(report))
+        _write(rad.analyze_to_csv(report), sys.stdout)
     else:
         emit(report)
     return EXIT_OK

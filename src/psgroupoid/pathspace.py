@@ -12,8 +12,9 @@ cubic through four neighbouring nodes, fourth order), which
 ``solve_gauss`` uses, so that solver is fourth order. Its RK4 step is one
 ``ex.Program``, compiled from the bivector once per structure.
 
-``gauge_flow`` steps arrays of shape (n, N+1), one row per component,
-with the gauge field bound to the grid once (``GaugeField.on_grid``).
+``gauge_flow`` steps the stacked state (X; eta), shape (2n, N+1), with
+the gauge field bound to the grid once (``GaugeField.on_grid``), and
+doubles its RK4 step count until two successive flows agree.
 ``check_solution`` decides what counts as a constraint solution.
 """
 
@@ -37,11 +38,12 @@ __all__ = [
     "hamiltonian", "hamiltonian_check",
     "koszul_bracket_values", "equivariance_defect",
     "concatenate", "reverse", "taper",
-    "DEFAULT_GRID", "DEFAULT_FLOW_STEPS", "MIN_NODES",
+    "DEFAULT_GRID", "FLOW_TOL", "FLOW_MAX_STEPS", "MIN_NODES",
 ]
 
 DEFAULT_GRID = 1000
-DEFAULT_FLOW_STEPS = 64
+FLOW_TOL = 1e-10  # agreement of two successive gauge flows, relative to 1 + max|Y|
+FLOW_MAX_STEPS = 64  # a power of two
 MIN_NODES = 3  # the one-sided end stencils of path_derivative take three
 
 
@@ -245,13 +247,12 @@ def check_solution(s: PoissonStructure, m: DiscretizedMorphism,
     return res, res <= tol * max(1.0, float(np.max(np.linalg.norm(Xp, axis=1))))
 
 
-def require_solution(s: PoissonStructure, m: DiscretizedMorphism, tol: float,
-                     message: str = "not a constraint solution (residual {:g})"):
-    """ValueError with ``message``, formatted with the Gauss residual,
-    unless ``check_solution`` passes m at tol."""
+def require_solution(s: PoissonStructure, m: DiscretizedMorphism, tol: float):
+    """ValueError naming the Gauss residual unless ``check_solution``
+    passes m at tol."""
     res, passed = check_solution(s, m, tol)
     if not passed:
-        raise ValueError(message.format(res))
+        raise ValueError(f"not a constraint solution (residual {res:g})")
 
 
 def _check_domain(s: PoissonStructure, X: np.ndarray, message: str):
@@ -330,55 +331,60 @@ def gauge_vector_field(s: PoissonStructure, m: DiscretizedMorphism,
     dEta_i = d_u beta_i + d_i alpha^{jk} eta_j beta_k - C^j d_i beta_j
     with C^j = d_u X^j + alpha^{jk} eta_k and d_u the total u-derivative
     along X(u)."""
-    dX, dEta = _gauge_field(s, beta, m.u)(m.X.T, m.eta.T)
-    return TangentVector(dX=dX.T, dEta=dEta.T)
+    v = _gauge_field(s, beta, m.u)(np.concatenate([m.X.T, m.eta.T]))
+    return TangentVector(dX=v[:s.n].T, dEta=v[s.n:].T)
 
 
 def _gauge_field(s: PoissonStructure, beta: GaugeField, u: np.ndarray):
-    """The gauge vector field of beta bound to the grid u: (X, eta) ->
-    (dX, dEta) on arrays of shape (n, len(u)), one row per component."""
+    """The gauge vector field of beta bound to the grid u: Y = (X; eta) ->
+    (dX; dEta) on arrays of shape (2n, len(u)), one row per component."""
     if beta.n != s.n:
         raise ValueError("gauge field dimension mismatch")
-    at, sharp, dsharp = beta.on_grid(u), s.sharp, s.dsharp
+    at, sharp, dsharp, n = beta.on_grid(u), s.sharp, s.dsharp, s.n
 
-    def field(X, eta):
+    def field(Y):
+        X, eta = Y[:n], Y[n:]
         Xp = path_derivative(X.T).T
         b, J, bu = at(X)
         C = [xp + a for xp, a in zip(Xp, sharp(X, eta))]
         minus_dX, term2 = sharp(X, b), dsharp(X, eta, b)
-        dX, dEta = np.empty_like(Xp), np.empty_like(Xp)
-        for i in range(s.n):
-            dX[i] = -minus_dX[i]
-            dEta[i] = (bu[i] + sum(a * v for a, v in zip(J[i], Xp)) + term2[i]
-                       - sum(c * row[i] for c, row in zip(C, J)))
-        return dX, dEta
+        dY = np.empty_like(Y)
+        for i in range(n):
+            dY[i] = -minus_dX[i]
+            dY[n + i] = (bu[i] + sum(a * v for a, v in zip(J[i], Xp)) + term2[i]
+                         - sum(c * row[i] for c, row in zip(C, J)))
+        return dY
     return field
 
 
 def gauge_flow(s: PoissonStructure, m: DiscretizedMorphism, beta: GaugeField,
-               s_steps: int = DEFAULT_FLOW_STEPS, s_total: float = 1.0,
-               check_residual: bool = True) -> DiscretizedMorphism:
-    """Flow a constraint solution (``require_solution`` at 1e-5) along
-    the gauge vector field of beta, RK4 in the flow parameter over
-    [0, s_total] in s_steps >= 1 steps. beta is bound to the grid once,
-    and the stages run on (n, N+1) arrays of components."""
-    if s_steps < 1:
-        raise ValueError(f"gauge_flow needs at least 1 step, got {s_steps}")
-    if check_residual:
-        require_solution(s, m, 1e-5, "gauge_flow requires a constraint solution "
-                                     "(residual above 1e-05)")
-    field = _gauge_field(s, beta, m.u)
-    h = s_total / s_steps
-    X, eta = m.X.T.copy(), m.eta.T.copy()
-    for _ in range(s_steps):
-        k1x, k1e = field(X, eta)
-        k2x, k2e = field(X + 0.5 * h * k1x, eta + 0.5 * h * k1e)
-        k3x, k3e = field(X + 0.5 * h * k2x, eta + 0.5 * h * k2e)
-        k4x, k4e = field(X + h * k3x, eta + h * k3e)
-        X = X + (h / 6.0) * (k1x + 2 * k2x + 2 * k3x + k4x)
-        eta = eta + (h / 6.0) * (k1e + 2 * k2e + 2 * k3e + k4e)
-    _check_domain(s, X.T, "gauge flow exits domain")
-    return DiscretizedMorphism(n=m.n, X=X.T, eta=eta.T)
+               s_total: float = 1.0) -> DiscretizedMorphism:
+    """Flow a constraint solution (``require_solution`` at 1e-5) along the
+    gauge field of beta over [0, s_total] by k = 1, 2, 4, ..., FLOW_MAX_STEPS RK4
+    steps on Y = (X; eta), to the first flow within FLOW_TOL (1 + max|Y|) of the last."""
+    if not np.isfinite(s_total):
+        raise ValueError(f"gauge_flow needs a finite s_total, got {s_total}")
+    require_solution(s, m, 1e-5)
+    field, start = _gauge_field(s, beta, m.u), np.concatenate([m.X.T, m.eta.T])
+    previous = np.full_like(start, np.nan)  # agrees with no flow
+    for steps in (2 ** k for k in range(FLOW_MAX_STEPS.bit_length())):
+        h, Y = s_total / steps, start
+        try:
+            for _ in range(steps):
+                k1 = field(Y)
+                k2 = field(Y + 0.5 * h * k1)
+                k3 = field(Y + 0.5 * h * k2)
+                k4 = field(Y + h * k3)
+                Y = Y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        except ex.DomainError:  # a coarse flow may leave a domain that finer ones keep to
+            if steps == FLOW_MAX_STEPS:
+                raise
+            continue
+        if np.max(np.abs(Y - previous)) <= FLOW_TOL * (1.0 + np.max(np.abs(Y))):
+            break
+        previous = Y
+    _check_domain(s, Y[:s.n].T, "gauge flow exits domain")
+    return DiscretizedMorphism(n=m.n, X=Y[:s.n].T, eta=Y[s.n:].T)
 
 
 def symplectic_pairing(a: TangentVector, b: TangentVector) -> float:

@@ -75,6 +75,9 @@ RETIRED = [
     (ps.GaugeField, "sample_box"),
     (ps.GaugeField, "seed"),
     (ps.gauge_flow, "residual_tol"),
+    (ps.gauge_flow, "s_steps"),
+    (ps.gauge_flow, "check_residual"),
+    (ps.require_solution, "message"),
     (ps.concatenate, "junction_eta_tol"),
     (ps.hamiltonian_check, "eps"),
     (ps.equivariance_defect, "eps"),

@@ -2,7 +2,7 @@
 (perfbench/workloads.py, imported read-only) on fixed rounds, among them
 round 86 of seed 8, where a tapered concatenation that the invariants
 recover to 7e-7 used to fail the absolute Gauss-residual bound, and
-round 0 of seeds 0-9, chosen by that rule and not by their outcome."""
+round 0 of seeds 0-19, chosen by that rule and not by their outcome."""
 
 import importlib
 from pathlib import Path
@@ -15,6 +15,7 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 @pytest.mark.parametrize("seed, rounds", [
     (8, [86]), (3, [0, 1]), (0, [0]), (1, [0]), (2, [0]), (4, [0]),
     (5, [0]), (6, [0]), (7, [0]), (8, [0]), (9, [0]),
+    *((seed, [0]) for seed in range(10, 20)),
 ])
 def test_paths_rounds_pass_every_check(seed, rounds, monkeypatch, tmp_path):
     monkeypatch.syspath_prepend(str(PERFBENCH))

@@ -411,15 +411,46 @@ def test_flow_usage_errors(argv, message, capsys):
     assert json.loads(err) == {"error": message, "kind": "usage"}
 
 
-@pytest.mark.parametrize("steps", ["0", "-3"])
-def test_flow_gauge_refuses_fewer_than_one_step(tmp_path, capsys, steps):
-    # --steps 0 used to end in a ZeroDivisionError, --steps=-3 to print the input path
+def test_flow_gauge_has_no_steps_option(tmp_path, capsys):
+    # the flow works out its own step count
     path = _morphism_file(tmp_path, capsys, "phi2d:x1*x2", "1,1", "0.4*u*(1-u);0.2")
     code, out, err = run(["flow", "gauge", "--structure", "phi2d:x1*x2", "--in", path,
-                          "--beta", "0.1*u*(1-u)*x2;0", f"--steps={steps}"], capsys)
+                          "--beta", "0.1*u*(1-u)*x2;0", "--steps", "8"], capsys)
     assert code == 2 and out == ""
-    assert json.loads(err) == {"error": f"gauge_flow needs at least 1 step, got {steps}",
+    assert json.loads(err) == {"error": "unrecognized arguments: --steps 8", "kind": "usage"}
+
+
+@pytest.mark.parametrize("time", ["inf", "nan"])
+def test_flow_gauge_refuses_a_time_that_is_not_finite(tmp_path, capsys, time):
+    # --time inf used to write two numpy warnings, then an error naming
+    # neither the time nor s_total
+    path = _morphism_file(tmp_path, capsys, "phi2d:x1*x2", "1,1", "0.4*u*(1-u);0.2")
+    code, out, err = run(["flow", "gauge", "--structure", "phi2d:x1*x2", "--in", path,
+                          "--beta", "0.1*u*(1-u)*x2;0", "--time", time], capsys)
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": f"gauge_flow needs a finite s_total, got {time}",
                                "kind": "usage"}
+
+
+@pytest.mark.parametrize("argv, code, unbuffered", [
+    (["lie", "roundtrip", "--xi", "1,2,3", "--g", "0.8,0.6,0,0"], 0, "1"),
+    (["lie", "roundtrip", "--xi", "1,2,3", "--g", "0.8,0.6,0,0", "--grid", "20"], 1, ""),
+    (["radial", "analyze", "--f", "1", "--range", "0.5,1.5", "--csv"], 0, "1"),
+    (["radial", "analyze", "--f", "1", "--range", "0.5,1.5", "--csv"], 0, ""),
+])
+def test_a_closed_stdout_keeps_the_exit_code(argv, code, unbuffered):
+    # a closed stdout used to exit 2 with {"error": "[Errno 32] Broken pipe"};
+    # unbuffered, the write fails, and buffered, the flush
+    read, write = os.pipe()
+    os.close(read)
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]),
+               PYTHONUNBUFFERED=unbuffered)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "psgroupoid.cli", *argv], env=env,
+                              stdout=write, stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (code, "")
 
 
 def test_flow_solve_prints_the_morphism_it_writes(tmp_path, capsys):

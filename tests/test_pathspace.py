@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from psgroupoid import expr as ex
+from psgroupoid import groupoid2d as g2
 from psgroupoid import lie_dual as ld
 from psgroupoid import pathspace as ps
 from psgroupoid import poisson as po
@@ -244,12 +245,13 @@ def test_gauss_residual_names_the_first_node_outside_the_domain():
 
 
 def test_gauge_flow_names_the_first_node_outside_the_domain():
-    # the gauge flow moves X along spheres, so the same nodes stay inside
-    s = po.rot_invariant3(ex.parse("1", ["R"]), r_min=0.5)
-    beta = ps.GaugeField.parse(["u*(1-u)*x2", "0.5*u*(1-u)", "0"], 3)
-    m = _path_through_ball()
-    with pytest.raises(po.DomainError, match=r"gauge flow exits domain at node 3$"):
-        ps.gauge_flow(s, m, beta, s_steps=4, check_residual=False)
+    # the solution X1 = 1 + 0.04 k lies in x1 < 1.45; the flow adds
+    # 1.5 u (1 - u) to X1, which puts nodes 4 to 9 outside
+    s = _half_plane()
+    m = ps.solve_gauss(s, [1.0, 0.0], np.tile([0.0, -0.4], (11, 1)))
+    beta = ps.GaugeField.parse(["0", "-1.5*u*(1-u)"], 2)
+    with pytest.raises(po.DomainError, match=r"^gauge flow exits domain at node 4$"):
+        ps.gauge_flow(s, m, beta)
 
 
 def test_point_only_in_domain_is_refused_on_a_batch():
@@ -327,6 +329,18 @@ def test_dH_is_the_differential_of_the_discrete_hamiltonian(name):
         central = (ps.hamiltonian(s, moved[0], beta) - ps.hamiltonian(s, moved[1], beta)) / (2 * h)
         exact = ps._dH(s, m, beta, zeta)
         assert abs(exact - central) <= 1e-9 * max(1.0, abs(exact))
+    # omega(xi_beta, zeta) - dH_beta(zeta) less the same defect of the zero
+    # structure: the alpha terms cancel to rounding, which hamiltonian_check,
+    # dominated by the beta-only part, cannot show
+    zero = po.constant_structure(np.zeros((n, n)))
+    xi, xi_zero = ps.gauge_vector_field(s, m, beta), ps.gauge_vector_field(zero, m, beta)
+    rng = np.random.default_rng(0)  # the tangents of hamiltonian_check
+    for _ in range(5):
+        zeta = ps._random_smooth_tangent(rng, N, n)
+        dH = ps._dH(s, m, beta, zeta)
+        defect = ps.symplectic_pairing(xi, zeta) - dH
+        defect_zero = ps.symplectic_pairing(xi_zero, zeta) - ps._dH(zero, m, beta, zeta)
+        assert abs(defect - defect_zero) <= 1e-13 * max(1.0, abs(dH))  # reads <= 3.3e-15
     if name in _MOMENT_MAP_BOUNDS:
         dh_bound, equivariance_bound = _MOMENT_MAP_BOUNDS[name]
         assert ps.hamiltonian_check(s, m, beta, trials=5) < dh_bound
@@ -499,22 +513,102 @@ def test_gauge_vector_field_matches_the_einsum_formula(name):
         assert np.max(np.abs(got - want)) <= 1e-13 * max(1.0, np.max(np.abs(want)))
 
 
-def test_gauge_flow_is_fourth_order_in_its_steps():
+def _gauge_flow_by_steps(s, m, beta, s_total, steps):
+    """X and eta after ``steps`` equal RK4 steps of the gauge flow, on X and
+    eta apart, each stage one ``gauge_vector_field``: the fixed-step
+    reference for the step counts ``gauge_flow`` chooses."""
+    def field(X, eta):
+        v = ps.gauge_vector_field(s, ps.DiscretizedMorphism(n=m.n, X=X, eta=eta), beta)
+        return v.dX, v.dEta
+
+    h, X, eta = s_total / steps, m.X, m.eta
+    for _ in range(steps):
+        k1x, k1e = field(X, eta)
+        k2x, k2e = field(X + 0.5 * h * k1x, eta + 0.5 * h * k1e)
+        k3x, k3e = field(X + 0.5 * h * k2x, eta + 0.5 * h * k2e)
+        k4x, k4e = field(X + h * k3x, eta + h * k3e)
+        X = X + (h / 6.0) * (k1x + 2 * k2x + 2 * k3x + k4x)
+        eta = eta + (h / 6.0) * (k1e + 2 * k2e + 2 * k3e + k4e)
+    return X, eta
+
+
+def _flow_cases():
+    """(structure, solution, gauge field, s_total): criterion 6's path and
+    beta, and a path of su2."""
+    qp = g2.Phi2D.parse("x1*x2")
+    su2 = ld.kk_structure(ld.builtin_spec("su2"))
+    return [
+        (qp.structure(), g2.embed(qp, g2.GroupoidPoint2D(np.array([1.0, 1.0]), np.array([0.5, 0.25])),
+                                  N=2000),
+         ps.GaugeField.parse(["0.1*sin(3.141592653589793*u)*x2", "0.05*u*(1-u)*x1"], 2), 0.5),
+        (su2, ps.solve_gauss(su2, [0.3, 0.2, 0.5], _smooth_eta(1000, 3, seed=17)),
+         ps.GaugeField.parse(["u*(1-u)*x2*x3", "0.5*sin(3.141592653589793*u)", "u*(1-u)*x1"], 3),
+         1.0),
+    ]
+
+
+@pytest.mark.parametrize("case", [0, 1])
+def test_gauge_flow_at_zero_tolerance_gives_the_bits_of_64_fixed_steps(case, monkeypatch):
+    s, m, beta, s_total = _flow_cases()[case]
+    monkeypatch.setattr(ps, "FLOW_TOL", 0.0)
+    flowed = ps.gauge_flow(s, m, beta, s_total=s_total)
+    X, eta = _gauge_flow_by_steps(s, m, beta, s_total, 64)
+    assert np.array_equal(flowed.X, X) and np.array_equal(flowed.eta, eta)
+
+
+@pytest.mark.parametrize("case", [0, 1])
+def test_gauge_flow_agrees_with_256_fixed_steps(case):
+    s, m, beta, s_total = _flow_cases()[case]
+    flowed = ps.gauge_flow(s, m, beta, s_total=s_total)
+    X, eta = _gauge_flow_by_steps(s, m, beta, s_total, 256)
+    scale = 1.0 + max(np.max(np.abs(X)), np.max(np.abs(eta)))
+    assert max(np.max(np.abs(flowed.X - X)), np.max(np.abs(flowed.eta - eta))) <= 1e-10 * scale
+
+
+def test_gauge_flow_is_fourth_order_in_its_steps(monkeypatch):
+    # FLOW_MAX_STEPS = k with FLOW_TOL = 0 is the k-step flow
     s = _phi_structure()
-    m = ps.solve_gauss(s, [1.0, 0.8], _smooth_eta(100, 2, seed=15))
+    m = ps.solve_gauss(s, [1.0, 0.8], _smooth_eta(1000, 2, seed=15))
     beta = ps.GaugeField.parse(["0.2*sin(3.141592653589793*u)*x2", "0.1*u*(1-u)*x1"], 2)
-    ends = [ps.gauge_flow(s, m, beta, s_steps=k, check_residual=False).X for k in (4, 8, 16)]
+    monkeypatch.setattr(ps, "FLOW_TOL", 0.0)
+    ends = []
+    for k in (4, 8, 16):
+        monkeypatch.setattr(ps, "FLOW_MAX_STEPS", k)
+        ends.append(ps.gauge_flow(s, m, beta).X)
     order = math.log2(np.max(np.abs(ends[0] - ends[1])) / np.max(np.abs(ends[1] - ends[2])))
     assert abs(order - 4.0) <= 0.3
 
 
-@pytest.mark.parametrize("steps", [0, -3])
-def test_gauge_flow_refuses_fewer_than_one_step(steps):
+def test_gauge_flow_skips_a_coarse_flow_out_of_an_expression_domain():
+    # alpha^12 = 1 + 0*log(1.55 - x1) and dX1 = -80 u (1 - u) (x1 - 1.2): the
+    # flow keeps X1 within [1, 1.4], the one-step flow's stages do not
+    s = _half_plane(1.55)
+    m = ps.solve_gauss(s, [1.0, 0.0], np.tile([0.0, -0.4], (11, 1)))
+    beta = ps.GaugeField.parse(["0", "80*u*(1-u)*(x1 - 1.2)"], 2)
+    with pytest.raises(po.DomainError, match="log of nonpositive value"):
+        _gauge_flow_by_steps(s, m, beta, 1.0, 1)
+    flowed = ps.gauge_flow(s, m, beta)  # no two flows agree, so it takes 64 steps
+    X, eta = _gauge_flow_by_steps(s, m, beta, 1.0, 64)
+    assert np.array_equal(flowed.X, X) and np.array_equal(flowed.eta, eta)
+
+
+@pytest.mark.parametrize("s_total", [math.inf, -math.inf, math.nan])
+def test_gauge_flow_refuses_a_time_that_is_not_finite(s_total):
     s = _phi_structure()
     m = ps.solve_gauss(s, [1.0, 1.0], _smooth_eta(50, 2, seed=16))
     beta = ps.GaugeField.parse(["u*(1-u)*x2", "0"], 2)
-    with pytest.raises(ValueError, match=f"^gauge_flow needs at least 1 step, got {steps}$"):
-        ps.gauge_flow(s, m, beta, s_steps=steps)
+    with pytest.raises(ValueError, match=f"^gauge_flow needs a finite s_total, got {s_total}$"):
+        ps.gauge_flow(s, m, beta, s_total=s_total)
+
+
+def test_gauge_flow_runs_for_zero_and_negative_time():
+    s = _phi_structure()
+    m = ps.solve_gauss(s, [1.0, 1.0], _smooth_eta(1000, 2, seed=16))
+    beta = ps.GaugeField.parse(["u*(1-u)*x2", "0"], 2)
+    still = ps.gauge_flow(s, m, beta, s_total=0.0)
+    assert np.array_equal(still.X, m.X) and np.array_equal(still.eta, m.eta)
+    back = ps.gauge_flow(s, ps.gauge_flow(s, m, beta, s_total=0.3), beta, s_total=-0.3)
+    assert np.max(np.abs(back.X - m.X)) <= 1e-10
 
 
 def test_hamiltonian_check_refuses_zero_trials():
@@ -550,8 +644,7 @@ def test_require_solution_scales_the_bound_with_the_speed(speed, offset, passes)
     with pytest.raises(ValueError, match=rf"^not a constraint solution \(residual {offset:g}\)$"):
         ps.require_solution(s, m, 1e-5)
     beta = ps.GaugeField.parse(["u*(1-u)", "0"], 2)
-    with pytest.raises(ValueError, match=r"^gauge_flow requires a constraint solution "
-                                         r"\(residual above 1e-05\)$"):
+    with pytest.raises(ValueError, match=rf"^not a constraint solution \(residual {offset:g}\)$"):
         ps.gauge_flow(s, m, beta)
 
 

@@ -364,6 +364,10 @@ def gauge_flow(s: PoissonStructure, m: DiscretizedMorphism, beta: GaugeField,
     steps on Y = (X; eta), to the first flow within FLOW_TOL (1 + max|Y|) of the last."""
     if not np.isfinite(s_total):
         raise ValueError(f"gauge_flow needs a finite s_total, got {s_total}")
+    if FLOW_MAX_STEPS < 1:
+        raise ValueError(f"gauge_flow needs at least 1 step, got {FLOW_MAX_STEPS}")
+    if FLOW_MAX_STEPS & (FLOW_MAX_STEPS - 1):
+        raise ValueError(f"gauge_flow needs a power of two for FLOW_MAX_STEPS, got {FLOW_MAX_STEPS}")
     require_solution(s, m, 1e-5)
     field, start = _gauge_field(s, beta, m.u), np.concatenate([m.X.T, m.eta.T])
     previous = np.full_like(start, np.nan)  # agrees with no flow

@@ -411,13 +411,16 @@ def test_flow_usage_errors(argv, message, capsys):
     assert json.loads(err) == {"error": message, "kind": "usage"}
 
 
-def test_flow_gauge_has_no_steps_option(tmp_path, capsys):
-    # the flow works out its own step count
+@pytest.mark.parametrize("steps", ["0", "-3"])
+def test_flow_gauge_refuses_fewer_than_one_step(tmp_path, capsys, steps):
+    # --steps 0 used to end in a ZeroDivisionError, --steps=-3 to print the
+    # input path; the flow now works out its own step count, so --steps is gone
     path = _morphism_file(tmp_path, capsys, "phi2d:x1*x2", "1,1", "0.4*u*(1-u);0.2")
     code, out, err = run(["flow", "gauge", "--structure", "phi2d:x1*x2", "--in", path,
-                          "--beta", "0.1*u*(1-u)*x2;0", "--steps", "8"], capsys)
+                          "--beta", "0.1*u*(1-u)*x2;0", f"--steps={steps}"], capsys)
     assert code == 2 and out == ""
-    assert json.loads(err) == {"error": "unrecognized arguments: --steps 8", "kind": "usage"}
+    assert json.loads(err) == {"error": f"unrecognized arguments: --steps={steps}",
+                               "kind": "usage"}
 
 
 @pytest.mark.parametrize("time", ["inf", "nan"])

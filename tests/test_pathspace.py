@@ -592,6 +592,29 @@ def test_gauge_flow_skips_a_coarse_flow_out_of_an_expression_domain():
     assert np.array_equal(flowed.X, X) and np.array_equal(flowed.eta, eta)
 
 
+@pytest.mark.parametrize("steps", [0, -3])
+def test_gauge_flow_refuses_fewer_than_one_step(steps, monkeypatch):
+    # FLOW_MAX_STEPS = 0 used to end in an UnboundLocalError, -3 to return
+    # the 2-step flow
+    s = _phi_structure()
+    m = ps.solve_gauss(s, [1.0, 1.0], _smooth_eta(1000, 2, seed=16))
+    beta = ps.GaugeField.parse(["u*(1-u)*x2", "0"], 2)
+    monkeypatch.setattr(ps, "FLOW_MAX_STEPS", steps)
+    with pytest.raises(ValueError, match=f"^gauge_flow needs at least 1 step, got {steps}$"):
+        ps.gauge_flow(s, m, beta)
+
+
+def test_gauge_flow_refuses_a_step_cap_off_the_powers_of_two(monkeypatch):
+    # the doubling 1, 2, 4, ... never meets 48: a flow that agreed with no
+    # coarser one used to stop at 32 steps, short of the cap
+    s = _phi_structure()
+    m = ps.solve_gauss(s, [1.0, 1.0], _smooth_eta(1000, 2, seed=16))
+    beta = ps.GaugeField.parse(["u*(1-u)*x2", "0"], 2)
+    monkeypatch.setattr(ps, "FLOW_MAX_STEPS", 48)
+    with pytest.raises(ValueError, match="^gauge_flow needs a power of two for FLOW_MAX_STEPS, got 48$"):
+        ps.gauge_flow(s, m, beta)
+
+
 @pytest.mark.parametrize("s_total", [math.inf, -math.inf, math.nan])
 def test_gauge_flow_refuses_a_time_that_is_not_finite(s_total):
     s = _phi_structure()

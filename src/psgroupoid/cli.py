@@ -86,6 +86,29 @@ def _floats(text, count=None):
     return np.array(vals)
 
 
+def _grid(text):
+    """--grid: a count of intervals; a path needs MIN_NODES nodes."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    if value < ps.MIN_NODES - 1:
+        raise argparse.ArgumentTypeError(f"a path needs at least {ps.MIN_NODES} nodes, "
+                                         f"so at least {ps.MIN_NODES - 1} intervals, got {value}")
+    return value
+
+
+def _tol(text):
+    """--tol: a finite bound of at least 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}")
+    if not 0.0 <= value < np.inf:
+        raise argparse.ArgumentTypeError(f"expected a finite tolerance of at least 0, got {text}")
+    return value
+
+
 def _parse_structure(token):
     """--structure value -> (PoissonStructure, kind, payload)."""
     if token in ("su2", "so3", "heisenberg3"):
@@ -108,8 +131,14 @@ def _parse_structure(token):
                 data = json.load(fh)
         except OSError as err:
             raise CLIError(f"cannot read structure file: {err}")
-        matrix = data["matrix"] if isinstance(data, dict) else data
-        return constant_structure(matrix), "constant", None
+        if isinstance(data, dict):
+            if "matrix" not in data:
+                raise CLIError(f'bad structure file {path}: no "matrix"')
+            data = data["matrix"]
+        try:
+            return constant_structure(data), "constant", None
+        except TypeError as err:
+            raise CLIError(f"bad structure file {path}: {err}")
     raise CLIError(f"unknown structure {token!r}; expected phi2d:EXPR, su2, "
                    "so3, heisenberg3, radial:EXPR, or constant:FILE")
 
@@ -120,7 +149,7 @@ def _load_morphism(path) -> ps.DiscretizedMorphism:
             return ps.DiscretizedMorphism.from_json(fh.read())
     except OSError as err:
         raise CLIError(f"cannot read morphism file: {err}")
-    except (KeyError, ValueError, json.JSONDecodeError) as err:
+    except (KeyError, TypeError, ValueError) as err:
         raise CLIError(f"bad morphism file {path}: {err}")
 
 
@@ -170,7 +199,8 @@ def _add_g2d(sub):
     for name in names:
         q = ops.add_parser(name)
         q.add_argument("--phi", required=True)
-        q.add_argument("--domain", default="-10,10,-10,10")
+        if name in ("member", "verify"):
+            q.add_argument("--domain", default="-10,10,-10,10")
         if name == "verify":
             q.add_argument("--samples", type=int, default=100)
             q.add_argument("--seed", type=int, default=0)
@@ -186,17 +216,15 @@ def _add_g2d(sub):
 def _run_g2d(args) -> int:
     from . import groupoid2d as g2
     phi = g2.Phi2D.parse(args.phi)
-    dom = _floats(args.domain, 4)
-    d = g2.Domain2D(dom[0], dom[1], dom[2], dom[3])
     if args.op == "verify":
-        report = g2.verify_axioms(phi, d, samples=args.samples,
-                                  seed=args.seed, pi_box=args.pi_box)
+        report = g2.verify_axioms(phi, g2.Domain2D(*_floats(args.domain, 4)),
+                                  samples=args.samples, seed=args.seed, pi_box=args.pi_box)
         ok = all(entry["passed"] for entry in report.values())
         emit({"checks": report, "all_passed": ok})
         return EXIT_OK if ok else EXIT_VERIFY
     g = g2.GroupoidPoint2D(_floats(args.x, 2), _floats(args.pi, 2))
     if args.op == "member":
-        emit({"member": g2.contains(phi, d, g)})
+        emit({"member": g2.contains(phi, g2.Domain2D(*_floats(args.domain, 4)), g)})
     elif args.op == "mul":
         g2nd = g2.GroupoidPoint2D(_floats(args.x2, 2), _floats(args.pi2, 2))
         prod = g2.multiply(phi, g, g2nd)
@@ -229,7 +257,7 @@ def _add_flow(sub):
     q.add_argument("--x0", required=True)
     q.add_argument("--eta", required=True,
                    help="semicolon-separated component expressions in u")
-    q.add_argument("--grid", type=int, default=ps.DEFAULT_GRID)
+    q.add_argument("--grid", type=_grid, default=ps.DEFAULT_GRID)
     q.add_argument("--out")
 
     q = ops.add_parser("gauge")
@@ -244,7 +272,7 @@ def _add_flow(sub):
     q = ops.add_parser("invariants")
     q.add_argument("--structure", required=True)
     q.add_argument("--in", dest="infile", required=True)
-    q.add_argument("--tol", type=float, default=RESIDUAL_TOL)
+    q.add_argument("--tol", type=_tol, default=RESIDUAL_TOL)
 
     q = ops.add_parser("concat")
     q.add_argument("--in", dest="infile", required=True)
@@ -337,8 +365,8 @@ def _add_lie(sub):
     q.add_argument("--spec", default="su2")
     q.add_argument("--xi", required=True)
     q.add_argument("--g", required=True)
-    q.add_argument("--grid", type=int, default=ps.DEFAULT_GRID)
-    q.add_argument("--tol", type=float, default=1e-6)
+    q.add_argument("--grid", type=_grid, default=ps.DEFAULT_GRID)
+    q.add_argument("--tol", type=_tol, default=1e-6)
 
     q = ops.add_parser("mul")
     q.add_argument("--spec", default="su2")

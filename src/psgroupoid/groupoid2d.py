@@ -409,6 +409,8 @@ def embed(p: Phi2D, g: GroupoidPoint2D, N: int = ps.DEFAULT_GRID,
     With ``tapered`` the path is reparametrized by the quintic smoothstep
     u -> u^3 (10 - 15u + 6u^2) (``pathspace.taper``) so that eta vanishes
     at the endpoints (for concatenation)."""
+    if N < ps.MIN_NODES - 1:
+        raise ValueError(f"embed needs N >= {ps.MIN_NODES - 1} intervals, got N = {N}")
     scale, rate = ps.taper(np.linspace(0.0, 1.0, N + 1), tapered)
     phi0 = p(g.x)
     direction = phi0 * np.array([-g.pi[1], g.pi[0]])

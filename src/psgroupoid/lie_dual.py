@@ -300,6 +300,8 @@ def from_groupoid(spec: LieAlgebraSpec, xi, g, N: int = ps.DEFAULT_GRID,
     the endpoints (for concatenation)."""
     xi = np.asarray(xi, dtype=float)
     g = np.asarray(g, dtype=float)
+    if N < ps.MIN_NODES - 1:
+        raise ValueError(f"from_groupoid needs N >= {ps.MIN_NODES - 1} intervals, got N = {N}")
     if spec.group_membership_defect(g) > 1e-8:
         raise ValueError("g is not on the group manifold")
     comps = spec.components(spec.log(g))

@@ -147,7 +147,7 @@ def jacobi_residual(s: PoissonStructure, x) -> float:
 
 def constant_structure(matrix) -> PoissonStructure:
     A = np.array(matrix, dtype=float)
-    n = A.shape[0]
+    n = len(A) if A.ndim else 0
     if A.shape != (n, n) or not np.allclose(A, -A.T, atol=1e-12):
         raise ValueError("constant structure needs an antisymmetric square matrix")
     return PoissonStructure(n=n, bivector=[ex.Const(a) for a in A[np.triu_indices(n, 1)].tolist()],

@@ -32,7 +32,8 @@ VERDICT_SINGULAR = "singular"
 @dataclass(frozen=True)
 class RadialProfile:
     """Radial coefficient f(R) on a finite validity range 0 < Rmin < Rmax,
-    required to be nonvanishing there (checked on a 1024-point sample).
+    required to be finite and nonvanishing there: the interval enclosure
+    of f on each of 1024 equal pieces of the range must exclude 0.
     Each quantity below takes a radius or an array of radii."""
 
     f: ex.Expr
@@ -60,9 +61,10 @@ class RadialProfile:
                             ("d2area", ex.differentiate(darea, "R")),
                             ("c_expr", c), ("period_expr", period)):
             object.__setattr__(self, name, value)
-        grid = np.linspace(self.r_min, self.r_max, 1024)
-        if np.any(np.abs(ex.evaluate(self.f, {"R": grid})) < 1e-12):
-            raise ValueError("f must be nonzero on the range")
+        edges = np.linspace(self.r_min, self.r_max, 1025)
+        lo, hi = ex.evaluate_interval(self.f, {"R": (edges[:-1], edges[1:])})
+        if not np.all((lo > 0.0) | (hi < 0.0)):
+            raise ValueError("f must be finite and nonzero on the range")
         object.__setattr__(self, "columns", ex.Program((a, darea, c, period, self.d2area)))
 
     @classmethod

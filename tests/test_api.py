@@ -2,6 +2,7 @@
 root exports nothing, each CLI command imports only its model, and
 options no caller set are fixed values now (passing one is a TypeError)."""
 
+import ast
 import inspect
 import json
 import os
@@ -74,6 +75,7 @@ RETIRED = [
     (ps.solve_gauss, "N"),
     (ps.GaugeField, "sample_box"),
     (ps.GaugeField, "seed"),
+    (ps.GaugeField, "validate"),
     (ps.gauge_flow, "residual_tol"),
     (ps.gauge_flow, "s_steps"),
     (ps.gauge_flow, "check_residual"),
@@ -100,3 +102,16 @@ RETIRED = [
 def test_retired_option_is_a_type_error(fn, option):
     with pytest.raises(TypeError, match=option):
         inspect.signature(fn).bind_partial(**{option: None})
+
+
+def test_only_the_sampling_verifiers_draw_random_numbers():
+    # a decision taken on random samples is a guess; these two verifiers
+    # sample by design and report what they drew
+    callers = {}
+    for path in sorted(Path(ps.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and ast.unparse(node.func).startswith("np.random."):
+                    callers[f"{path.name}:{node.lineno}"] = f"{path.stem}.{getattr(top, 'name', '')}"
+    assert sorted(set(callers.values())) == ["groupoid2d.verify_axioms",
+                                             "pathspace.hamiltonian_check"], callers

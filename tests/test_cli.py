@@ -435,6 +435,81 @@ def test_flow_gauge_refuses_a_time_that_is_not_finite(tmp_path, capsys, time):
                                "kind": "usage"}
 
 
+def test_flow_gauge_checks_beta_at_the_path_ends(tmp_path, capsys):
+    # log(x1) is undefined on half of the box [-2, 2]^2 that construction
+    # used to sample; on this path x1 stays in [0.957, 1]
+    path = _morphism_file(tmp_path, capsys, "phi2d:x1*x2", "1,1", "0.5*u*(1-u);0.25*u*(1-u)",
+                          grid=1000)
+    gauge = ["flow", "gauge", "--structure", "phi2d:x1*x2", "--in", path, "--time", "0.1"]
+    data = run_json(gauge + ["--beta", "u*(1-u)*log(x1);0"], capsys)
+    assert data["residual_after"] < 1e-6
+    code, out, err = run(gauge + ["--beta", "x1;0"], capsys)
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": "gauge field does not vanish at u = 0", "kind": "usage"}
+
+
+@pytest.mark.parametrize("name, text, message", [
+    ("structure", '{"nomatrix": 1}', 'no "matrix"'),
+    ("structure", '{"matrix": {"a": 1}}', "bad structure file"),
+    ("structure", '{"matrix": 5}', "antisymmetric square matrix"),
+    ("morphism", "[1, 2]", "expected a JSON object, got list"),
+    ("morphism", '{"n": null, "N": 2, "X": [], "etaU": []}', "bad morphism file"),
+    ("morphism", '{"n": 1, "N": 2, "X": [[0], [NaN], [1]], "etaU": [[0], [0], [0]]}',
+     "X and etaU must be finite"),
+    ("morphism", '{"n": 1, "N": 2, "X": [[0], [0], [1]], "etaU": [[0], [Infinity], [0]]}',
+     "X and etaU must be finite"),
+    ("morphism", '{"n": 1, "N": 2, "X": [[0], [1e999], [1]], "etaU": [[0], [0], [0]]}',
+     "X and etaU must be finite"),
+])
+def test_a_malformed_input_file_is_a_usage_error(name, text, message, tmp_path, capsys):
+    # these used to end in KeyError and TypeError tracebacks (exit 1), or
+    # to load and fail in whatever computation met the NaN first
+    path = tmp_path / "f.json"
+    path.write_text(text)
+    argv = (["flow", "solve", "--structure", f"constant:{path}", "--x0", "0,0", "--eta", "1;0",
+             "--grid", "4"] if name == "structure"
+            else ["flow", "invariants", "--structure", "phi2d:x1*x2", "--in", str(path)])
+    code, out, err = run(argv, capsys)
+    assert code == 2 and out == ""
+    report = json.loads(err)
+    assert report["kind"] == "usage" and message in report["error"]
+
+
+_SOLVE = ["flow", "solve", "--structure", "phi2d:x1*x2", "--x0", "1,1", "--eta", "0.5;0.25"]
+_ROUNDTRIP = ["lie", "roundtrip", "--xi", "0.3,0.2,0.5", "--g", "0.8,0.1,0.2,0.55"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (_SOLVE + ["--grid", "-5"], "argument --grid: a path needs at least 3 nodes, "
+                                "so at least 2 intervals, got -5"),
+    (_ROUNDTRIP + ["--grid", "-5"], "argument --grid: a path needs at least 3 nodes, "
+                                    "so at least 2 intervals, got -5"),
+    (_SOLVE + ["--grid", "1.5"], "argument --grid: expected an integer, got '1.5'"),
+    (["flow", "invariants", "--structure", "su2", "--in", "m.json", "--tol", "nan"],
+     "argument --tol: expected a finite tolerance of at least 0, got nan"),
+    (["flow", "invariants", "--structure", "su2", "--in", "m.json", "--tol", "-1"],
+     "argument --tol: expected a finite tolerance of at least 0, got -1"),
+    (_ROUNDTRIP + ["--tol", "nan"], "argument --tol: expected a finite tolerance of at least 0, got nan"),
+    (_ROUNDTRIP + ["--tol", "inf"], "argument --tol: expected a finite tolerance of at least 0, got inf"),
+    (_ROUNDTRIP + ["--tol", "x"], "argument --tol: expected a number, got 'x'"),
+])
+def test_a_grid_or_tol_out_of_range_is_a_usage_error(argv, message, capsys):
+    # a negative grid used to print numpy's "Number of samples, -4, must be
+    # non-negative.", and a NaN or negative tol to report a failed check
+    code, out, err = run(argv, capsys)
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": message, "kind": "usage"}
+
+
+@pytest.mark.parametrize("op", ["mul", "inv", "left", "right", "h", "psi", "xf"])
+def test_domain_is_an_option_of_member_and_verify_only(op, capsys):
+    # no pointwise map reads it, yet a degenerate one used to be refused
+    argv = ["g2d", op, "--phi", "x1*x2", "--domain", "1,0,0,1", "--x", "1,1", "--pi", "0,0"]
+    code, out, err = run(argv + (["--x2", "1,1", "--pi2", "0,0"] if op == "mul" else []), capsys)
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": "unrecognized arguments: --domain 1,0,0,1", "kind": "usage"}
+
+
 @pytest.mark.parametrize("argv, code, unbuffered", [
     (["lie", "roundtrip", "--xi", "1,2,3", "--g", "0.8,0.6,0,0"], 0, "1"),
     (["lie", "roundtrip", "--xi", "1,2,3", "--g", "0.8,0.6,0,0", "--grid", "20"], 1, ""),

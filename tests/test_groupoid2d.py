@@ -312,6 +312,12 @@ def test_embed_rejects_points_outside_groupoid():
         g2.embed(QP, pt([1, 1], [-2, 0]), N=500)  # h crosses zero
 
 
+@pytest.mark.parametrize("N", [-5, 0, 1])
+def test_embed_refuses_fewer_than_two_intervals(N):
+    with pytest.raises(ValueError, match=f"^embed needs N >= 2 intervals, got N = {N}$"):
+        g2.embed(QP, pt([1, 1], [0.5, 0.25]), N=N)
+
+
 def test_concatenate_maps_to_product():
     g = pt([1, 1], [0.5, 0.25])
     g2nd = pt(g2.x_f(QP, g), [0.1, 0.2])

@@ -190,6 +190,13 @@ def test_so3_log_raises_near_pi():
     assert np.max(np.abs(so3.components(so3.log(ld.expm(so3.rho(inside)))) - inside)) < 1e-10
 
 
+@pytest.mark.parametrize("N", [-5, 0, 1])
+def test_from_groupoid_refuses_fewer_than_two_intervals(N):
+    spec = ld.builtin_spec("su2")
+    with pytest.raises(ValueError, match=f"^from_groupoid needs N >= 2 intervals, got N = {N}$"):
+        ld.from_groupoid(spec, [0.3, 0.2, 0.5], spec.project(np.eye(4)), N=N)
+
+
 def _sample_holonomy(spec, N):
     u = np.linspace(0.0, 1.0, N + 1)
     eta = np.stack([np.sin(3 * u), np.cos(2 * u), u ** 2], axis=1)

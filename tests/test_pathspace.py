@@ -213,10 +213,44 @@ def test_solve_gauss_names_the_first_node_outside_the_domain(alpha_limit):
     assert np.allclose(m.X, [[1.0 + 0.04 * k, 0.0] for k in range(11)], rtol=0, atol=1e-15)
 
 
+def _quantum_plane_solution():
+    # the solution of flow solve --structure phi2d:x1*x2 --x0 1,1
+    # --eta '0.5*u*(1-u);0.25*u*(1-u)' --grid 1000, which keeps x1 in [0.957, 1]
+    u = np.linspace(0.0, 1.0, 1001)
+    p = g2.Phi2D.parse("x1*x2")
+    return p, ps.solve_gauss(p.structure(), [1.0, 1.0], np.outer(u * (1 - u), [0.5, 0.25]))
+
+
 def test_gauge_field_boundary_validation():
-    with pytest.raises(ValueError):
-        ps.GaugeField.parse(["x1", "0"], 2)  # does not vanish at u = 0, 1
-    ps.GaugeField.parse(["x1*u*(1-u)", "0"], 2)  # fine
+    # construction checks nothing; the flow checks beta on the path's end nodes
+    p, m = _quantum_plane_solution()
+    for source, u_end in (("x1", 0), ("u*x1", 1)):
+        beta = ps.GaugeField.parse([source, "0"], 2)
+        with pytest.raises(ValueError, match=f"^gauge field does not vanish at u = {u_end}$"):
+            ps.gauge_flow(p.structure(), m, beta)
+    ps.gauge_flow(p.structure(), m, ps.GaugeField.parse(["x1*u*(1-u)", "0"], 2))  # fine
+
+
+@pytest.mark.parametrize("source", ["u*(1-u)*log(x1)", "u*(1-u)*sqrt(x1)"])
+def test_gauge_flow_takes_a_beta_defined_only_near_the_path(source):
+    # the 50-point check at construction drew x1 < 0 and refused these; the
+    # worst move reads 3.9e-9 for log and 1.9e-10 for sqrt
+    p, m = _quantum_plane_solution()
+    g = g2.invariants(p, m)
+    flowed = ps.gauge_flow(p.structure(), m, ps.GaugeField.parse([source, "0"], 2), s_total=0.5)
+    moved = g2.invariants(p, flowed)
+    assert max(np.max(np.abs(moved.x - g.x)), np.max(np.abs(moved.pi - g.pi))) <= 5e-8
+    assert np.max(np.abs(flowed.X - m.X)) > 1e-3
+
+
+def test_gauge_flow_scales_the_end_bound_with_the_path():
+    # at u = 1, sin(pi u) = 1.2e-16, so beta is about 1.2e-12 on this path:
+    # over an absolute 1e-12, under 1e-12 max|X|; the end nodes stay put
+    s = po.constant_structure(_EPS2)
+    m = ps.solve_gauss(s, [1e5, 1e5], _smooth_eta(1000, 2))
+    flowed = ps.gauge_flow(s, m, ps.GaugeField.parse(["0.1*sin(3.141592653589793*u)*x2", "0"], 2))
+    assert np.array_equal(flowed.X[[0, -1]], m.X[[0, -1]])
+    assert np.max(np.abs(flowed.X - m.X)) > 1e3
 
 
 def test_gauge_flow_preserves_constraint():
@@ -422,7 +456,7 @@ def _direct(exprs, X, u):
     (["x2*x3", "1", "sin(x1)*x3"], None),  # a 1-form
 ])
 def test_bound_gauge_field_matches_direct_evaluation(sources, u):
-    beta = ps.GaugeField.parse(sources, 3, validate=False)
+    beta = ps.GaugeField.parse(sources, 3)
     X = np.random.default_rng(13).uniform(-1.5, 1.5, (7, 3))
     b, J, bu = beta.on_grid(u)(X.T)
     assert [np.shape(v) for v in b] == [(7,)] * 3
@@ -437,7 +471,7 @@ def test_bound_gauge_field_matches_direct_evaluation(sources, u):
     ("x1*u", None, "variable 'u' not bound"),
 ])
 def test_bound_gauge_field_raises_the_domain_error_of_direct_evaluation(source, u, message):
-    beta = ps.GaugeField.parse([source, "0"], 2, validate=False)
+    beta = ps.GaugeField.parse([source, "0"], 2)
     X = np.ones((5, 2))
     with pytest.raises(ex.DomainError, match=message):
         _direct(beta.components, X, u)

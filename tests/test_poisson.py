@@ -127,8 +127,8 @@ def test_rot_invariant3_gradient_by_finite_difference():
 def test_koszul_bracket_su2_basis_forms():
     # for the linear su(2)* structure, [dx1, dx2] = dx3
     s = po.kirillov_kostant(_su2_constants())
-    beta = ps.GaugeField.parse(["1", "0", "0"], 3, validate=False)
-    gamma = ps.GaugeField.parse(["0", "1", "0"], 3, validate=False)
+    beta = ps.GaugeField.parse(["1", "0", "0"], 3)
+    gamma = ps.GaugeField.parse(["0", "1", "0"], 3)
     rng = np.random.default_rng(2)
     br = ps.koszul_bracket_values(s, beta, gamma, rng.standard_normal((20, 3)))
     for row in br:
@@ -137,8 +137,8 @@ def test_koszul_bracket_su2_basis_forms():
 
 def test_koszul_bracket_antisymmetry_and_leibniz_input():
     s = po.two_domain(ex.parse("x1*x2", ["x1", "x2"]))
-    beta = ps.GaugeField.parse(["x2", "x1^2"], 2, validate=False)
-    gamma = ps.GaugeField.parse(["sin(x1)", "x2"], 2, validate=False)
+    beta = ps.GaugeField.parse(["x2", "x1^2"], 2)
+    gamma = ps.GaugeField.parse(["sin(x1)", "x2"], 2)
     rng = np.random.default_rng(3)
     X = rng.uniform(-2, 2, size=(20, 2))
     lhs = ps.koszul_bracket_values(s, beta, gamma, X)
@@ -155,8 +155,8 @@ def test_koszul_bracket_of_exact_forms_is_exact():
     g = ex.parse("sin(x1)+x2", names)
     df = [ex.differentiate(f, v) for v in names]
     dg = [ex.differentiate(g, v) for v in names]
-    beta = ps.GaugeField(tuple(df), 2, validate=False)
-    gamma = ps.GaugeField(tuple(dg), 2, validate=False)
+    beta = ps.GaugeField(tuple(df), 2)
+    gamma = ps.GaugeField(tuple(dg), 2)
     phi = ex.parse("x1*x2", names)
     bracket_fg = ex.Mul(phi, ex.Sub(ex.Mul(df[0], dg[1]),
                                     ex.Mul(df[1], dg[0])))
@@ -383,7 +383,7 @@ def test_residual_and_koszul_bracket_keep_their_values(name):
     X, E = (_X2, _E2) if s.n == 2 else (_X3, _E3)
     forms = (["x2", "x1^2"], ["sin(x1)", "x2"]) if s.n == 2 else \
         (["x2*x3", "x1^2", "cos(x3)"], ["x1", "sin(x2)", "x1*x3"])
-    beta, gamma = (ps.GaugeField.parse(f, s.n, validate=False) for f in forms)
+    beta, gamma = (ps.GaugeField.parse(f, s.n) for f in forms)
     residual, bracket = _EARLIER[name]
     got = ps.gauss_residual(s, ps.DiscretizedMorphism(n=s.n, X=X, eta=E))
     assert abs(got - residual) <= 1e-14 * residual

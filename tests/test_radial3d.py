@@ -25,6 +25,14 @@ def test_profile_rejects_vanishing_f():
         rad.RadialProfile.parse("1", 2.0, 1.0)  # bad range
 
 
+@pytest.mark.parametrize("src", ["R-1", "1/(R-1)"])
+def test_profile_rejects_f_vanishing_or_singular_between_samples(src):
+    # no radius of the old 1024-point sample of [0.5, 1.5] lands on R = 1:
+    # "R-1" was accepted, and area(p, 1 + 1e-9) read 1.26e10
+    with pytest.raises(ValueError, match="^f must be finite and nonzero on the range$"):
+        rad.RadialProfile.parse(src, 0.5, 1.5)
+
+
 def test_area_reference_values():
     assert math.isclose(rad.area(profile("1"), 1.5), FOUR_PI * 1.5,
                         rel_tol=1e-15)

@@ -86,27 +86,23 @@ def _floats(text, count=None):
     return np.array(vals)
 
 
-def _grid(text):
-    """--grid: a count of intervals; a path needs MIN_NODES nodes."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-    if value < ps.MIN_NODES - 1:
-        raise argparse.ArgumentTypeError(f"a path needs at least {ps.MIN_NODES} nodes, "
-                                         f"so at least {ps.MIN_NODES - 1} intervals, got {value}")
-    return value
+def _ranged(convert, kind, valid, need):
+    """An argparse type: ``convert`` of the text, if ``valid``; ``kind`` and ``need`` say what is expected."""
+    def parse(text):
+        try:
+            value = convert(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected {kind}, got {text!r}")
+        if not valid(value):
+            raise argparse.ArgumentTypeError(f"{need}, got {text}")
+        return value
+    return parse
 
 
-def _tol(text):
-    """--tol: a finite bound of at least 0."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}")
-    if not 0.0 <= value < np.inf:
-        raise argparse.ArgumentTypeError(f"expected a finite tolerance of at least 0, got {text}")
-    return value
+_grid = _ranged(int, "an integer", lambda v: v >= ps.MIN_NODES - 1,
+                f"a path needs at least {ps.MIN_NODES} nodes, so at least {ps.MIN_NODES - 1} intervals")
+_seed = _ranged(int, "an integer", lambda v: v >= 0, "expected a seed of at least 0")
+_tol = _ranged(float, "a number", lambda v: 0.0 <= v < np.inf, "expected a finite tolerance of at least 0")
 
 
 def _parse_structure(token):
@@ -203,7 +199,7 @@ def _add_g2d(sub):
             q.add_argument("--domain", default="-10,10,-10,10")
         if name == "verify":
             q.add_argument("--samples", type=int, default=100)
-            q.add_argument("--seed", type=int, default=0)
+            q.add_argument("--seed", type=_seed, default=0)
             q.add_argument("--pi-box", type=float, default=1.0)
         else:
             q.add_argument("--x", required=True)

@@ -1,8 +1,10 @@
 """Scalar expressions in named real variables: parsing, symbolic
 differentiation, and one compiler for their values. A ``Program``
 compiles an expression, or several that share subexpressions, into one
-straight-line Python function, and runs it on numbers, on numpy arrays
-(``evaluate``) and on interval enclosures (``evaluate_interval``).
+straight-line Python function of plain arithmetic, and runs it on
+numbers and on numpy arrays (``evaluate``), or as the body of a loop on
+floats (``Program.loop``); its form on interval enclosures
+(``evaluate_interval``) compiles on first use.
 
 Grammar (whitespace insignificant)::
 
@@ -21,7 +23,6 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
-import operator
 import re
 from dataclasses import dataclass
 
@@ -241,10 +242,7 @@ def evaluate(e, point: dict):
     < 0 (0^0 is 1), and ``point`` binds every variable. Otherwise
     DomainError. An array raises exactly when one of its elements would
     raise as a number, and a Program when one of its roots would."""
-    try:
-        program = e._program
-    except AttributeError:
-        program = Program(e)
+    program = getattr(e, "_program", None) or Program(e)
     try:
         value = program.numbers(point)
     except (_Arrays, ArithmeticError, KeyError):  # an array, or an error the array run reports
@@ -280,18 +278,22 @@ class Program:
     """One Expr, or a sequence of them (the roots), compiled into one
     straight-line Python function, ``source``, with one slot per distinct
     subexpression: nodes are hash-consed on their kind and their
-    children's slots, constants on their ``repr`` (0.0 is not -0.0). Each
-    operation is a call by name, and the one source runs in three
-    namespaces that give the names their meaning: ``numbers`` and
-    ``arrays``, for ``evaluate``, and ``intervals``, on (lo, hi) pairs,
-    for ``evaluate_interval``. An Expr compiles into a Program of its
-    own, once, when it is first evaluated."""
+    children's slots, constants on their ``repr`` (0.0 is not -0.0).
+    ``source`` writes +, -, * and positive integer powers (``_ipow``'s
+    products) in Python, and calls by name only the operations that check
+    a domain: /, the other powers and the functions. It runs on ``numbers``
+    and on ``arrays``, for ``evaluate``, and ``loop`` iterates its lines.
+    ``intervals``, on (lo, hi) pairs, for ``evaluate_interval``, calls
+    every operation by name and compiles on first use. An Expr compiles
+    into a Program of its own, once, when it is first evaluated."""
 
-    __slots__ = ("single", "source", "numbers", "arrays", "intervals", "_program")
+    __slots__ = ("single", "source", "numbers", "arrays", "_lines", "_variables", "_results",
+                 "_constants", "_intervals", "_program")
 
     def __init__(self, roots):
         self.single, self._program = isinstance(roots, Expr), self  # evaluate reads e._program
-        names, memo, varying, constants, lines = {}, {}, set(), {}, []
+        # lines: pairs (statements that call every operation by name, the same in Python or None for a load)
+        names, memo, varying, constants, lines, variables = {}, {}, set(), {}, [], {}
 
         def slot(e):
             """The name of e's slot, after the lines that fill it."""
@@ -314,30 +316,62 @@ class Program:
                 name = names[key] = ("c" if isinstance(e, Const) else "s") + str(len(names))
                 if isinstance(e, Const):
                     constants[name] = e.value
+                elif isinstance(e, Var):  # a number as a float, anything else through VAR
+                    variables[e.name] = name
+                    lines.append(([f"{name} = {key}", f"if {name}.__class__ is not float: {name} = "
+                                   f"float({name}) if {name}.__class__ in NUMBERS else VAR({name})"], None))
+                elif isinstance(e, Pow) and e.exponent > 0:  # the products of _ipow
+                    lines.append(([f"{name} = {key}"], [f"{name} = {args[0]}"] + [
+                        f"{name} = {name} * {name}" + f" * {args[0]}" * int(b) for b in bin(e.exponent)[3:]]))
                 else:
-                    lines.append(f"{name} = {key}")
-                if isinstance(e, Var):  # a number as a float, anything else through VAR
-                    lines.append(f"if {name}.__class__ is not float: "
-                                 f"{name} = float({name}) if {name}.__class__ in NUMBERS else VAR({name})")
+                    python = _PYTHON[type(e)].format(*args) if type(e) in _PYTHON else key
+                    lines.append(([f"{name} = {key}"], [f"{name} = {python}"]))
                 if isinstance(e, Var) or not varying.isdisjoint(args):
                     varying.add(name)
             memo[id(e)] = names[key]
             return names[key]
 
-        results = [slot(r) for r in ([roots] if self.single else roots)]
-        if not varying.issuperset(results):  # a constant root: any array in p is a batch
-            lines.insert(0, "for v in p.values(): v.__class__ is float or v.__class__ in NUMBERS or VAR(v)")
-        lines.append(f"return {results[0]}" if self.single else f"return [{', '.join(results)}]")
-        self.source = "def run(p):\n" + "".join(f"    {line}\n" for line in lines)
-        code = compile(self.source, "<expr.Program>", "exec")
-        bounds = {name: (np.asarray(v), np.asarray(v)) for name, v in constants.items()}
-        namespaces = [dict(_ON_NUMBERS, **constants), dict(_ON_ARRAYS, **constants),
-                      dict(_ON_INTERVALS, **bounds)]
-        for namespace in namespaces:
-            exec(code, namespace)
-        self.numbers, self.arrays, self.intervals = (n["run"] for n in namespaces)
+        self._results = [slot(r) for r in ([roots] if self.single else roots)]
+        if not varying.issuperset(self._results):  # a constant root: any array in p is a batch
+            lines.insert(0, (["for v in p.values(): v.__class__ is float or v.__class__ in NUMBERS or VAR(v)"],
+                             None))
+        self._lines, self._variables, self._constants, self._intervals = lines, variables, constants, None
+        self.source, self.numbers, self.arrays = _define("p", self._body(False), _ON_NUMBERS, _ON_ARRAYS,
+                                                         **constants)
         if self.single:
             object.__setattr__(roots, "_program", self)
+
+    def _body(self, named):
+        """The lines of run(p), with every operation called by name or not."""
+        results = self._results[0] if self.single else f"[{', '.join(self._results)}]"
+        return [line for calls, python in self._lines for line in (calls if named or not python else python)
+                ] + [f"return {results}"]
+
+    @property
+    def intervals(self):
+        if self._intervals is None:  # compiled on first use
+            bounds = {name: (np.asarray(v), np.asarray(v)) for name, v in self._constants.items()}
+            _, self._intervals = _define("p", self._body(True), _ON_INTERVALS, **bounds)
+        return self._intervals
+
+    def loop(self, state, sequences):
+        """The roots iterated on Python floats, as a compiled run(x, values, p):
+        from the state x, of the variables ``state`` names (one per root), each
+        step binds the next row of each sequence of ``values`` to the variables
+        of ``sequences`` and the rest from ``p``, and makes the roots the state.
+        run returns the states after each step in one list, up to the first step
+        that raises; where ``evaluate`` raises, a step may give a state not finite."""
+        if len(state) != len(self._results):
+            raise ValueError(f"need one state variable per root, got {len(state)} for {len(self._results)}")
+        slots, results = self._variables, "".join(f"{r}, " for r in self._results)
+        target = lambda names: "".join(f"{slots.get(v, '_')}, " for v in names)  # "_": not read
+        body = [*(f"{name} = p[{v!r}]" for v, name in slots.items() if v not in set(state).union(*sequences)),
+                f"{target(state)}= x", "out = []", "try:",
+                f"    for {', '.join(f'({target(row)})' for row in sequences)} in zip(*values):",
+                *(f"        {line}" for _, python in self._lines for line in python or ()),
+                f"        out += {results}", f"        {target(state)}= {results}",
+                "except (ArithmeticError, ValueError):", "    pass", "return out"]
+        return _define("x, values, p", body, _ON_FLOATS, **self._constants)[1]
 
     def on_arrays(self, point):
         """``arrays`` at ``point``, the roots checked to be finite in one pass
@@ -353,7 +387,17 @@ class Program:
 
 
 _OPERATORS = {Neg: "NEG", Add: "ADD", Sub: "SUB", Mul: "MUL", Div: "DIV"}
+_PYTHON = {Neg: "-{}", Add: "{} + {}", Sub: "{} - {}", Mul: "{} * {}"}  # the operations that check nothing
 _CHILDREN = ("arg", "base", "left", "right")
+
+
+def _define(parameters, body, *operations, **constants):
+    """The source of run(parameters) with the lines ``body``, and run in each namespace."""
+    source = f"def run({parameters}):\n" + "".join(f"    {line}\n" for line in body)
+    code, namespaces = compile(source, "<expr.Program>", "exec"), [dict(o, **constants) for o in operations]
+    for namespace in namespaces:
+        exec(code, namespace)
+    return [source] + [namespace["run"] for namespace in namespaces]
 
 
 def _broadcast_shape(values):
@@ -477,11 +521,12 @@ def _function(name):
     return run
 
 
-_OPERATIONS = {"NUMBERS": _NUMBERS, "NEG": operator.neg, "ADD": operator.add, "SUB": operator.sub,
-               "MUL": operator.mul, "DIV": _quotient, "POW": _power,
-               **{f: _function(f) for f in _FUNCTIONS}}
+_OPERATIONS = {"NUMBERS": _NUMBERS, "DIV": _quotient, "POW": _power, **{f: _function(f) for f in _FUNCTIONS}}
 _ON_NUMBERS = dict(_OPERATIONS, VAR=_raise_arrays)
 _ON_ARRAYS = dict(_OPERATIONS, VAR=lambda v: np.asarray(v, dtype=float))
+# in a loop, x / inf, log(nan) and sqrt(nan) give NaN where evaluate raises, and it reaches the state
+_ON_FLOATS = dict(_ON_NUMBERS, DIV=lambda a, b: a / b if b - b == 0.0 else math.nan,
+                  log=math.log, sqrt=math.sqrt)
 
 
 # The operations of a Program's source on intervals, (lo, hi) pairs

@@ -10,7 +10,8 @@ ends), ``path_integral`` (the cumulative trapezoid rule) and
 interpolation), all second order in du, and ``cubic_midpoints`` (the
 cubic through four neighbouring nodes, fourth order), which
 ``solve_gauss`` uses, so that solver is fourth order. Its RK4 step is one
-``ex.Program``, compiled from the bivector once per structure.
+``ex.Program``, compiled from the bivector once per structure, with the
+loop (``Program.loop``) that runs all its steps on Python floats.
 
 ``gauge_flow`` steps the stacked state (X; eta), shape (2n, N+1), with
 the gauge field bound to the grid once (``GaugeField.on_grid``), and
@@ -264,16 +265,16 @@ def _check_domain(s: PoissonStructure, X: np.ndarray, message: str):
         raise ex.DomainError(f"{message} at node {np.argmin(inside)}")
 
 
-_GAUSS_STEPS = weakref.WeakKeyDictionary()  # structure -> (variable names, compiled RK4 step)
+_GAUSS_STEPS = weakref.WeakKeyDictionary()  # structure -> (variable names, RK4 step, its loop)
 
 
 def _gauss_step(s: PoissonStructure):
     """The RK4 step of X' = alpha(X) e as one Program, compiled once per
-    structure, and the names of its variables: the stages k1 = sharp(x, a),
-    k2 = sharp(x + half k1, b), k3 = sharp(x + half k2, b), k4 = sharp(x +
-    du k3, c) and x + sixth (k1 + 2 k2 + 2 k3 + k4), for e = a, b, c at the
-    interval's first node, midpoint and last node, in that order, so it has
-    their bits."""
+    structure, the names of its variables and its ``loop``: the stages
+    k1 = sharp(x, a), k2 = sharp(x + half k1, b), k3 = sharp(x + half k2,
+    b), k4 = sharp(x + du k3, c) and x + sixth (k1 + 2 k2 + 2 k3 + k4), for
+    e = a, b, c at the interval's first node, midpoint and last node, in
+    that order, so it has their bits."""
     if s not in _GAUSS_STEPS:
         x, a, b, c = ([ex.Var(f"{v}{i + 1}") for i in range(s.n)] for v in "xabc")
         du, half, sixth, two = ex.Var("du"), ex.Var("half"), ex.Var("sixth"), ex.Const(2.0)
@@ -282,7 +283,8 @@ def _gauss_step(s: PoissonStructure):
             k.append(s.contraction([ex.Add(xi, ex.Mul(h, ki)) for xi, ki in zip(x, k[-1])], e))
         step = [ex.Add(xi, ex.Mul(sixth, ex.Add(ex.Add(ex.Add(k1, ex.Mul(two, k2)), ex.Mul(two, k3)), k4)))
                 for xi, k1, k2, k3, k4 in zip(x, *k)]
-        _GAUSS_STEPS[s] = [v.name for v in x + a + b + c + [du, half, sixth]], ex.Program(step)
+        names, step = [[v.name for v in vs] for vs in (x, a, b, c)], ex.Program(step)
+        _GAUSS_STEPS[s] = sum(names, ["du", "half", "sixth"]), step, step.loop(names[0], names[1:])
     return _GAUSS_STEPS[s]
 
 
@@ -290,9 +292,10 @@ def solve_gauss(s: PoissonStructure, x0, eta: np.ndarray) -> DiscretizedMorphism
     """Integrate X' = -alpha(X) eta_u from X(0) = x0 over the grid of eta,
     N = len(eta) - 1, by RK4 steps that take eta at each interval's
     midpoint from ``cubic_midpoints``, so the solution is fourth order in
-    du. Each step is one evaluation, on Python floats, of the step that
-    ``_gauss_step`` compiles from the bivector of s; every node is checked
-    against the domain of s."""
+    du. The N steps are one run, on Python floats, of the loop that
+    ``_gauss_step`` compiles from the bivector of s. The first node outside
+    the domain of s up to the first step that fails (raises, or gives a
+    node that is not finite) is the error, else that step's DomainError."""
     eta = np.asarray(eta, dtype=float)
     if eta.ndim != 2 or eta.shape[1] != s.n:
         raise ValueError("eta must be sampled on the grid, shape (N+1, n)")
@@ -306,18 +309,14 @@ def solve_gauss(s: PoissonStructure, x0, eta: np.ndarray) -> DiscretizedMorphism
     e = -eta
     e_mid = cubic_midpoints(e).tolist()
     e = e.tolist()
-    names, step = _gauss_step(s)
-    half, sixth = 0.5 * du, du / 6.0
-    rows = [x]
-    try:
-        for k in range(N):
-            x = ex.evaluate(step, dict(zip(names, (*x, *e[k], *e_mid[k], *e[k + 1], du, half, sixth))))
-            rows.append(x)
-    finally:
-        # every node in one batch; the first one outside the domain is the
-        # error, also where stepping on from it failed
-        X = np.array(rows)
-        _check_domain(s, X, "trajectory exits domain")
+    names, step, loop = _gauss_step(s)
+    p = {"du": du, "half": 0.5 * du, "sixth": du / 6.0}
+    X = np.array(x + loop(x, (e, e_mid, e[1:]), p)).reshape(-1, s.n)
+    k = min([len(X) - 1, *np.flatnonzero(~np.isfinite(X[1:]).all(axis=1))])  # the first step that failed
+    if k < N:  # evaluated alone, that step raises its DomainError
+        _check_domain(s, X[:k + 1], "trajectory exits domain")
+        ex.evaluate(step, dict(zip(names, (*p.values(), *X[k].tolist(), *e[k], *e_mid[k], *e[k + 1]))))
+    _check_domain(s, X, "trajectory exits domain")
     return DiscretizedMorphism(n=s.n, X=X, eta=eta.copy())
 
 

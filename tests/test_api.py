@@ -1,6 +1,7 @@
 """The public surface: every name a module exports exists, the package
-root exports nothing, each CLI command imports only its model, and
-options no caller set are fixed values now (passing one is a TypeError)."""
+root exports nothing, each CLI command imports only its model, options
+no caller set are fixed values now (passing one is a TypeError), and
+one module generates code."""
 
 import ast
 import inspect
@@ -115,3 +116,13 @@ def test_only_the_sampling_verifiers_draw_random_numbers():
                     callers[f"{path.name}:{node.lineno}"] = f"{path.stem}.{getattr(top, 'name', '')}"
     assert sorted(set(callers.values())) == ["groupoid2d.verify_axioms",
                                              "pathspace.hamiltonian_check"], callers
+
+
+def test_only_expr_compiles_code():
+    # one code generator: the compiled loop of solve_gauss comes from expr too
+    callers = set()
+    for path in sorted(Path(ps.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and ast.unparse(node.func) in ("compile", "exec"):
+                callers.add(f"{path.name}:{ast.unparse(node.func)}")
+    assert callers == {"expr.py:compile", "expr.py:exec"}

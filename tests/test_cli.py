@@ -492,10 +492,14 @@ _ROUNDTRIP = ["lie", "roundtrip", "--xi", "0.3,0.2,0.5", "--g", "0.8,0.1,0.2,0.5
     (_ROUNDTRIP + ["--tol", "nan"], "argument --tol: expected a finite tolerance of at least 0, got nan"),
     (_ROUNDTRIP + ["--tol", "inf"], "argument --tol: expected a finite tolerance of at least 0, got inf"),
     (_ROUNDTRIP + ["--tol", "x"], "argument --tol: expected a number, got 'x'"),
+    (["g2d", "verify", "--phi", "x1*x2", "--seed", "-1"],
+     "argument --seed: expected a seed of at least 0, got -1"),
+    (["g2d", "verify", "--phi", "x1*x2", "--seed", "1.5"], "argument --seed: expected an integer, got '1.5'"),
 ])
 def test_a_grid_or_tol_out_of_range_is_a_usage_error(argv, message, capsys):
     # a negative grid used to print numpy's "Number of samples, -4, must be
-    # non-negative.", and a NaN or negative tol to report a failed check
+    # non-negative.", a NaN or negative tol to report a failed check, and a
+    # negative seed numpy's "expected non-negative integer"
     code, out, err = run(argv, capsys)
     assert code == 2 and out == ""
     assert json.loads(err) == {"error": message, "kind": "usage"}

@@ -139,6 +139,40 @@ def test_evaluate_on_arrays_matches_numbers():
                             rel_tol=1e-14)
 
 
+_NOT_FINITE = "value overflows or is not finite"
+_SPECIAL = [math.nan, math.inf, -math.inf, 0.0, -0.0, -2.0]
+
+
+# each function of a domain at NaN, inf, -inf, 0, -0 and -2: the value or the message
+@pytest.mark.parametrize("src, outcomes", [
+    ("sqrt(x1)", ["sqrt of negative value", _NOT_FINITE, "sqrt of negative value", 0.0, -0.0,
+                  "sqrt of negative value"]),
+    ("log(x1)", ["log of nonpositive value", _NOT_FINITE] + ["log of nonpositive value"] * 4),
+    ("exp(x1)", [_NOT_FINITE] * 3 + [1.0, 1.0, math.exp(-2.0)]),
+    ("1/x1", [_NOT_FINITE] * 3 + ["division by zero", "division by zero", -0.5]),
+    ("x1^-2", [_NOT_FINITE] * 3 + ["zero raised to a negative power"] * 2 + [0.25]),
+])
+def test_numbers_keep_the_values_and_messages_of_arrays(src, outcomes):
+    # a NaN argument of sqrt or log is out of its domain, not a NaN value
+    e = ex.parse(src, VARS)
+    for x, want in zip(_SPECIAL, outcomes):
+        for point in (x, np.array(x), np.array([0.5, x])):
+            if isinstance(want, str):
+                with pytest.raises(ex.DomainError, match=f"^{want}$"):
+                    ex.evaluate(e, {"x1": point})
+            else:
+                got = np.ravel(ex.evaluate(e, {"x1": point}))[-1]
+                assert np.array_equal(got, want) and math.copysign(1.0, got) == math.copysign(1.0, want)
+
+
+@pytest.mark.parametrize("k", [*range(1, 10), *range(-3, 1)])
+def test_integer_powers_have_the_same_bits_on_numbers_and_arrays(k):
+    x = np.random.default_rng(k + 3).uniform(-3.0, 3.0, 64)
+    e = ex.parse(f"x1^{k}", VARS)
+    numbers = np.array([ex.evaluate(e, {"x1": v}) for v in x.tolist()])
+    assert numbers.tobytes() == ex.evaluate(e, {"x1": x}).tobytes()
+
+
 @pytest.mark.parametrize("src", ["x1 + x2", "x1 - x2", "x1*x2", "x1/x2",
                                  "x1^3", "x1^4", "x1^0", "x1^-2", "x1^-3", "-x1",
                                  "sin(x1)", "cos(x1)", "exp(x1)", "log(x1)",
@@ -186,6 +220,19 @@ def test_program_gives_each_root_its_own_value():
     for x2 in (0.0, np.array([1.0, 0.0])):
         with pytest.raises(ex.DomainError, match="division by zero"):
             ex.evaluate(program, {"x1": 0.3, "x2": x2})
+
+
+def test_a_program_compiles_its_interval_form_on_first_use(monkeypatch):
+    compiled = []
+    monkeypatch.setattr(ex, "compile", lambda source, *a: compiled.append(source) or compile(source, *a),
+                        raising=False)
+    program = ex.Program(ex.parse("sqrt(x1)*x2 + x1^3", VARS))
+    ex.evaluate(program, {"x1": 0.5, "x2": 2.0})
+    ex.evaluate(program, {"x1": np.ones(3), "x2": 2.0})
+    assert len(compiled) == 1 and "x1']" in compiled[0] and "MUL" not in compiled[0]
+    for _ in range(2):
+        ex.evaluate_interval(program, {"x1": (0.5, 1.0), "x2": (2.0, 3.0)})
+    assert len(compiled) == 2 and "MUL(" in compiled[1]
 
 
 def test_differentiate_known():

@@ -185,12 +185,15 @@ def test_solve_gauss_gives_the_bits_of_four_sharp_calls_per_interval(name):
 
 def test_solve_gauss_compiles_its_step_once(monkeypatch):
     s, eta = _phi_structure("sin(x1)+2"), _smooth_eta(20, 2)
-    built, program = [], ex.Program
+    built, program, compiled = [], ex.Program, []
     monkeypatch.setattr(ex, "Program", lambda *a: built.append(a) or program(*a))
-    ps.solve_gauss(s, [1.0, 0.5], eta)
-    assert len(built) == 1
-    ps.solve_gauss(s, [0.3, -0.2], eta)
-    assert len(built) == 1
+    monkeypatch.setattr(ex, "compile", lambda source, *a: compiled.append(source) or compile(source, *a),
+                        raising=False)
+    for x0 in ([1.0, 0.5], [0.3, -0.2]):
+        ps.solve_gauss(s, x0, eta)
+        # the step and its loop, and no interval form
+        assert len(built) == 1
+        assert [source.partition("\n")[0] for source in compiled] == ["def run(p):", "def run(x, values, p):"]
 
 
 def _half_plane(alpha_limit=math.inf):
@@ -211,6 +214,66 @@ def test_solve_gauss_names_the_first_node_outside_the_domain(alpha_limit):
         ps.solve_gauss(_half_plane(alpha_limit), [1.0, 0.0], eta)
     m = ps.solve_gauss(_half_plane(alpha_limit), [1.0, 0.0], 0.4 * eta)
     assert np.allclose(m.X, [[1.0 + 0.04 * k, 0.0] for k in range(11)], rtol=0, atol=1e-15)
+
+
+def _solve_gauss_by_steps(s, x0, eta):
+    """``solve_gauss`` on R^2 by one ``ex.evaluate`` of its compiled step
+    per interval, the nodes checked against the domain after the last step
+    or the first that raises: the nodes up to that step, and the message
+    of the DomainError raised, or None."""
+    step = ps._gauss_step(s)[1]
+    N = len(eta) - 1
+    x = s.check_point(x0).tolist()
+    du = 1.0 / N
+    e = -eta
+    e_mid = ps.cubic_midpoints(e).tolist()
+    e = e.tolist()
+    half, sixth = 0.5 * du, du / 6.0
+    names = ["x1", "x2", "a1", "a2", "b1", "b2", "c1", "c2", "du", "half", "sixth"]
+    rows = [x]
+    try:
+        try:
+            for k in range(N):
+                x = ex.evaluate(step, dict(zip(names, (*x, *e[k], *e_mid[k], *e[k + 1], du, half, sixth))))
+                rows.append(x)
+        finally:
+            ps._check_domain(s, np.array(rows), "trajectory exits domain")
+    except ex.DomainError as err:
+        return np.array(rows), str(err)
+    return np.array(rows), None
+
+
+def _plane(src):
+    """The structure on R^2 with alpha^12 = src, as ``_half_plane``."""
+    return po.PoissonStructure(n=2, bivector=[ex.parse(src, ["x1", "x2"])], name="plane")
+
+
+_NOT_FINITE = "value overflows or is not finite"
+
+
+# X1' = rate alpha^12 on N intervals from X = (1, 0)
+@pytest.mark.parametrize("alpha, rate, N, message, nodes", [
+    ("sqrt(x1) + 1", -4.0, 10, "sqrt of negative value", 2),
+    # with alpha^12 = 1 the nodes are 1 + k/8, and step 2 has its second stage at 1.3125
+    ("1 + 0/(1.3125 - x1)", 1.0, 8, "division by zero", 3),
+    ("x1*x1", 100.0, 10, _NOT_FINITE, 3),
+    # inf - inf is NaN, and a NaN argument is out of the domain of sqrt
+    ("x1*x1*sqrt(x1*x1 - x1*x1 + 1)", 100.0, 10, "sqrt of negative value", 3),
+    # X1 grows by about 4e6 a step, and x1^4 overflows to inf from step 14
+    ("x1 + 1/x1^4", 1000.0, 20, _NOT_FINITE, 15),
+    ("x1 + exp(-x1^4)", 1000.0, 20, _NOT_FINITE, 15),
+    (1.55, 1.0, 10, "trajectory exits domain at node 5", 6),  # _half_plane(1.55)
+], ids=["sqrt", "pole", "overflow", "overflow-into-sqrt", "infinite-divisor", "exp-of-minus-inf",
+        "half-plane"])
+def test_solve_gauss_fails_as_one_step_per_interval_does(alpha, rate, N, message, nodes):
+    s = _half_plane(alpha) if isinstance(alpha, float) else _plane(alpha)
+    x0, eta = [1.0, 0.0], np.tile([0.0, -rate], (N + 1, 1))
+    X, want = _solve_gauss_by_steps(s, x0, eta)
+    assert want == message and len(X) == nodes  # partway through
+    with pytest.raises(ex.DomainError) as got:
+        ps.solve_gauss(s, x0, eta)
+    assert str(got.value) == want
+    assert np.array_equal(ps.solve_gauss(s, x0, 1e-3 * eta).X, _solve_gauss_by_steps(s, x0, 1e-3 * eta)[0])
 
 
 def _quantum_plane_solution():

@@ -240,8 +240,8 @@ def evaluate(e, point: dict):
     ``e`` is a finite number, no divisor is 0, no power with a negative
     exponent has base 0, no log has an argument <= 0 and no sqrt one
     < 0 (0^0 is 1), and ``point`` binds every variable. Otherwise
-    DomainError. An array raises exactly when one of its elements would
-    raise as a number, and a Program when one of its roots would."""
+    DomainError. An array raises exactly when one of its elements would as
+    a number, with that element's message, and a Program when a root would."""
     program = getattr(e, "_program", None) or Program(e)
     try:
         value = program.numbers(point)
@@ -495,7 +495,10 @@ def _power(x, k, bits):
     if k == 0:
         return x * 0.0 + 1.0  # 1 in the type and shape of x
     _require(x != 0.0, "zero raised to a negative power")
-    return 1.0 / _ipow(x, bits)
+    try:
+        return 1.0 / _ipow(x, bits)
+    except ZeroDivisionError:  # a float x^|k| that underflows to +-0, where numpy gives +-inf
+        return math.copysign(math.inf, _ipow(x, bits))
 
 
 _ARGUMENT_DOMAINS = {  # function -> (test of the argument, message)
@@ -516,8 +519,10 @@ def _function(name):
             return vector(x)  # sin(inf) is nan, which the root check rejects
         try:
             return scalar(x)
-        except ValueError:  # math.sin(inf)
-            raise DomainError(_NOT_FINITE) from None
+        except ValueError:  # math.sin(inf), where np.sin gives nan
+            return math.nan
+        except OverflowError:  # math.exp(710), where np.exp gives inf
+            return math.inf
     return run
 
 

@@ -13,14 +13,15 @@ cubic through four neighbouring nodes, fourth order), which
 ``ex.Program``, compiled from the bivector once per structure, with the
 loop (``Program.loop``) that runs all its steps on Python floats.
 
-``gauge_flow`` steps the stacked state (X; eta), shape (2n, N+1), with
-the gauge field bound to the grid once (``GaugeField.on_grid``), and
-doubles its RK4 step count until two successive flows agree.
+``gauge_flow`` steps the stacked state (X; eta), shape (2n, N+1), by one
+call per RK4 stage of the gauge field's ``ex.Program`` (one per structure
+and beta), and doubles its step count until two successive flows agree.
 ``check_solution`` decides what counts as a constraint solution.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import weakref
 from dataclasses import dataclass
@@ -117,14 +118,11 @@ class GaugeField:
     """Gauge parameter beta_i(x, u) with beta(x, 0) = beta(x, 1) = 0.
 
     Components are expressions over (x1..xn, u); symbolic partials in
-    every x_j and in u are cached. ``on_grid(u)`` binds the field to the
-    u values of a grid, or to u=None for a 1-form: each largest subtree
-    whose only variable is u is evaluated once, there, and the components
-    and all their partials then run as one compiled ``ex.Program``, one
-    expression call per batch of points, in which a constant partial takes
-    the shape of the batch. Construction checks nothing: ``gauge_flow``
-    tests the end conditions on the path it moves. A 1-form is a gauge
-    field with no u, at ``u=None``.
+    every x_j and in u are cached, and so are all of them with each largest
+    subtree whose only variable is u split out, which the gauge vector field
+    compiles from and evaluates once per grid. Construction checks nothing:
+    ``gauge_flow`` tests the end conditions on the path it moves. A 1-form
+    is a gauge field with no u, at ``u=None``.
     """
 
     def __init__(self, components: Sequence[ex.Expr], n: int):
@@ -132,40 +130,31 @@ class GaugeField:
             raise ValueError("need one component per target dimension")
         self.n = n
         self.components = tuple(components)
-        names = [f"x{i + 1}" for i in range(n)]
-        self._names = names
-        self.dx = tuple(
-            tuple(ex.differentiate(c, v) for v in names) for c in components
-        )
+        self._names = [f"x{i + 1}" for i in range(n)]
+        self.dx = tuple(tuple(ex.differentiate(c, v) for v in self._names) for c in components)
         self.du = tuple(ex.differentiate(c, "u") for c in components)
-        # the components, then the x partials row by row, then the u partials
         flat, parts = ex.split_out(self.components + sum(self.dx, ()) + self.du, "u")
-        self._program = ex.Program(flat)
+        # beta, J[i][j] = d beta_i / d x_j and d_u beta, split out
+        self._split = flat[:n], [flat[n * i:n * (i + 1)] for i in range(1, n + 1)], flat[n * (n + 1):]
+        self._value_program = ex.Program(self.components)
         self._u_names, self._u_program = tuple(parts), ex.Program(parts.values())
+        self._programs = weakref.WeakKeyDictionary()  # structure -> {builder: (names, Program)}
 
     @classmethod
     def parse(cls, sources: Sequence[str], n: int) -> "GaugeField":
         names = [f"x{i + 1}" for i in range(n)] + ["u"]
         return cls(tuple(ex.parse(s, names) for s in sources), n)
 
-    def on_grid(self, u):
-        """At u (shape (m,)) or None, the map from component arrays X[j] =
-        x_{j+1} (shape (m,)) to lists beta[i], J[i][j] = d beta_i / d x_j
-        and d_u beta[i]."""
-        point = {} if u is None else {"u": np.asarray(u, dtype=float)}
-        bound = dict(zip(self._u_names, ex.evaluate(self._u_program, point)))
-        names, n, program = self._names, self.n, self._program
-
-        def at(X):
-            p = dict(bound)
-            p.update(zip(names, X))
-            v = ex.evaluate(program, p)
-            return v[:n], [v[n * i:n * (i + 1)] for i in range(1, n + 1)], v[n * (n + 1):]
-        return at
-
     def value(self, X, u) -> np.ndarray:
         """beta at a batch of points: X (m, n), u (m,) or None -> (m, n)."""
-        return np.stack(self.on_grid(u)(np.asarray(X, dtype=float).T)[0], axis=1)
+        return np.stack(ex.evaluate(self._value_program, self._point(X, u)), axis=1)
+
+    def _point(self, X, u) -> dict:
+        """x1..xn bound to the columns of X, shape (m, n), and u unless None."""
+        point = dict(zip(self._names, np.asarray(X, dtype=float).T))
+        if u is not None:
+            point["u"] = np.asarray(u, dtype=float)
+        return point
 
 
 def taper(u: np.ndarray, tapered: bool) -> tuple[np.ndarray, np.ndarray]:
@@ -320,6 +309,47 @@ def solve_gauss(s: PoissonStructure, x0, eta: np.ndarray) -> DiscretizedMorphism
     return DiscretizedMorphism(n=s.n, X=X, eta=eta.copy())
 
 
+def _compiled(build, prefixes: str, s: PoissonStructure, beta: GaugeField):
+    """The names of the variables v1..vn, v in ``prefixes``, and the Program of
+    the roots build(s, beta, *variables), compiled once per structure and kept
+    by beta, keyed weakly on the structure."""
+    if beta.n != s.n:
+        raise ValueError("gauge field dimension mismatch")
+    programs = beta._programs.setdefault(s, {})
+    if build not in programs:
+        variables = [[ex.Var(f"{v}{i + 1}") for i in range(s.n)] for v in prefixes]
+        programs[build] = [v.name for row in variables for v in row], ex.Program(build(s, beta, *variables))
+    return programs[build]
+
+
+def _dot(a, b) -> ex.Expr:
+    """sum(ai * bi) as Python's ``sum`` adds it: from 0, in order."""
+    return functools.reduce(ex.Add, map(ex.Mul, a, b), ex.Const(0.0))
+
+
+def _field(s: PoissonStructure, beta: GaugeField, x, e, p) -> list:
+    """(dX; dEta) of ``gauge_vector_field`` at X = x, eta = e and X' = p from
+    beta's split-out expressions, in the order of operations, and so with
+    the bits, of sharp(x, e), sharp(x, beta) and dsharp(x, e, beta) summed."""
+    b, J, bu = beta._split
+    C = [ex.Add(pi, a) for pi, a in zip(p, s.contraction(x, e))]
+    return [ex.Neg(v) for v in s.contraction(x, b)] + [
+        ex.Sub(ex.Add(ex.Add(bu[i], _dot(J[i], p)), d), _dot(C, [row[i] for row in J]))
+        for i, d in enumerate(s.dcontraction(e, b))]
+
+
+def _dH_integrand(s: PoissonStructure, beta: GaugeField, x, e, p, y, q, z) -> list:
+    """The integrand of ``_dH`` at X = x, eta = e, X' = p, zX = y, zX' = q and
+    zEta = z, in the order of operations, and so with the bits, of the
+    constraint, sharp(x, z), dsharp(x, beta, e) and the Jacobian summed."""
+    C = [ex.Add(pi, a) for pi, a in zip(p, s.contraction(x, e))]
+    dC = [ex.Add(qi, a) for qi, a in zip(q, s.contraction(x, z))]
+    b, J = beta.components, beta.dx
+    return [functools.reduce(ex.Add, [
+        ex.Add(ex.Add(ex.Mul(dC[i], b[i]), ex.Mul(y[i], d)), ex.Mul(C[i], _dot(J[i], y)))
+        for i, d in enumerate(s.dcontraction(b, e))], ex.Const(0.0))]
+
+
 def gauge_vector_field(s: PoissonStructure, m: DiscretizedMorphism,
                        beta: GaugeField) -> TangentVector:
     """Off-shell gauge vector field:
@@ -333,23 +363,14 @@ def gauge_vector_field(s: PoissonStructure, m: DiscretizedMorphism,
 
 def _gauge_field(s: PoissonStructure, beta: GaugeField, u: np.ndarray):
     """The gauge vector field of beta bound to the grid u: Y = (X; eta) ->
-    (dX; dEta) on arrays of shape (2n, len(u)), one row per component."""
-    if beta.n != s.n:
-        raise ValueError("gauge field dimension mismatch")
-    at, sharp, dsharp, n = beta.on_grid(u), s.sharp, s.dsharp, s.n
+    (dX; dEta) on arrays of shape (2n, len(u)), one row per component, by
+    one ``ex.evaluate`` of ``_field``'s Program, the u-parts evaluated once."""
+    names, program = _compiled(_field, "xep", s, beta)
+    point, n = dict(zip(beta._u_names, ex.evaluate(beta._u_program, beta._point((), u)))), s.n
 
     def field(Y):
-        X, eta = Y[:n], Y[n:]
-        Xp = path_derivative(X.T).T
-        b, J, bu = at(X)
-        C = [xp + a for xp, a in zip(Xp, sharp(X, eta))]
-        minus_dX, term2 = sharp(X, b), dsharp(X, eta, b)
-        dY = np.empty_like(Y)
-        for i in range(n):
-            dY[i] = -minus_dX[i]
-            dY[n + i] = (bu[i] + sum(a * v for a, v in zip(J[i], Xp)) + term2[i]
-                         - sum(c * row[i] for c, row in zip(C, J)))
-        return dY
+        point.update(zip(names, (*Y, *path_derivative(Y[:n].T).T)))
+        return np.array(ex.evaluate(program, point))
     return field
 
 
@@ -418,12 +439,10 @@ def _dH(s: PoissonStructure, m: DiscretizedMorphism, beta: GaugeField,
     """dH_beta along zeta: int <zX' + alpha zEta, beta> + zX^i dsharp(X, beta,
     eta)_i + <C, d beta zX> du with C = X' + alpha eta; exact for the discrete
     H, as ``path_derivative`` and ``path_integral`` are linear."""
-    X, zX = m.X.T, zeta.dX.T
-    b, J, _ = beta.on_grid(m.u)(X)
-    C, dC = _constraint(s, m)[1].T, path_derivative(zeta.dX).T + s.sharp(X, zeta.dEta.T)
-    integrand = sum(dC[i] * b[i] + zX[i] * d + C[i] * sum(a * v for a, v in zip(J[i], zX))
-                    for i, d in enumerate(s.dsharp(X, b, m.eta.T)))
-    return float(path_integral(integrand)[-1])
+    names, program = _compiled(_dH_integrand, "xepyqz", s, beta)
+    point = dict(zip(names, (*m.X.T, *m.eta.T, *path_derivative(m.X).T,
+                             *zeta.dX.T, *path_derivative(zeta.dX).T, *zeta.dEta.T)), u=m.u)
+    return float(path_integral(ex.evaluate(program, point)[0])[-1])
 
 
 def _random_smooth_tangent(rng, N, n, modes=4):
@@ -459,13 +478,13 @@ def koszul_bracket_values(s: PoissonStructure, beta: GaugeField,
     """Koszul bracket [beta, gamma]_i = d_i alpha^{jk} beta_j gamma_k
     + alpha^{jk} (d_j beta_i gamma_k + beta_j d_k gamma_i) at points X
     (m, n); u rides along pointwise, and is None for 1-forms. By the
-    antisymmetry of alpha, alpha^{jk} beta_j = -(alpha beta)^k."""
-    x = np.asarray(X, dtype=float).T
-    b, Jb, _ = beta.on_grid(u)(x)
-    g, Jg, _ = gamma.on_grid(u)(x)
-    term1, alpha_g, alpha_b = s.dsharp(x, b, g), s.sharp(x, g), s.sharp(x, b)
-    return np.stack([term1[i] + sum(a * v for a, v in zip(Jb[i], alpha_g))
-                     - sum(a * v for a, v in zip(Jg[i], alpha_b)) for i in range(s.n)], axis=1)
+    antisymmetry of alpha, alpha^{jk} beta_j = -(alpha beta)^k. One Program,
+    built as ``_field``'s is and compiled per call."""
+    x, b, g = [ex.Var(v) for v in beta._names], beta.components, gamma.components
+    alpha_g, alpha_b = s.contraction(x, g), s.contraction(x, b)
+    program = ex.Program([ex.Sub(ex.Add(t, _dot(beta.dx[i], alpha_g)), _dot(gamma.dx[i], alpha_b))
+                          for i, t in enumerate(s.dcontraction(b, g))])
+    return np.stack(ex.evaluate(program, beta._point(X, u)), axis=1)
 
 
 def equivariance_defect(s: PoissonStructure, m: DiscretizedMorphism,

@@ -1,6 +1,7 @@
-"""Poisson structures given by their bivector expressions, the
-contractions and first derivatives compiled from them, and the numeric
-Jacobi identity (the Koszul bracket is ``pathspace.koszul_bracket_values``).
+"""Poisson structures given by their bivector expressions, the contractions
+and their first derivatives as expressions (``pathspace`` compiles one gauge
+vector field per structure and gauge parameter from them) and as programs,
+and the numeric Jacobi identity (the Koszul bracket is ``pathspace.koszul_bracket_values``).
 
 Index conventions: ``alpha(x)[i, j]`` is the bivector component
 ``alpha^{ij}(x)``; ``dalpha(x)[k, i, j]`` is the partial derivative
@@ -88,19 +89,23 @@ class PoissonStructure:
         return [_sum(ex.Mul(alpha[i, j], e[j]) for j in range(self.n) if (i, j) in alpha)
                 for i in range(self.n)]
 
+    def dcontraction(self, e, b) -> list:
+        """d_i alpha^{jk}(x) e_j b_k as n expressions over x1..xn, for sequences
+        e and b of n expressions: the sum over j < k of d_i alpha^{jk} (e_j b_k
+        - e_k b_j) in order, by ``ex.differentiate``, zero partials left out."""
+        pairs = itertools.combinations(range(self.n), 2)
+        wedges = [ex.Sub(ex.Mul(e[j], b[k]), ex.Mul(e[k], b[j])) for j, k in pairs]
+        partials = [[ex.differentiate(a, f"x{i + 1}") for a in self.bivector] for i in range(self.n)]
+        return [_sum(ex.Mul(d, w) for d, w in zip(row, wedges) if d != ex.Const(0.0))
+                for row in partials]
+
     @functools.cached_property
     def _sharp(self):
         return ex.Program(self.contraction(_variables("x", self.n), _variables("e", self.n)))
 
     @functools.cached_property
     def _dsharp(self):
-        """sum over j < k of d_i alpha^{jk} (e_j b_k - e_k b_j), by ``ex.differentiate``"""
-        x, e, b = (_variables(prefix, self.n) for prefix in "xeb")
-        pairs = list(itertools.combinations(range(self.n), 2))
-        wedges = [ex.Sub(ex.Mul(e[j], b[k]), ex.Mul(e[k], b[j])) for j, k in pairs]
-        partials = [[ex.differentiate(a, v.name) for a in self.bivector] for v in x]
-        return ex.Program([_sum(ex.Mul(d, w) for d, w in zip(row, wedges) if d != ex.Const(0.0))
-                           for row in partials])
+        return ex.Program(self.dcontraction(_variables("e", self.n), _variables("b", self.n)))
 
     def sharp(self, x, e):
         return tuple(ex.evaluate(self._sharp, dict(zip(self._names, (*x, *e)))))

@@ -165,6 +165,27 @@ def test_numbers_keep_the_values_and_messages_of_arrays(src, outcomes):
                 assert np.array_equal(got, want) and math.copysign(1.0, got) == math.copysign(1.0, want)
 
 
+# a value that math cannot give (sin(inf), exp(710), 1 / (1e-400 -> 0.0))
+# ahead of a later domain error: numpy goes on with nan or inf to that error
+@pytest.mark.parametrize("src, x1, x2, message", [
+    ("sin(x1) + log(x2)", math.inf, -1.0, "log of nonpositive value"),
+    ("cos(x1) + sqrt(x2)", -math.inf, -1.0, "sqrt of negative value"),
+    ("sin(x1) + x2", math.inf, 1.0, _NOT_FINITE),
+    ("exp(x1) - 1/x2", 710.0, 0.0, "division by zero"),
+    ("(x1^-1)^-2 + log(x2)", -1e200, -1.0, "log of nonpositive value"),
+    ("sqrt((x1^-1)^-3) + x2", -1e200, 1.0, "sqrt of negative value"),  # 1 / -0.0 is -inf
+])
+def test_numbers_name_the_error_that_arrays_name(src, x1, x2, message):
+    e = ex.parse(src, VARS)
+
+    def batch(v):
+        return np.array([0.5, v])
+
+    for wrap1, wrap2 in ((float, float), (np.array, np.array), (batch, batch), (float, batch), (batch, float)):
+        with pytest.raises(ex.DomainError, match=f"^{message}$"):
+            ex.evaluate(e, {"x1": wrap1(x1), "x2": wrap2(x2)})
+
+
 @pytest.mark.parametrize("k", [*range(1, 10), *range(-3, 1)])
 def test_integer_powers_have_the_same_bits_on_numbers_and_arrays(k):
     x = np.random.default_rng(k + 3).uniform(-3.0, 3.0, 64)

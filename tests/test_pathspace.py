@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -502,7 +504,7 @@ def test_reverse_then_concatenate_gives_trivial_invariants():
     assert ps.gauss_residual(s, loop) < 5e-5
 
 
-# --- the gauge field bound to a grid ------------------------------------
+# --- the compiled gauge vector field --------------------------------------
 
 def _direct(exprs, X, u):
     """Values of exprs by ex.evaluate at the rows of X and u (or no u)."""
@@ -512,34 +514,149 @@ def _direct(exprs, X, u):
     return [ex.evaluate(e, p) for e in exprs]
 
 
-@pytest.mark.parametrize("sources, u", [
-    # mixed subtrees, a u-only component, a constant one and a constant partial
-    (["0.3*sin(3.141592653589793*u)*x2 + u*(1-u)", "2*u*(1-u)", "exp(u)*x1*x3 - cos(u)"],
-     np.linspace(0.0, 1.0, 7)),
-    (["x2*x3", "1", "sin(x1)*x3"], None),  # a 1-form
-])
-def test_bound_gauge_field_matches_direct_evaluation(sources, u):
-    beta = ps.GaugeField.parse(sources, 3)
-    X = np.random.default_rng(13).uniform(-1.5, 1.5, (7, 3))
-    b, J, bu = beta.on_grid(u)(X.T)
-    assert [np.shape(v) for v in b] == [(7,)] * 3
-    exprs = beta.components + sum(beta.dx, ()) + beta.du
-    for got, want in zip(b + sum(J, []) + bu, _direct(exprs, X, u)):
-        assert np.shape(got) == (7,) and np.array_equal(got, want)
-    assert np.array_equal(beta.value(X, u), np.stack(_direct(beta.components, X, u), axis=1))
+def _partials(beta, X, u):
+    """beta, J[i][j] = d beta_i / d x_j and d_u beta at the rows of X and u
+    (or no u), each expression by its own ex.evaluate."""
+    n = beta.n
+    v = _direct(beta.components + sum(beta.dx, ()) + beta.du, X, u)
+    return v[:n], [v[n * i:n * (i + 1)] for i in range(1, n + 1)], v[n * (n + 1):]
 
 
-@pytest.mark.parametrize("source, u, message", [
-    ("x1*log(u - 0.5)", np.linspace(0.0, 1.0, 5), "log of nonpositive value"),
-    ("x1*u", None, "variable 'u' not bound"),
-])
-def test_bound_gauge_field_raises_the_domain_error_of_direct_evaluation(source, u, message):
-    beta = ps.GaugeField.parse([source, "0"], 2)
-    X = np.ones((5, 2))
-    with pytest.raises(ex.DomainError, match=message):
-        _direct(beta.components, X, u)
-    with pytest.raises(ex.DomainError, match=message):
-        beta.on_grid(u)(X.T)
+def _gauge_field_by_four_calls(s, beta, Y, u):
+    """(dX; dEta) at Y = (X; eta) from beta's values and partials,
+    sharp(X, eta), sharp(X, beta) and dsharp(X, eta, beta), summed in
+    Python: the reference for the field's compiled Program."""
+    n, X, eta = s.n, Y[:s.n], Y[s.n:]
+    Xp = ps.path_derivative(X.T).T
+    b, J, bu = _partials(beta, X.T, u)
+    C = [xp + a for xp, a in zip(Xp, s.sharp(X, eta))]
+    minus_dX, term2 = s.sharp(X, b), s.dsharp(X, eta, b)
+    return np.array([-v for v in minus_dX] + [
+        bu[i] + sum(a * v for a, v in zip(J[i], Xp)) + term2[i] - sum(c * row[i] for c, row in zip(C, J))
+        for i in range(n)])
+
+
+def _dH_by_hand(s, m, beta, zeta):
+    """``ps._dH`` from beta's values and partials, the constraint, sharp and
+    dsharp, summed in Python: the reference for its compiled integrand."""
+    X, zX = m.X.T, zeta.dX.T
+    b, J, _ = _partials(beta, m.X, m.u)
+    C, dC = ps._constraint(s, m)[1].T, ps.path_derivative(zeta.dX).T + s.sharp(X, zeta.dEta.T)
+    integrand = sum(dC[i] * b[i] + zX[i] * d + C[i] * sum(a * v for a, v in zip(J[i], zX))
+                    for i, d in enumerate(s.dsharp(X, b, m.eta.T)))
+    return float(ps.path_integral(integrand)[-1])
+
+
+def _koszul_by_hand(s, beta, gamma, X, u):
+    """``ps.koszul_bracket_values`` from the values and partials of beta and
+    gamma, dsharp and two sharps, summed in Python."""
+    x = X.T
+    (b, Jb, _), (g, Jg, _) = _partials(beta, X, u), _partials(gamma, X, u)
+    term1, alpha_g, alpha_b = s.dsharp(x, b, g), s.sharp(x, g), s.sharp(x, b)
+    return np.stack([term1[i] + sum(a * v for a, v in zip(Jb[i], alpha_g))
+                     - sum(a * v for a, v in zip(Jg[i], alpha_b)) for i in range(s.n)], axis=1)
+
+
+# (beta, gamma, on the grid or at u=None), each cut to the first n components
+_BETAS = {
+    "u-only-and-constant": (["2*u*(1-u)", "0.5", "exp(u)*x1*x3 - cos(u)"],
+                            ["0.3*sin(3.141592653589793*u)*x2 + u*(1-u)", "x1*u", "x3"], True),
+    "constant-partial": (["0.2*x1 + u*(1-u)*x2^2", "3*x1 - sin(x2)*u", "x3*u*(1-u) - 0.5*x2"],
+                         ["2*u*(1-u)", "0.5", "exp(u)*x1*x3 - cos(u)"], True),
+    "1-form": (["x2*x1", "sin(x1)", "x1*x3"], ["x2", "x1^2", "cos(x3)"], False),
+}
+
+
+@pytest.mark.parametrize("beta_name", list(_BETAS))
+@pytest.mark.parametrize("name", list(_STEPPED))
+def test_compiled_field_dH_and_bracket_keep_the_bits_of_the_evaluator_calls(name, beta_name):
+    s = _STEPPED[name]()
+    n, N = s.n, 40
+    u = np.linspace(0.0, 1.0, N + 1)
+    X = (np.array([1.0, 0.8, 0.6][:n]) + np.outer(np.sin(PI * u), [0.3, -0.2, 0.1][:n])
+         + np.outer(u, [0.2, 0.1, -0.15][:n]))
+    m = ps.DiscretizedMorphism(n=n, X=X, eta=_smooth_eta(N, n, seed=8))  # off shell
+    sources, gamma_sources, on_grid = _BETAS[beta_name]
+    beta, gamma = ps.GaugeField.parse(sources[:n], n), ps.GaugeField.parse(gamma_sources[:n], n)
+    at, Y = (m.u if on_grid else None), np.concatenate([m.X.T, m.eta.T])
+
+    def same_bits(got, want):  # np.array_equal, and zeros of the same sign
+        return np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+
+    assert same_bits(ps._gauge_field(s, beta, at)(Y), _gauge_field_by_four_calls(s, beta, Y, at))
+    v = ps.gauge_vector_field(s, m, beta)
+    assert same_bits(np.concatenate([v.dX.T, v.dEta.T]), _gauge_field_by_four_calls(s, beta, Y, m.u))
+    assert same_bits(beta.value(m.X, at), np.stack(_direct(beta.components, m.X, at), axis=1))
+    for zeta in (ps._random_smooth_tangent(np.random.default_rng(k), N, n) for k in range(2)):
+        assert same_bits(ps._dH(s, m, beta, zeta), _dH_by_hand(s, m, beta, zeta))
+    assert same_bits(ps.koszul_bracket_values(s, beta, gamma, m.X, at), _koszul_by_hand(s, beta, gamma, m.X, at))
+
+
+def test_the_compiled_sums_start_from_zero_as_pythons_sum_does():
+    # 0 + (-0.0) is 0.0: where every term of a sum is a zero, the sign of the
+    # result shows whether the sum started from 0
+    u = np.linspace(0.0, 1.0, 5)
+    s, beta = _phi_structure(), ps.GaugeField.parse(["-x2*u*u", "-x2*u*u"], 2)
+    Y = np.concatenate([np.outer([-1.0, 0.5], 1.0 + u), np.zeros((2, 5))])
+    got, want = ps._gauge_field(s, beta, u)(Y), _gauge_field_by_four_calls(s, beta, Y, u)
+    assert np.array_equal(np.signbit(got), np.signbit(want)) and want[3, 0] == 0.0 and not np.signbit(want[3, 0])
+    s, zero = _phi_structure("x2"), ps.GaugeField.parse(["0", "0"], 2)
+    m = ps.DiscretizedMorphism(n=2, X=np.outer(1.0 + u, [-1.0, -1.0]), eta=np.zeros((5, 2)))
+    zeta = ps.TangentVector(np.outer(u, [-1.0, -1.0]), np.zeros((5, 2)))
+    got, want = ps._dH(s, m, zero, zeta), _dH_by_hand(s, m, zero, zeta)
+    assert got == want == 0.0 and not np.signbit(got) and not np.signbit(want)
+
+
+def _flat_path(x1, N=8):
+    """X = (x1, 1) and eta = (0.3, -0.2) at every node, as (X; eta) and its grid."""
+    Y = np.concatenate([np.tile([[x1], [1.0]], N + 1), np.tile([[0.3], [-0.2]], N + 1)])
+    return Y, np.linspace(0.0, 1.0, N + 1)
+
+
+@pytest.mark.parametrize("structure, source, x1, on_grid, message", [
+    ("x1*x2", "x1*log(u - 0.5)", 1.0, True, "log of nonpositive value"),
+    ("x1*x2", "x1*u", 1.0, False, "variable 'u' not bound"),
+    ("x1*x2", "u*(1-u)*sqrt(x1)", -1.0, True, "sqrt of negative value"),
+    ("exp(x1)", "u*(1-u)*x2", 800.0, True, "value overflows or is not finite"),
+], ids=["log-of-u", "unbound-u", "sqrt", "overflowing-structure"])
+def test_gauge_field_raises_the_domain_error_of_the_evaluator_calls(structure, source, x1, on_grid, message):
+    s, beta = _plane(structure), ps.GaugeField.parse([source, "0"], 2)
+    Y, u = _flat_path(x1)
+    at = u if on_grid else None
+    with pytest.raises(ex.DomainError, match=f"^{message}$"):
+        _gauge_field_by_four_calls(s, beta, Y, at)
+    with pytest.raises(ex.DomainError, match=f"^{message}$"):
+        ps._gauge_field(s, beta, at)(Y)
+
+
+def test_gauge_field_compiles_once_per_structure_and_beta(monkeypatch):
+    s = _phi_structure()
+    m = ps.solve_gauss(s, [1.0, 1.0], _smooth_eta(1000, 2, seed=16))
+    beta = ps.GaugeField.parse(["0.2*sin(3.141592653589793*u)*x2", "0.1*u*(1-u)*x1"], 2)
+    ps.gauss_residual(s, m)  # compiles sharp
+    built, program, compiled, evaluated, evaluate = [], ex.Program, [], [], ex.evaluate
+    monkeypatch.setattr(ex, "Program", lambda *a: built.append(a) or program(*a))
+    monkeypatch.setattr(ex, "compile", lambda source, *a: compiled.append(source) or compile(source, *a),
+                        raising=False)
+    ps.gauge_flow(s, m, beta, s_total=0.5)
+    assert len(built) == len(compiled) == 1  # the field
+    ps.gauge_flow(s, m, beta, s_total=0.5)
+    ps.hamiltonian_check(s, m, beta, trials=3)
+    assert len(built) == len(compiled) == 2  # and the integrand of dH
+    field, Y = ps._gauge_field(s, beta, m.u), np.concatenate([m.X.T, m.eta.T])
+    monkeypatch.setattr(ex, "evaluate", lambda *a: evaluated.append(a) or evaluate(*a))
+    field(Y)
+    assert len(evaluated) == 1 and len(built) == 2
+    # the cache keeps neither the gauge field nor the structure alive
+    monkeypatch.undo()
+    beta_ref, s_ref, cache = weakref.ref(beta), weakref.ref(s), weakref.ref(beta._programs)
+    assert list(cache()) == [s]
+    del s, m
+    gc.collect()
+    assert s_ref() is None and len(cache()) == 0
+    del beta
+    gc.collect()
+    assert beta_ref() is None and cache() is None
 
 
 _EPS2 = np.array([[0.0, 1.0], [-1.0, 0.0]])

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -216,6 +217,8 @@ def _run_g2d(args) -> int:
         report = g2.verify_axioms(phi, g2.Domain2D(*_floats(args.domain, 4)),
                                   samples=args.samples, seed=args.seed, pi_box=args.pi_box)
         ok = all(entry["passed"] for entry in report.values())
+        for entry in report.values():  # JSON has no NaN or inf: a deviation that is not finite is null
+            entry["max_dev"] = entry["max_dev"] if math.isfinite(entry["max_dev"]) else None
         emit({"checks": report, "all_passed": ok})
         return EXIT_OK if ok else EXIT_VERIFY
     g = g2.GroupoidPoint2D(_floats(args.x, 2), _floats(args.pi, 2))

@@ -24,6 +24,7 @@ import dataclasses
 import functools
 import math
 import re
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -508,8 +509,15 @@ _ARGUMENT_DOMAINS = {  # function -> (test of the argument, message)
 }
 
 
+# on a float, numpy's exp and log, whose bits an array gets, where math's differ in the last;
+# above log(max float), np.exp overflows, with a warning
+_EXP_MAX = math.log(sys.float_info.max)
+_ON_FLOAT = {"exp": lambda x: math.inf if x > _EXP_MAX else float(np.exp(x)),
+             "log": lambda x: float(np.log(x))}
+
+
 def _function(name):
-    scalar, vector = getattr(math, name), getattr(np, name)
+    scalar, vector = _ON_FLOAT.get(name, getattr(math, name)), getattr(np, name)
     test, message = _ARGUMENT_DOMAINS.get(name, (None, None))
 
     def run(x):
@@ -521,17 +529,16 @@ def _function(name):
             return scalar(x)
         except ValueError:  # math.sin(inf), where np.sin gives nan
             return math.nan
-        except OverflowError:  # math.exp(710), where np.exp gives inf
-            return math.inf
     return run
 
 
 _OPERATIONS = {"NUMBERS": _NUMBERS, "DIV": _quotient, "POW": _power, **{f: _function(f) for f in _FUNCTIONS}}
 _ON_NUMBERS = dict(_OPERATIONS, VAR=_raise_arrays)
 _ON_ARRAYS = dict(_OPERATIONS, VAR=lambda v: np.asarray(v, dtype=float))
-# in a loop, x / inf, log(nan) and sqrt(nan) give NaN where evaluate raises, and it reaches the state
+# in a loop, x / inf, log(nan) and sqrt(nan) give NaN where evaluate raises, and it reaches the
+# state; math.log raises at x <= 0, where np.log would warn
 _ON_FLOATS = dict(_ON_NUMBERS, DIV=lambda a, b: a / b if b - b == 0.0 else math.nan,
-                  log=math.log, sqrt=math.sqrt)
+                  log=lambda x: float(np.log(x)) if x > 0.0 else math.log(x), sqrt=math.sqrt)
 
 
 # The operations of a Program's source on intervals, (lo, hi) pairs

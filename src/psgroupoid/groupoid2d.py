@@ -113,6 +113,10 @@ class Domain2D:
 
 @dataclass(frozen=True, init=False)
 class GroupoidPoint2D:
+    """(x, pi), each of shape (2,); or a stack of points, each of shape
+    (2, ...), which x_f, h_map, psi, multiply, inverse, bivector and
+    symplectic_form take too (matrices then with the stack's axes first)."""
+
     x: np.ndarray
     pi: np.ndarray
 
@@ -123,7 +127,7 @@ class GroupoidPoint2D:
 
 def _pair(v) -> np.ndarray:
     a = np.asarray(v, dtype=float)
-    return a if a.shape == (2,) else a.reshape(2)
+    return a if a.shape == (2,) or a.ndim > 1 and len(a) == 2 else a.reshape(2)
 
 
 def x_f(p: Phi2D, g: GroupoidPoint2D) -> np.ndarray:
@@ -151,8 +155,10 @@ def psi(p: Phi2D, g: GroupoidPoint2D) -> float:
 
 
 def _ray(p: Phi2D, g: GroupoidPoint2D) -> tuple:
-    """(x1, x2, pi1, pi2, phi(x)) of g as floats."""
+    """(x1, x2, pi1, pi2, phi(x)) of g: floats, or arrays for a stack."""
     (x1, x2), (pi1, pi2) = g.x.tolist(), g.pi.tolist()
+    if x1.__class__ is list:  # a stack
+        (x1, x2), (pi1, pi2) = g.x, g.pi
     return x1, x2, pi1, pi2, p((x1, x2))
 
 
@@ -168,12 +174,22 @@ def _ray_integral(p: Phi2D, ray: tuple, integrand):
     Gauss-Legendre: exact with ``p.nodes`` nodes for a polynomial phi.
     Otherwise the n-node rule, n doubling from QUAD_FIRST_NODES, is
     accepted once each component agrees with the n/2-node rule to QUAD_TOL
-    times the integral of its modulus."""
+    times the integral of its modulus. A ray of floats runs node by node,
+    a stack of rays all nodes in one call (s of shape (n, 1, ...), values
+    (..., n, *stack)), summed in node order, each ray at its own n."""
     x1, x2, pi1, pi2, phi = ray
     a1, a2, point = phi * pi2, phi * pi1, {"x1": x1, "x2": x2, "v1": -pi2, "v2": pi1}
 
     def rule(n, moduli=False):  # the sum, and the sum of moduli if asked
         total = scale = 0.0
+        if x1.__class__ is not float:  # a stack: a running sum over the node axis, + 0.0 as 0.0 + -0.0 is 0.0
+            s, w = _gauss_legendre(n, x1.ndim)
+            point["s"], point["x1"], point["x2"] = s, x1 - s * a1, x2 + s * a2
+            f, axis = integrand(point), -1 - x1.ndim
+            total = np.cumsum(w * f, axis).take(-1, axis) + 0.0
+            if moduli:
+                scale = np.cumsum(w * abs(f), axis).take(-1, axis) + 0.0
+            return total, scale
         for s, w in _gauss_legendre(n):
             point["s"], point["x1"], point["x2"] = s, x1 - s * a1, x2 + s * a2
             f = integrand(point)
@@ -184,19 +200,33 @@ def _ray_integral(p: Phi2D, ray: tuple, integrand):
 
     if p.nodes is not None:
         return rule(p.nodes)[0]
-    n, coarse = QUAD_FIRST_NODES, None
+    n, coarse, value, done = QUAD_FIRST_NODES, None, None, False
     while n <= QUAD_MAX_NODES:
         fine, scale = rule(n, coarse is not None)
-        if coarse is not None and np.all(abs(fine - coarse) <= QUAD_TOL * scale):
-            return fine
+        if coarse is not None:
+            close = abs(fine - coarse) <= QUAD_TOL * scale
+            if x1.__class__ is float:
+                if np.all(close):
+                    return fine
+            else:  # a ray keeps the sum of the first rule it accepts
+                value = fine if value is None else np.where(done, value, fine)
+                done = done | close.reshape(-1, *x1.shape).all(0)
+                if done.all():
+                    return value
         n, coarse = 2 * n, fine
     raise RuntimeError(f"ray integral of phi not converged at {QUAD_MAX_NODES} nodes")
 
 
 @functools.cache
-def _gauss_legendre(n: int):
+def _gauss_legendre(n: int, axes: int = 0):
     """The n-point Gauss-Legendre rule on [0, 1] by Golub-Welsch, as a list
-    of (node, weight) pairs of floats; n = 1 gives exactly [(0.5, 1.0)]."""
+    of (node, weight) pairs of floats; n = 1 gives exactly [(0.5, 1.0)].
+    With ``axes`` > 0, the nodes and the weights as two read-only arrays
+    of shape (n, 1, ...), with ``axes`` axes of length 1."""
+    if axes:
+        s, w = np.reshape(_gauss_legendre(n), (n, 2) + (1,) * axes).swapaxes(0, 1)
+        s.flags.writeable = w.flags.writeable = False
+        return s, w
     k = np.arange(1.0, n)
     t, vectors = np.linalg.eigh(np.diag(k / np.sqrt(4.0 * k * k - 1.0), -1))
     return list(zip((0.5 * (1.0 + t)).tolist(), (vectors[0] ** 2).tolist()))
@@ -291,7 +321,8 @@ def multiply(p: Phi2D, g: GroupoidPoint2D, g2: GroupoidPoint2D,
     """(x, pi) . (x~, pi~) = (x, pi + h(x, pi) pi~) for composable pairs."""
     ray = _ray(p, g)
     xf1, xf2 = _ray_end(ray)
-    if math.hypot(xf1 - g2.x[0], xf2 - g2.x[1]) > tol:
+    gap = (math.hypot if xf1.__class__ is float else np.hypot)(xf1 - g2.x[0], xf2 - g2.x[1])
+    if gap > tol if gap.__class__ is float else (gap > tol).any():
         raise ValueError("points are not composable: right(g) != left(g2)")
     return GroupoidPoint2D(g.x, g.pi + _h(p, ray) * g2.pi)
 
@@ -308,7 +339,8 @@ def inverse(p: Phi2D, g: GroupoidPoint2D) -> GroupoidPoint2D:
     amplifies by a further 1/h. The quotient is taken where its error is at
     most the integral's over h. Next to a zero locus crossed at a slant, as
     for x1 - 1 at x1 = 1 + 2^-40, it is not: there the rounding of x_f is
-    most of phi(x_f), and the integral, with grad phi constant, is exact."""
+    most of phi(x_f), and the integral, with grad phi constant, is exact.
+    A stack takes the choice point by point."""
     ray = x1, x2, pi1, pi2, phi = _ray(p, g)
     xf = _ray_end(ray)
     phi_f = p(xf)
@@ -316,10 +348,17 @@ def inverse(p: Phi2D, g: GroupoidPoint2D) -> GroupoidPoint2D:
     d1, d2 = ex.evaluate(p._grad, {"x1": x1, "x2": x2})
     c1, c2 = abs(x1) + abs(phi * pi2), abs(x2) + abs(phi * pi1)
     err_q, err_h = c1 * abs(f1) + c2 * abs(f2), c1 * abs(f1 - d1) + c2 * abs(f2 - d2)
-    if phi_f and err_q * abs(phi_f) <= abs(phi) * (abs(phi) + abs(phi_f - phi) + err_h):
+    quotient = err_q * abs(phi_f) <= abs(phi) * (abs(phi) + abs(phi_f - phi) + err_h)
+    if quotient is True and phi_f:
         return GroupoidPoint2D(xf, (-pi1 * (phi / phi_f), -pi2 * (phi / phi_f)))
-    h = _h(p, ray)
-    return GroupoidPoint2D(xf, (-pi1 / h, -pi2 / h))
+    if quotient.__class__ is bool:
+        h = _h(p, ray)
+        return GroupoidPoint2D(xf, (-pi1 / h, -pi2 / h))
+    # a stack: the integral where the quotient does not serve, and h = 1 (pi = 0) where it does
+    quotient &= phi_f != 0.0
+    h = _h(p, (x1, x2, np.where(quotient, 0.0, pi1), np.where(quotient, 0.0, pi2), phi))
+    r = phi / np.where(quotient, phi_f, 1.0)
+    return GroupoidPoint2D(xf, np.where(quotient, [-pi1 * r, -pi2 * r], [-pi1 / h, -pi2 / h]))
 
 
 def _x_f_jacobian(p: Phi2D, g: GroupoidPoint2D) -> np.ndarray:
@@ -327,10 +366,10 @@ def _x_f_jacobian(p: Phi2D, g: GroupoidPoint2D) -> np.ndarray:
     phi = p(g.x)
     d1, d2 = p.grad(g.x)
     pi1, pi2 = g.pi
-    return np.array([
-        [1.0 - d1 * pi2, -d2 * pi2, 0.0, -phi],
-        [d1 * pi1, 1.0 + d2 * pi1, phi, 0.0],
-    ])
+    J = np.zeros(np.shape(phi) + (2, 4))
+    J[..., 0, 0], J[..., 0, 1], J[..., 0, 3] = 1.0 - d1 * pi2, -d2 * pi2, -phi
+    J[..., 1, 0], J[..., 1, 1], J[..., 1, 2] = d1 * pi1, 1.0 + d2 * pi1, phi
+    return J
 
 
 def _h_gradient(p: Phi2D, g: GroupoidPoint2D) -> np.ndarray:
@@ -347,7 +386,8 @@ def _ray_gradient(p: Phi2D, g: GroupoidPoint2D, order: int, weight):
     """Gradient in (x1, x2, pi1, pi2) of int_0^1 weight(s) D(y(s), v) ds,
     D = ``p.along[order - 1]``, under the integral sign of ``_ray_integral``:
     dy/dx = I + s v grad phi(x)^T, dv/dpi = E and dy/dpi = s phi(x) E with
-    E = [[0, -1], [1, 0]], and d_y D, d_v D from ``p.dalong``."""
+    E = [[0, -1], [1, 0]], and d_y D, d_v D from ``p.dalong``. Of a stack,
+    the gradients are (4, ...), the stack's axes last."""
     ray = _ray(p, g)
     phi, (g1, g2) = ray[4], p.grad(g.x)
 
@@ -360,16 +400,18 @@ def _ray_gradient(p: Phi2D, g: GroupoidPoint2D, order: int, weight):
     return _ray_integral(p, ray, integrand)
 
 
-def _inversion_pullback(p: Phi2D, g: GroupoidPoint2D, P: np.ndarray) -> np.ndarray:
-    """J P J^T for the exact Jacobian J of (x, pi) -> (x_f, -pi/h), split
-    as J = A + B with A = [d x_f; -E / h], E = [0 I], and the rank-one
-    B = [0; pi] grad h^T / h^2: A P A^T + C - C^T with C = A P B^T. The
-    fourth term, B P B^T, is 0 as P is antisymmetric and is left out: in
-    rounding it is not, and where h is small it swamps the result."""
-    h = h_map(p, g)
-    A = np.vstack([_x_f_jacobian(p, g), -np.eye(2, 4, 2) / h])
-    C = A @ P @ np.outer(_h_gradient(p, g) / h ** 2, np.r_[0.0, 0.0, g.pi])
-    return A @ P @ A.T + C - C.T
+def _inversion_pullback(P: np.ndarray, J: np.ndarray, h, dh: np.ndarray, pi: np.ndarray) -> np.ndarray:
+    """J' P J'^T for the exact Jacobian J' of (x, pi) -> (x_f, -pi/h), from
+    P = ``bivector``, J = ``_x_f_jacobian``, h and dh = ``_h_gradient`` at
+    (x, pi), split as J' = A + B with A = [J; -E / h], E = [0 I], and the
+    rank-one B = [0; pi] grad h^T / h^2: A P A^T + C - C^T with C = A P B^T.
+    The fourth term, B P B^T, is 0 as P is antisymmetric and is left out:
+    in rounding it is not, and where h is small it swamps the result."""
+    A = np.concatenate([J, -np.eye(2, 4, 2) / np.reshape(h, np.shape(h) + (1, 1))], -2)
+    u = np.moveaxis(dh / h ** 2, 0, -1)
+    w = np.moveaxis(np.concatenate([np.zeros_like(pi), pi]), 0, -1)
+    C = A @ P @ (u[..., :, None] * w[..., None, :])
+    return A @ P @ A.swapaxes(-1, -2) + C - C.swapaxes(-1, -2)
 
 
 def bivector(p: Phi2D, g: GroupoidPoint2D) -> np.ndarray:
@@ -378,16 +420,11 @@ def bivector(p: Phi2D, g: GroupoidPoint2D) -> np.ndarray:
     {pi_1, pi_2} = psi."""
     phi = p(g.x)
     d1, d2 = p.grad(g.x)
-    ps_ = psi(p, g)
     pi1, pi2 = g.pi
-    P = np.zeros((4, 4))
-    P[0, 1] = phi
-    P[0, 2] = -1.0 - pi1 * d2
-    P[0, 3] = -pi2 * d2
-    P[1, 2] = pi1 * d1
-    P[1, 3] = -1.0 + pi2 * d1
-    P[2, 3] = ps_
-    return P - P.T
+    P = np.zeros(np.shape(phi) + (4, 4))
+    P[..., 0, 1], P[..., 0, 2], P[..., 0, 3] = phi, -1.0 - pi1 * d2, -pi2 * d2
+    P[..., 1, 2], P[..., 1, 3], P[..., 2, 3] = pi1 * d1, -1.0 + pi2 * d1, psi(p, g)
+    return P - P.swapaxes(-1, -2)
 
 
 def symplectic_form(p: Phi2D, g: GroupoidPoint2D) -> np.ndarray:
@@ -509,14 +546,23 @@ AXIOM_TOLERANCES = {  # in the order verify_axioms runs the checks
 
 
 def _bivector_gradient(p: Phi2D, g: GroupoidPoint2D) -> np.ndarray:
-    """dP[d, a, b] = d_d P^{ab} of ``bivector``, exact."""
+    """dP[..., d, a, b] = d_d P^{ab} of ``bivector``, exact."""
     (d1, d2), H = p.grad(g.x), p.hessian(g.x)
-    dP = np.zeros((4, 4, 4))
-    dP[:2, 0, 1] = d1, d2
-    dP[:2, :2, 2:] = -np.einsum("il,j->lij", [H[1], -H[0]], g.pi)
-    dP[2, :2, 2] = dP[3, :2, 3] = -d2, d1
-    dP[:, 2, 3] = _psi_gradient(p, g)
-    return dP - dP.transpose(0, 2, 1)
+    dP = np.zeros(np.shape(d1) + (4, 4, 4))
+    dP[..., 0, 0, 1], dP[..., 1, 0, 1] = d1, d2
+    dP[..., :2, :2, 2:] = -np.einsum("il...,j...->...lij", [H[1], -H[0]], g.pi)
+    dP[..., 2, :2, 2] = dP[..., 3, :2, 3] = np.moveaxis([-d2, d1], 0, -1)
+    dP[..., :, 2, 3] = np.moveaxis(_psi_gradient(p, g), 0, -1)
+    return dP - dP.swapaxes(-1, -2)
+
+
+def _stack(points) -> GroupoidPoint2D:
+    """Points and stacks of points, in order, as one stack."""
+    return GroupoidPoint2D(np.column_stack([g.x for g in points]), np.column_stack([g.pi for g in points]))
+
+
+def _take(g: GroupoidPoint2D, index) -> GroupoidPoint2D:
+    return GroupoidPoint2D(g.x[:, index], g.pi[:, index])
 
 
 def verify_axioms(p: Phi2D, d: Domain2D, samples: int = 100, seed: int = 0,
@@ -524,84 +570,97 @@ def verify_axioms(p: Phi2D, d: Domain2D, samples: int = 100, seed: int = 0,
     """Numeric verification of the groupoid axioms on ``samples`` (at
     least 1) sampled points and composable pairs: {check: {"max_dev",
     "tol", "worst_point", "count", "passed"}} for every check of
-    AXIOM_TOLERANCES, "count" being the evaluations the check ran. A check
-    that ran 0 times has "max_dev" -1.0 and fails. Associativity runs only
-    where a freshly drawn third factor is a member, the product pullback
-    on the first half of the pairs. Derivatives are exact: dP
-    (``_bivector_gradient``) for Jacobi and d omega = 0, and for the
-    pullback the Jacobians on (x, pi, pi2) of the product,
-    [[I, 0], [pi2 (x) grad h, h I]], and of (x_f, pi2)."""
+    AXIOM_TOLERANCES, "count" being the evaluations the check ran and
+    "worst_point" the sample of "max_dev", the first of equals. A check
+    that ran 0 times has "max_dev" -1.0 and fails; one with a deviation
+    that is not finite has the first such as "max_dev", and fails.
+    Associativity runs only where a freshly drawn third factor is a
+    member, the product pullback on the first half of the pairs. The
+    samples are drawn one at a time, as ``sample_points`` and
+    ``sample_composable_pairs`` draw them, then the third factors in pair
+    order; every check then runs once on the stack of all its samples.
+    Derivatives are exact: dP (``_bivector_gradient``) for Jacobi and
+    d omega = 0, and for the pullback the Jacobians on (x, pi, pi2) of the
+    product, [[I, 0], [pi2 (x) grad h, h I]], and of (x_f, pi2)."""
     if samples < 1:
         raise ValueError(f"verify_axioms needs at least 1 sample, got {samples}")
     rng = np.random.default_rng(seed)
     points = sample_points(p, d, samples, rng, pi_box=pi_box)
     pairs = sample_composable_pairs(p, d, samples, rng, pi_box=pi_box)
+    thirds = [_draw_point(p, d, rng, pi_box, right(p, g2)) for _, g2 in pairs]  # composable triples
     report = {name: {"max_dev": -1.0, "tol": tol, "worst_point": None, "count": 0}
               for name, tol in AXIOM_TOLERANCES.items()}
 
-    def record(name, dev, *where):
-        entry = report[name]
-        entry["count"] += 1
-        if dev > entry["max_dev"]:
-            entry["max_dev"] = float(dev)
-            entry["worst_point"] = [float(v) for v in np.concatenate(where)]
+    def record(name, dev, *where):  # dev: one deviation per sample, where: (2, samples) each
+        k = int(np.argmax(np.where(np.isfinite(dev), dev, np.inf)))  # the first largest, inf for not finite
+        report[name].update(count=dev.size, max_dev=float(dev[k]),
+                            worst_point=[float(w[i, k]) for w in where for i in (0, 1)])
 
-    def dev(a, b=0.0):
-        return np.max(np.abs(a - b))
+    def dev(a, b=0.0, axis=0):  # of a stack of pairs, or with axis (1, 2) of matrices
+        return np.max(np.abs(a - b), axis=axis)
 
     # (i) l(j(x)) = r(j(x)) = x, (iii) identities and (iv) inverses
-    for g in points:
-        jx = GroupoidPoint2D(g.x, np.zeros(2))
-        record("identity_left_right", max(dev(left(jx), g.x), dev(right(p, jx), g.x)), g.x)
-        gr = multiply(p, g, GroupoidPoint2D(right(p, g), np.zeros(2)))
-        gl = multiply(p, jx, g)
-        record("identity_elements", max(dev(gr.pi, g.pi), dev(gr.x, g.x),
-                                        dev(gl.pi, g.pi), dev(gl.x, g.x)), g.x, g.pi)
-        gi = inverse(p, g)
-        prod, prod2 = multiply(p, g, gi), multiply(p, gi, g, tol=1e-6)
-        record("inverse", max(dev(prod.pi), dev(prod.x, g.x), dev(prod2.pi),
-                              dev(prod2.x, x_f(p, g))), g.x, g.pi)
+    g, zero = _stack(points), np.zeros((2, samples))
+    jx, gi = GroupoidPoint2D(g.x, zero), inverse(p, g)
+    record("identity_left_right", np.maximum(dev(left(jx), g.x), dev(right(p, jx), g.x)), g.x)
+    # g j(r(g)), j(x) g and g g^-1 in one call, g^-1 g at its looser tolerance
+    three = multiply(p, _stack([g, jx, g]), _stack([GroupoidPoint2D(right(p, g), zero), g, gi]))
+    gr, gl, prod = (_take(three, slice(k * samples, (k + 1) * samples)) for k in range(3))
+    prod2 = multiply(p, gi, g, tol=1e-6)
+    record("identity_elements", np.max([dev(gr.pi, g.pi), dev(gr.x, g.x), dev(gl.pi, g.pi),
+                                        dev(gl.x, g.x)], 0), g.x, g.pi)
+    record("inverse", np.max([dev(prod.pi), dev(prod.x, g.x), dev(prod2.pi),
+                              dev(prod2.x, x_f(p, g))], 0), g.x, g.pi)
 
     # (ii)+(v) products: target of product, cocycle, associativity
-    for g, g2 in pairs:
-        prod = multiply(p, g, g2)
-        record("right_of_product", dev(right(p, prod), right(p, g2)), g.x, g.pi, g2.pi)
-        hh = h_map(p, g) * h_map(p, g2)
-        record("cocycle", abs(h_map(p, prod) - hh) / max(1.0, abs(hh)), g.x, g.pi, g2.pi)
-        g3 = _draw_point(p, d, rng, pi_box, right(p, g2))  # a composable triple
-        if g3 is not None:
-            lhs = multiply(p, prod, g3, tol=1e-6)
-            rhs = multiply(p, g, multiply(p, g2, g3), tol=1e-6)
-            record("associativity", dev(lhs.pi, rhs.pi), g.x, g.pi, g2.pi, g3.pi)
+    a, b = _stack([a for a, _ in pairs]), _stack([b for _, b in pairs])
+    ab = multiply(p, a, b)
+    record("right_of_product", dev(right(p, ab), right(p, b)), a.x, a.pi, b.pi)
+    hg, ha, hb, hab = np.split(h_map(p, _stack([g, a, b, ab])), 4)
+    record("cocycle", abs(hab - ha * hb) / np.maximum(1.0, abs(ha * hb)), a.x, a.pi, b.pi)
+    triples = [k for k, c in enumerate(thirds) if c is not None]
+    if triples:
+        a3, b3, c = _take(a, triples), _take(b, triples), _stack([thirds[k] for k in triples])
+        lhs = multiply(p, _take(ab, triples), c, tol=1e-6)
+        rhs = multiply(p, a3, multiply(p, b3, c), tol=1e-6)
+        record("associativity", dev(lhs.pi, rhs.pi), a3.x, a3.pi, b3.pi, c.pi)
+
+    # every bivector and its inverse the checks below take, in one stack: of
+    # the points, their inverses, and the pullback's products and pairs
+    half = max(1, samples // 2)
+    a, b, ab, ha = _take(a, slice(half)), _take(b, slice(half)), _take(ab, slice(half)), ha[:half]
+    P = bivector(p, _stack([g, gi, ab, a, b]))
+    cuts = np.cumsum([samples, samples, half, half])
+    (P, P_gi, *_), (W, _, W_ab, W_a, W_b) = np.split(P, cuts), np.split(np.linalg.inv(P), cuts)
+    J, J_a = np.split(_x_f_jacobian(p, _stack([g, a])), [samples])
+    dh, dh_a = np.split(_h_gradient(p, _stack([g, a])), [samples], -1)
 
     # (vii')-(x): symplectic checks; l Poisson, r and inversion anti-Poisson
-    for g in points:
-        P, dP = bivector(p, g), _bivector_gradient(p, g)
-        W = np.linalg.inv(P)  # symplectic_form, without building P again
-        record("omega_inverse", dev(W @ P, np.eye(4)), g.x, g.pi)
-        jacobi = np.einsum("ad,dbc->abc", P, dP)  # cyclic sum of P^{ad} d_d P^{bc}
-        record("jacobi_P", dev(jacobi + jacobi.transpose(1, 2, 0) + jacobi.transpose(2, 0, 1)),
-               g.x, g.pi)
-        dW = -np.einsum("ab,dbc,ce->dae", W, dP, W)  # d omega = -W dP W, omega = inv(P)
-        # (d omega)_{abc} = d_a w_{bc} - d_b w_{ac} + d_c w_{ab}
-        record("d_omega", dev(dW - dW.transpose(1, 0, 2) + dW.transpose(1, 2, 0)), g.x, g.pi)
-        record("left_poisson", abs(P[0, 1] - p(g.x)), g.x, g.pi)
-        dr1, dr2 = _x_f_jacobian(p, g)
-        record("right_anti_poisson", abs(dr1 @ P @ dr2 + p(x_f(p, g))), g.x, g.pi)
-        record("inversion_anti_poisson",
-               dev(_inversion_pullback(p, g, P), -bivector(p, inverse(p, g))), g.x, g.pi)
+    dP = _bivector_gradient(p, g)
+    record("omega_inverse", dev(W @ P, np.eye(4), (1, 2)), g.x, g.pi)
+    jacobi = np.einsum("...ad,...dbc->...abc", P, dP)  # cyclic sum of P^{ad} d_d P^{bc}
+    record("jacobi_P", dev(jacobi + jacobi.transpose(0, 2, 3, 1) + jacobi.transpose(0, 3, 1, 2),
+                           axis=(1, 2, 3)), g.x, g.pi)
+    dW = -np.einsum("...ab,...dbc,...ce->...dae", W, dP, W)  # d omega = -W dP W, omega = inv(P)
+    # (d omega)_{abc} = d_a w_{bc} - d_b w_{ac} + d_c w_{ab}
+    record("d_omega", dev(dW - dW.transpose(0, 2, 1, 3) + dW.transpose(0, 2, 3, 1), axis=(1, 2, 3)),
+           g.x, g.pi)
+    record("left_poisson", abs(P[:, 0, 1] - p(g.x)), g.x, g.pi)
+    record("right_anti_poisson", abs((J[:, :1] @ P @ J[:, 1, :, None])[:, 0, 0] + p(x_f(p, g))),
+           g.x, g.pi)
+    record("inversion_anti_poisson", dev(_inversion_pullback(P, J, hg, dh, g.pi), -P_gi, (1, 2)),
+           g.x, g.pi)
 
-    # (ix) P* omega = pi1* omega + pi2* omega on composable pairs, as maps
-    # of c = (x, pi, pi2): c -> (x, pi + h pi2), c -> (x, pi), c -> (x_f, pi2)
-    for g, g2 in pairs[: max(1, len(pairs) // 2)]:
-        product, first, second = np.eye(4, 6), np.eye(4, 6), np.eye(4, 6, 2)
-        product[2:, :4] += np.outer(g2.pi, _h_gradient(p, g))
-        product[2:, 4:] = h_map(p, g) * np.eye(2)
-        second[:2, :4] = _x_f_jacobian(p, g)
-        W, W1, W2 = (symplectic_form(p, q) for q in (multiply(p, g, g2), g, g2))
-        record("product_pullback", dev(product.T @ W @ product,
-                                       first.T @ W1 @ first + second.T @ W2 @ second),
-               g.x, g.pi, g2.pi)
+    # (ix) P* omega = pi1* omega + pi2* omega on the first half of the pairs,
+    # as maps of c = (x, pi, pi2): c -> (x, pi + h pi2), c -> (x, pi), c -> (x_f, pi2)
+    first = np.eye(4, 6)
+    product, second = (np.tile(np.eye(4, 6, k), (half, 1, 1)) for k in (0, 2))
+    product[:, 2:, :4] += b.pi.T[:, :, None] * dh_a.T[:, None, :]
+    product[:, 2:, 4:] = ha[:, None, None] * np.eye(2)
+    second[:, :2, :4] = J_a
+    record("product_pullback", dev(product.swapaxes(1, 2) @ W_ab @ product,
+                                   first.T @ W_a @ first + second.swapaxes(1, 2) @ W_b @ second, (1, 2)),
+           a.x, a.pi, b.pi)
 
     for entry in report.values():
         entry["passed"] = bool(entry["count"] > 0 and entry["max_dev"] <= entry["tol"])

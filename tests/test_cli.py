@@ -622,6 +622,15 @@ def test_verify_exit_code_reflects_failure(capsys, monkeypatch):
     assert json.loads(out)["all_passed"] is False
 
 
+def test_verify_fails_a_deviation_that_is_not_a_number_in_valid_json(capsys, monkeypatch):
+    monkeypatch.setattr(g2, "_h_gradient", lambda p, g: np.full((4, *np.shape(g.x)[1:]), np.nan))
+    code, out, _ = run(["g2d", "verify", "--phi", "x1*x2", "--samples", "4"], capsys)
+    assert code == 1
+    data = json.loads(out)
+    assert data["all_passed"] is False
+    assert data["checks"]["product_pullback"]["max_dev"] is None
+
+
 SCIPY_FREE_RUN = """
 import contextlib, io, sys
 import psgroupoid.cli

@@ -504,6 +504,44 @@ def test_grad_and_hessian_are_arrays_of_the_point_shape():
     assert np.array_equal(p.hessian((2.0, 1.0)) @ [1.0, 1.0], [12.0, 0.0])
 
 
+@pytest.mark.parametrize("src, x, pi, counts", [
+    # (evaluate calls, of them on arrays) of h_map, psi, multiply, inverse, contains
+    ("x1*x2", [-1.8280564724565642, -0.8964528730015027], [0.8935436327479551, -1.8194943096187295],
+     [(2, 0), (2, 0), (2, 0), (4, 0), (5, 3)]),
+    ("sin(x1)+2", [0.3, -1.2], [0.4, -0.9], [(25, 0), (25, 0), (25, 0), (4, 0), (2, 0)]),
+])
+def test_one_point_calls_stay_on_numbers(src, x, pi, counts, monkeypatch):
+    # the helpers take stacks too; one point keeps its path on floats, whose
+    # only array calls are the cuts of contains
+    calls, original = [], g2.ex.evaluate
+    monkeypatch.setattr(g2.ex, "evaluate", lambda e, point: calls.append(
+        any(isinstance(v, np.ndarray) for v in point.values())) or original(e, point))
+    p = g2.Phi2D.parse(src)  # after the patch, as Phi2D binds ex.evaluate
+    g = pt(x, pi)
+    g2nd = pt(g2.x_f(p, g), [0.1, 0.2])
+    for call, want in zip([lambda: g2.h_map(p, g), lambda: g2.psi(p, g), lambda: g2.multiply(p, g, g2nd),
+                           lambda: g2.inverse(p, g), lambda: g2.contains(p, BOX, g)], counts):
+        calls.clear()
+        call()
+        assert (len(calls), sum(calls)) == want
+
+
+@pytest.mark.parametrize("src", ["x1*x2", "sin(x1)+2", "x1 - 1", "exp(x1/3)*x2 + log(x2*x2 + 1)"])
+def test_a_stack_gives_each_point_the_bits_it_gets_alone(src):
+    # sin(x1)+2 takes 16 or 32 nodes by point; at x1 = 1 + 2^-40, x1 - 1
+    # takes the integral h in inverse, the other points the quotient
+    p = g2.Phi2D.parse(src)
+    points = g2.sample_points(p, g2.Domain2D(-2, 2, -2, 2), 12, np.random.default_rng(1))
+    points.append(pt([1.0 + 2.0 ** -40, 0.0], [0.2, 0.3]))
+    stack = g2._stack(points)
+    pairs = [g2.h_map, g2.psi, g2.x_f, g2._h_gradient, g2._psi_gradient,
+             lambda p, g: g2.inverse(p, g).pi,
+             lambda p, g: g2.multiply(p, g, g2.GroupoidPoint2D(g2.x_f(p, g), g.pi[::-1])).pi]
+    matrices = [g2.bivector, g2.symplectic_form, g2._x_f_jacobian, g2._bivector_gradient]
+    for f, many in [(f, np.moveaxis(f(p, stack), -1, 0)) for f in pairs] + [(f, f(p, stack)) for f in matrices]:
+        assert many.tobytes() == np.array([f(p, g) for g in points]).tobytes()
+
+
 def test_sampling_draw_order_is_pinned():
     g = g2.sample_points(QP, BOX, 1, np.random.default_rng(7))[0]
     assert list(g.x) == [-4.902608246917508, -1.0984738823470686]
@@ -534,6 +572,19 @@ def test_verify_axioms_counts_the_checks_it_ran():
     assert set(counts.values()) == {100}
 
 
+def test_verify_axioms_draws_its_samples_in_a_pinned_order(monkeypatch):
+    # one _draw_point at a time: the points, the pairs, then one third factor
+    # per pair in pair order; the checks draw nothing
+    drawn, draw = [], g2._draw_point
+    monkeypatch.setattr(g2, "_draw_point", lambda *args: drawn.append(draw(*args)) or drawn[-1])
+    g2.verify_axioms(QP, BOX, samples=4, seed=5)
+    members = [g for g in drawn if g is not None]
+    assert (len(drawn), len(members)) == (50, 17)
+    assert math.fsum(v for g in members for v in (*g.x, *g.pi)) == 7.9662952139788725
+    assert [None if g is None else list(g.pi) for g in drawn[-4:]] == [
+        [0.23041399782101113, -0.5037455698942837], None, None, None]
+
+
 @pytest.mark.parametrize("samples", [0, -1])
 def test_verify_axioms_rejects_an_empty_sample(samples):
     with pytest.raises(ValueError, match="at least 1 sample"):
@@ -547,6 +598,26 @@ def test_verify_axioms_fails_a_check_that_never_ran():
     assert report.pop("associativity") == {
         "max_dev": -1.0, "tol": 1e-12, "worst_point": None, "count": 0, "passed": False}
     assert all(entry["count"] == 1 and entry["passed"] for entry in report.values())
+
+
+def _nan_h_gradient(p, g):
+    return np.full((4, *np.shape(g.x)[1:]), np.nan)
+
+
+def test_verify_axioms_fails_a_deviation_that_is_not_a_number(monkeypatch):
+    # NaN > max_dev is False: a NaN deviation must fail, not pass unseen
+    monkeypatch.setattr(g2, "_h_gradient", _nan_h_gradient)
+    report = g2.verify_axioms(QP, BOX, samples=10, seed=0)
+    rng = np.random.default_rng(0)
+    g = g2.sample_points(QP, BOX, 10, rng)[0]
+    a, b = g2.sample_composable_pairs(QP, BOX, 10, rng)[0]
+    for name, where, count in [("inversion_anti_poisson", [*g.x, *g.pi], 10),
+                               ("product_pullback", [*a.x, *a.pi, *b.pi], 5)]:
+        entry = report.pop(name)
+        assert math.isnan(entry.pop("max_dev"))
+        assert entry == {"tol": g2.AXIOM_TOLERANCES[name], "worst_point": where, "count": count,
+                         "passed": False}
+    assert all(entry["passed"] for entry in report.values())
 
 
 def test_exact_derivatives_match_finite_differences():

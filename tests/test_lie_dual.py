@@ -127,6 +127,22 @@ def test_expm_matches_scipy_on_stacks(name):
     assert np.max(np.abs(ld.expm(rho[7]) - expm(rho[7]))) <= 1e-14
 
 
+@pytest.mark.parametrize("name", SPECS)
+def test_expm_of_small_and_zero_stacks(name):
+    # a stack of norms up to about 4e-3, as in holonomy steps, needs no
+    # halving and takes degree 5; a zero stack takes degree 1 and still
+    # has the stack's shape
+    spec = ld.builtin_spec(name)
+    rho = np.einsum("mj,jab->mab", _ball_stack(np.random.default_rng(4), 50, 3e-3), spec.basis)
+    taylor = np.eye(spec.d)
+    for k in range(5, 0, -1):
+        taylor = np.eye(spec.d) + (rho @ taylor) / k
+    assert ld.expm(rho).tobytes() == taylor.tobytes()
+    assert np.max(np.abs(taylor - np.array([expm(a) for a in rho]))) <= 2.0 ** -52  # an ulp of 1
+    zero = np.zeros((2, 5, spec.d, spec.d))
+    assert np.array_equal(ld.expm(zero), np.broadcast_to(np.eye(spec.d), zero.shape))
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_expm_rejects_non_finite_input(bad):
     a = np.zeros((2, 3, 3))

@@ -130,6 +130,11 @@ def _pair(v) -> np.ndarray:
     return a if a.shape == (2,) or a.ndim > 1 and len(a) == 2 else a.reshape(2)
 
 
+def _one_point(name: str, g: GroupoidPoint2D):
+    if g.x.shape != (2,) or g.pi.shape != (2,):  # a stack
+        raise ValueError(f"{name} takes one point, x and pi of shape (2,), got {g.x.shape} and {g.pi.shape}")
+
+
 def x_f(p: Phi2D, g: GroupoidPoint2D) -> np.ndarray:
     """Final point x_f^i = x^i - phi(x) eps^{ij} pi_j."""
     return np.array(_ray_points(g, p(g.x), 1.0))
@@ -255,7 +260,8 @@ def contains(p: Phi2D, d: Domain2D, g: GroupoidPoint2D) -> bool:
     of magnitude, as for 1e7*(x1 - x1) + 1), makes the answer "not a
     member": the groupoid is open, so such a point lies within rounding of
     its boundary. Where phi is undefined on the ray, the ray leaves its
-    domain: "not a member"."""
+    domain: "not a member". One point, not a stack."""
+    _one_point("contains", g)
     try:
         return _contains(p, d, g)
     except ex.DomainError:
@@ -445,7 +451,8 @@ def embed(p: Phi2D, g: GroupoidPoint2D, N: int = ps.DEFAULT_GRID,
 
     With ``tapered`` the path is reparametrized by the quintic smoothstep
     u -> u^3 (10 - 15u + 6u^2) (``pathspace.taper``) so that eta vanishes
-    at the endpoints (for concatenation)."""
+    at the endpoints (for concatenation). One point, not a stack."""
+    _one_point("embed", g)
     if N < ps.MIN_NODES - 1:
         raise ValueError(f"embed needs N >= {ps.MIN_NODES - 1} intervals, got N = {N}")
     scale, rate = ps.taper(np.linspace(0.0, 1.0, N + 1), tapered)

@@ -186,14 +186,14 @@ def test_criterion_07_moment_map():
     # off-shell base point for the differential check
     X_off = np.stack([1.0 + 0.3 * np.sin(PI * u), 1.0 + 0.2 * u], axis=1)
     m_off = ps.DiscretizedMorphism(n=2, X=X_off, eta=eta)
-    dh_err = ps.hamiltonian_check(s, m_off, beta, trials=20, seed=107)
+    dh_err = ps.hamiltonian_check(s, m_off, beta)
     gamma = ps.GaugeField.parse(
         ["0.3*u*(1-u)*x1", "0.2*sin(3.141592653589793*u)*x1*x2"], 2)
     equiv = ps.equivariance_defect(s, m, beta, gamma)
-    ok = on_shell <= 1e-6 and dh_err <= 2e-6 and equiv <= 2e-8
+    ok = on_shell <= 1e-6 and dh_err <= 1e-6 and equiv <= 2e-8
     _check("criterion 7 (moment map)", ok,
            f"on-shell H {on_shell:.3e} (tol 1e-6), "
-           f"dH vs pairing {dh_err:.3e} (tol 2e-6, 20 trials), "
+           f"dH vs pairing {dh_err:.3e} (tol 1e-6, 36 basis tangents), "
            f"equivariance {equiv:.3e} (tol 2e-8)")
 
 

@@ -83,6 +83,8 @@ RETIRED = [
     (ps.require_solution, "message"),
     (ps.concatenate, "junction_eta_tol"),
     (ps.hamiltonian_check, "eps"),
+    (ps.hamiltonian_check, "trials"),
+    (ps.hamiltonian_check, "seed"),
     (ps.equivariance_defect, "eps"),
     (ps.equivariance_defect, "s_steps"),
     (ld.multiply_lie, "tol"),
@@ -106,16 +108,15 @@ def test_retired_option_is_a_type_error(fn, option):
 
 
 def test_only_the_sampling_verifiers_draw_random_numbers():
-    # a decision taken on random samples is a guess; these two verifiers
-    # sample by design and report what they drew
+    # a decision taken on random samples is a guess; the axiom verifier
+    # samples by design and reports what it drew
     callers = {}
     for path in sorted(Path(ps.__file__).parent.glob("*.py")):
         for top in ast.parse(path.read_text()).body:
             for node in ast.walk(top):
                 if isinstance(node, ast.Call) and ast.unparse(node.func).startswith("np.random."):
                     callers[f"{path.name}:{node.lineno}"] = f"{path.stem}.{getattr(top, 'name', '')}"
-    assert sorted(set(callers.values())) == ["groupoid2d.verify_axioms",
-                                             "pathspace.hamiltonian_check"], callers
+    assert sorted(set(callers.values())) == ["groupoid2d.verify_axioms"], callers
 
 
 def test_only_expr_compiles_code():

@@ -318,6 +318,21 @@ def test_embed_refuses_fewer_than_two_intervals(N):
         g2.embed(QP, pt([1, 1], [0.5, 0.25]), N=N)
 
 
+_STACK = pt([[1.0, 0.5], [1.0, 0.5]], [[0.5, 0.1], [0.25, 0.2]])  # two points
+
+
+def test_contains_refuses_a_stack():
+    with pytest.raises(ValueError, match=r"^contains takes one point, x and pi of shape \(2,\), "
+                                         r"got \(2, 2\) and \(2, 2\)$"):
+        g2.contains(QP, BOX, _STACK)
+
+
+def test_embed_refuses_a_stack():
+    with pytest.raises(ValueError, match=r"^embed takes one point, x and pi of shape \(2,\), "
+                                         r"got \(2, 2\) and \(2, 2\)$"):
+        g2.embed(QP, _STACK, N=10)
+
+
 def test_concatenate_maps_to_product():
     g = pt([1, 1], [0.5, 0.25])
     g2nd = pt(g2.x_f(QP, g), [0.1, 0.2])

@@ -491,13 +491,23 @@ _RUNNERS = {"g2d": _run_g2d, "flow": _run_flow, "lie": _run_lie,
             "radial": _run_radial, "expr": _run_expr}
 
 
-def _preprocess(argv):
-    """Join ``--flag -1,2`` into ``--flag=-1,2`` so values that begin
-    with a negative number are not mistaken for options."""
+def _flags(parser) -> set:
+    """The option strings of ``parser`` and its subcommands that take no value."""
+    out = {option for action in parser._actions if action.nargs == 0 for option in action.option_strings}
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            out.update(*map(_flags, action.choices.values()))
+    return out
+
+
+def _preprocess(argv, flags):
+    """Join ``--opt -x`` into ``--opt=-x`` for each option not in ``flags``,
+    so values that begin with ``-`` (``-1,2``, ``-.5``, ``-x1*x2``) are not
+    mistaken for options; the token after a flag stays as it is."""
     out = []
     for tok in sys.argv[1:] if argv is None else argv:
-        if (out and out[-1].startswith("--") and "=" not in out[-1]
-                and tok.startswith("-") and tok[1:2].isdigit()):
+        if (out and out[-1].startswith("--") and "=" not in out[-1] and out[-1] not in flags
+                and tok.startswith("-") and not tok.startswith("--")):
             out[-1] = f"{out[-1]}={tok}"
         else:
             out.append(tok)
@@ -506,7 +516,8 @@ def _preprocess(argv):
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(_preprocess(argv))
+        parser = build_parser()
+        args = parser.parse_args(_preprocess(argv, _flags(parser)))
         return _RUNNERS[args.group](args)
     except (CLIError, ex.ExprError, ValueError, RuntimeError, OSError) as err:
         emit({"error": str(err), "kind": "usage"}, stream=sys.stderr)

@@ -89,11 +89,13 @@ class DiscretizedMorphism:
         data = json.loads(text)
         if not isinstance(data, dict):
             raise ValueError(f"expected a JSON object, got {type(data).__name__}")
-        m = cls(n=int(data["n"]), X=np.array(data["X"], dtype=float),
-                eta=np.array(data["etaU"], dtype=float))
+        n, N = data["n"], data["N"]
+        if type(n) is not int or type(N) is not int:  # not a float, not a bool
+            raise ValueError(f"n and N must be integers, got {n!r} and {N!r}")
+        m = cls(n=n, X=np.array(data["X"], dtype=float), eta=np.array(data["etaU"], dtype=float))
         if not (np.isfinite(m.X).all() and np.isfinite(m.eta).all()):
             raise ValueError("X and etaU must be finite")
-        if m.N != int(data["N"]):
+        if m.N != N:
             raise ValueError("declared N does not match array length")
         return m
 
@@ -472,6 +474,8 @@ def koszul_bracket_values(s: PoissonStructure, beta: GaugeField,
     (m, n); u rides along pointwise, and is None for 1-forms. By the
     antisymmetry of alpha, alpha^{jk} beta_j = -(alpha beta)^k. One Program,
     built as ``_field``'s is and compiled per call."""
+    if beta.n != s.n or gamma.n != s.n:
+        raise ValueError("gauge field dimension mismatch")
     x, b, g = [ex.Var(v) for v in beta._names], beta.components, gamma.components
     alpha_g, alpha_b = s.contraction(x, g), s.contraction(x, b)
     program = ex.Program([ex.Sub(ex.Add(t, _dot(beta.dx[i], alpha_g)), _dot(gamma.dx[i], alpha_b))

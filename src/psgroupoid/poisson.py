@@ -3,9 +3,11 @@ and their first derivatives as expressions (``pathspace`` compiles one gauge
 vector field per structure and gauge parameter from them) and as programs,
 and the numeric Jacobi identity (the Koszul bracket is ``pathspace.koszul_bracket_values``).
 
-Index conventions: ``alpha(x)[i, j]`` is the bivector component
-``alpha^{ij}(x)``; ``dalpha(x)[k, i, j]`` is the partial derivative
-``d_k alpha^{ij}``.
+Index conventions: ``sharp(x, e)[i]`` is ``alpha^{ij}(x) e_j`` and
+``dsharp(x, e, b)[i]`` is ``d_i alpha^{jk}(x) e_j b_k``, summed over j and k.
+With the basis covectors, ``sharp(x, eye(n))[i][j]`` is the bivector
+component ``alpha^{ij}(x)`` and ``dsharp(x, eye(n)[:, :, None],
+eye(n)[:, None, :])[k][i, j]`` is the partial derivative ``d_k alpha^{ij}``.
 """
 
 from __future__ import annotations
@@ -60,9 +62,9 @@ class PoissonStructure:
     in_domain: Optional[Callable[[np.ndarray], np.ndarray]] = None
     name: str = "poisson"
     # perfbench/tracer.py reads these names by getattr and skips them while None
-    d2alpha = alpha_batch = dalpha_batch = None
-    # no __slots__: perfbench/tracer.py sets its wrapped alpha and dalpha on
-    # the instance, and the compiled contractions are cached there
+    alpha = dalpha = alpha_at = dalpha_at = d2alpha = alpha_batch = dalpha_batch = None
+    # no __slots__: the compiled contractions are cached on the instance, and
+    # structures are weak keys of pathspace's caches
 
     def __post_init__(self):
         object.__setattr__(self, "bivector", tuple(self.bivector))
@@ -113,35 +115,13 @@ class PoissonStructure:
     def dsharp(self, x, e, b):
         return tuple(ex.evaluate(self._dsharp, dict(zip(self._names, (*x, *e, *b)))))
 
-    def alpha(self, x):
-        """alpha^{ij} at one point x, shape (n,) -> (n, n), or over a
-        batch, shape (m, n) -> (m, n, n): one ``sharp`` of the basis
-        covectors, on a trailing axis."""
-        x = np.asarray(x, dtype=float)
-        a = self.sharp(x if x.ndim == 1 else x.T[..., None], np.eye(self.n))  # a[i][..., j] = alpha^{ij}
-        return np.stack([np.broadcast_to(c, x.shape[:-1] + (self.n,)) for c in a], axis=-2)
-
-    def dalpha(self, x):
-        """d_k alpha^{ij} at one point x, shape (n,) -> (n, n, n), or over
-        a batch, shape (m, n) -> (m, n, n, n): one ``dsharp`` of the pairs
-        of basis covectors, on two trailing axes."""
-        x = np.asarray(x, dtype=float)
-        basis = np.eye(self.n)
-        d = self.dsharp(x if x.ndim == 1 else x.T[..., None, None],
-                        basis[:, :, None], basis[:, None, :])  # d[k][..., i, j] = d_k alpha^{ij}
-        return np.stack([np.broadcast_to(c, x.shape[:-1] + (self.n, self.n)) for c in d], axis=-3)
-
-    # perfbench/tracer.py wraps the class's batch evaluators by these names
-    alpha_at = alpha
-    dalpha_at = dalpha
-
 
 def jacobi_residual(s: PoissonStructure, x) -> float:
     """Max over (i,j,k) of the cyclic sum
     sum_l alpha^{il} d_l alpha^{jk} + cyclic; zero iff Poisson at x."""
-    x = s.check_point(x)
-    a = s.alpha(x)
-    d = s.dalpha(x)  # d[l, i, j] = d_l alpha^{ij}
+    x, basis = s.check_point(x), np.eye(s.n)
+    a = np.stack(s.sharp(x, basis))  # a[i, l] = alpha^{il}
+    d = np.stack(s.dsharp(x, basis[:, :, None], basis[:, None, :]))  # d[l, j, k] = d_l alpha^{jk}
     term = np.einsum("il,ljk->ijk", a, d)
     cyc = term + np.transpose(term, (1, 2, 0)) + np.transpose(term, (2, 0, 1))
     return float(np.max(np.abs(cyc)))

@@ -141,7 +141,8 @@ def analyze(p: RadialProfile, n_samples: int = 512) -> dict:
     critical = []
     search = np.full(n_samples - 1, nonconstant)
     zero = dA == 0.0
-    for k in np.flatnonzero(search & (zero[:-1] | ((dA[:-1] < 0) != (dA[1:] < 0)))):
+    # bisect only between two nonzero samples: an exact zero is reported once, as a zero
+    for k in np.flatnonzero(search & (zero[:-1] | ((dA[:-1] < 0) != (dA[1:] < 0)) & ~zero[1:])):
         if zero[k]:
             critical.append({"R": float(grid[k]), "kind": "zero"})
         else:

@@ -105,6 +105,30 @@ def test_usage_errors_exit_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("head, option, value, tail", [
+    (["g2d", "h"], "--phi", "-x1*x2", ["--x", "1,1", "--pi", "0.5,0.25"]),
+    (["expr", "eval"], "--expr", "-x1", ["--vars", "x1=2"]),
+    (["flow", "solve", "--structure", "phi2d:x1*x2", "--x0", "1,1"], "--eta", "-u;0.2",
+     ["--grid", "20"]),
+    (["radial", "analyze"], "--f", "-R/(1+(R-1)^3)", ["--range", "0.6,1.4", "--samples", "8"]),
+    (["g2d", "h", "--phi", "x1*x2"], "--x", "-.5,1", ["--pi", "0.5,0.25"]),
+    (["lie", "roundtrip"], "--xi", "-.3,0.2,0.5", ["--g", "0.8,0.1,0.2,0.55", "--grid", "400"]),
+], ids=["phi", "expr", "eta", "f", "x", "xi"])
+def test_a_value_that_begins_with_a_dash_is_the_options_value(head, option, value, tail, capsys):
+    # these used to exit 2 with "argument --X: expected one argument": only
+    # a dash and a digit were joined to the option before them
+    joined = run(head + [f"{option}={value}"] + tail, capsys)
+    assert joined[0] != 2, joined[2]
+    assert run(head + [option, value] + tail, capsys) == joined
+
+
+def test_the_token_after_a_flag_is_not_its_value(capsys):
+    # --csv takes no value, so the -h after it stays the help option
+    with pytest.raises(SystemExit) as stop:
+        cli.main(["radial", "analyze", "--csv", "-h"])
+    assert stop.value.code == 0 and "--csv" in capsys.readouterr().out
+
+
 def test_flow_solve_invariants_roundtrip(tmp_path, capsys):
     out_file = str(tmp_path / "m.json")
     data = run_json(["flow", "solve", "--structure", "phi2d:x1*x2",
@@ -460,6 +484,12 @@ def test_flow_gauge_checks_beta_at_the_path_ends(tmp_path, capsys):
      "X and etaU must be finite"),
     ("morphism", '{"n": 1, "N": 2, "X": [[0], [1e999], [1]], "etaU": [[0], [0], [0]]}',
      "X and etaU must be finite"),
+    ("morphism", '{"n": 2.7, "N": 2, "X": [[1, 1], [1, 1], [1, 1]], "etaU": [[0, 0], [0, 0], [0, 0]]}',
+     "bad morphism file"),
+    ("morphism", '{"n": 2, "N": 2.9, "X": [[1, 1], [1, 1], [1, 1]], "etaU": [[0, 0], [0, 0], [0, 0]]}',
+     "n and N must be integers, got 2 and 2.9"),
+    ("morphism", '{"n": true, "N": 2, "X": [[1], [1], [1]], "etaU": [[0], [0], [0]]}',
+     "n and N must be integers, got True and 2"),
 ])
 def test_a_malformed_input_file_is_a_usage_error(name, text, message, tmp_path, capsys):
     # these used to end in KeyError and TypeError tracebacks (exit 1), or

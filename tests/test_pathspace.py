@@ -1,4 +1,5 @@
 import gc
+import json
 import math
 import weakref
 
@@ -76,6 +77,29 @@ def test_morphism_json_round_trip():
     assert back.n == 2 and back.N == 8
     assert np.array_equal(back.X, m.X)
     assert np.array_equal(back.eta, m.eta)
+
+
+@pytest.mark.parametrize("n, N", [(2.7, 2), (1, 2.9), (True, 2), (1, False), (1.0, 2), ("1", 2)])
+def test_morphism_json_refuses_n_and_N_that_are_not_integers(n, N):
+    # int() used to truncate 2.7 and 2.9 to 2 and read true as 1
+    text = json.dumps({"n": n, "N": N, "X": [[0.0], [0.5], [1.0]], "etaU": [[0.0], [0.0], [0.0]]})
+    with pytest.raises(ValueError, match="n and N must be integers"):
+        ps.DiscretizedMorphism.from_json(text)
+
+
+@pytest.mark.parametrize("structure, beta, gamma", [
+    ("two_domain", ["x2", "x1"], ["1", "x1", "x3"]),
+    ("su2", ["x2", "x1"], ["1", "x1", "x3"]),
+])
+def test_koszul_bracket_refuses_gauge_fields_of_another_dimension(structure, beta, gamma):
+    # a 3-component gamma on a 2D structure used to return the 2D bracket,
+    # and a 2-component beta on su2 to raise IndexError
+    s = (po.two_domain(ex.parse("x1*x2", ["x1", "x2"])) if structure == "two_domain"
+         else po.kirillov_kostant(ld.builtin_spec("su2").f))
+    beta, gamma = ps.GaugeField.parse(beta, 2), ps.GaugeField.parse(gamma, 3)
+    for left, right in ((beta, gamma), (gamma, beta)):
+        with pytest.raises(ValueError, match="gauge field dimension mismatch"):
+            ps.koszul_bracket_values(s, left, right, np.ones((4, s.n)))
 
 
 def test_path_derivative_exact_on_quadratics():

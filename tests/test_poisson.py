@@ -24,22 +24,35 @@ def test_constant_structure_rejects_nonantisymmetric():
         po.constant_structure([[0.0, 1.0], [1.0, 0.0]])
 
 
+def _components(s, X):
+    """alpha^{ij} and d_k alpha^{ij} at one point X, shape (n,), or at the
+    rows of a batch X, shape (m, n), as arrays of shapes X.shape[:-1] +
+    (n, n) and + (n, n, n): sharp(x, e_j)[i] and dsharp(x, e_i, e_j)[k]
+    for the basis covectors, one call each."""
+    X = np.asarray(X, dtype=float)
+    basis, shape = np.eye(s.n), X.shape[:-1]
+    a = [[np.broadcast_to(c, shape) for c in s.sharp(X.T, e)] for e in basis]  # a[j][i]
+    d = [[[np.broadcast_to(c, shape) for c in s.dsharp(X.T, e, b)] for b in basis]
+         for e in basis]  # d[i][j][k]
+    return (np.moveaxis(np.array(a), (1, 0), (-2, -1)),
+            np.moveaxis(np.array(d), (2, 0, 1), (-3, -2, -1)))
+
+
 def test_two_domain_values_and_gradient():
     s = po.two_domain(ex.parse("x1*x2", ["x1", "x2"]))
-    a = s.alpha([2.0, 3.0])
-    assert a[0, 1] == 6.0 and a[1, 0] == -6.0
-    d = s.dalpha([2.0, 3.0])  # d[k, i, j] = d_k alpha^{ij}
-    assert d[0, 0, 1] == 3.0
-    assert d[1, 0, 1] == 2.0
+    assert s.sharp([2.0, 3.0], [0.0, 1.0]) == (6.0, 0.0)  # (alpha^{12}, alpha^{22})
+    assert s.sharp([2.0, 3.0], [1.0, 0.0]) == (0.0, -6.0)  # (alpha^{11}, alpha^{21})
+    assert s.dsharp([2.0, 3.0], [1.0, 0.0], [0.0, 1.0]) == (3.0, 2.0)  # d_k alpha^{12}
 
 
 def _assert_batch_matches_points(s, X):
-    """alpha and dalpha of a batch equal the stacks of their values at
-    each point."""
-    for evaluate, rank in ((s.alpha, 2), (s.dalpha, 3)):
-        stack = np.stack([evaluate(x) for x in X])
-        assert stack.shape == (len(X),) + (s.n,) * rank
-        assert np.allclose(evaluate(X), stack, rtol=1e-15, atol=0)
+    """sharp and dsharp of a batch, with the basis covectors, equal the
+    stacks of their values at each point."""
+    points = [_components(s, x) for x in X]
+    for r, (batch, rank) in enumerate(zip(_components(s, X), (2, 3))):
+        stack = np.stack([p[r] for p in points])
+        assert batch.shape == stack.shape == (len(X),) + (s.n,) * rank
+        assert np.allclose(batch, stack, rtol=1e-15, atol=0)
 
 
 @pytest.mark.parametrize("src", ["0", "x2", "sin(x1)+2"])
@@ -55,7 +68,7 @@ def test_two_domain_batch_with_constant_partials(src):
 def test_linear_structures_batch_matches_points(s):
     X = np.random.default_rng(5).standard_normal((4, s.n))
     _assert_batch_matches_points(s, X)
-    assert s.alpha(X[0]).shape == (s.n, s.n)
+    assert len(s.sharp(X[0], X[1])) == len(s.dsharp(X[0], X[1], X[2])) == s.n
     assert s.in_domain is None
 
 
@@ -84,7 +97,7 @@ def test_non_poisson_bivector_detected():
 def test_rot_invariant3_matches_closed_form():
     s = po.rot_invariant3(ex.parse("R", ["R"]))
     x = np.array([1.0, 2.0, 2.0])  # |x| = 3
-    a = s.alpha(x)
+    a = _components(s, x)[0]
     eps = np.zeros((3, 3, 3))
     for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
         eps[i, j, k] = 1.0
@@ -113,12 +126,12 @@ def test_rot_invariant3_in_domain_on_a_batch_holding_the_origin():
 def test_rot_invariant3_gradient_by_finite_difference():
     s = po.rot_invariant3(ex.parse("1/(1+R^2)", ["R"]))
     x0 = np.array([0.6, -0.4, 0.9])
-    d = s.dalpha(x0)
+    d = _components(s, x0)[1]
     h = 1e-6
     for k in range(3):
         dx = np.zeros(3)
         dx[k] = h
-        fd = (s.alpha(x0 + dx) - s.alpha(x0 - dx)) / (2 * h)
+        fd = (_components(s, x0 + dx)[0] - _components(s, x0 - dx)[0]) / (2 * h)
         assert np.max(np.abs(d[k] - fd)) <= 1e-8
 
 
@@ -170,10 +183,11 @@ def test_koszul_bracket_of_exact_forms_is_exact():
 
 def test_batch_evaluators_are_not_constructor_options():
     s = po.constant_structure([[0.0, 1.0], [-1.0, 0.0]])
+    assert s.alpha is s.dalpha is s.alpha_at is s.dalpha_at is None
     assert s.d2alpha is s.alpha_batch is s.dalpha_batch is None
     with pytest.raises(TypeError):
         po.PoissonStructure(n=2, bivector=s.bivector, in_domain=s.in_domain,
-                            alpha_batch=s.alpha)
+                            alpha_batch=s.sharp)
 
 
 # --- sharp ---------------------------------------------------------------
@@ -258,8 +272,9 @@ def test_dsharp_is_dalpha_contracted_with_both_covectors(name):
 
 
 # alpha^{ij} and d_k alpha^{ij} for i < j, as the constructors' own closed
-# forms gave them before alpha and dalpha were derived from sharp and dsharp,
-# at the rows of X: name -> (X, [alpha per row], [[d_k alpha per k] per row])
+# forms gave them before the bivector became the one closed form, at the rows
+# of X: name -> (X, [alpha per row], [[d_k alpha per k] per row]); they are
+# sharp(x, e_j)[i] and dsharp(x, e_i, e_j)[k] for the basis covectors
 _RECORDED = {
     "constant": ([[0.7, -1.3, 0.2], [-2.1, 0.4, 1.1]],
                  [[2.0, -0.5, 1.5], [2.0, -0.5, 1.5]],
@@ -294,38 +309,20 @@ def _antisymmetric(upper, n):
 
 
 @pytest.mark.parametrize("name", list(_RECORDED))
-def test_alpha_and_dalpha_keep_the_recorded_values(name):
+def test_sharp_and_dsharp_keep_the_recorded_values(name):
     s = _sharp_structures()[name]
     X, upper_a, upper_d = _RECORDED[name]
     X, want_a, want_d = np.array(X), _antisymmetric(upper_a, s.n), _antisymmetric(upper_d, s.n)
-    # rot_invariant3's dalpha was f'(R) x / R times eps x plus f(R) eps, in another order
+    # rot_invariant3's d_k alpha was f'(R) x / R times eps x plus f(R) eps, in another order
     tol = 1e-15 * np.max(np.abs(want_d)) if name == "rot_invariant3" else 0.0
-    a, d = s.alpha(X), s.dalpha(X)
-    assert a.shape == (len(X), s.n, s.n) and d.shape == (len(X), s.n, s.n, s.n)
+    a, d = _components(s, X)
     assert np.array_equal(a, want_a) and np.max(np.abs(d - want_d)) <= tol
+    basis = np.eye(s.n).tolist()
     for x, wa, wd in zip(X.tolist(), want_a, want_d):
-        a, d = s.alpha(x), s.dalpha(x)
-        assert a.shape == (s.n, s.n) and d.shape == (s.n, s.n, s.n)
-        assert np.array_equal(a, wa) and np.max(np.abs(d - wd)) <= tol
-
-
-@pytest.mark.parametrize("name", list(_RECORDED))
-def test_alpha_and_dalpha_take_one_contraction_call_each(name):
-    s, counted = _sharp_structures()[name], _sharp_structures()[name]
-    calls = []
-
-    def counting(method):
-        bound = getattr(counted, method)
-        return lambda *a: calls.append(method) or bound(*a)
-
-    for method in ("sharp", "dsharp"):  # wrapped on the instance, as the tracer wraps alpha
-        object.__setattr__(counted, method, counting(method))
-    X = np.array(_RECORDED[name][0])
-    for x in (X[0], X):
-        calls.clear()
-        assert np.array_equal(counted.alpha(x), s.alpha(x)) and calls == ["sharp"]
-        calls.clear()
-        assert np.array_equal(counted.dalpha(x), s.dalpha(x)) and calls == ["dsharp"]
+        for j, e in enumerate(basis):
+            assert s.sharp(x, e) == tuple(wa[:, j])
+            for k, b in enumerate(basis):
+                assert np.max(np.abs(np.subtract(s.dsharp(x, e, b), wd[:, j, k]))) <= tol
 
 
 @pytest.mark.parametrize("name", ["two_domain", "rot_invariant3"])

@@ -114,6 +114,20 @@ def test_analyze_simple_sign_change_critical_point():
     assert abs(points["sign_change"] - 1.2) < 1e-9
 
 
+@pytest.mark.parametrize("n_samples", [3, 5, 513, 512])
+def test_analyze_reports_a_zero_on_the_grid_once(n_samples):
+    # A' of R/(1+(R-1)^2) is exactly zero at R = 1, a grid point of 3, 5
+    # and 513 samples of [0.5, 1.5]; the sign-change scan used to bisect
+    # up to that zero too and report R = 0.99999999997 beside it
+    p = rad.RadialProfile.parse("R/(1+(R-1)^2)", 0.5, 1.5)
+    rep = rad.analyze(p, n_samples)
+    assert rep["verdict"] == rad.VERDICT_SINGULAR
+    [point] = rep["critical_points"]
+    assert abs(point["R"] - 1.0) < 1e-9
+    if n_samples != 512:  # 512 samples have no grid point at R = 1
+        assert point == {"R": 1.0, "kind": "zero"}
+
+
 def test_decompose():
     v_r, v_t = rad.decompose([1.0, 1.0, 0.0], [0.0, 0.0, 2.0])
     assert v_r == 0.0

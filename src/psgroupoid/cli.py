@@ -9,7 +9,8 @@ Subcommand groups:
 * ``radial`` — rotation-invariant 3D analysis (area, fibers, verdict);
 * ``expr``   — expression evaluation and symbolic differentiation.
 
-Exit codes: 0 success, 1 verification failure, 2 usage or parse error.
+Exit codes: 0 success, 1 verification failure, 2 usage or parse error
+(``"kind": "usage"``) or a numerical failure (``"kind": "numerical"``).
 JSON output prints each float in the shortest form that reads back to
 the same double; errors go to standard error as a JSON object. Each
 command imports only the model modules it runs."""
@@ -519,8 +520,11 @@ def main(argv=None) -> int:
         parser = build_parser()
         args = parser.parse_args(_preprocess(argv, _flags(parser)))
         return _RUNNERS[args.group](args)
-    except (CLIError, ex.ExprError, ValueError, RuntimeError, OSError) as err:
+    except (CLIError, ex.ExprError, ValueError, RecursionError, OSError) as err:
         emit({"error": str(err), "kind": "usage"}, stream=sys.stderr)
+        return EXIT_USAGE
+    except RuntimeError as err:  # sampler exhaustion, a ray integral that does not converge
+        emit({"error": str(err), "kind": "numerical"}, stream=sys.stderr)
         return EXIT_USAGE
 
 

@@ -314,6 +314,80 @@ def _ray_points(g: GroupoidPoint2D, phi0: float, t):
     return g.x[0] - phi0 * (t * g.pi[1]), g.x[1] + phi0 * (t * g.pi[0])
 
 
+def _members(p: Phi2D, d: Domain2D, x: np.ndarray, pi: np.ndarray) -> np.ndarray:
+    """``contains`` at each point of a stack, x and pi of shape (2, m), as
+    a bool array (m,). The same steps run on all points still open at
+    once, the subdivision loop on all open pieces of all rays at a depth,
+    each piece tagged with its ray. A stack where phi raises DomainError
+    is decided point by point, and so are its open rays once their pieces
+    together would pass RAY_MAX_PIECES, so that the answers, and the time
+    and memory bounds, are those of ``contains``."""
+    try:
+        return _members_of(p, d, x, pi)
+    except ex.DomainError:
+        return np.array([contains(p, d, GroupoidPoint2D(x[:, k], pi[:, k])) for k in range(x.shape[1])],
+                        dtype=bool)
+
+
+def _members_of(p, d, x, pi):
+    member = np.zeros(x.shape[1], dtype=bool)
+
+    def inside(x1, x2):
+        return (d.xmin < x1) & (x1 < d.xmax) & (d.ymin < x2) & (x2 < d.ymax)
+
+    index = np.flatnonzero(inside(*x))
+    x1, x2, pi1, pi2 = rays = np.concatenate([x[:, index], pi[:, index]])
+    phi0 = p((x1, x2))
+    ends = x1 - phi0 * pi2, x2 + phi0 * pi1
+    kept = inside(*ends)
+    near = kept & (abs(phi0) < BRANCH_SWITCH)
+    if near.any():
+        member[index[near]] = _h(p, (*rays[:, near], phi0[near])) > 0.0
+    kept &= ~near
+    if not kept.any():
+        return member
+    sign = np.sign(phi0)
+    kept[kept] = sign[kept] * p((ends[0][kept], ends[1][kept])) > 0.0
+    # rows x1, x2, pi1, pi2, phi0, sign of the rays left, the columns of
+    # ``on`` those of the pieces' rays
+    index, rays = index[kept], np.vstack([rays, phi0, sign])[:, kept]
+
+    def at(on, t):  # as _ray_points
+        return on[0] - on[4] * (t * on[3]), on[1] + on[4] * (t * on[2])
+
+    def certified(on, lo_t, hi_t):  # as in _contains
+        box = {name: (np.nextafter(np.minimum(u, w), -np.inf), np.nextafter(np.maximum(u, w), np.inf))
+               for name, u, w in zip(("x1", "x2"), at(on, lo_t), at(on, hi_t))}
+        lo, hi = ex.evaluate_interval(p.phi, box)
+        return np.minimum(on[5] * lo, on[5] * hi) > 0.0
+
+    # the open pieces (ray, lo_t) of all rays still open, at one depth
+    ray, lo_t, width, open_ = np.arange(index.size), np.zeros(index.size), 1.0, np.ones(index.size, dtype=bool)
+    for _ in range(RAY_DEPTH):
+        if not ray.size:
+            return member
+        keep = ~certified(rays[:, ray], lo_t, lo_t + width)
+        ray, lo_t = ray[keep], lo_t[keep]
+        pieces = np.bincount(ray, minlength=index.size)
+        member[index[open_ & (pieces == 0)]] = True
+        open_ &= (pieces > 0) & (RAY_SPLIT * pieces <= RAY_MAX_PIECES)
+        keep = open_[ray]
+        ray, lo_t = ray[keep], lo_t[keep]
+        if RAY_SPLIT * ray.size > RAY_MAX_PIECES:  # each open ray alone, as contains bounds it
+            for k in np.flatnonzero(open_):
+                member[index[k]] = contains(p, d, GroupoidPoint2D(rays[:2, k], rays[2:4, k]))
+            return member
+        width /= RAY_SPLIT
+        cuts, cut_ray = (lo_t[:, None] + width * np.arange(1, RAY_SPLIT)).ravel(), np.repeat(ray, RAY_SPLIT - 1)
+        on = rays[:, cut_ray]
+        open_[cut_ray[~(on[5] * p(at(on, cuts)) > 0.0)]] = False
+        keep, cut_keep = open_[ray], open_[cut_ray]
+        ray, lo_t = np.concatenate([ray[keep], cut_ray[cut_keep]]), np.concatenate([lo_t[keep], cuts[cut_keep]])
+    undecided = np.bincount(ray[~certified(rays[:, ray], lo_t, lo_t + width)], minlength=index.size)
+    member[index[open_ & (undecided == 0)]] = True
+    return member
+
+
 def left(g: GroupoidPoint2D) -> np.ndarray:
     return g.x.copy()
 
@@ -488,23 +562,19 @@ def invariants(p: Phi2D, m: ps.DiscretizedMorphism,
 
 def sample_points(p: Phi2D, d: Domain2D, count: int, rng, pi_box: float = 1.0):
     """Rejection-sample groupoid points with x in the rectangle and pi
-    in [-pi_box, pi_box]^2; ValueError unless both have finite size."""
-    _check_bounded(d, pi_box)
-    return _rejection_sample(count, "groupoid points",
-                             lambda: _draw_point(p, d, rng, pi_box))
+    in [-pi_box, pi_box]^2; ValueError unless both have finite size. A
+    try draws x1, x2, pi1 and pi2, each by ``rng.uniform`` of a numpy
+    Generator, and keeps (x, pi) if it is a member."""
+    return [GroupoidPoint2D(*s) for s in _sample(p, d, count, rng, pi_box, pairs=False).transpose(2, 0, 1)]
 
 
 def sample_composable_pairs(p: Phi2D, d: Domain2D, count: int, rng,
                             pi_box: float = 1.0):
-    """Composable pairs (g, g2) with left(g2) = right(g)."""
-    _check_bounded(d, pi_box)
-
-    def draw():
-        g = _draw_point(p, d, rng, pi_box)
-        g2 = None if g is None else _draw_point(p, d, rng, pi_box, x_f(p, g))
-        return None if g2 is None else (g, g2)
-
-    return _rejection_sample(count, "composable pairs", draw)
+    """Composable pairs (g, g2) with left(g2) = right(g). A try draws g as
+    ``sample_points`` does and, if g is a member, pi2 for g2 = (x_f(g),
+    pi2), and keeps (g, g2) if g2 is a member too."""
+    return [(GroupoidPoint2D(*s[:2]), GroupoidPoint2D(*s[2:]))
+            for s in _sample(p, d, count, rng, pi_box, pairs=True).transpose(2, 0, 1)]
 
 
 def _check_bounded(d, pi_box):
@@ -515,24 +585,62 @@ def _check_bounded(d, pi_box):
         raise ValueError(f"pi_box must be at least 0, got {pi_box:g}")
 
 
-def _draw_point(p, d, rng, pi_box, x=None):
-    """(x, pi) with pi drawn, and x too unless given; None unless a member."""
-    if x is None:
-        x = np.array([rng.uniform(d.xmin, d.xmax), rng.uniform(d.ymin, d.ymax)])
-    g = GroupoidPoint2D(x, rng.uniform(-pi_box, pi_box, size=2))
-    return g if contains(p, d, g) else None
+def _sample(p, d, count, rng, pi_box, pairs):
+    """The samples of ``sample_points``, or of ``sample_composable_pairs``,
+    as one array: x, pi (and x2, pi2 for pairs) of shape (2, count) each.
+    A try takes 4 draws, or 6 for a pair whose g is a member, so tries
+    start at every 4th draw, or for pairs at even ones. The tries, at most
+    SAMPLE_MAX_TRIES, are made in blocks that give the samples, and leave
+    the generator in the state, of tries made one at a time. A block of k
+    such offsets draws its values once as (x1, x2) pairs in the rectangle
+    and once as pi components (each value is one double), decides the g
+    at every offset in one ``_members`` call and the second factors on the
+    chain of tries in one more, then rewinds the generator and draws again
+    just the values of the tries it used. k follows the offsets each sample
+    took so far; a block whose decision raises RuntimeError is made again
+    at half the size, so that only a try made one at a time raises it."""
+    _check_bounded(d, pi_box)
+    what, step = ("composable pairs", 2) if pairs else ("groupoid points", 4)
 
+    def block(k, need):  # up to need samples from the tries at k offsets, the tries and draws taken
+        state = rng.bit_generator.state
+        xy = rng.uniform([d.xmin, d.ymin], [d.xmax, d.ymax], size=(step * k // 2 + 2 * pairs, 2))
+        rng.bit_generator.state = state
+        pis = rng.uniform(-pi_box, pi_box, size=step * k + 4 * pairs)
+        starts = np.arange(0, step * k, step)
+        x, pi = xy[starts // 2], pis[starts[:, None] + (2, 3)]
+        first, chain = _members(p, d, x.T, pi.T).tolist(), [0]
+        while chain[-1] < step * k:  # the offset after each try
+            chain.append(chain[-1] + (6 if pairs and first[chain[-1] // step] else 4))
+        hits = np.array([o for o in chain[:-1] if first[o // step]], dtype=int)  # where a member g starts
+        rows = [x[hits // step], pi[hits // step]]
+        if pairs:
+            rows += [x_f(p, GroupoidPoint2D(rows[0].T, rows[1].T)).T, pis[hits[:, None] + (4, 5)]]
+            second = _members(p, d, rows[2].T, rows[3].T)
+            hits, rows = hits[second], [a[second] for a in rows]
+        tries = chain.index(hits[need - 1]) + 1 if hits.size >= need else len(chain) - 1
+        return np.stack(rows).transpose(0, 2, 1)[..., :need], tries, chain[tries]
 
-def _rejection_sample(count, what, draw):
-    out, tries = [], 0
-    while len(out) < count:
-        tries += 1
-        if tries > SAMPLE_MAX_TRIES:
+    parts, found, tries, used = [np.empty((2 + 2 * pairs, 2, 0))], 0, 0, 0
+    limit = RAY_MAX_PIECES // RAY_SPLIT  # so the first cut of a block's rays keeps within RAY_MAX_PIECES
+    while found < count:
+        if tries >= SAMPLE_MAX_TRIES:
             raise RuntimeError(f"sampling failed to find enough {what}")
-        item = draw()
-        if item is not None:
-            out.append(item)
-    return out
+        need = count - found
+        k = min(limit, SAMPLE_MAX_TRIES - tries, need * max(4, math.ceil(2 * used / step / max(found, 1))))
+        state = rng.bit_generator.state
+        try:
+            part, taken, drawn = block(k, need)
+        except RuntimeError:
+            if k == 1:
+                raise
+            limit, drawn = k // 2, 0
+        else:
+            parts.append(part)
+            found, tries, used = found + part.shape[-1], tries + taken, used + drawn
+        rng.bit_generator.state = state
+        rng.random(drawn)
+    return np.concatenate(parts, axis=-1)
 
 
 AXIOM_TOLERANCES = {  # in the order verify_axioms runs the checks
@@ -583,18 +691,21 @@ def verify_axioms(p: Phi2D, d: Domain2D, samples: int = 100, seed: int = 0,
     that is not finite has the first such as "max_dev", and fails.
     Associativity runs only where a freshly drawn third factor is a
     member, the product pullback on the first half of the pairs. The
-    samples are drawn one at a time, as ``sample_points`` and
-    ``sample_composable_pairs`` draw them, then the third factors in pair
-    order; every check then runs once on the stack of all its samples.
+    samples are those of ``sample_points`` and ``sample_composable_pairs``,
+    drawn in blocks as tries one at a time would draw them, then one third
+    factor per pair, in pair order, all decided at once; every check then
+    runs once on the stack of all its samples.
     Derivatives are exact: dP (``_bivector_gradient``) for Jacobi and
     d omega = 0, and for the pullback the Jacobians on (x, pi, pi2) of the
     product, [[I, 0], [pi2 (x) grad h, h I]], and of (x_f, pi2)."""
     if samples < 1:
         raise ValueError(f"verify_axioms needs at least 1 sample, got {samples}")
     rng = np.random.default_rng(seed)
-    points = sample_points(p, d, samples, rng, pi_box=pi_box)
-    pairs = sample_composable_pairs(p, d, samples, rng, pi_box=pi_box)
-    thirds = [_draw_point(p, d, rng, pi_box, right(p, g2)) for _, g2 in pairs]  # composable triples
+    g = GroupoidPoint2D(*_sample(p, d, samples, rng, pi_box, pairs=False))
+    ax, api, bx, bpi = _sample(p, d, samples, rng, pi_box, pairs=True)
+    a, b = GroupoidPoint2D(ax, api), GroupoidPoint2D(bx, bpi)
+    x3, pi3 = right(p, b), rng.uniform(-pi_box, pi_box, size=(samples, 2)).T  # third factors
+    triples = np.flatnonzero(_members(p, d, x3, pi3))
     report = {name: {"max_dev": -1.0, "tol": tol, "worst_point": None, "count": 0}
               for name, tol in AXIOM_TOLERANCES.items()}
 
@@ -607,7 +718,7 @@ def verify_axioms(p: Phi2D, d: Domain2D, samples: int = 100, seed: int = 0,
         return np.max(np.abs(a - b), axis=axis)
 
     # (i) l(j(x)) = r(j(x)) = x, (iii) identities and (iv) inverses
-    g, zero = _stack(points), np.zeros((2, samples))
+    zero = np.zeros((2, samples))
     jx, gi = GroupoidPoint2D(g.x, zero), inverse(p, g)
     record("identity_left_right", np.maximum(dev(left(jx), g.x), dev(right(p, jx), g.x)), g.x)
     # g j(r(g)), j(x) g and g g^-1 in one call, g^-1 g at its looser tolerance
@@ -620,14 +731,12 @@ def verify_axioms(p: Phi2D, d: Domain2D, samples: int = 100, seed: int = 0,
                               dev(prod2.x, x_f(p, g))], 0), g.x, g.pi)
 
     # (ii)+(v) products: target of product, cocycle, associativity
-    a, b = _stack([a for a, _ in pairs]), _stack([b for _, b in pairs])
     ab = multiply(p, a, b)
     record("right_of_product", dev(right(p, ab), right(p, b)), a.x, a.pi, b.pi)
     hg, ha, hb, hab = np.split(h_map(p, _stack([g, a, b, ab])), 4)
     record("cocycle", abs(hab - ha * hb) / np.maximum(1.0, abs(ha * hb)), a.x, a.pi, b.pi)
-    triples = [k for k, c in enumerate(thirds) if c is not None]
-    if triples:
-        a3, b3, c = _take(a, triples), _take(b, triples), _stack([thirds[k] for k in triples])
+    if triples.size:
+        a3, b3, c = _take(a, triples), _take(b, triples), GroupoidPoint2D(x3[:, triples], pi3[:, triples])
         lhs = multiply(p, _take(ab, triples), c, tol=1e-6)
         rhs = multiply(p, a3, multiply(p, b3, c), tol=1e-6)
         record("associativity", dev(lhs.pi, rhs.pi), a3.x, a3.pi, b3.pi, c.pi)

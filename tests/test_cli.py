@@ -77,6 +77,30 @@ def test_g2d_verify_without_samples_is_a_usage_error(capsys):
     assert "at least 1 sample" in json.loads(err)["error"]
 
 
+def test_g2d_verify_reports_an_exhausted_sampler_as_numerical(capsys):
+    # phi = 1e6 sends every ray with |pi| > 1e-6 out of the unit square
+    code, out, err = run(["g2d", "verify", "--phi", "1e6", "--domain", "0,1,0,1",
+                          "--samples", "3"], capsys)
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": "sampling failed to find enough groupoid points",
+                               "kind": "numerical"}
+
+
+def test_an_unconverged_ray_integral_is_numerical(capsys):
+    code, out, err = run(["g2d", "h", "--phi", "sin(1e4*x1)+2", "--x", "0.3,0.2",
+                          "--pi", "0.5,0.5"], capsys)
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": "ray integral of phi not converged at 1024 nodes",
+                               "kind": "numerical"}
+
+
+def test_a_too_deeply_nested_expression_stays_a_usage_error(capsys):
+    code, _, err = run(["expr", "eval", "--expr", "(" * 3000 + "x1" + ")" * 3000,
+                        "--vars", "x1=1"], capsys)
+    assert code == 2
+    assert json.loads(err)["kind"] == "usage"
+
+
 def test_g2d_verify_fails_when_a_check_never_ran(capsys):
     data = run_json(["g2d", "verify", "--phi", "x1*x2", "--samples", "1",
                      "--seed", "0"], capsys, expect_code=1)

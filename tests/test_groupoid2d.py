@@ -127,6 +127,13 @@ def test_membership_undecided_is_not_member():
                        pt([0.5, 0.5], [1.0, -2.0]))
 
 
+def test_members_close_a_ray_over_its_piece_budget(monkeypatch):
+    # as contains does, without deciding the ray again one point at a time
+    monkeypatch.setattr(g2, "contains", None)
+    p = g2.Phi2D.parse("1e7*(x1 - x1) + 1")
+    assert g2._members(p, BOX, np.array([[0.5], [0.5]]), np.array([[1.0], [-2.0]])).tolist() == [False]
+
+
 @pytest.mark.xfail(strict=True, reason="the natural enclosure of 1e5*(x1 - x1) certifies "
                    "only pieces under 2^-17 of the ray, more than RAY_MAX_PIECES of them; "
                    "a mean-value enclosure would certify phi = 1")
@@ -574,6 +581,13 @@ def test_sampling_refuses_a_negative_pi_box(sampler):
         sampler(QP, BOX, 1, np.random.default_rng(7), pi_box=-1.0)
 
 
+@pytest.mark.parametrize("sampler", [g2.sample_points, g2.sample_composable_pairs])
+def test_sampling_no_samples_draws_nothing(sampler):
+    rng = np.random.default_rng(7)
+    assert sampler(QP, BOX, 0, rng) == []
+    assert rng.random() == np.random.default_rng(7).random()
+
+
 def test_sampling_in_a_pi_box_of_size_zero_draws_units():
     points = g2.sample_points(QP, BOX, 3, np.random.default_rng(7), pi_box=0.0)
     assert all(list(g.pi) == [0.0, 0.0] for g in points)
@@ -587,17 +601,145 @@ def test_verify_axioms_counts_the_checks_it_ran():
     assert set(counts.values()) == {100}
 
 
-def test_verify_axioms_draws_its_samples_in_a_pinned_order(monkeypatch):
-    # one _draw_point at a time: the points, the pairs, then one third factor
-    # per pair in pair order; the checks draw nothing
-    drawn, draw = [], g2._draw_point
-    monkeypatch.setattr(g2, "_draw_point", lambda *args: drawn.append(draw(*args)) or drawn[-1])
-    g2.verify_axioms(QP, BOX, samples=4, seed=5)
-    members = [g for g in drawn if g is not None]
+def _candidate(p, d, rng, pi_box, x=None):
+    """One candidate drawn as a try draws it, one rng.uniform per value,
+    and whether contains takes it."""
+    if x is None:
+        x = np.array([rng.uniform(d.xmin, d.xmax), rng.uniform(d.ymin, d.ymax)])
+    g = pt(x, rng.uniform(-pi_box, pi_box, size=2))
+    return g, g2.contains(p, d, g)
+
+
+def _one_at_a_time(p, d, count, rng, pairs, pi_box=1.0, max_tries=g2.SAMPLE_MAX_TRIES):
+    """The samplers' rejection loop one try at a time: the samples, None if
+    max_tries ran out first, and every candidate drawn with its answer."""
+    out, drawn, tries = [], [], 0
+    while len(out) < count and tries < max_tries:
+        tries += 1
+        drawn.append(_candidate(p, d, rng, pi_box))
+        g, member = drawn[-1]
+        if member and pairs:
+            drawn.append(_candidate(p, d, rng, pi_box, g2.x_f(p, g)))
+            g, member = (g, drawn[-1][0]), drawn[-1][1]
+        if member:
+            out.append(g)
+    return (out if len(out) == count else None), drawn
+
+
+def _bits(samples):
+    return [(g.x.tobytes(), g.pi.tobytes()) for s in samples for g in (s if isinstance(s, tuple) else (s,))]
+
+
+def test_verify_axioms_draws_its_samples_in_a_pinned_order():
+    # one try at a time: the points, the pairs, then one third factor per
+    # pair in pair order; the checks draw nothing
+    ref = np.random.default_rng(5)
+    points, drawn = _one_at_a_time(QP, BOX, 4, ref, pairs=False)
+    states = [ref.bit_generator.state]
+    pairs, more = _one_at_a_time(QP, BOX, 4, ref, pairs=True)
+    states.append(ref.bit_generator.state)
+    drawn += more + [_candidate(QP, BOX, ref, 1.0, g2.x_f(QP, b)) for _, b in pairs]
+    members = [g for g, member in drawn if member]
     assert (len(drawn), len(members)) == (50, 17)
     assert math.fsum(v for g in members for v in (*g.x, *g.pi)) == 7.9662952139788725
-    assert [None if g is None else list(g.pi) for g in drawn[-4:]] == [
+    assert [list(g.pi) if member else None for g, member in drawn[-4:]] == [
         [0.23041399782101113, -0.5037455698942837], None, None, None]
+    # the block samplers give every sample, and leave the generator where those tries do
+    rng = np.random.default_rng(5)
+    for sampler, want, state in zip([g2.sample_points, g2.sample_composable_pairs], [points, pairs], states):
+        assert _bits(sampler(QP, BOX, 4, rng)) == _bits(want)
+        assert rng.bit_generator.state == state
+    report = g2.verify_axioms(QP, BOX, samples=4, seed=5)
+    assert report["associativity"]["count"] == 1
+    assert report["associativity"]["worst_point"][-2:] == [0.23041399782101113, -0.5037455698942837]
+
+
+@pytest.mark.parametrize("src, d, pi_box", [
+    ("x1*x2", BOX, 1.0), ("sin(x1)+2", g2.Domain2D(-2, 2, -1, 3), 3.0), ("0", BOX, 1.0),
+    ("log(x1)", g2.Domain2D(-1, 3, -1, 1), 2.0), ("x1 - 1", g2.Domain2D(0, 2, 0, 1), 0.5)])
+def test_block_samplers_match_tries_one_at_a_time(src, d, pi_box):
+    # 30 samples take several blocks where few candidates are members
+    p = g2.Phi2D.parse(src)
+    for pairs, sampler in enumerate([g2.sample_points, g2.sample_composable_pairs]):
+        rng, ref = np.random.default_rng(11), np.random.default_rng(11)
+        want, _ = _one_at_a_time(p, d, 30, ref, pairs, pi_box)
+        assert _bits(sampler(p, d, 30, rng, pi_box)) == _bits(want)
+        assert rng.random() == ref.random()
+
+
+@pytest.mark.parametrize("pairs, sampler", enumerate([g2.sample_points, g2.sample_composable_pairs]))
+def test_a_raising_candidate_past_the_last_try_is_not_decided(pairs, sampler, monkeypatch):
+    # a block draws past the last try; where it holds a candidate whose
+    # decision raises, smaller blocks stop short of it as tries one at a time do
+    samples, drawn = _one_at_a_time(QP, BOX, 3, np.random.default_rng(2), pairs)
+    bad = _one_at_a_time(QP, BOX, 4, np.random.default_rng(2), pairs)[1][len(drawn)][0].x
+    members = g2._members
+
+    def raising(p, d, x, pi):
+        if (x == bad[:, None]).all(0).any():
+            raise RuntimeError("ray integral of phi not converged at 1024 nodes")
+        return members(p, d, x, pi)
+
+    monkeypatch.setattr(g2, "_members", raising)
+    rng, ref = np.random.default_rng(2), np.random.default_rng(2)
+    assert _bits(sampler(QP, BOX, 3, rng)) == _bits(samples)
+    _one_at_a_time(QP, BOX, 3, ref, pairs)
+    assert rng.bit_generator.state == ref.bit_generator.state
+    with pytest.raises(RuntimeError, match="not converged"):
+        sampler(QP, BOX, 4, np.random.default_rng(2))
+
+
+@pytest.mark.parametrize("src, d", [("1e6", g2.Domain2D(0, 1, 0, 1)), ("x1*x2", BOX)])
+@pytest.mark.parametrize("sampler, what", [(g2.sample_points, "groupoid points"),
+                                           (g2.sample_composable_pairs, "composable pairs")])
+def test_an_exhausted_sampler_stops_after_its_last_try(src, d, sampler, what, monkeypatch):
+    # phi = 1e6 sends every ray with |pi| > 1e-6 out of the unit square: no
+    # candidate is a member, and 40 tries take 160 draws
+    monkeypatch.setattr(g2, "SAMPLE_MAX_TRIES", 40)
+    p = g2.Phi2D.parse(src)
+    rng, ref = np.random.default_rng(3), np.random.default_rng(3)
+    with pytest.raises(RuntimeError, match=f"^sampling failed to find enough {what}$"):
+        sampler(p, d, 1000, rng)
+    samples, drawn = _one_at_a_time(p, d, 1000, ref, sampler is g2.sample_composable_pairs, max_tries=40)
+    assert samples is None
+    if src == "1e6":
+        assert len(drawn) == 40 and not any(member for _, member in drawn)
+        ref = np.random.default_rng(3)
+        ref.random(160)
+    assert rng.random() == ref.random()
+
+
+# domain-limited phi: a block where phi raises DomainError is decided point
+# by point; 1e3*(x1 - x1) + 1: the 20 rays from x1 = -1.5 ... -0.55 need 256
+# open pieces each after two cuts, more than RAY_MAX_PIECES together
+_FALLBACK_PHI = ["log(x1)", "1/(x1 - 1)", "sqrt(x2)", "1e3*(x1 - x1) + 1"]
+
+
+@pytest.mark.parametrize("src", TARGET_PHI + ["x1 - 1"] + _FALLBACK_PHI)
+def test_members_match_contains_point_by_point(src, monkeypatch):
+    p, d = g2.Phi2D.parse(src), g2.Domain2D(-2, 2, -1, 3)
+    rng = np.random.default_rng(17)
+    m = 40 if src.startswith("1e3") else 300
+    x = np.stack([rng.uniform(-2.5, 2.5, m), rng.uniform(-1.5, 3.5, m)])
+    pi = rng.uniform(-3, 3, (2, m))
+    # the edges of the box, x1 = 1 (1/(x1 - 1) is undefined there) and the
+    # BRANCH_SWITCH band of x1 - 1 at x1 = 1 + 1e-12
+    edges = np.array([[-2, 0.5], [2, 0.5], [0.5, -1], [0.5, 3], [-2, -1], [1, 0.5], [1, 2],
+                      [1 + 1e-12, 0.5], [1 + 1e-12, 2], [1 - 1e-12, 0.5], [1 + 2e-9, 0.5]]).T
+    rays = np.stack([np.linspace(-1.5, -0.55, 20), np.full(20, 0.5)])
+    # and four rays from (0.5, 1) that end on the four edges, to rounding
+    ends = np.array([[2, -2, 0, 0], [0, 0, -1.5, 2.5]]) / (p((0.5, 1.0)) or 1.0)
+    x = np.concatenate([x, edges, edges, rays, np.tile([[0.5], [1.0]], 4)], 1)
+    pi = np.concatenate([pi, rng.uniform(-3, 3, edges.shape), rng.uniform(-0.01, 0.01, edges.shape),
+                         np.tile([[0.5], [-1.0]], 20), ends], 1)
+    calls, contains = [], g2.contains
+    monkeypatch.setattr(g2, "contains", lambda *args: calls.append(args) or contains(*args))
+    got = g2._members(p, d, x, pi)
+    monkeypatch.undo()
+    want = [g2.contains(p, d, pt(x[:, k], pi[:, k])) for k in range(x.shape[1])]
+    assert got.dtype == bool and got.tolist() == want
+    assert 0 < sum(want) < len(want) or src in ("log(x1)", "sqrt(x2)")
+    assert (len(calls) > 0) == (src in _FALLBACK_PHI)
 
 
 @pytest.mark.parametrize("samples", [0, -1])

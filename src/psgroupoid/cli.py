@@ -13,7 +13,8 @@ Exit codes: 0 success, 1 verification failure, 2 usage or parse error
 (``"kind": "usage"``) or a numerical failure (``"kind": "numerical"``).
 JSON output prints each float in the shortest form that reads back to
 the same double; errors go to standard error as a JSON object. Each
-command imports only the model modules it runs."""
+command imports only the model modules it runs (``pathspace`` only for
+``flow`` and ``lie``), and builds the parser of its own group only."""
 
 from __future__ import annotations
 
@@ -26,7 +27,6 @@ import sys
 import numpy as np
 
 from . import expr as ex
-from . import pathspace as ps
 
 __all__ = ["CLIError", "emit", "build_parser", "main"]
 
@@ -101,10 +101,16 @@ def _ranged(convert, kind, valid, need):
     return parse
 
 
-_grid = _ranged(int, "an integer", lambda v: v >= ps.MIN_NODES - 1,
-                f"a path needs at least {ps.MIN_NODES} nodes, so at least {ps.MIN_NODES - 1} intervals")
 _seed = _ranged(int, "an integer", lambda v: v >= 0, "expected a seed of at least 0")
 _tol = _ranged(float, "a number", lambda v: 0.0 <= v < np.inf, "expected a finite tolerance of at least 0")
+
+
+def _add_grid(q):
+    """The option --grid of q, a number of intervals."""
+    from . import pathspace as ps
+    q.add_argument("--grid", default=ps.DEFAULT_GRID, type=_ranged(
+        int, "an integer", lambda v: v >= ps.MIN_NODES - 1,
+        f"a path needs at least {ps.MIN_NODES} nodes, so at least {ps.MIN_NODES - 1} intervals"))
 
 
 def _parse_structure(token):
@@ -141,7 +147,8 @@ def _parse_structure(token):
                    "so3, heisenberg3, radial:EXPR, or constant:FILE")
 
 
-def _load_morphism(path) -> ps.DiscretizedMorphism:
+def _load_morphism(path):
+    from . import pathspace as ps
     try:
         with open(path) as fh:
             return ps.DiscretizedMorphism.from_json(fh.read())
@@ -151,7 +158,7 @@ def _load_morphism(path) -> ps.DiscretizedMorphism:
         raise CLIError(f"bad morphism file {path}: {err}")
 
 
-def _save_morphism(path, m: ps.DiscretizedMorphism):
+def _save_morphism(path, m):
     try:
         with open(path, "w") as fh:
             fh.write(m.to_json())
@@ -189,9 +196,7 @@ def _group_json(spec, g):
 # ---------------------------------------------------------------------------
 # g2d
 
-def _add_g2d(sub):
-    p = sub.add_parser("g2d", description="2D groupoid maps")
-    ops = p.add_subparsers(dest="op", required=True)
+def _add_g2d(ops):
     names = ["member", "mul", "inv", "left", "right", "h", "psi", "xf",
              "verify"]
     for name in names:
@@ -248,16 +253,13 @@ def _run_g2d(args) -> int:
 # ---------------------------------------------------------------------------
 # flow
 
-def _add_flow(sub):
-    p = sub.add_parser("flow", description="discretized path operations")
-    ops = p.add_subparsers(dest="op", required=True)
-
+def _add_flow(ops):
     q = ops.add_parser("solve")
     q.add_argument("--structure", required=True)
     q.add_argument("--x0", required=True)
     q.add_argument("--eta", required=True,
                    help="semicolon-separated component expressions in u")
-    q.add_argument("--grid", type=_grid, default=ps.DEFAULT_GRID)
+    _add_grid(q)
     q.add_argument("--out")
 
     q = ops.add_parser("gauge")
@@ -280,7 +282,7 @@ def _add_flow(sub):
     q.add_argument("--out")
 
 
-def _morphism_report(m: ps.DiscretizedMorphism, out_path, extra=None) -> dict:
+def _morphism_report(m, out_path, extra=None) -> dict:
     report = dict(extra or {})
     report["n"] = m.n
     report["N"] = m.N
@@ -293,6 +295,7 @@ def _morphism_report(m: ps.DiscretizedMorphism, out_path, extra=None) -> dict:
 
 
 def _run_flow(args) -> int:
+    from . import pathspace as ps
     if args.op == "concat":
         glued = ps.concatenate(_load_morphism(args.infile),
                                _load_morphism(args.in2))
@@ -357,15 +360,12 @@ def _run_flow(args) -> int:
 # ---------------------------------------------------------------------------
 # lie
 
-def _add_lie(sub):
-    p = sub.add_parser("lie", description="Lie-dual groupoid operations")
-    ops = p.add_subparsers(dest="op", required=True)
-
+def _add_lie(ops):
     q = ops.add_parser("roundtrip")
     q.add_argument("--spec", default="su2")
     q.add_argument("--xi", required=True)
     q.add_argument("--g", required=True)
-    q.add_argument("--grid", type=_grid, default=ps.DEFAULT_GRID)
+    _add_grid(q)
     q.add_argument("--tol", type=_tol, default=1e-6)
 
     q = ops.add_parser("mul")
@@ -381,6 +381,7 @@ def _add_lie(sub):
 
 def _run_lie(args) -> int:
     from . import lie_dual as ld
+    from . import pathspace as ps
     spec = ld.builtin_spec(args.spec)
     if args.op == "roundtrip":
         xi = _floats(args.xi, spec.n)
@@ -413,9 +414,7 @@ def _run_lie(args) -> int:
 # ---------------------------------------------------------------------------
 # radial / expr
 
-def _add_radial(sub):
-    p = sub.add_parser("radial", description="rotation-invariant 3D analysis")
-    ops = p.add_subparsers(dest="op", required=True)
+def _add_radial(ops):
     q = ops.add_parser("analyze")
     q.add_argument("--f", required=True)
     q.add_argument("--range", dest="rrange", required=True)
@@ -435,9 +434,7 @@ def _run_radial(args) -> int:
     return EXIT_OK
 
 
-def _add_expr(sub):
-    p = sub.add_parser("expr", description="expression utilities")
-    ops = p.add_subparsers(dest="op", required=True)
+def _add_expr(ops):
     q = ops.add_parser("eval")
     q.add_argument("--expr", required=True)
     q.add_argument("--vars", default="",
@@ -475,21 +472,28 @@ def _run_expr(args) -> int:
 
 # ---------------------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
+_GROUPS = {  # name: (description, builder of its subcommands, runner)
+    "g2d": ("2D groupoid maps", _add_g2d, _run_g2d),
+    "flow": ("discretized path operations", _add_flow, _run_flow),
+    "lie": ("Lie-dual groupoid operations", _add_lie, _run_lie),
+    "radial": ("rotation-invariant 3D analysis", _add_radial, _run_radial),
+    "expr": ("expression utilities", _add_expr, _run_expr),
+}
+
+
+def build_parser(group=None) -> argparse.ArgumentParser:
+    """The parser of every group, each with its subcommands, or, where
+    ``group`` is given, only that one's: the help and the errors of the
+    top level read the same."""
     parser = _Parser(prog="psgroupoid",
                      description="numerical symplectic groupoids of "
                                  "Poisson structures")
     sub = parser.add_subparsers(dest="group", required=True)
-    _add_g2d(sub)
-    _add_flow(sub)
-    _add_lie(sub)
-    _add_radial(sub)
-    _add_expr(sub)
+    for name, (description, add, _) in _GROUPS.items():
+        p = sub.add_parser(name, description=description)
+        if group in (None, name):
+            add(p.add_subparsers(dest="op", required=True))
     return parser
-
-
-_RUNNERS = {"g2d": _run_g2d, "flow": _run_flow, "lie": _run_lie,
-            "radial": _run_radial, "expr": _run_expr}
 
 
 def _flags(parser) -> set:
@@ -506,7 +510,7 @@ def _preprocess(argv, flags):
     so values that begin with ``-`` (``-1,2``, ``-.5``, ``-x1*x2``) are not
     mistaken for options; the token after a flag stays as it is."""
     out = []
-    for tok in sys.argv[1:] if argv is None else argv:
+    for tok in argv:
         if (out and out[-1].startswith("--") and "=" not in out[-1] and out[-1] not in flags
                 and tok.startswith("-") and not tok.startswith("--")):
             out[-1] = f"{out[-1]}={tok}"
@@ -516,10 +520,11 @@ def _preprocess(argv, flags):
 
 
 def main(argv=None) -> int:
-    try:
-        parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    try:  # the group is the first argument that is not an option
+        parser = build_parser(next((tok for tok in argv if not tok.startswith("-")), ""))
         args = parser.parse_args(_preprocess(argv, _flags(parser)))
-        return _RUNNERS[args.group](args)
+        return _GROUPS[args.group][2](args)
     except (CLIError, ex.ExprError, ValueError, RecursionError, OSError) as err:
         emit({"error": str(err), "kind": "usage"}, stream=sys.stderr)
         return EXIT_USAGE

@@ -20,12 +20,10 @@ differentiation total. Unary minus applies to a whole factor so that
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import math
 import re
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,61 +60,74 @@ class DomainError(ExprError, ValueError):
 
 
 class Expr:
-    """Immutable expression tree node. ``_program`` caches the Program
-    that ``evaluate`` runs."""
+    """Immutable expression tree node, whose class names its fields in
+    ``__slots__`` in the order of its constructor; nodes of one class with
+    equal fields are equal, and hash as the tuple of them. ``_program``
+    caches the Program that ``evaluate`` runs."""
 
     __slots__ = ("_program",)
 
+    def __init__(self, *fields):
+        if len(fields) != len(self.__slots__):
+            raise TypeError(f"{type(self).__name__} takes {len(self.__slots__)} fields, got {len(fields)}")
+        for name, value in zip(self.__slots__, fields):
+            object.__setattr__(self, name, value)
 
-@dataclass(frozen=True, slots=True)
+    def _fields(self):
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        return self._fields() == other._fields() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}({', '.join(f'{n}={getattr(self, n)!r}' for n in self.__slots__)})"
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+
 class Const(Expr):
-    value: float
+    __slots__ = ("value",)
 
 
-@dataclass(frozen=True, slots=True)
 class Var(Expr):
-    name: str
+    __slots__ = ("name",)
 
 
-@dataclass(frozen=True, slots=True)
 class Neg(Expr):
-    arg: Expr
+    __slots__ = ("arg",)
 
 
-@dataclass(frozen=True, slots=True)
 class Add(Expr):
-    left: Expr
-    right: Expr
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True, slots=True)
 class Sub(Expr):
-    left: Expr
-    right: Expr
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True, slots=True)
 class Mul(Expr):
-    left: Expr
-    right: Expr
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True, slots=True)
 class Div(Expr):
-    left: Expr
-    right: Expr
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True, slots=True)
 class Pow(Expr):
-    base: Expr
-    exponent: int
+    __slots__ = ("base", "exponent")  # exponent: an int
 
 
-@dataclass(frozen=True, slots=True)
 class Call(Expr):
-    func: str
-    arg: Expr
+    __slots__ = ("func", "arg")
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +191,7 @@ class _Parser:
         kind, text, offset = self.tokens[self.next]
         if kind != "number" or not text.isdigit():
             raise SyntaxExprError("expected integer exponent", offset)
-        self.next += 1
+        self.base()  # a Const, refused unless finite
         return sign * int(text)
 
     def base(self):
@@ -196,9 +207,12 @@ class _Parser:
             return node
         if kind == "number":
             try:
-                return Const(float(text))
+                value = float(text)
             except ValueError:
                 raise SyntaxExprError(f"bad number {text!r}", offset) from None
+            if value - value != 0.0:  # every Const is finite
+                raise SyntaxExprError(f"number {text!r} overflows a float", offset)
+            return Const(value)
         if kind == "name":
             if self.peek() == "(":
                 if text not in _FUNCTIONS:
@@ -300,7 +314,7 @@ class Program:
             """The name of e's slot, after the lines that fill it."""
             if id(e) in memo:
                 return memo[id(e)]
-            args = [slot(getattr(e, c)) for c in _CHILDREN if hasattr(e, c)]
+            args = [slot(f) for f in e._fields() if isinstance(f, Expr)]
             if isinstance(e, Const):
                 key = repr(e.value)
             elif isinstance(e, Var):
@@ -389,7 +403,6 @@ class Program:
 
 _OPERATORS = {Neg: "NEG", Add: "ADD", Sub: "SUB", Mul: "MUL", Div: "DIV"}
 _PYTHON = {Neg: "-{}", Add: "{} + {}", Sub: "{} - {}", Mul: "{} * {}"}  # the operations that check nothing
-_CHILDREN = ("arg", "base", "left", "right")
 
 
 def _define(parameters, body, *operations, **constants):
@@ -429,7 +442,7 @@ def _raise_arrays(v):
 def _variables(e: Expr) -> frozenset:
     if isinstance(e, Var):
         return frozenset((e.name,))
-    return frozenset().union(*(_variables(getattr(e, c)) for c in _CHILDREN if hasattr(e, c)))
+    return frozenset().union(*(_variables(f) for f in e._fields() if isinstance(f, Expr)))
 
 
 def split_out(exprs, name: str) -> tuple[list, dict]:
@@ -445,7 +458,7 @@ def split_out(exprs, name: str) -> tuple[list, dict]:
             return Var(names.setdefault(e, f"{name}#{len(names)}"))
         if name not in found:
             return e
-        return dataclasses.replace(e, **{c: rewrite(getattr(e, c)) for c in _CHILDREN if hasattr(e, c)})
+        return type(e)(*(rewrite(f) if isinstance(f, Expr) else f for f in e._fields()))
 
     return [rewrite(e) for e in exprs], {new: e for e, new in names.items()}
 
@@ -455,7 +468,7 @@ def substitute(e: Expr, values: dict) -> Expr:
     by the expression it maps to."""
     if isinstance(e, Var):
         return values.get(e.name, e)
-    return dataclasses.replace(e, **{c: substitute(getattr(e, c), values) for c in _CHILDREN if hasattr(e, c)})
+    return type(e)(*(substitute(f, values) if isinstance(f, Expr) else f for f in e._fields()))
 
 
 def _finite(x):
@@ -638,7 +651,7 @@ def _add(a, b):
         return b
     if _is_const(b, 0.0):
         return a
-    if isinstance(a, Const) and isinstance(b, Const):
+    if isinstance(a, Const) and isinstance(b, Const) and math.isfinite(a.value + b.value):
         return Const(a.value + b.value)
     return Add(a, b)
 
@@ -648,7 +661,7 @@ def _sub(a, b):
         return a
     if _is_const(a, 0.0):
         return _neg(b)
-    if isinstance(a, Const) and isinstance(b, Const):
+    if isinstance(a, Const) and isinstance(b, Const) and math.isfinite(a.value - b.value):
         return Const(a.value - b.value)
     return Sub(a, b)
 
@@ -668,7 +681,7 @@ def _mul(a, b):
         return b
     if _is_const(b, 1.0):
         return a
-    if isinstance(a, Const) and isinstance(b, Const):
+    if isinstance(a, Const) and isinstance(b, Const) and math.isfinite(a.value * b.value):
         return Const(a.value * b.value)
     return Mul(a, b)
 

@@ -18,8 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import expr as ex
-from . import pathspace as ps
-from .poisson import PoissonStructure, two_domain
 
 __all__ = [
     "Phi2D", "Domain2D", "GroupoidPoint2D",
@@ -40,38 +38,47 @@ SAMPLE_MAX_TRIES = 200000  # draws after which rejection sampling gives up
 
 
 class Phi2D:
-    """phi(x1, x2) and its cached partials d1, d2, d11, d12, d22, with
-    ``grad`` and ``hessian`` as arrays at x = (x1, x2) of numbers or arrays,
-    each from one call of a compiled ``ex.Program``, in which a constant
+    """phi(x1, x2) and its partials d1, d2, d11, d12, d22, with ``grad``
+    and ``hessian`` as arrays at x = (x1, x2) of numbers or arrays, each
+    from one call of a compiled ``ex.Program``, in which a constant
     partial takes the broadcast shape of x. At a ``point`` {x1, x2, v1, v2},
     ``along[k - 1]`` is the k-th derivative of phi along v (k = 1, 2), and
     ``dalong(k, point)`` the list of its partials in x1, x2, v1, v2, each
     in one expression call. ``nodes``: ceil(d / 2) Gauss-Legendre nodes
     integrate the ray integrands of a polynomial phi of degree d.
-    ``structure()`` is the one ``poisson.two_domain`` of phi, built here."""
+    ``structure()`` is the one ``poisson.two_domain`` of phi. All but phi
+    and ``nodes`` are built on first use, once."""
 
     def __init__(self, phi: ex.Expr):
         self.phi = phi
-        self.d1 = ex.differentiate(phi, "x1")
-        self.d2 = ex.differentiate(phi, "x2")
-        self.d11 = ex.differentiate(self.d1, "x1")
-        self.d12 = ex.differentiate(self.d1, "x2")
-        self.d22 = ex.differentiate(self.d2, "x2")
+        degree = ex.polynomial_degree(phi)
+        self.nodes = (None if degree is None or degree > 2 * QUAD_MAX_NODES
+                      else max(1, (degree + 1) // 2))
 
+    d1 = functools.cached_property(lambda self: ex.differentiate(self.phi, "x1"))
+    d2 = functools.cached_property(lambda self: ex.differentiate(self.phi, "x2"))
+    d11 = functools.cached_property(lambda self: ex.differentiate(self.d1, "x1"))
+    d12 = functools.cached_property(lambda self: ex.differentiate(self.d1, "x2"))
+    d22 = functools.cached_property(lambda self: ex.differentiate(self.d2, "x2"))
+    _grad = functools.cached_property(lambda self: ex.Program((self.d1, self.d2)))
+    _hessian = functools.cached_property(lambda self: ex.Program((self.d11, self.d12, self.d22)))
+
+    @functools.cached_property
+    def _alongs(self):
         def along(a, b):  # a v1 + b v2, without zero terms
             terms = [ex.Mul(c, ex.Var(v)) for c, v in ((a, "v1"), (b, "v2")) if c != ex.Const(0.0)]
             return functools.reduce(ex.Add, terms) if terms else ex.Const(0.0)
 
-        alongs = along(self.d1, self.d2), along(along(self.d11, self.d12), along(self.d12, self.d22))
-        self._grad = ex.Program((self.d1, self.d2))
-        self._hessian = ex.Program((self.d11, self.d12, self.d22))
-        self.along = tuple(functools.partial(ex.evaluate, e) for e in alongs)
-        self._dalong = tuple(ex.Program([ex.differentiate(e, n) for n in ("x1", "x2", "v1", "v2")])
-                             for e in alongs)
-        degree = ex.polynomial_degree(phi)
-        self.nodes = (None if degree is None or degree > 2 * QUAD_MAX_NODES
-                      else max(1, (degree + 1) // 2))
-        self._structure = two_domain(phi)
+        return along(self.d1, self.d2), along(along(self.d11, self.d12), along(self.d12, self.d22))
+
+    along = functools.cached_property(lambda self: tuple(functools.partial(ex.evaluate, e) for e in self._alongs))
+    _dalong = functools.cached_property(lambda self: tuple(
+        ex.Program([ex.differentiate(e, n) for n in ("x1", "x2", "v1", "v2")]) for e in self._alongs))
+
+    @functools.cached_property
+    def _structure(self):
+        from .poisson import two_domain
+        return two_domain(self.phi)
 
     @classmethod
     def parse(cls, source: str) -> "Phi2D":
@@ -90,7 +97,7 @@ class Phi2D:
     def dalong(self, order, point) -> list:
         return ex.evaluate(self._dalong[order - 1], point)
 
-    def structure(self) -> PoissonStructure:
+    def structure(self):
         return self._structure
 
 
@@ -517,16 +524,18 @@ def symplectic_form(p: Phi2D, g: GroupoidPoint2D) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Bridge to path space
 
-def embed(p: Phi2D, g: GroupoidPoint2D, N: int = ps.DEFAULT_GRID,
-          tapered: bool = False) -> ps.DiscretizedMorphism:
-    """Straight-line representative of (x, pi): X(u) = x + u phi(x)
+def embed(p: Phi2D, g: GroupoidPoint2D, N: int | None = None, tapered: bool = False):
+    """Straight-line representative of (x, pi), a ``pathspace.DiscretizedMorphism``
+    on N intervals (``pathspace.DEFAULT_GRID`` if None): X(u) = x + u phi(x)
     (-pi_2, pi_1), constant E = pi, eta recovered as eta = E / H with
     H(u) = 1 + int_0^u (d2 phi E_1 - d1 phi E_2).
 
     With ``tapered`` the path is reparametrized by the quintic smoothstep
     u -> u^3 (10 - 15u + 6u^2) (``pathspace.taper``) so that eta vanishes
     at the endpoints (for concatenation). One point, not a stack."""
+    from . import pathspace as ps
     _one_point("embed", g)
+    N = ps.DEFAULT_GRID if N is None else N
     if N < ps.MIN_NODES - 1:
         raise ValueError(f"embed needs N >= {ps.MIN_NODES - 1} intervals, got N = {N}")
     scale, rate = ps.taper(np.linspace(0.0, 1.0, N + 1), tapered)
@@ -543,12 +552,12 @@ def embed(p: Phi2D, g: GroupoidPoint2D, N: int = ps.DEFAULT_GRID,
     return ps.DiscretizedMorphism(n=2, X=X, eta=eta)
 
 
-def invariants(p: Phi2D, m: ps.DiscretizedMorphism,
-               residual_tol: float = 1e-4) -> GroupoidPoint2D:
-    """Recover (x, pi) from a constraint solution: x = X(0),
-    H = exp int T with T = d2 phi eta_1 - d1 phi eta_2, and
-    pi_i = int eta_i H. m must pass ``pathspace.require_solution`` at
-    residual_tol."""
+def invariants(p: Phi2D, m, residual_tol: float = 1e-4) -> GroupoidPoint2D:
+    """Recover (x, pi) from a constraint solution m, a
+    ``pathspace.DiscretizedMorphism``: x = X(0), H = exp int T with
+    T = d2 phi eta_1 - d1 phi eta_2, and pi_i = int eta_i H. m must pass
+    ``pathspace.require_solution`` at residual_tol."""
+    from . import pathspace as ps
     ps.require_solution(p.structure(), m, residual_tol)
     g1, g2 = p.grad(m.X.T)
     T = g2 * m.eta[:, 0] - g1 * m.eta[:, 1]

@@ -129,6 +129,106 @@ def test_usage_errors_exit_2(capsys):
     assert code == 2
 
 
+HELP = {  # as printed 80 columns wide
+    (): """usage: psgroupoid [-h] {g2d,flow,lie,radial,expr} ...
+
+numerical symplectic groupoids of Poisson structures
+
+positional arguments:
+  {g2d,flow,lie,radial,expr}
+
+options:
+  -h, --help            show this help message and exit
+""",
+    ("g2d",): """usage: psgroupoid g2d [-h] {member,mul,inv,left,right,h,psi,xf,verify} ...
+
+2D groupoid maps
+
+positional arguments:
+  {member,mul,inv,left,right,h,psi,xf,verify}
+
+options:
+  -h, --help            show this help message and exit
+""",
+    ("flow",): """usage: psgroupoid flow [-h] {solve,gauge,invariants,concat} ...
+
+discretized path operations
+
+positional arguments:
+  {solve,gauge,invariants,concat}
+
+options:
+  -h, --help            show this help message and exit
+""",
+    ("lie",): """usage: psgroupoid lie [-h] {roundtrip,mul,holonomy} ...
+
+Lie-dual groupoid operations
+
+positional arguments:
+  {roundtrip,mul,holonomy}
+
+options:
+  -h, --help            show this help message and exit
+""",
+    ("radial",): """usage: psgroupoid radial [-h] {analyze} ...
+
+rotation-invariant 3D analysis
+
+positional arguments:
+  {analyze}
+
+options:
+  -h, --help  show this help message and exit
+""",
+    ("expr",): """usage: psgroupoid expr [-h] {eval,diff} ...
+
+expression utilities
+
+positional arguments:
+  {eval,diff}
+
+options:
+  -h, --help   show this help message and exit
+""",
+    ("flow", "solve"): """usage: psgroupoid flow solve [-h] --structure STRUCTURE --x0 X0 --eta ETA
+                             [--grid GRID] [--out OUT]
+
+options:
+  -h, --help            show this help message and exit
+  --structure STRUCTURE
+  --x0 X0
+  --eta ETA             semicolon-separated component expressions in u
+  --grid GRID
+  --out OUT
+""",
+}
+
+
+@pytest.mark.parametrize("head", HELP, ids=lambda head: " ".join(head) or "top")
+def test_the_help_text(head, capsys, monkeypatch):
+    # main builds the subcommands of one group; the help reads as with all
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as info:
+        cli.main([*head, "--help"])
+    assert info.value.code == 0
+    assert capsys.readouterr().out == HELP[head]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["bogus"], "argument group: invalid choice: 'bogus' (choose from 'g2d', 'flow', 'lie', 'radial', 'expr')"),
+    (["bogus", "member", "--phi", "x1"],
+     "argument group: invalid choice: 'bogus' (choose from 'g2d', 'flow', 'lie', 'radial', 'expr')"),
+    ([], "the following arguments are required: group"),
+    (["--phi", "x1"], "argument group: invalid choice: 'x1' (choose from 'g2d', 'flow', 'lie', 'radial', 'expr')"),
+    (["g2d"], "the following arguments are required: op"),
+    (["radial", "analyze", "--f", "R"], "the following arguments are required: --range"),
+])
+def test_the_usage_errors_of_groups_and_commands(argv, message, capsys):
+    code, out, err = run(argv, capsys)
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": message, "kind": "usage"}
+
+
 @pytest.mark.parametrize("head, option, value, tail", [
     (["g2d", "h"], "--phi", "-x1*x2", ["--x", "1,1", "--pi", "0.5,0.25"]),
     (["expr", "eval"], "--expr", "-x1", ["--vars", "x1=2"]),
@@ -364,6 +464,27 @@ def test_expr_eval_overflow_is_a_usage_error(src, value, capsys):
                          capsys)
     assert code == 2 and out == ""
     assert json.loads(err)["kind"] == "usage"
+
+
+NINES = "9" * 401
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["diff", "--expr", "1e400*x1", "--var", "x1"], "number '1e400' overflows a float at offset 0"),
+    (["diff", "--expr", f"x1^{NINES}", "--var", "x1"], f"number '{NINES}' overflows a float at offset 3"),
+    (["eval", "--expr", "1e400"], "number '1e400' overflows a float at offset 0"),
+    (["eval", "--expr", f"x1^-{NINES}", "--vars", "x1=2"], f"number '{NINES}' overflows a float at offset 4"),
+])
+def test_expr_a_number_that_overflows_a_float_is_a_usage_error(argv, message, capsys):
+    # it used to end diff in an OverflowError traceback, with exit code 1
+    code, out, err = run(["expr", *argv], capsys)
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": message, "kind": "usage"}
+
+
+def test_expr_diff_leaves_a_product_of_constants_that_overflows(capsys):
+    data = run_json(["expr", "diff", "--expr", "1e200*(1e200*x1)", "--var", "x1"], capsys)
+    assert data == {"derivative": "1e+200*1e+200"}
 
 
 def test_g2d_member_where_phi_is_undefined(capsys):

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import mpmath
 import numpy as np
@@ -70,6 +72,33 @@ def test_parse_error_messages_and_offsets(bad, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("bad, message", [
+    ("1e400*x1", "number '1e400' overflows a float at offset 0"),
+    ("x1 + 2e309", "number '2e309' overflows a float at offset 5"),
+    ("x1^" + "9" * 401, f"number '{'9' * 401}' overflows a float at offset 3"),
+    ("x1^-" + "9" * 401, f"number '{'9' * 401}' overflows a float at offset 4"),
+])
+def test_a_number_that_overflows_a_float_is_a_syntax_error(bad, message):
+    # every Const stays finite: differentiate and to_string took inf to int()
+    with pytest.raises(ex.SyntaxExprError) as info:
+        ex.parse(bad, VARS)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("src, printed", [
+    ("1e200*(1e200*x1)", "1e+200*1e+200"),  # a product
+    ("1e308*x1 + 1e308*x1", "1e+308 + 1e+308"),  # a sum
+    ("1e308*x1 - -(1e308*x1)", "1e+308 - (-1e+308)"),  # a difference
+])
+def test_constants_fold_only_to_a_finite_value(src, printed):
+    d = ex.differentiate(ex.parse(src, VARS), "x1")
+    assert ex.to_string(d) == printed
+    for e in (d, ex.parse(printed, VARS)):  # the printed form parses back
+        with pytest.raises(ex.DomainError):
+            ex.evaluate(e, {})
+    assert ex.differentiate(ex.parse("1e100*(1e100*x1)", VARS), "x1") == ex.Const(1e200)
+
+
 def test_parse_reads_exponents_signs_and_spaces():
     assert ex.to_string(ex.parse(" x1 ^ - 2*2.5e-1 + x2^10", VARS)) == "x1^-2*0.25 + x2^10"
     with pytest.raises(ex.UnknownIdentifierError, match="'foo' at offset 3"):
@@ -127,6 +156,41 @@ def test_split_out_replaces_the_largest_subtrees_of_one_variable():
     for old, new in zip(exprs, rewritten):
         assert ex.to_string(new).count("u#") == ex.to_string(new).count("u")
         assert np.array_equal(ex.evaluate(new, point), ex.evaluate(old, {"x1": x1, "u": u}))
+
+
+X1, TWO = ex.Var("x1"), ex.Const(2.0)
+NODES = [  # a node, its fields by name, its repr
+    (ex.Const(2.0), {"value": 2.0}, "Const(value=2.0)"),
+    (ex.Var("x1"), {"name": "x1"}, "Var(name='x1')"),
+    (ex.Neg(X1), {"arg": X1}, "Neg(arg=Var(name='x1'))"),
+    *((cls(X1, TWO), {"left": X1, "right": TWO}, f"{cls.__name__}(left=Var(name='x1'), right=Const(value=2.0))")
+      for cls in (ex.Add, ex.Sub, ex.Mul, ex.Div)),
+    (ex.Pow(X1, 3), {"base": X1, "exponent": 3}, "Pow(base=Var(name='x1'), exponent=3)"),
+    (ex.Call("sin", X1), {"func": "sin", "arg": X1}, "Call(func='sin', arg=Var(name='x1'))"),
+]
+
+
+@pytest.mark.parametrize("node, fields, text", NODES, ids=[type(n).__name__ for n, _, _ in NODES])
+def test_an_expression_node_is_an_immutable_value(node, fields, text):
+    # equal by class and fields, hashed as the tuple of its fields (which
+    # fixes the order of every dict and set of nodes), printed, copied and
+    # pickled by its fields, and never assigned to
+    cls, values = type(node), tuple(fields.values())
+    assert node == cls(*values) and hash(node) == hash(cls(*values)) == hash(values)
+    assert node != cls(*values[:-1], ex.Var("x2"))
+    others = [type(n)(*values) for n, f, _ in NODES if type(n) is not cls and len(f) == len(fields)]
+    assert others and all(node != o and o != node for o in others)  # Add(a, b) != Sub(a, b)
+    assert node.__eq__(values) is NotImplemented and node != values
+    assert repr(node) == text
+    assert ex.evaluate(node, {"x1": 0.5}) == ex.evaluate(cls(*values), {"x1": 0.5})  # caches a program
+    for copied in (copy.deepcopy(node), pickle.loads(pickle.dumps(node))):
+        assert type(copied) is cls and copied == node and hash(copied) == hash(node)
+    for name in fields:
+        with pytest.raises(AttributeError):
+            setattr(node, name, 1.0)
+        with pytest.raises(AttributeError):
+            delattr(node, name)
+    assert tuple(getattr(node, name) for name in fields) == values
 
 
 def test_evaluate_on_arrays_matches_numbers():

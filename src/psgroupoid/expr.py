@@ -59,13 +59,12 @@ class DomainError(ExprError, ValueError):
     Poisson structure (``poisson`` raises this class too)."""
 
 
-class Expr:
-    """Immutable expression tree node, whose class names its fields in
-    ``__slots__`` in the order of its constructor; nodes of one class with
-    equal fields are equal, and hash as the tuple of them. ``_program``
-    caches the Program that ``evaluate`` runs."""
+class _Record:
+    """Immutable value whose class names its fields in ``__slots__`` in
+    the order of its constructor; values of one class with equal fields
+    are equal, and hash as the tuple of them."""
 
-    __slots__ = ("_program",)
+    __slots__ = ()
 
     def __init__(self, *fields):
         if len(fields) != len(self.__slots__):
@@ -92,6 +91,12 @@ class Expr:
         raise AttributeError(f"{type(self).__name__} is immutable: cannot set or delete {name!r}")
 
     __delattr__ = __setattr__
+
+
+class Expr(_Record):
+    """Expression tree node; ``_program`` caches the Program ``evaluate`` runs."""
+
+    __slots__ = ("_program",)
 
 
 class Const(Expr):
@@ -284,8 +289,11 @@ def evaluate_interval(e, box: dict):
     program = getattr(e, "_program", None) or Program(e)
     shape = _broadcast_shape([b for pair in box.values() for b in pair])
     values = _run(program.intervals, box)
-    bounds = [(np.broadcast_to(lo, shape).astype(float), np.broadcast_to(hi, shape).astype(float))
-              for lo, hi in ([values] if program.single else values)]
+    # every node makes new arrays and VAR copies the box, so bounds of the broadcast shape are
+    # returned as they are; of shape (), a bound may be a numpy scalar or a Program constant
+    bounds = [pair if shape and pair[0].shape == pair[1].shape == shape else
+              tuple(np.broadcast_to(b, shape).astype(float) for b in pair)
+              for pair in ([values] if program.single else values)]
     return bounds[0] if program.single else bounds
 
 
@@ -626,7 +634,7 @@ def _sqrt_range(a):
 
 
 _ON_INTERVALS = {
-    "NUMBERS": _NUMBERS, "VAR": lambda bounds: tuple(np.asarray(b, dtype=float) for b in bounds),
+    "NUMBERS": _NUMBERS, "VAR": lambda bounds: tuple(np.array(b, dtype=float) for b in bounds),
     "NEG": lambda a: (-a[1], -a[0]),
     "ADD": lambda a, b: _outward(a[0] + b[0], a[1] + b[1]),
     "SUB": lambda a, b: _outward(a[0] - b[1], a[1] - b[0]),

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -101,33 +100,28 @@ class Phi2D:
         return self._structure
 
 
-@dataclass(frozen=True)
-class Domain2D:
+class Domain2D(ex._Record):
     """Open axis-aligned rectangle; membership is strict."""
 
-    xmin: float
-    xmax: float
-    ymin: float
-    ymax: float
+    __slots__ = ("xmin", "xmax", "ymin", "ymax")
 
-    def __post_init__(self):
-        if not (self.xmin < self.xmax and self.ymin < self.ymax):
+    def __init__(self, xmin: float, xmax: float, ymin: float, ymax: float):
+        if not (xmin < xmax and ymin < ymax):
             raise ValueError("degenerate rectangle")
+        super().__init__(xmin, xmax, ymin, ymax)
 
     def contains_point(self, x) -> bool:
         return bool(self.xmin < x[0] < self.xmax and self.ymin < x[1] < self.ymax)
 
 
-@dataclass(frozen=True, init=False)
-class GroupoidPoint2D:
+class GroupoidPoint2D(ex._Record):
     """(x, pi), each of shape (2,); or a stack of points, each of shape
     (2, ...), which x_f, h_map, psi, multiply, inverse, bivector and
     symplectic_form take too (matrices then with the stack's axes first)."""
 
-    x: np.ndarray
-    pi: np.ndarray
+    __slots__ = ("x", "pi")
 
-    def __init__(self, x, pi):  # the generated one costs a reshape more per pair
+    def __init__(self, x, pi):  # _Record's loop costs more per point
         object.__setattr__(self, "x", _pair(x))
         object.__setattr__(self, "pi", _pair(pi))
 
@@ -144,7 +138,7 @@ def _one_point(name: str, g: GroupoidPoint2D):
 
 def x_f(p: Phi2D, g: GroupoidPoint2D) -> np.ndarray:
     """Final point x_f^i = x^i - phi(x) eps^{ij} pi_j."""
-    return np.array(_ray_points(g, p(g.x), 1.0))
+    return np.array(_ray_end(_ray(p, g)))
 
 
 def h_map(p: Phi2D, g: GroupoidPoint2D) -> float:
@@ -175,7 +169,7 @@ def _ray(p: Phi2D, g: GroupoidPoint2D) -> tuple:
 
 
 def _ray_end(ray: tuple) -> tuple:
-    """x_f of a ``_ray`` as floats, to the bit as ``x_f`` gives it."""
+    """x_f of a ``_ray``: floats, or arrays for a stack."""
     x1, x2, pi1, pi2, phi = ray
     return x1 - phi * pi2, x2 + phi * pi1
 
@@ -259,7 +253,10 @@ def contains(p: Phi2D, d: Domain2D, g: GroupoidPoint2D) -> bool:
       from the whole segment: a piece whose interval enclosure of phi
       excludes 0 is done, the others are cut into RAY_SPLIT equal pieces,
       and s phi is checked at x_f and at each new cut, where a value <= 0
-      witnesses non-membership.
+      witnesses non-membership. Up to the whole segment's enclosure, the
+      steps run on floats; a cut takes the segment's points at t in one
+      array, RAY_SPLIT + 1 ends per piece cut: the inner ones are the new
+      cuts, each two adjacent ones bound a new piece's box.
 
     A piece undecided after RAY_DEPTH cuts, or a ray needing more
     than RAY_MAX_PIECES open pieces at once (a bound on time and memory,
@@ -276,49 +273,42 @@ def contains(p: Phi2D, d: Domain2D, g: GroupoidPoint2D) -> bool:
 
 
 def _contains(p: Phi2D, d: Domain2D, g: GroupoidPoint2D) -> bool:
-    if not d.contains_point(g.x):
+    (x1, x2), (pi1, pi2) = g.x.tolist(), g.pi.tolist()
+    if not d.contains_point((x1, x2)):
         return False
-    phi0 = p(g.x)
-    if not d.contains_point(_ray_points(g, phi0, 1.0)):
+    phi0 = p((x1, x2))
+    end = _ray_end(ray := (x1, x2, pi1, pi2, phi0))
+    if not d.contains_point(end):
         return False
     if abs(phi0) < BRANCH_SWITCH:
-        return h_map(p, g) > 0.0
-    sign = np.sign(phi0)
+        return _h(p, ray) > 0.0
+    sign = 1.0 if phi0 > 0.0 else -1.0
+    if not sign * p(end) > 0.0:
+        return False
 
-    def positive_at(t):
-        return bool(np.all(sign * p(_ray_points(g, phi0, t)) > 0.0))
-
-    def certified(lo_t, hi_t):
-        # each coordinate is monotone in t, so its ends bound it on a piece
-        a, b = _ray_points(g, phi0, lo_t), _ray_points(g, phi0, hi_t)
-        box = {name: (np.nextafter(np.minimum(u, w), -np.inf),
-                      np.nextafter(np.maximum(u, w), np.inf))
+    def certified(a, b):
+        # each coordinate is monotone in t, so its values a, b at the ends bound it on a piece
+        box = {name: (np.nextafter(np.minimum(u, w), -np.inf), np.nextafter(np.maximum(u, w), np.inf))
                for name, u, w in zip(("x1", "x2"), a, b)}
         lo, hi = ex.evaluate_interval(p.phi, box)
         return np.minimum(sign * lo, sign * hi) > 0.0
 
-    if not positive_at(1.0):
-        return False
-    # piece starts and the common width are dyadic, so every t is exact
-    lo_t, width = np.zeros(1), 1.0
+    if certified(*np.array([(x1, x2), end])[:, :, None]):  # the whole segment, as pieces of shape (1,)
+        return True
+    # piece starts and widths are dyadic, so every t is exact
+    lo_t, width, steps = np.zeros(1), 1.0, np.arange(RAY_SPLIT + 1.0)
     for _ in range(RAY_DEPTH):
-        lo_t = lo_t[~certified(lo_t, lo_t + width)]
-        if not lo_t.size:
-            return True
         if RAY_SPLIT * lo_t.size > RAY_MAX_PIECES:
             return False
         width /= RAY_SPLIT
-        cuts = (lo_t[:, None] + width * np.arange(1, RAY_SPLIT)).ravel()
-        if not positive_at(cuts):
+        t = lo_t[:, None] + width * steps  # the ends of each piece's RAY_SPLIT pieces
+        y1, y2 = x1 - phi0 * (t * pi2), x2 + phi0 * (t * pi1)
+        if not (sign * p((y1[:, 1:-1], y2[:, 1:-1])) > 0.0).all():
             return False
-        lo_t = np.concatenate([lo_t, cuts])
-    return bool(np.all(certified(lo_t, lo_t + width)))
-
-
-def _ray_points(g: GroupoidPoint2D, phi0: float, t):
-    """x_f(x, t pi) as a pair (x1, x2), for a number or an array of t;
-    at t = 1 this is x_f(g) to the bit."""
-    return g.x[0] - phi0 * (t * g.pi[1]), g.x[1] + phi0 * (t * g.pi[0])
+        lo_t = t[:, :-1][~certified((y1[:, :-1], y2[:, :-1]), (y1[:, 1:], y2[:, 1:]))]
+        if not lo_t.size:
+            return True
+    return False
 
 
 def _members(p: Phi2D, d: Domain2D, x: np.ndarray, pi: np.ndarray) -> np.ndarray:
@@ -345,7 +335,8 @@ def _members_of(p, d, x, pi):
     index = np.flatnonzero(inside(*x))
     x1, x2, pi1, pi2 = rays = np.concatenate([x[:, index], pi[:, index]])
     phi0 = p((x1, x2))
-    ends = x1 - phi0 * pi2, x2 + phi0 * pi1
+    with np.errstate(invalid="ignore"):  # phi(x) = 0 times an infinite pi: a NaN end, not inside
+        ends = x1 - phi0 * pi2, x2 + phi0 * pi1
     kept = inside(*ends)
     near = kept & (abs(phi0) < BRANCH_SWITCH)
     if near.any():
@@ -359,7 +350,7 @@ def _members_of(p, d, x, pi):
     # ``on`` those of the pieces' rays
     index, rays = index[kept], np.vstack([rays, phi0, sign])[:, kept]
 
-    def at(on, t):  # as _ray_points
+    def at(on, t):  # as the ray points of _contains
         return on[0] - on[4] * (t * on[3]), on[1] + on[4] * (t * on[2])
 
     def certified(on, lo_t, hi_t):  # as in _contains

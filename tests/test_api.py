@@ -53,14 +53,15 @@ print(json.dumps({"root": root, "code": code, "loaded": sorted(sys.modules)}))
      ["psgroupoid.groupoid2d", "psgroupoid.lie_dual", "psgroupoid.radial3d", "psgroupoid.pathspace",
       "psgroupoid.poisson", "dataclasses"]),
     (["g2d", "member", "--phi", "x1*x2", "--x", "1,1", "--pi", "0.5,0.25"],
-     ["psgroupoid.pathspace", "psgroupoid.poisson", "psgroupoid.lie_dual", "psgroupoid.radial3d"]),
+     ["psgroupoid.pathspace", "psgroupoid.poisson", "psgroupoid.lie_dual", "psgroupoid.radial3d",
+      "dataclasses"]),
     (["lie", "mul", "--xi", "1,2,3", "--g", "1,0,0,0", "--g2", "1,0,0,0"],
      ["psgroupoid.groupoid2d", "psgroupoid.radial3d"]),
 ], ids=["expr", "g2d", "lie"])
 def test_a_command_imports_only_its_model(argv, left_out):
     # in a fresh interpreter: the root holds only __version__ and dunder
     # names, and the command loads none of the other models, nor path
-    # space where it runs no path; an expression needs no dataclasses
+    # space where it runs no path; an expression or a 2D groupoid needs no dataclasses
     src = str(Path(ps.__file__).resolve().parents[1])
     proc = subprocess.run([sys.executable, "-c", IMPORTS_OF_A_COMMAND, *argv],
                           env=dict(os.environ, PYTHONPATH=src),

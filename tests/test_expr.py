@@ -309,6 +309,28 @@ def test_evaluate_interval_encloses_values(src):
         assert undefined or not (np.isnan(lo[k]) or np.isnan(hi[k]))
 
 
+@pytest.mark.parametrize("src", ["2.5", "x2", "sin(x1)*x2 + x1^3"])
+@pytest.mark.parametrize("shape", [None, (), (3,), (3, 16)], ids=["float", "0-d", "k", "k-16"])
+def test_evaluate_interval_returns_bounds_of_its_own(src, shape):
+    # each bound a float64 ndarray of the box shape, into which the caller
+    # may write without changing the box or a later enclosure
+    e = ex.parse(src, VARS)
+    if shape is None:
+        box, shape = {"x1": (0.25, 0.5), "x2": (-1.0, 2.0)}, ()
+    else:
+        lo = np.random.default_rng(3).uniform(-1.0, 0.0, (2, *shape))
+        box = {"x1": (lo[0], lo[0] + 0.25), "x2": (lo[1], lo[1] + 3.0)}
+    kept = {name: [np.array(b) for b in pair] for name, pair in box.items()}
+    first = ex.evaluate_interval(e, box)
+    want = [b.copy() for b in first]
+    for b in first:
+        assert type(b) is np.ndarray and b.dtype == np.float64 and b.shape == shape
+        b[...] = np.nan
+    for name, pair in box.items():
+        assert [np.asarray(b).tobytes() for b in pair] == [b.tobytes() for b in kept[name]]
+    assert [b.tobytes() for b in ex.evaluate_interval(e, box)] == [b.tobytes() for b in want]
+
+
 def test_program_gives_each_root_its_own_value():
     roots = [ex.parse(src, VARS) for src in ("sin(x1)*x2 + x1^3", "x1^3", "2^3", "x1/x2")]
     roots += [ex.Const(-0.0), ex.Const(0.0), ex.Var("x2")]

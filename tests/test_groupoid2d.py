@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -527,25 +528,29 @@ def test_grad_and_hessian_are_arrays_of_the_point_shape():
 
 
 @pytest.mark.parametrize("src, x, pi, counts", [
-    # (evaluate calls, of them on arrays) of h_map, psi, multiply, inverse, contains
+    # (evaluate calls, of them on arrays, evaluate_interval calls) of h_map,
+    # psi, multiply, inverse, contains: the probe of x1*x2 needs two cuts,
+    # sin(x1)+2 is decided on the whole segment
     ("x1*x2", [-1.8280564724565642, -0.8964528730015027], [0.8935436327479551, -1.8194943096187295],
-     [(2, 0), (2, 0), (2, 0), (4, 0), (5, 3)]),
-    ("sin(x1)+2", [0.3, -1.2], [0.4, -0.9], [(25, 0), (25, 0), (25, 0), (4, 0), (2, 0)]),
+     [(2, 0, 0), (2, 0, 0), (2, 0, 0), (4, 0, 0), (5, 3, 3)]),
+    ("sin(x1)+2", [0.3, -1.2], [0.4, -0.9], [(25, 0, 0), (25, 0, 0), (25, 0, 0), (4, 0, 0), (2, 0, 1)]),
 ])
 def test_one_point_calls_stay_on_numbers(src, x, pi, counts, monkeypatch):
     # the helpers take stacks too; one point keeps its path on floats, whose
     # only array calls are the cuts of contains
-    calls, original = [], g2.ex.evaluate
+    calls, intervals, original, interval = [], [], g2.ex.evaluate, g2.ex.evaluate_interval
     monkeypatch.setattr(g2.ex, "evaluate", lambda e, point: calls.append(
         any(isinstance(v, np.ndarray) for v in point.values())) or original(e, point))
+    monkeypatch.setattr(g2.ex, "evaluate_interval", lambda e, box: intervals.append(box) or interval(e, box))
     p = g2.Phi2D.parse(src)  # after the patch, as Phi2D binds ex.evaluate
     g = pt(x, pi)
     g2nd = pt(g2.x_f(p, g), [0.1, 0.2])
     for call, want in zip([lambda: g2.h_map(p, g), lambda: g2.psi(p, g), lambda: g2.multiply(p, g, g2nd),
                            lambda: g2.inverse(p, g), lambda: g2.contains(p, BOX, g)], counts):
         calls.clear()
+        intervals.clear()
         call()
-        assert (len(calls), sum(calls)) == want
+        assert (len(calls), sum(calls), len(intervals)) == want
 
 
 @pytest.mark.parametrize("src", ["x1*x2", "sin(x1)+2", "x1 - 1", "exp(x1/3)*x2 + log(x2*x2 + 1)"])
@@ -740,6 +745,57 @@ def test_members_match_contains_point_by_point(src, monkeypatch):
     assert got.dtype == bool and got.tolist() == want
     assert 0 < sum(want) < len(want) or src in ("log(x1)", "sqrt(x2)")
     assert (len(calls) > 0) == (src in _FALLBACK_PHI)
+
+
+MEMBERSHIP_CORPUS_PHI = [
+    "x1*x2", "sin(x1)+2", "x2", "0", "-3", "1/x1", "sqrt(x1)", "log(x2)", "1e5*(x1 - x1) + 1",
+    "x1^3 - 2*x1*x2 + x2^2 - 1", "x1 - 1", "exp(x1/3)*x2 + log(x2*x2 + 1)", "cos(x1*x2) + 0.5*x1"]
+# sha256 of the answers of contains, then of _members, on every corpus point
+MEMBERSHIP_CORPUS_DIGEST = "0a7c88bfd0d3c773f267fb0859b0e178926ec41099b154a64afe464d84e86104"
+
+
+def _membership_corpus(p, k):
+    """(x, pi) of shape (2, m) each around BOX: random x with pi at four
+    scales, pi with an infinite component, and rays from four points to
+    each edge of BOX, ending on it to rounding."""
+    rng = np.random.default_rng([23, k])
+    m = 40 if k == 8 else 150  # a ray of 1e5*(x1 - x1) + 1 takes up to RAY_MAX_PIECES pieces
+    x = rng.uniform(-11, 11, (2, m))
+    pi = rng.uniform(-2, 2, (2, m)) * rng.choice([0.01, 0.3, 1.0, 5.0], m)
+    infinite = np.array([[np.inf, 0.5], [-0.5, -np.inf], [np.inf, -np.inf], [0.0, np.inf]]).T
+    starts = [(4.0, 0.5), (2.5, 6.0), (0.75, 1.25), (8.0, 3.0)]
+    rays = []
+    for a, b in starts:
+        f = p((a, b)) or 1.0
+        rays += [(a, b, 0.3, (a - 10) / f), (a, b, 0.3, (a + 10) / f),
+                 (a, b, (10 - b) / f, -0.2), (a, b, (-10 - b) / f, -0.2)]
+    rays = np.array(rays).T
+    return np.concatenate([x, x[:, :4], rays[:2]], 1), np.concatenate([pi, infinite, rays[2:]], 1)
+
+
+# numpy's warning on phi(x) = 0 times an infinite pi is the next test's concern
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_membership_answers_are_pinned():
+    # 13 phi, among them undefined on part of BOX and one whose enclosures
+    # overestimate by orders of magnitude: every answer of contains and of
+    # _members, one point at a time and as stacks
+    one, many = [], []
+    for k, src in enumerate(MEMBERSHIP_CORPUS_PHI):
+        p = g2.Phi2D.parse(src)
+        x, pi = _membership_corpus(p, k)
+        one += [g2.contains(p, BOX, pt(x[:, j], pi[:, j])) for j in range(x.shape[1])]
+        many += g2._members(p, BOX, x, pi).tolist()
+    assert one == many
+    assert hashlib.sha256(bytes(one + many)).hexdigest() == MEMBERSHIP_CORPUS_DIGEST
+
+
+@pytest.mark.parametrize("src", ["0", "x1*x2"])
+def test_an_infinite_pi_is_not_a_member_and_warns_of_nothing(src):
+    # phi(x) = 0 times an infinite pi is NaN, an end outside the rectangle
+    p = g2.Phi2D.parse(src)
+    x, pi = np.array([[0.0, 0.0], [0.5, 0.0]]), np.array([[np.inf, 0.0], [1.0, -np.inf]])
+    assert not any(g2.contains(p, BOX, pt(x[:, k], pi[:, k])) for k in range(2))
+    assert g2._members(p, BOX, x, pi).tolist() == [False, False]
 
 
 @pytest.mark.parametrize("samples", [0, -1])

@@ -400,7 +400,7 @@ def multiply(p: Phi2D, g: GroupoidPoint2D, g2: GroupoidPoint2D,
     ray = _ray(p, g)
     xf1, xf2 = _ray_end(ray)
     gap = (math.hypot if xf1.__class__ is float else np.hypot)(xf1 - g2.x[0], xf2 - g2.x[1])
-    if gap > tol if gap.__class__ is float else (gap > tol).any():
+    if not (gap <= tol if gap.__class__ is float else (gap <= tol).all()):
         raise ValueError("points are not composable: right(g) != left(g2)")
     return GroupoidPoint2D(g.x, g.pi + _h(p, ray) * g2.pi)
 

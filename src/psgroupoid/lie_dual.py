@@ -36,7 +36,6 @@ __all__ = [
     "quat_to_matrix", "matrix_to_quat",
 ]
 
-ANTIPODE_RADIUS = 1e-6
 RESIDUAL_TOL = 1e-5  # gate of ``to_groupoid`` and of ``lie roundtrip``
 
 
@@ -92,7 +91,8 @@ def expm(a) -> np.ndarray:
 class LieAlgebraSpec:
     """Structure constants f[i, j, k] (antisymmetric in i, j), a faithful
     matrix representation of the basis, a projection back onto the group
-    manifold and the principal group logarithm."""
+    manifold and a group logarithm, principal away from angle pi; su2 and
+    so3 give one at pi too (``_quat_log``, ``_so3_log``)."""
 
     n: int
     f: np.ndarray
@@ -177,14 +177,13 @@ def _quat_project(m):
 
 
 def _quat_log(m):
-    """Principal log of a unit quaternion as a left-multiplication
-    matrix; undefined near the antipode -1."""
+    """Log of the unit quaternion (q0, q_v) of m as a matrix: theta q_v / |q_v|,
+    theta = atan2(|q_v|, q0) in [0, pi], principal for theta < pi. Where q_v = 0
+    the axis is (1, 0, 0): the log of -1, one of a sphere of them, is pi (1, 0, 0)."""
     q = matrix_to_quat(_quat_project(m))
-    if np.linalg.norm(q - np.array([-1.0, 0, 0, 0])) < ANTIPODE_RADIUS:
-        raise ValueError("group element too close to the antipode; "
-                         "the logarithm branch is ambiguous")
-    theta = np.arctan2(np.linalg.norm(q[1:]), q[0])  # |q[1:]| = sin(theta)
-    return quat_to_matrix(np.concatenate([[0.0], q[1:] / np.sinc(theta / np.pi)]))
+    s = np.linalg.norm(q[1:])
+    axis = q[1:] / s if s > 0.0 else np.array([1.0, 0.0, 0.0])
+    return quat_to_matrix([0.0, *np.arctan2(s, q[0]) * axis])
 
 
 _EPS3 = np.zeros((3, 3, 3))
@@ -215,17 +214,15 @@ def _so3_project(m):
 
 
 def _so3_log(m):
-    """Inverse Rodrigues: theta / sin(theta) times the antisymmetric part
-    of a rotation, with theta from its sine and cosine; undefined near
-    theta = pi, where the antisymmetric part loses the axis."""
-    m = np.asarray(m, dtype=float)
-    skew = 0.5 * (m - m.T)
-    sin_theta = np.linalg.norm([skew[2, 1], skew[0, 2], skew[1, 0]])
-    theta = np.arctan2(sin_theta, 0.5 * (np.trace(m) - 1.0))
-    if np.pi - theta < ANTIPODE_RADIUS:
-        raise ValueError("rotation angle too close to pi; "
-                         "the logarithm branch is ambiguous")
-    return skew / np.sinc(theta / np.pi)
+    """Twice ``_quat_log`` of the rotation's unit quaternion q, taken with
+    q0 >= 0 as the top eigenvector of Bar-Itzhack's symmetric K = 4 q q^T - I
+    (no case split near angle pi). At angle pi: pi times the axis eigh returns."""
+    (a, b, c), (d, e, f), (g, h, i) = np.asarray(m, dtype=float)
+    k = np.array([[a + e + i, h - f, c - g, d - b], [h - f, a - e - i, b + d, c + g],
+                  [c - g, b + d, e - a - i, f + h], [d - b, c + g, f + h, i - a - e]])
+    q = np.linalg.eigh(k)[1][:, -1]
+    w = 2.0 * _quat_log(quat_to_matrix(q if q[0] >= 0.0 else -q))[1:, 0]
+    return -_EPS3 @ w  # rho(w) of the so3 spec: w x
 
 
 def _so3_spec():
@@ -311,7 +308,7 @@ def from_groupoid(spec: LieAlgebraSpec, xi, g, N: int = ps.DEFAULT_GRID,
     g = np.asarray(g, dtype=float)
     if N < ps.MIN_NODES - 1:
         raise ValueError(f"from_groupoid needs N >= {ps.MIN_NODES - 1} intervals, got N = {N}")
-    if spec.group_membership_defect(g) > 1e-8:
+    if not spec.group_membership_defect(g) <= 1e-8:
         raise ValueError("g is not on the group manifold")
     comps = spec.components(spec.log(g))
     scale, rate = ps.taper(np.linspace(0.0, 1.0, N + 1), tapered)
@@ -338,7 +335,7 @@ def multiply_lie(spec: LieAlgebraSpec, a: LieGroupoidPoint,
                  b: LieGroupoidPoint) -> LieGroupoidPoint:
     """(xi, g) . (Ad*_{g^{-1}} xi, h) = (xi, g h); |b.xi - r(a)| <= 1e-8."""
     expected = right_lie(spec, a)
-    if np.linalg.norm(b.xi - expected) > 1e-8:
+    if not np.linalg.norm(b.xi - expected) <= 1e-8:
         raise ValueError("points are not composable: xi of the second "
                          "factor must equal r of the first")
     return LieGroupoidPoint(xi=a.xi, g=spec.project(a.g @ b.g))

@@ -498,11 +498,11 @@ def concatenate(m1: DiscretizedMorphism, m2: DiscretizedMorphism,
     junction and have |eta| <= 1e-6 there."""
     if m1.n != m2.n or m1.N != m2.N:
         raise ValueError("grid mismatch")
-    if np.linalg.norm(m1.X[-1] - m2.X[0]) > endpoint_tol:
+    if not np.linalg.norm(m1.X[-1] - m2.X[0]) <= endpoint_tol:
         raise ValueError("endpoint mismatch: right end of m1 differs from "
                          "left end of m2")
-    junction = max(np.linalg.norm(m1.eta[-1]), np.linalg.norm(m2.eta[0]))
-    if junction > 1e-6:
+    junction = np.maximum(np.linalg.norm(m1.eta[-1]), np.linalg.norm(m2.eta[0]))
+    if not junction <= 1e-6:
         raise ValueError(f"eta too large at the junction ({junction:g}); "
                          "use a tapered representative")
     N = m1.N

@@ -204,7 +204,8 @@ def test_criterion_08_su2_dual():
     casimir = 0.0
     for _ in range(50):
         xi = rng.standard_normal(3)
-        # stay away from the antipode (group log is singular there)
+        # draws near the identity, by choice: the group log is defined on
+        # the whole group, the antipode included (tests/test_lie_dual.py)
         g = su2.project(expm(su2.rho(0.5 * rng.standard_normal(3))))
         m = ld.from_groupoid(su2, xi, g, N=2000)
         back = ld.to_groupoid(su2, m)

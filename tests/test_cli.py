@@ -335,6 +335,19 @@ def test_lie_roundtrip_gates_the_solution(grid, passes, capsys):
     assert (data["residual"] < 1e-4) is passes
 
 
+@pytest.mark.parametrize("spec, g, passes", [("so3", "1,0,0,0,-1,0,0,0,-1", True),
+                                              ("su2", "-1,0,0,0", False)])
+def test_lie_roundtrip_at_the_antipode(spec, g, passes, capsys):
+    # both elements used to be refused as usage errors, exit 2. The su2
+    # round trip is exact (g_error 5e-14), but the gate's second-order end
+    # stencils read its residual as 4.5e-5 against 1e-5: the report is
+    # printed all the same, and the exit is 1
+    data = run_json(["lie", "roundtrip", "--spec", spec, "--xi", "0.3,-0.2,0.5", "--g", g],
+                    capsys, expect_code=0 if passes else 1)
+    assert data["passed"] is passes and data["xi_error"] == 0.0 and data["g_error"] <= 1e-12
+    assert (data["residual"] <= 1e-5) is passes
+
+
 def test_lie_mul_cli(capsys):
     data = run_json(["lie", "mul", "--spec", "su2", "--xi", "0.3,0.2,0.5",
                      "--g", "1,0,0,0", "--g2", "0.8,0.1,0.2,0.55"], capsys)

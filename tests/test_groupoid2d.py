@@ -83,6 +83,17 @@ def test_multiply_rejects_noncomposable():
         g2.multiply(QP, pt([1, 1], [0.5, 0.25]), pt([2, 2], [0.1, 0.2]))
 
 
+def test_multiply_rejects_a_nan_left_end():
+    # a NaN gap used to pass the composability check, one point or a stack
+    g = pt([1, 1], [0.5, 0.25])
+    with pytest.raises(ValueError, match="not composable"):
+        g2.multiply(QP, g, pt([math.nan, math.nan], [0.1, 0.2]))
+    stack = g2._stack([g, g])
+    x2 = np.column_stack([g2.x_f(QP, g), [math.nan, math.nan]])
+    with pytest.raises(ValueError, match="not composable"):
+        g2.multiply(QP, stack, g2.GroupoidPoint2D(x2, np.full((2, 2), 0.1)))
+
+
 def test_inverse_reference_value():
     # inverse = (x_f, -pi/h) = ((0.75, 1.5), (-4/9, -2/9))
     gi = g2.inverse(QP, pt([1, 1], [0.5, 0.25]))

@@ -194,16 +194,25 @@ def test_log_inverts_expm(name):
         assert np.max(np.abs(back - w)) < 1e-12
 
 
-def test_so3_log_raises_near_pi():
-    so3 = ld.builtin_spec("so3")
-    axis = np.array([1.0, 2.0, 2.0]) / 3.0
-    near = ld.expm(so3.rho((np.pi - 1e-7) * axis))
-    with pytest.raises(ValueError, match="close to pi"):
-        so3.log(near)
-    with pytest.raises(ValueError, match="close to pi"):
-        ld.from_groupoid(so3, [1.0, 0.0, 0.0], near, N=100)
-    inside = (np.pi - 1e-3) * axis
-    assert np.max(np.abs(so3.components(so3.log(ld.expm(so3.rho(inside)))) - inside)) < 1e-10
+@pytest.mark.parametrize("name", ["su2", "so3"])
+def test_log_is_uniform_up_to_and_at_the_antipode(name):
+    # quaternion (su2) or rotation (so3) angle pi - d: the rotation vector
+    # in components has length 2 (pi - d) for su2 and pi - d for so3
+    spec = ld.builtin_spec(name)
+    length = 2.0 if name == "su2" else 1.0
+    rng = np.random.default_rng(17)
+    worst = 0.0
+    for d in (1e-1, 1e-3, 1e-5, 1e-7, 1e-9, 0.0):
+        axes = rng.standard_normal((200, 3))
+        axes /= np.linalg.norm(axes, axis=1, keepdims=True)
+        g = ld.expm(np.einsum("mj,jab->mab", length * (np.pi - d) * axes, spec.basis))
+        worst = max(worst, max(np.max(np.abs(ld.expm(spec.log(gi)) - gi)) for gi in g))
+    assert worst <= 4e-15
+
+
+def test_log_of_the_su2_antipode_takes_the_first_axis(su2):
+    w = su2.components(su2.log(-np.eye(4)))
+    assert np.max(np.abs(w - [2.0 * np.pi, 0.0, 0.0])) <= 1e-15
 
 
 @pytest.mark.parametrize("N", [-5, 0, 1])
@@ -247,10 +256,18 @@ def test_casimir_constant_along_representatives(su2):
     assert np.max(radii) - np.min(radii) < 1e-10
 
 
-def test_from_groupoid_rejects_antipode(su2):
-    with pytest.raises(ValueError):
-        ld.from_groupoid(su2, [1.0, 0.0, 0.0],
-                         ld.quat_to_matrix([-1.0, 0.0, 0.0, 0.0]), N=100)
+@pytest.mark.parametrize("name, g", [
+    ("su2", -np.eye(4)),
+    ("so3", np.diag([1.0, -1.0, -1.0])),
+    ("so3", 2.0 * np.outer([1.0, 2.0, 2.0], [1.0, 2.0, 2.0]) / 9.0 - np.eye(3)),
+], ids=["su2-minus-one", "so3-about-x", "so3-about-122"])
+def test_from_groupoid_at_the_antipode(name, g):
+    # every group element is a point of T*G: -1 and rotations by pi too
+    spec = ld.builtin_spec(name)
+    m = ld.from_groupoid(spec, [0.3, -0.2, 0.5], g)
+    assert np.max(np.abs(ld.holonomy(spec, m) - g)) <= 1e-12
+    radii = np.linalg.norm(m.X, axis=1)
+    assert np.max(radii) - np.min(radii) <= 1e-14
 
 
 def test_coadjoint_is_action(su2):
@@ -290,6 +307,21 @@ def test_multiply_lie_and_inverse(su2):
     unit = ld.multiply_lie(su2, a, inv)
     assert np.max(np.abs(unit.g - np.eye(4))) < 1e-12
     assert np.allclose(unit.xi, xi)
+
+
+def test_multiply_lie_rejects_a_nan_xi(su2):
+    a = ld.LieGroupoidPoint([0.3, -0.2, 0.5], _random_group(su2, np.random.default_rng(6)))
+    with pytest.raises(ValueError, match="not composable"):
+        ld.multiply_lie(su2, a, ld.LieGroupoidPoint(np.full(3, np.nan), np.eye(4)))
+
+
+def test_from_groupoid_rejects_a_nan_group_element():
+    # the NaN used to pass the membership check and fail later, in expm
+    heis = ld.builtin_spec("heisenberg3")
+    g = np.eye(3)
+    g[0, 2] = np.nan
+    with pytest.raises(ValueError, match="g is not on the group manifold"):
+        ld.from_groupoid(heis, [0.3, -0.2, 0.5], g, N=10)
 
 
 def test_right_lie_matches_path_endpoint(su2):

@@ -497,6 +497,16 @@ def test_concatenate_rejects_nonvanishing_junction_eta():
         ps.concatenate(m1, m2)
 
 
+@pytest.mark.parametrize("field, message", [("X", "endpoint mismatch"), ("eta", "eta too large at the junction")])
+def test_concatenate_rejects_nan_at_the_junction(field, message):
+    # a NaN first node of m2 used to pass both junction checks
+    m1 = ps.DiscretizedMorphism(n=2, X=np.zeros((5, 2)), eta=np.zeros((5, 2)))
+    arrays = {"X": np.zeros((5, 2)), "eta": np.zeros((5, 2))}
+    arrays[field][0] = np.nan
+    with pytest.raises(ValueError, match=message):
+        ps.concatenate(m1, ps.DiscretizedMorphism(n=2, **arrays))
+
+
 def test_concatenate_keeps_constraint():
     s = _phi_structure()
     # sin(pi u) components vanish at both ends, so the halves taper

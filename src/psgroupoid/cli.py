@@ -10,7 +10,10 @@ Subcommand groups:
 * ``expr``   — expression evaluation and symbolic differentiation.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or parse error
-(``"kind": "usage"``) or a numerical failure (``"kind": "numerical"``).
+(``"kind": "usage"``) or a numerical failure on valid input (``"kind":
+"numerical"``: sampler exhaustion, an unconverged ray integral, a matrix
+exponential that overflows or loses its accuracy, a ``flow solve``
+trajectory that overflows).
 JSON output prints each float in the shortest form that reads back to
 the same double; errors go to standard error as a JSON object. Each
 command imports only the model modules it runs (``pathspace`` only for
@@ -526,7 +529,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(_preprocess(argv, _flags(parser)))
         return _GROUPS[args.group][2](args)
     except (CLIError, ex.ExprError, ValueError, RecursionError, OSError) as err:
-        emit({"error": str(err), "kind": "usage"}, stream=sys.stderr)
+        kind = "numerical" if isinstance(err, ex.NumericalError) else "usage"
+        emit({"error": str(err), "kind": kind}, stream=sys.stderr)
         return EXIT_USAGE
     except RuntimeError as err:  # sampler exhaustion, a ray integral that does not converge
         emit({"error": str(err), "kind": "numerical"}, stream=sys.stderr)

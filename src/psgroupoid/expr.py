@@ -29,7 +29,7 @@ import numpy as np
 
 __all__ = [
     "Expr", "Const", "Var", "Neg", "Add", "Sub", "Mul", "Div", "Pow", "Call",
-    "ExprError", "SyntaxExprError", "UnknownIdentifierError", "DomainError",
+    "ExprError", "SyntaxExprError", "UnknownIdentifierError", "DomainError", "NumericalError",
     "Program", "parse", "evaluate", "evaluate_interval", "differentiate",
     "polynomial_degree", "split_out", "substitute", "to_string",
 ]
@@ -57,6 +57,12 @@ class UnknownIdentifierError(ExprError):
 class DomainError(ExprError, ValueError):
     """A value outside the domain: of a function, of the floats, or of a
     Poisson structure (``poisson`` raises this class too)."""
+
+
+class NumericalError(DomainError):
+    """A computation on valid input that overflows the floats: a trajectory
+    of ``pathspace.solve_gauss``, a ``lie_dual.expm``. The CLI reports it
+    as a numerical failure, not as bad input."""
 
 
 class _Record:

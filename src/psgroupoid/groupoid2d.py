@@ -33,7 +33,8 @@ RAY_MAX_PIECES = 1 << 16  # bound on the pieces contains keeps open at once
 QUAD_FIRST_NODES = 8    # nodes of the first adaptive rule
 QUAD_MAX_NODES = 1024   # nodes past which the adaptive rule gives up
 QUAD_TOL = 1e-13        # accepted relative error of the adaptive rule
-SAMPLE_MAX_TRIES = 200000  # draws after which rejection sampling gives up
+SAMPLE_MAX_TRIES = 200000  # tries of each kind after which rejection sampling gives up
+SAMPLE_SLACK = 384  # offsets a block draws past its estimate, at less than the cost of a second block
 
 
 class Phi2D:
@@ -561,86 +562,86 @@ def invariants(p: Phi2D, m, residual_tol: float = 1e-4) -> GroupoidPoint2D:
 # Sampling and the axiom report
 
 def sample_points(p: Phi2D, d: Domain2D, count: int, rng, pi_box: float = 1.0):
-    """Rejection-sample groupoid points with x in the rectangle and pi
-    in [-pi_box, pi_box]^2; ValueError unless both have finite size. A
-    try draws x1, x2, pi1 and pi2, each by ``rng.uniform`` of a numpy
-    Generator, and keeps (x, pi) if it is a member."""
-    return [GroupoidPoint2D(*s) for s in _sample(p, d, count, rng, pi_box, pairs=False).transpose(2, 0, 1)]
+    """Rejection-sample groupoid points with x in the rectangle and pi in
+    [-pi_box, pi_box]^2; ValueError unless both have finite size. A try
+    draws x1, x2, pi1 and pi2, each by ``rng.uniform`` of a numpy Generator,
+    and keeps (x, pi) if it is a member: ``_sample``, asked for no pairs."""
+    return [GroupoidPoint2D(*s) for s in _sample(p, d, count, 0, rng, pi_box)[0].transpose(2, 0, 1)]
 
 
 def sample_composable_pairs(p: Phi2D, d: Domain2D, count: int, rng,
                             pi_box: float = 1.0):
     """Composable pairs (g, g2) with left(g2) = right(g). A try draws g as
-    ``sample_points`` does and, if g is a member, pi2 for g2 = (x_f(g),
-    pi2), and keeps (g, g2) if g2 is a member too."""
+    ``sample_points`` does and, if g is a member, pi2 for g2 = (x_f(g), pi2),
+    and keeps (g, g2) if g2 is a member too: ``_sample``, asked for no points."""
     return [(GroupoidPoint2D(*s[:2]), GroupoidPoint2D(*s[2:]))
-            for s in _sample(p, d, count, rng, pi_box, pairs=True).transpose(2, 0, 1)]
+            for s in _sample(p, d, 0, count, rng, pi_box)[1].transpose(2, 0, 1)]
 
 
-def _check_bounded(d, pi_box):
-    """ValueError unless uniform draws over the rectangle and pi box exist."""
+def _sample(p, d, points, pairs, rng, pi_box):
+    """The samples of ``sample_points``, then of ``sample_composable_pairs``,
+    from one stream of draws: x, pi of shape (2, points) each, and x, pi, x2,
+    pi2 of shape (2, pairs) each, as tries made one at a time give them and
+    leave the generator, each kind with at most SAMPLE_MAX_TRIES tries. A try
+    takes 4 draws, or 6 for a pair whose g is a member, so the points' tries
+    start at every 4th draw and the pairs' at even ones after the points' last.
+    A block of k even offsets draws its values once per map, decides the g at
+    each offset (each even one if no pairs are asked) in one ``_members`` pass,
+    walks the tries, points then pairs, decides the second factors of the
+    pairs' tries in a second pass, then rewinds the generator and draws again
+    the values it used. k is SAMPLE_SLACK past the offsets the tries left take
+    if all are kept, times the draws so far per such offset of the samples (at
+    least 1); a block raising RuntimeError is made again at half the size."""
     if not all(math.isfinite(w) for w in (d.xmax - d.xmin, d.ymax - d.ymin, 2.0 * pi_box)):
         raise ValueError("sampling needs a rectangle and a pi box of finite size")
     if pi_box < 0:
         raise ValueError(f"pi_box must be at least 0, got {pi_box:g}")
+    parts, found, tries, used = [[np.empty((2, 2, 0))], [np.empty((4, 2, 0))]], [0, 0], [0, 0], 0
 
-
-def _sample(p, d, count, rng, pi_box, pairs):
-    """The samples of ``sample_points``, or of ``sample_composable_pairs``,
-    as one array: x, pi (and x2, pi2 for pairs) of shape (2, count) each.
-    A try takes 4 draws, or 6 for a pair whose g is a member, so tries
-    start at every 4th draw, or for pairs at even ones. The tries, at most
-    SAMPLE_MAX_TRIES, are made in blocks that give the samples, and leave
-    the generator in the state, of tries made one at a time. A block of k
-    such offsets draws its values once as (x1, x2) pairs in the rectangle
-    and once as pi components (each value is one double), decides the g
-    at every offset in one ``_members`` call and the second factors on the
-    chain of tries in one more, then rewinds the generator and draws again
-    just the values of the tries it used. k follows the offsets each sample
-    took so far; a block whose decision raises RuntimeError is made again
-    at half the size, so that only a try made one at a time raises it."""
-    _check_bounded(d, pi_box)
-    what, step = ("composable pairs", 2) if pairs else ("groupoid points", 4)
-
-    def block(k, need):  # up to need samples from the tries at k offsets, the tries and draws taken
-        state = rng.bit_generator.state
-        xy = rng.uniform([d.xmin, d.ymin], [d.xmax, d.ymax], size=(step * k // 2 + 2 * pairs, 2))
+    def block(k, state):  # the points and the pairs of the tries at k offsets, the tries of each, the draws taken
+        x = rng.uniform([d.xmin, d.ymin], [d.xmax, d.ymax], size=(k, 2))
         rng.bit_generator.state = state
-        pis = rng.uniform(-pi_box, pi_box, size=step * k + 4 * pairs)
-        starts = np.arange(0, step * k, step)
-        x, pi = xy[starts // 2], pis[starts[:, None] + (2, 3)]
-        first, chain = _members(p, d, x.T, pi.T).tolist(), [0]
-        while chain[-1] < step * k:  # the offset after each try
-            chain.append(chain[-1] + (6 if pairs and first[chain[-1] // step] else 4))
-        hits = np.array([o for o in chain[:-1] if first[o // step]], dtype=int)  # where a member g starts
-        rows = [x[hits // step], pi[hits // step]]
-        if pairs:
-            rows += [x_f(p, GroupoidPoint2D(rows[0].T, rows[1].T)).T, pis[hits[:, None] + (4, 5)]]
-            second = _members(p, d, rows[2].T, rows[3].T)
-            hits, rows = hits[second], [a[second] for a in rows]
-        tries = chain.index(hits[need - 1]) + 1 if hits.size >= need else len(chain) - 1
-        return np.stack(rows).transpose(0, 2, 1)[..., :need], tries, chain[tries]
+        pi = rng.uniform(-pi_box, pi_box, size=(k + 2, 2))[1:]  # a try at offset 2j: x[j], pi[j], pi2 = pi[j + 1]
+        step, j, hits, chain = 1 + (pairs <= 0), 0, [], []  # no pairs: only even offsets start a try
+        first = np.repeat(_members(p, d, x[::step].T, pi[:k:step].T), step).tolist()  # odd ones are not read then
+        while j < k and found[0] + len(hits) < points and tries[0] + j // 2 < SAMPLE_MAX_TRIES:
+            hits += [j] if first[j] else []
+            j += 2
+        room = SAMPLE_MAX_TRIES - tries[1] if found[0] + len(hits) >= points and found[1] < pairs else 0
+        while j < k and len(chain) < room:
+            chain.append(j)
+            j += 3 if first[j] else 2
+        g, rows, need = np.array([c for c in chain if first[c]], dtype=int), np.empty((4, 0, 2)), pairs - found[1]
+        if g.size:
+            xf = x_f(p, GroupoidPoint2D(x[g].T, pi[g].T))
+            second = _members(p, d, xf, pi[g + 1].T)
+            rows, g = np.stack([x[g], pi[g], xf.T, pi[g + 1]])[:, second], g[second]
+        ends = chain + [j]  # the offset where the points' tries stop, then where each pair try does
+        taken = chain.index(g[need - 1]) + 1 if 0 < need <= g.size else len(chain)
+        return [x[hits], pi[hits]], rows[:, :need], [ends[0] // 2, taken], 2 * ends[taken]
 
-    parts, found, tries, used = [np.empty((2 + 2 * pairs, 2, 0))], 0, 0, 0
     limit = RAY_MAX_PIECES // RAY_SPLIT  # so the first cut of a block's rays keeps within RAY_MAX_PIECES
-    while found < count:
-        if tries >= SAMPLE_MAX_TRIES:
-            raise RuntimeError(f"sampling failed to find enough {what}")
-        need = count - found
-        k = min(limit, SAMPLE_MAX_TRIES - tries, need * max(4, math.ceil(2 * used / step / max(found, 1))))
+    while found[0] < points or found[1] < pairs:
+        kind = int(found[0] >= points)
+        if tries[kind] >= SAMPLE_MAX_TRIES:
+            raise RuntimeError(f"sampling failed to find enough {('groupoid points', 'composable pairs')[kind]}")
+        least = 2 * (points - found[0]) + 3 * (pairs - found[1])  # the offsets of the tries left if each were kept
+        k = min(limit, SAMPLE_SLACK + math.ceil(least * max(1, used / max(2 * found[0] + 3 * found[1], 1))))
         state = rng.bit_generator.state
         try:
-            part, taken, drawn = block(k, need)
+            *new, taken, drawn = block(k, state)
         except RuntimeError:
             if k == 1:
                 raise
             limit, drawn = k // 2, 0
         else:
-            parts.append(part)
-            found, tries, used = found + part.shape[-1], tries + taken, used + drawn
+            for i in (0, 1):  # the points, the pairs
+                parts[i].append(np.transpose(new[i], (0, 2, 1)))
+                found[i], tries[i] = found[i] + len(new[i][0]), tries[i] + taken[i]
+            used += drawn
         rng.bit_generator.state = state
         rng.random(drawn)
-    return np.concatenate(parts, axis=-1)
+    return [np.concatenate(part, axis=-1) for part in parts]
 
 
 AXIOM_TOLERANCES = {  # in the order verify_axioms runs the checks
@@ -691,19 +692,18 @@ def verify_axioms(p: Phi2D, d: Domain2D, samples: int = 100, seed: int = 0,
     that is not finite has the first such as "max_dev", and fails.
     Associativity runs only where a freshly drawn third factor is a
     member, the product pullback on the first half of the pairs. The
-    samples are those of ``sample_points`` and ``sample_composable_pairs``,
-    drawn in blocks as tries one at a time would draw them, then one third
-    factor per pair, in pair order, all decided at once; every check then
-    runs once on the stack of all its samples.
+    samples are those of ``sample_points`` then ``sample_composable_pairs``,
+    from blocks that serve both (``_sample``: two membership passes where
+    one block holds them all), then one third factor per pair, in pair
+    order, decided in a third; each check then runs once on its stack.
     Derivatives are exact: dP (``_bivector_gradient``) for Jacobi and
     d omega = 0, and for the pullback the Jacobians on (x, pi, pi2) of the
     product, [[I, 0], [pi2 (x) grad h, h I]], and of (x_f, pi2)."""
     if samples < 1:
         raise ValueError(f"verify_axioms needs at least 1 sample, got {samples}")
     rng = np.random.default_rng(seed)
-    g = GroupoidPoint2D(*_sample(p, d, samples, rng, pi_box, pairs=False))
-    ax, api, bx, bpi = _sample(p, d, samples, rng, pi_box, pairs=True)
-    a, b = GroupoidPoint2D(ax, api), GroupoidPoint2D(bx, bpi)
+    (gx, gpi), (ax, api, bx, bpi) = _sample(p, d, samples, samples, rng, pi_box)
+    g, a, b = GroupoidPoint2D(gx, gpi), GroupoidPoint2D(ax, api), GroupoidPoint2D(bx, bpi)
     x3, pi3 = right(p, b), rng.uniform(-pi_box, pi_box, size=(samples, 2)).T  # third factors
     triples = np.flatnonzero(_members(p, d, x3, pi3))
     report = {name: {"max_dev": -1.0, "tol": tol, "worst_point": None, "count": 0}

@@ -26,6 +26,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import expr as ex
 from . import pathspace as ps
 from .poisson import PoissonStructure, kirillov_kostant
 
@@ -51,9 +52,9 @@ def expm(a) -> np.ndarray:
     times (Moler & Van Loan, SIAM Rev. 45, 2003). The Taylor degree is
     the least whose remainder bound at the stack's largest halved norm is
     that of EXPM_ORDER at EXPM_THETA: 5 at the norms of holonomy steps.
-    ValueError where a
-    squaring overflows, and where a matrix halved more than
-    EXPM_CHECKED_HALVINGS times has |log det exp A - tr A| > EXPM_DET_TOL:
+    ``ex.NumericalError``, a ValueError, where a squaring overflows, and
+    where a matrix halved more than EXPM_CHECKED_HALVINGS times has
+    |log det exp A - tr A| > EXPM_DET_TOL:
     each squaring doubles the rounding error, which can take the result
     of a huge argument off the group (to 30 halvings, su2 and so3 stay
     near 1e-7). Callers look ``expm`` up as a module attribute at call
@@ -77,13 +78,13 @@ def expm(a) -> np.ndarray:
         for level in range(int(np.max(s, initial=0))):
             t = np.where((s > level)[..., None, None], t @ t, t)
     if not np.all(np.isfinite(t)):
-        raise ValueError("matrix exponential overflows")
+        raise ex.NumericalError("matrix exponential overflows")
     checked = s > EXPM_CHECKED_HALVINGS
     if np.any(checked):
         sign, logdet = np.linalg.slogdet(t[checked])
         departure = np.abs(logdet - np.trace(a[checked], axis1=-2, axis2=-1))
         if np.any((sign <= 0) | ~(departure <= EXPM_DET_TOL)):
-            raise ValueError("matrix exponential loses its accuracy: argument too large")
+            raise ex.NumericalError("matrix exponential loses its accuracy: argument too large")
     return t
 
 

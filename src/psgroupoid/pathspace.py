@@ -286,7 +286,8 @@ def solve_gauss(s: PoissonStructure, x0, eta: np.ndarray) -> DiscretizedMorphism
     du. The N steps are one run, on Python floats, of the loop that
     ``_gauss_step`` compiles from the bivector of s. The first node outside
     the domain of s up to the first step that fails (raises, or gives a
-    node that is not finite) is the error, else that step's DomainError."""
+    node that is not finite) is the error, else that step's DomainError, a
+    NumericalError where the step overflows."""
     eta = np.asarray(eta, dtype=float)
     if eta.ndim != 2 or eta.shape[1] != s.n:
         raise ValueError("eta must be sampled on the grid, shape (N+1, n)")
@@ -306,7 +307,12 @@ def solve_gauss(s: PoissonStructure, x0, eta: np.ndarray) -> DiscretizedMorphism
     k = min([len(X) - 1, *np.flatnonzero(~np.isfinite(X[1:]).all(axis=1))])  # the first step that failed
     if k < N:  # evaluated alone, that step raises its DomainError
         _check_domain(s, X[:k + 1], "trajectory exits domain")
-        ex.evaluate(step, dict(zip(names, (*p.values(), *X[k].tolist(), *e[k], *e_mid[k], *e[k + 1]))))
+        try:
+            ex.evaluate(step, dict(zip(names, (*p.values(), *X[k].tolist(), *e[k], *e_mid[k], *e[k + 1]))))
+        except ex.DomainError as err:
+            if str(err) != ex._NOT_FINITE:
+                raise
+            raise ex.NumericalError(str(err)) from None
     _check_domain(s, X, "trajectory exits domain")
     return DiscretizedMorphism(n=s.n, X=X, eta=eta.copy())
 

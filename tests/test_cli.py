@@ -426,23 +426,35 @@ def test_too_short_paths_are_usage_errors(argv, tmp_path, capsys):
     assert report["kind"] == "usage" and "at least 3 nodes" in report["error"]
 
 
-def test_lie_holonomy_overflow_is_a_usage_error(tmp_path, capsys):
+@pytest.mark.parametrize("spec", ["su2", "so3"])
+def test_lie_holonomy_overflow_is_a_numerical_error(spec, tmp_path, capsys):
+    # a valid morphism file whose holonomy the floats cannot hold
     path = tmp_path / "huge.json"
     path.write_text(json.dumps({"n": 3, "N": 2, "X": [[0.0, 0.0, 0.0]] * 3,
                                 "etaU": [[1e300, 0.0, 0.0]] * 3}))
-    code, _, err = run(["lie", "holonomy", "--spec", "so3", "--in", str(path)], capsys)
-    assert code == 2
-    assert json.loads(err)["error"] == "matrix exponential overflows"
+    code, out, err = run(["lie", "holonomy", "--spec", spec, "--in", str(path)], capsys)
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": "matrix exponential overflows", "kind": "numerical"}
 
 
-def test_lie_holonomy_of_a_huge_rotation_is_a_usage_error(tmp_path, capsys):
+def test_lie_holonomy_of_a_huge_rotation_is_a_numerical_error(tmp_path, capsys):
     # no squaring overflows here, but the parent printed the zero matrix
     path = tmp_path / "huge.json"
     path.write_text(json.dumps({"n": 3, "N": 2, "X": [[0.0, 0.0, 0.0]] * 3,
                                 "etaU": [[1e300, 1e300, 0.0]] * 3}))
     code, out, err = run(["lie", "holonomy", "--spec", "so3", "--in", str(path)], capsys)
     assert code == 2 and out == ""
-    assert "loses its accuracy" in json.loads(err)["error"]
+    report = json.loads(err)
+    assert "loses its accuracy" in report["error"] and report["kind"] == "numerical"
+
+
+def test_flow_solve_overflow_is_a_numerical_error(capsys):
+    # X' = -alpha(X) eta with alpha = x1 x2 and eta = (1e3, 1e3) blows up
+    # within the first steps; the input is valid, the trajectory overflows
+    code, out, err = run(["flow", "solve", "--structure", "phi2d:x1*x2", "--x0", "1,1",
+                          "--eta", "1e3;1e3", "--grid", "50"], capsys)
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": "value overflows or is not finite", "kind": "numerical"}
 
 
 def test_radial_analyze_json_and_csv(capsys):

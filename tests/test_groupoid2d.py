@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 
 import numpy as np
@@ -601,6 +602,7 @@ def test_sampling_refuses_a_negative_pi_box(sampler):
 def test_sampling_no_samples_draws_nothing(sampler):
     rng = np.random.default_rng(7)
     assert sampler(QP, BOX, 0, rng) == []
+    assert sampler(QP, BOX, -1, rng) == []
     assert rng.random() == np.random.default_rng(7).random()
 
 
@@ -626,9 +628,28 @@ def _candidate(p, d, rng, pi_box, x=None):
     return g, g2.contains(p, d, g)
 
 
+def _points_then_pairs(p, d, count, rng, pi_box=1.0):
+    """Two points, then count pairs, from one stream of blocks, as
+    verify_axioms draws its samples."""
+    points, pairs = g2._sample(p, d, 2, count, rng, pi_box)
+    return ([pt(*s) for s in points.transpose(2, 0, 1)]
+            + [(pt(*s[:2]), pt(*s[2:])) for s in pairs.transpose(2, 0, 1)])
+
+
+SAMPLERS = [g2.sample_points, g2.sample_composable_pairs, _points_then_pairs]
+
+
 def _one_at_a_time(p, d, count, rng, pairs, pi_box=1.0, max_tries=g2.SAMPLE_MAX_TRIES):
     """The samplers' rejection loop one try at a time: the samples, None if
-    max_tries ran out first, and every candidate drawn with its answer."""
+    max_tries ran out first, and every candidate drawn with its answer.
+    pairs: 0 for points, 1 for pairs, 2 for two points then the pairs, each
+    kind with max_tries of its own."""
+    if pairs == 2:
+        points, drawn = _one_at_a_time(p, d, 2, rng, 0, pi_box, max_tries)
+        if points is None:
+            return None, drawn
+        more, later = _one_at_a_time(p, d, count, rng, 1, pi_box, max_tries)
+        return (None if more is None else points + more), drawn + later
     out, drawn, tries = [], [], 0
     while len(out) < count and tries < max_tries:
         tries += 1
@@ -670,23 +691,27 @@ def test_verify_axioms_draws_its_samples_in_a_pinned_order():
     assert report["associativity"]["worst_point"][-2:] == [0.23041399782101113, -0.5037455698942837]
 
 
-@pytest.mark.parametrize("src, d, pi_box", [
+SAMPLER_CASES = [
     ("x1*x2", BOX, 1.0), ("sin(x1)+2", g2.Domain2D(-2, 2, -1, 3), 3.0), ("0", BOX, 1.0),
-    ("log(x1)", g2.Domain2D(-1, 3, -1, 1), 2.0), ("x1 - 1", g2.Domain2D(0, 2, 0, 1), 0.5)])
+    ("log(x1)", g2.Domain2D(-1, 3, -1, 1), 2.0), ("x1 - 1", g2.Domain2D(0, 2, 0, 1), 0.5)]
+
+
+@pytest.mark.parametrize("src, d, pi_box", SAMPLER_CASES)
 def test_block_samplers_match_tries_one_at_a_time(src, d, pi_box):
     # 30 samples take several blocks where few candidates are members
     p = g2.Phi2D.parse(src)
-    for pairs, sampler in enumerate([g2.sample_points, g2.sample_composable_pairs]):
+    for pairs, sampler in enumerate(SAMPLERS):
         rng, ref = np.random.default_rng(11), np.random.default_rng(11)
         want, _ = _one_at_a_time(p, d, 30, ref, pairs, pi_box)
         assert _bits(sampler(p, d, 30, rng, pi_box)) == _bits(want)
         assert rng.random() == ref.random()
 
 
-@pytest.mark.parametrize("pairs, sampler", enumerate([g2.sample_points, g2.sample_composable_pairs]))
+@pytest.mark.parametrize("pairs, sampler", enumerate(SAMPLERS))
 def test_a_raising_candidate_past_the_last_try_is_not_decided(pairs, sampler, monkeypatch):
     # a block draws past the last try; where it holds a candidate whose
-    # decision raises, smaller blocks stop short of it as tries one at a time do
+    # decision raises, smaller blocks stop short of it as tries one at a time
+    # do, also where it lies in the pair part of a block that served points
     samples, drawn = _one_at_a_time(QP, BOX, 3, np.random.default_rng(2), pairs)
     bad = _one_at_a_time(QP, BOX, 4, np.random.default_rng(2), pairs)[1][len(drawn)][0].x
     members = g2._members
@@ -707,22 +732,91 @@ def test_a_raising_candidate_past_the_last_try_is_not_decided(pairs, sampler, mo
 
 @pytest.mark.parametrize("src, d", [("1e6", g2.Domain2D(0, 1, 0, 1)), ("x1*x2", BOX)])
 @pytest.mark.parametrize("sampler, what", [(g2.sample_points, "groupoid points"),
-                                           (g2.sample_composable_pairs, "composable pairs")])
+                                           (g2.sample_composable_pairs, "composable pairs"),
+                                           (_points_then_pairs, "composable pairs")])
 def test_an_exhausted_sampler_stops_after_its_last_try(src, d, sampler, what, monkeypatch):
     # phi = 1e6 sends every ray with |pi| > 1e-6 out of the unit square: no
-    # candidate is a member, and 40 tries take 160 draws
+    # candidate is a member, and 40 tries take 160 draws; for x1*x2, two
+    # points then pairs exhaust the pairs' tries in the block of the points
     monkeypatch.setattr(g2, "SAMPLE_MAX_TRIES", 40)
+    if sampler is _points_then_pairs and src == "1e6":  # the points are never found
+        what = "groupoid points"
     p = g2.Phi2D.parse(src)
     rng, ref = np.random.default_rng(3), np.random.default_rng(3)
     with pytest.raises(RuntimeError, match=f"^sampling failed to find enough {what}$"):
         sampler(p, d, 1000, rng)
-    samples, drawn = _one_at_a_time(p, d, 1000, ref, sampler is g2.sample_composable_pairs, max_tries=40)
+    samples, drawn = _one_at_a_time(p, d, 1000, ref, SAMPLERS.index(sampler), max_tries=40)
     assert samples is None
     if src == "1e6":
         assert len(drawn) == 40 and not any(member for _, member in drawn)
         ref = np.random.default_rng(3)
         ref.random(160)
     assert rng.random() == ref.random()
+
+
+# the operations of the g2d-verify benchmark on BOX, with three fixed seeds
+# for 0 and sin(x1)+2, whose seeds it draws: (phi, samples, seed)
+VERIFY_OPS = [(src, 8, seed) for src in ("0", "sin(x1)+2") for seed in (7, 1234567, 2147483647)]
+VERIFY_OPS += [("x2", 16, 0), ("x1*x2", 10, 0), ("x1*x2", 10, 43)]
+# sha256 of json.dumps of each report: the operations above, then each of
+# SAMPLER_CASES at 1, 4, 30 and 100 samples, seed 11, in one digest
+VERIFY_REPORT_DIGESTS = [
+    "f1b973dc7e3b11da8a4a93bd2738b555c4aef59429e42d0ca5cf791333fd74ff",
+    "84adbb71dc686efb753d06c921bb89ee8a998c11a9ee866e8bf176e9704ae241",
+    "458a1cff318240ad21553d1730068a7bdbb7d5bb4d252bbeee0d2f1b8dcfdf5b",
+    "68f3d244c7084f002a495bbd6e183cd8f0681f2b954cd220aae84639a541690f",
+    "aaa87f578aa9ba64baa1986c533f68f836ef8c5266fd813cb26a681ddf5619b2",
+    "7a4719be1fa1a5dd93b13ee8a4d12859e4b9ddaf2f3faf270db5a56b5152d2d5",
+    "d1cf6b08f097b0f34fe0b542aaa87afcbf3db19398fbc9c6ab0eb083633ac114",
+    "46c9674014b038470187dbbaaf9f06bb6b37b1e1f57d1a54f6d1125df56b868c",
+    "3068a85f13263b17913adc5535a56fdeac3d05d60917e1d7abaf8be0c8ee0193",
+    "3f5796dd3c056de69e10dc0990f7daeb76a8e2d7f076154af57409beb845ab3b",
+    "9c74acfed2e515752740ba5bed74f35556afce0b5fc24c052837b6ae92cad7de",
+    "66f0e8f4a05fb3f6c792a563898446a9d01304fedc5fbfbb550a323d38bb0647",
+    "db68d5f4f346fd772a335ac0c01af3bbe6b8a74a40b83973a2b5aabe622f4bdf",
+    "784918c52e66aab1547c3f43315cb430b2fa51890b11273462e16b84b58544b0",
+]
+
+
+def test_verify_reports_are_pinned():
+    # every sample, third factor and deviation of the reports keeps its
+    # bits; the benchmark checks its reports against the tolerances on
+    # fixed seeds, where a changed sample can flip d_omega past 1e-4
+    digests = []
+    for src, samples, seed in VERIFY_OPS:
+        report = g2.verify_axioms(g2.Phi2D.parse(src), BOX, samples=samples, seed=seed)
+        digests.append(hashlib.sha256(json.dumps(report).encode()).hexdigest())
+    for src, d, pi_box in SAMPLER_CASES:
+        digest = hashlib.sha256()
+        for samples in (1, 4, 30, 100):
+            report = g2.verify_axioms(g2.Phi2D.parse(src), d, samples=samples, seed=11, pi_box=pi_box)
+            digest.update(json.dumps(report).encode())
+        digests.append(digest.hexdigest())
+    assert digests == VERIFY_REPORT_DIGESTS
+
+
+def test_verify_axioms_decides_membership_in_three_passes(monkeypatch):
+    # one block gives the points and the pairs (its g, then its second
+    # factors), and the third factors take one more
+    passes, members = [], g2._members
+    monkeypatch.setattr(g2, "_members", lambda *args: passes.append(args[2].shape[1]) or members(*args))
+    for src, samples, seed in VERIFY_OPS:
+        passes.clear()
+        g2.verify_axioms(g2.Phi2D.parse(src), BOX, samples=samples, seed=seed)
+        assert len(passes) == 3 and passes[-1] == samples, (src, seed, passes)
+
+
+def test_a_first_block_holds_the_slack_past_the_fewest_candidates(monkeypatch):
+    # for phi = 0 every candidate is a member, so the tries take 2 candidates
+    # a point and 3 a pair; a first block has SAMPLE_SLACK more, and points
+    # alone are decided at every second candidate, where their tries start
+    sizes, members = [], g2._members
+    monkeypatch.setattr(g2, "_members", lambda *args: sizes.append(args[2].shape[1]) or members(*args))
+    zero = g2.Phi2D.parse("0")
+    g2.verify_axioms(zero, BOX, samples=100, seed=0)
+    g2.sample_points(zero, BOX, 100, np.random.default_rng(0))
+    assert len(sizes) == 4 and sizes[0] == 500 + g2.SAMPLE_SLACK
+    assert sizes[3] == (200 + g2.SAMPLE_SLACK) // 2
 
 
 # domain-limited phi: a block where phi raises DomainError is decided point

@@ -313,6 +313,8 @@ def test_solve_gauss_fails_as_one_step_per_interval_does(alpha, rate, N, message
     with pytest.raises(ex.DomainError) as got:
         ps.solve_gauss(s, x0, eta)
     assert str(got.value) == want
+    # a step from finite values that overflows is a numerical failure, not a value outside a domain
+    assert isinstance(got.value, ex.NumericalError) == (want == _NOT_FINITE)
     assert np.array_equal(ps.solve_gauss(s, x0, 1e-3 * eta).X, _solve_gauss_by_steps(s, x0, 1e-3 * eta)[0])
 
 

@@ -386,17 +386,19 @@ class Program:
     def loop(self, state, sequences):
         """The roots iterated on Python floats, as a compiled run(x, values, p):
         from the state x, of the variables ``state`` names (one per root), each
-        step binds the next row of each sequence of ``values`` to the variables
-        of ``sequences`` and the rest from ``p``, and makes the roots the state.
-        run returns the states after each step in one list, up to the first step
-        that raises; where ``evaluate`` raises, a step may give a state not finite."""
+        step binds the next entry of each list of ``values``, a column for each
+        variable of ``sequences`` in order (else ValueError), the rest from ``p``,
+        and makes the roots the state. run returns the states after each step in
+        one list, up to the first step that raises; where ``evaluate`` raises, a
+        step may give a state not finite."""
         if len(state) != len(self._results):
             raise ValueError(f"need one state variable per root, got {len(state)} for {len(self._results)}")
-        slots, results = self._variables, "".join(f"{r}, " for r in self._results)
+        slots, results, bound = self._variables, "".join(f"{r}, " for r in self._results), sum(sequences, [])
         target = lambda names: "".join(f"{slots.get(v, '_')}, " for v in names)  # "_": not read
-        body = [*(f"{name} = p[{v!r}]" for v, name in slots.items() if v not in set(state).union(*sequences)),
-                f"{target(state)}= x", "out = []", "try:",
-                f"    for {', '.join(f'({target(row)})' for row in sequences)} in zip(*values):",
+        body = [*(f"{name} = p[{v!r}]" for v, name in slots.items() if v not in {*state, *bound}),
+                f"if len(values) != {len(bound)}: raise ValueError(f'need {len(bound)} sequences, "
+                f"one per variable, got {{len(values)}}')", f"{target(state)}= x", "out = []", "try:",
+                f"    for {target(bound)}in zip(*values):",
                 *(f"        {line}" for _, python in self._lines for line in python or ()),
                 f"        out += {results}", f"        {target(state)}= {results}",
                 "except (ArithmeticError, ValueError):", "    pass", "return out"]
@@ -417,12 +419,15 @@ class Program:
 
 _OPERATORS = {Neg: "NEG", Add: "ADD", Sub: "SUB", Mul: "MUL", Div: "DIV"}
 _PYTHON = {Neg: "-{}", Add: "{} + {}", Sub: "{} - {}", Mul: "{} * {}"}  # the operations that check nothing
+# the code of each source, compiled once per process: a memo of the last 256 distinct sources
+_code = functools.lru_cache(maxsize=256)(lambda source: compile(source, "<expr.Program>", "exec"))
 
 
 def _define(parameters, body, *operations, **constants):
-    """The source of run(parameters) with the lines ``body``, and run in each namespace."""
+    """The source of run(parameters) with the lines ``body``, and run in each namespace. The
+    constants live in the namespaces, so Programs that differ only in them share one code."""
     source = f"def run({parameters}):\n" + "".join(f"    {line}\n" for line in body)
-    code, namespaces = compile(source, "<expr.Program>", "exec"), [dict(o, **constants) for o in operations]
+    code, namespaces = _code(source), [dict(o, **constants) for o in operations]
     for namespace in namespaces:
         exec(code, namespace)
     return [source] + [namespace["run"] for namespace in namespaces]

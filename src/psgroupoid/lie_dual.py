@@ -20,6 +20,7 @@ has vanishing Gauss residual and concatenation maps to (xi, g . h)."""
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -52,6 +53,9 @@ def expm(a) -> np.ndarray:
     times (Moler & Van Loan, SIAM Rev. 45, 2003). The Taylor degree is
     the least whose remainder bound at the stack's largest halved norm is
     that of EXPM_ORDER at EXPM_THETA: 5 at the norms of holonomy steps.
+    The infinity norms are taken by d elementwise adds and maxima, the row
+    sums in ``np.sum``'s order (for d < 8, term by term): a reduction over
+    an axis of length d costs more than the rest of a small stack's call.
     ``ex.NumericalError``, a ValueError, where a squaring overflows, and
     where a matrix halved more than EXPM_CHECKED_HALVINGS times has
     |log det exp A - tr A| > EXPM_DET_TOL:
@@ -62,7 +66,8 @@ def expm(a) -> np.ndarray:
     a = np.asarray(a, dtype=float)
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix exponential of a non-finite matrix")
-    norm = np.max(np.sum(np.abs(a), axis=-1), axis=-1)
+    rows = functools.reduce(np.add, np.moveaxis(np.abs(a), -1, 0))  # row sums
+    norm = functools.reduce(np.maximum, np.moveaxis(rows, -1, 0))
     s = np.maximum(np.frexp(norm / EXPM_THETA)[1], 0)
     scaled = np.ldexp(a, -s[..., None, None])
     # the least degree m >= 1 whose remainder bound mu^(m+1) / (m+1)! at the
@@ -71,8 +76,8 @@ def expm(a) -> np.ndarray:
     bound = EXPM_THETA ** (EXPM_ORDER + 1) / math.factorial(EXPM_ORDER + 1)
     m = next((k for k in range(1, EXPM_ORDER) if mu ** (k + 1) / math.factorial(k + 1) <= bound), EXPM_ORDER)
     eye = np.eye(a.shape[-1])
-    t = eye
-    for k in range(m, 0, -1):
+    t = eye + scaled / m  # Horner from eye: scaled @ eye is scaled
+    for k in range(m - 1, 0, -1):
         t = eye + (scaled @ t) / k
     with np.errstate(over="ignore", invalid="ignore"):
         for level in range(int(np.max(s, initial=0))):

@@ -11,11 +11,13 @@ interpolation), all second order in du, and ``cubic_midpoints`` (the
 cubic through four neighbouring nodes, fourth order), which
 ``solve_gauss`` uses, so that solver is fourth order. Its RK4 step is one
 ``ex.Program``, compiled from the bivector once per structure, with the
-loop (``Program.loop``) that runs all its steps on Python floats.
+loop (``Program.loop``) that runs all its steps on Python floats, on the
+columns of eta and of its midpoints.
 
 ``gauge_flow`` steps the stacked state (X; eta), shape (2n, N+1), by one
 call per RK4 stage of the gauge field's ``ex.Program`` (one per structure
-and beta), and doubles its step count until two successive flows agree.
+and beta), and doubles its step count until two successive flows agree;
+the flows share one evaluation of the field at the start.
 ``check_solution`` decides what counts as a constraint solution.
 """
 
@@ -296,19 +298,18 @@ def solve_gauss(s: PoissonStructure, x0, eta: np.ndarray) -> DiscretizedMorphism
     N = len(eta) - 1
     x = s.check_point(x0).tolist()
     du = 1.0 / N
-    # alpha(x) (-eta) has the bits of -(alpha(x) eta); negating eta and
-    # forming its midpoints once per path saves operations per step
-    e = -eta
-    e_mid = cubic_midpoints(e).tolist()
-    e = e.tolist()
+    # alpha(x) (-eta) has the bits of -(alpha(x) eta); negating eta and forming its
+    # midpoints once per path saves operations per step. The loop takes columns
+    e = (-eta).T.tolist()
+    columns = [*e, *cubic_midpoints(-eta).T.tolist(), *(c[1:] for c in e)]  # c[1:]: the next nodes
     names, step, loop = _gauss_step(s)
     p = {"du": du, "half": 0.5 * du, "sixth": du / 6.0}
-    X = np.array(x + loop(x, (e, e_mid, e[1:]), p)).reshape(-1, s.n)
+    X = np.array(x + loop(x, columns, p)).reshape(-1, s.n)
     k = min([len(X) - 1, *np.flatnonzero(~np.isfinite(X[1:]).all(axis=1))])  # the first step that failed
     if k < N:  # evaluated alone, that step raises its DomainError
         _check_domain(s, X[:k + 1], "trajectory exits domain")
         try:
-            ex.evaluate(step, dict(zip(names, (*p.values(), *X[k].tolist(), *e[k], *e_mid[k], *e[k + 1]))))
+            ex.evaluate(step, dict(zip(names, (*p.values(), *X[k].tolist(), *(c[k] for c in columns)))))
         except ex.DomainError as err:
             if str(err) != ex._NOT_FINITE:
                 raise
@@ -388,7 +389,8 @@ def gauge_flow(s: PoissonStructure, m: DiscretizedMorphism, beta: GaugeField,
     gauge field of beta over [0, s_total] by k = 1, 2, 4, ..., FLOW_MAX_STEPS RK4
     steps on Y = (X; eta), to the first flow within FLOW_TOL (1 + max|Y|) of the last.
     beta must vanish at the path's first node at u = 0 and its last at u = 1,
-    to 1e-12 max(1, max|X|) there, so that dX = -alpha(X) beta keeps both ends."""
+    to 1e-12 max(1, max|X|) there, so that dX = -alpha(X) beta keeps both ends.
+    Where the flow of FLOW_MAX_STEPS steps overflows, ``ex.NumericalError``."""
     if not np.isfinite(s_total):
         raise ValueError(f"gauge_flow needs a finite s_total, got {s_total}")
     if FLOW_MAX_STEPS < 1:
@@ -400,20 +402,23 @@ def gauge_flow(s: PoissonStructure, m: DiscretizedMorphism, beta: GaugeField,
     for u_end, x, b in zip((0, 1), m.X[[0, -1]], beta.value(m.X[[0, -1]], np.array([0.0, 1.0]))):
         if not np.max(np.abs(b)) <= 1e-12 * max(1.0, np.max(np.abs(x))):
             raise ValueError(f"gauge field does not vanish at u = {u_end}")
-    previous = np.full_like(start, np.nan)  # agrees with no flow
+    previous, rate = np.full_like(start, np.nan), None  # agrees with no flow; the field at start
     for steps in (2 ** k for k in range(FLOW_MAX_STEPS.bit_length())):
         h, Y = s_total / steps, start
         try:
-            for _ in range(steps):
-                k1 = field(Y)
+            rate = field(start) if rate is None else rate  # every flow's first stage
+            for i in range(steps):
+                k1 = field(Y) if i else rate
                 k2 = field(Y + 0.5 * h * k1)
                 k3 = field(Y + 0.5 * h * k2)
                 k4 = field(Y + h * k3)
                 Y = Y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        except ex.DomainError:  # a coarse flow may leave a domain that finer ones keep to
-            if steps == FLOW_MAX_STEPS:
+        except ex.DomainError as err:  # a coarse flow may leave a domain that finer ones keep to
+            if steps < FLOW_MAX_STEPS:
+                continue
+            if str(err) != ex._NOT_FINITE:
                 raise
-            continue
+            raise ex.NumericalError(str(err)) from None
         if np.max(np.abs(Y - previous)) <= FLOW_TOL * (1.0 + np.max(np.abs(Y))):
             break
         previous = Y

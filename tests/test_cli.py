@@ -629,6 +629,15 @@ def test_flow_gauge_refuses_a_time_that_is_not_finite(tmp_path, capsys, time):
                                "kind": "usage"}
 
 
+def test_an_overflowing_gauge_flow_is_numerical(tmp_path, capsys):
+    # every flow overflows, and the finest one's error used to print "kind": "usage"
+    path = _morphism_file(tmp_path, capsys, "phi2d:x1*x2", "1,1", "0;0", grid=50)
+    code, out, err = run(["flow", "gauge", "--structure", "phi2d:x1*x2", "--in", path,
+                          "--beta", "1e200*u*(1-u)*x2;1e200*u*(1-u)*x1"], capsys)
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": "value overflows or is not finite", "kind": "numerical"}
+
+
 def test_flow_gauge_checks_beta_at_the_path_ends(tmp_path, capsys):
     # log(x1) is undefined on half of the box [-2, 2]^2 that construction
     # used to sample; on this path x1 stays in [0.957, 1]

@@ -272,6 +272,17 @@ def test_functions_have_the_same_bits_on_numbers_arrays_and_loops(src):
     assert np.array(loop([0.0], [x.tolist()], {})).tobytes() == arrays
 
 
+def test_a_loop_binds_one_column_per_variable():
+    # one sequence of two variables used to end in a ValueError that the
+    # loop took for a failed step, and so to give []
+    e = ex.parse("y + x1*x2", ["y", "x1", "x2"])
+    for sequences in ([["x1", "x2"]], [["x1"], ["x2"]]):
+        loop = ex.Program([e]).loop(["y"], sequences)
+        assert loop([0.0], [[1.0, 3.0], [2.0, 4.0]], {}) == [2.0, 14.0]
+        with pytest.raises(ValueError, match="^need 2 sequences, one per variable, got 1$"):
+            loop([0.0], [[(1.0, 2.0), (3.0, 4.0)]], {})
+
+
 def test_exp_overflows_on_a_number_without_a_warning():
     e = ex.parse("exp(x1)", VARS)
     for x1 in (709.782712893384, 710.0, 1e300):
@@ -351,10 +362,7 @@ def test_program_gives_each_root_its_own_value():
             ex.evaluate(program, {"x1": 0.3, "x2": x2})
 
 
-def test_a_program_compiles_its_interval_form_on_first_use(monkeypatch):
-    compiled = []
-    monkeypatch.setattr(ex, "compile", lambda source, *a: compiled.append(source) or compile(source, *a),
-                        raising=False)
+def test_a_program_compiles_its_interval_form_on_first_use(compiled):
     program = ex.Program(ex.parse("sqrt(x1)*x2 + x1^3", VARS))
     ex.evaluate(program, {"x1": 0.5, "x2": 2.0})
     ex.evaluate(program, {"x1": np.ones(3), "x2": 2.0})
@@ -362,6 +370,8 @@ def test_a_program_compiles_its_interval_form_on_first_use(monkeypatch):
     for _ in range(2):
         ex.evaluate_interval(program, {"x1": (0.5, 1.0), "x2": (2.0, 3.0)})
     assert len(compiled) == 2 and "MUL(" in compiled[1]
+    # the memo would hide a rebuilt interval form from ``compiled``: pin the build itself
+    assert program.intervals is program.intervals
 
 
 def test_differentiate_known():

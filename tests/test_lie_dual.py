@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -141,6 +142,42 @@ def test_expm_of_small_and_zero_stacks(name):
     assert np.max(np.abs(taylor - np.array([expm(a) for a in rho]))) <= 2.0 ** -52  # an ulp of 1
     zero = np.zeros((2, 5, spec.d, spec.d))
     assert np.array_equal(ld.expm(zero), np.broadcast_to(np.eye(spec.d), zero.shape))
+
+
+def _expm_by_reductions(a):
+    """``expm`` of a finite stack as written with reductions: the norms by
+    np.sum and np.max, Horner from eye, every squaring through np.where;
+    with its s and its degree."""
+    norm = np.max(np.sum(np.abs(a), -1), -1)
+    s = np.maximum(np.frexp(norm / ld.EXPM_THETA)[1], 0)
+    scaled = np.ldexp(a, -s[..., None, None])
+    mu = np.max(np.ldexp(norm, -s), initial=0.0)
+    bound = ld.EXPM_THETA ** (ld.EXPM_ORDER + 1) / math.factorial(ld.EXPM_ORDER + 1)
+    m = next((k for k in range(1, ld.EXPM_ORDER) if mu ** (k + 1) / math.factorial(k + 1) <= bound), ld.EXPM_ORDER)
+    t = eye = np.eye(a.shape[-1])
+    for k in range(m, 0, -1):
+        t = eye + (scaled @ t) / k
+    for level in range(int(np.max(s, initial=0))):
+        t = np.where((s > level)[..., None, None], t @ t, t)
+    return t, s, m
+
+
+@pytest.mark.parametrize("name", SPECS)
+def test_expm_of_halved_stacks_keeps_the_bits_of_the_reductions(name):
+    spec = ld.builtin_spec(name)
+    # the stack of from_groupoid: s up to 2, degree 14
+    ad = np.einsum("j,jim->mi", np.array([1.0, 0.5, 0.3]), spec.f)
+    geodesic = np.linspace(0, 1, 501)[:, None, None] * ad
+    t, s, m = _expm_by_reductions(geodesic)
+    assert s.max() == 2 and m == 14
+    assert ld.expm(geodesic).tobytes() == t.tobytes()
+    # mixed s, all of them halved: the first squarings square every matrix
+    w = np.random.default_rng(12).standard_normal((60, 3))
+    w *= (np.geomspace(1.0, 40.0, 60) / np.linalg.norm(w, axis=1))[:, None]
+    mixed = np.einsum("mj,jab->mab", w, spec.basis)
+    t, s, m = _expm_by_reductions(mixed)
+    assert s.min() > 0 and len(set(s.tolist())) >= 5
+    assert ld.expm(mixed).tobytes() == t.tobytes()
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

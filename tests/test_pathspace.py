@@ -223,12 +223,10 @@ def test_solve_gauss_gives_the_bits_of_four_sharp_calls_per_interval(name):
     assert np.array_equal(ps.solve_gauss(s, x0, eta).X, _solve_gauss_by_sharp(s, x0, eta))
 
 
-def test_solve_gauss_compiles_its_step_once(monkeypatch):
+def test_solve_gauss_compiles_its_step_once(monkeypatch, compiled):
     s, eta = _phi_structure("sin(x1)+2"), _smooth_eta(20, 2)
-    built, program, compiled = [], ex.Program, []
+    built, program = [], ex.Program
     monkeypatch.setattr(ex, "Program", lambda *a: built.append(a) or program(*a))
-    monkeypatch.setattr(ex, "compile", lambda source, *a: compiled.append(source) or compile(source, *a),
-                        raising=False)
     for x0 in ([1.0, 0.5], [0.3, -0.2]):
         ps.solve_gauss(s, x0, eta)
         # the step and its loop, and no interval form
@@ -677,15 +675,14 @@ def test_gauge_field_raises_the_domain_error_of_the_evaluator_calls(structure, s
         ps._gauge_field(s, beta, at)(Y)
 
 
-def test_gauge_field_compiles_once_per_structure_and_beta(monkeypatch):
+def test_gauge_field_compiles_once_per_structure_and_beta(monkeypatch, compiled):
     s = _phi_structure()
     m = ps.solve_gauss(s, [1.0, 1.0], _smooth_eta(1000, 2, seed=16))
     beta = ps.GaugeField.parse(["0.2*sin(3.141592653589793*u)*x2", "0.1*u*(1-u)*x1"], 2)
     ps.gauss_residual(s, m)  # compiles sharp
-    built, program, compiled, evaluated, evaluate = [], ex.Program, [], [], ex.evaluate
+    built, program, evaluated, evaluate = [], ex.Program, [], ex.evaluate
     monkeypatch.setattr(ex, "Program", lambda *a: built.append(a) or program(*a))
-    monkeypatch.setattr(ex, "compile", lambda source, *a: compiled.append(source) or compile(source, *a),
-                        raising=False)
+    compiled.clear()
     ps.gauge_flow(s, m, beta, s_total=0.5)
     assert len(built) == len(compiled) == 1  # the field
     ps.gauge_flow(s, m, beta, s_total=0.5)
@@ -695,8 +692,10 @@ def test_gauge_field_compiles_once_per_structure_and_beta(monkeypatch):
     monkeypatch.setattr(ex, "evaluate", lambda *a: evaluated.append(a) or evaluate(*a))
     field(Y)
     assert len(evaluated) == 1 and len(built) == 2
-    # the cache keeps neither the gauge field nor the structure alive
+    # neither the cache nor the memo of compiled sources keeps the gauge
+    # field or the structure alive
     monkeypatch.undo()
+    assert ex._code.cache_info().currsize >= 2
     beta_ref, s_ref, cache = weakref.ref(beta), weakref.ref(s), weakref.ref(beta._programs)
     assert list(cache()) == [s]
     del s, m
@@ -705,6 +704,68 @@ def test_gauge_field_compiles_once_per_structure_and_beta(monkeypatch):
     del beta
     gc.collect()
     assert beta_ref() is None and cache() is None
+
+
+def test_gauge_fields_that_differ_in_their_constants_share_one_field_compile(compiled):
+    s = _phi_structure()
+    m = ps.solve_gauss(s, [1.0, 1.0], _smooth_eta(1000, 2, seed=16))
+    sources = ["{}*sin(3.141592653589793*u)*x2", "{}*u*(1-u)*x1"]
+
+    def flow(c1, c2):
+        return ps.gauge_flow(s, m, ps.GaugeField.parse([f.format(c) for f, c in zip(sources, (c1, c2))], 2), 0.5)
+
+    flow(0.2, 0.1)
+    count = len(compiled)
+    second = flow(0.13, 0.07)
+    assert len(compiled) == count and sum("p['p1']" in source for source in compiled) == 1  # the field's
+    ex._code.cache_clear()
+    fresh = flow(0.13, 0.07)
+    assert len(compiled) > count
+    assert second.X.tobytes() == fresh.X.tobytes() and second.eta.tobytes() == fresh.eta.tobytes()
+
+
+def _gauge_flow_by_doubling(s, m, beta, s_total):
+    """gauge_flow's doubling loop with the field evaluated at every stage, for
+    flows that stay in the domain: Y and the step counts of the flows."""
+    field, start = ps._gauge_field(s, beta, m.u), np.concatenate([m.X.T, m.eta.T])
+    previous, tried = np.full_like(start, np.nan), []
+    for steps in (2 ** k for k in range(ps.FLOW_MAX_STEPS.bit_length())):
+        h, Y = s_total / steps, start
+        tried.append(steps)
+        for _ in range(steps):
+            k1 = field(Y)
+            k2 = field(Y + 0.5 * h * k1)
+            k3 = field(Y + 0.5 * h * k2)
+            k4 = field(Y + h * k3)
+            Y = Y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        if np.max(np.abs(Y - previous)) <= ps.FLOW_TOL * (1.0 + np.max(np.abs(Y))):
+            break
+        previous = Y
+    return Y, tried
+
+
+@pytest.mark.parametrize("name", ["x1*x2", "su2"])
+def test_gauge_flow_keeps_the_bits_of_its_doubling_loop_and_evaluates_the_start_once(name, monkeypatch):
+    if name == "su2":
+        spec = ld.builtin_spec(name)
+        g = ld.expm(spec.rho([0.4, 0.1, -0.3]))
+        s, m = ld.kk_structure(spec), ld.from_groupoid(spec, [0.3, -0.2, 0.5], g, N=400)
+        beta = ps.GaugeField.parse(["0.3*u*(1-u)*x2", "0.2*u*(1-u)*x3", "0.1*sin(3.141592653589793*u)"], 3)
+    else:
+        s = _phi_structure(name)
+        m = ps.solve_gauss(s, [1.0, 1.0], _smooth_eta(1000, 2, seed=16))
+        beta = ps.GaugeField.parse(["0.1*sin(3.141592653589793*u)*x2", "0.1*u*(1-u)*x1"], 2)
+    Y, tried = _gauge_flow_by_doubling(s, m, beta, 1.0)
+    evaluations, gauge_field = [], ps._gauge_field
+
+    def counted(*args):
+        field = gauge_field(*args)
+        return lambda Y: evaluations.append(1) or field(Y)
+    monkeypatch.setattr(ps, "_gauge_field", counted)
+    flowed = ps.gauge_flow(s, m, beta, 1.0)
+    assert flowed.X.tobytes() == Y[:s.n].T.tobytes() and flowed.eta.tobytes() == Y[s.n:].T.tobytes()
+    assert tried[-1] >= (8 if name == "x1*x2" else 2)
+    assert len(evaluations) == sum(4 * steps for steps in tried) - (len(tried) - 1)
 
 
 _EPS2 = np.array([[0.0, 1.0], [-1.0, 0.0]])

@@ -12,8 +12,7 @@ Subcommand groups:
 Exit codes: 0 success, 1 verification failure, 2 usage or parse error
 (``"kind": "usage"``) or a numerical failure on valid input (``"kind":
 "numerical"``: sampler exhaustion, an unconverged ray integral, a matrix
-exponential that overflows or loses its accuracy, a ``flow solve``
-trajectory that overflows).
+exponential that overflows, a ``flow solve`` trajectory that overflows).
 JSON output prints each float in the shortest form that reads back to
 the same double; errors go to standard error as a JSON object. Each
 command imports only the model modules it runs (``pathspace`` only for

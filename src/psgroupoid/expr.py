@@ -61,8 +61,8 @@ class DomainError(ExprError, ValueError):
 
 class NumericalError(DomainError):
     """A computation on valid input that overflows the floats: a trajectory
-    of ``pathspace.solve_gauss``, a ``lie_dual.expm``. The CLI reports it
-    as a numerical failure, not as bad input."""
+    of ``pathspace.solve_gauss``, a ``lie_dual`` exponential. The CLI
+    reports it as a numerical failure, not as bad input."""
 
 
 class _Record:

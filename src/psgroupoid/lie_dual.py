@@ -50,9 +50,11 @@ EXPM_DET_TOL = 1e-6
 def expm(a) -> np.ndarray:
     """Exponential of a matrix or a stack (..., d, d): each matrix halved
     s times to infinity norm <= EXPM_THETA, Taylor by Horner, squared s
-    times (Moler & Van Loan, SIAM Rev. 45, 2003). The Taylor degree is
-    the least whose remainder bound at the stack's largest halved norm is
-    that of EXPM_ORDER at EXPM_THETA: 5 at the norms of holonomy steps.
+    times (Moler & Van Loan, SIAM Rev. 45, 2003). ``LieAlgebraSpec.exp``
+    and ``.transport`` call it for a spec without ``rodrigues``; no
+    built-in spec is one. The Taylor degree is the least whose remainder
+    bound at the stack's largest halved norm is that of EXPM_ORDER at
+    EXPM_THETA: 5 at the norms of holonomy steps.
     The infinity norms are taken by d elementwise adds and maxima, the row
     sums in ``np.sum``'s order (for d < 8, term by term): a reduction over
     an axis of length d costs more than the rest of a small stack's call.
@@ -82,8 +84,7 @@ def expm(a) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         for level in range(int(np.max(s, initial=0))):
             t = np.where((s > level)[..., None, None], t @ t, t)
-    if not np.all(np.isfinite(t)):
-        raise ex.NumericalError("matrix exponential overflows")
+    _finite(t)
     checked = s > EXPM_CHECKED_HALVINGS
     if np.any(checked):
         sign, logdet = np.linalg.slogdet(t[checked])
@@ -93,12 +94,50 @@ def expm(a) -> np.ndarray:
     return t
 
 
+def _finite(t) -> np.ndarray:
+    """t, or ``ex.NumericalError`` where an exponential overflowed in it."""
+    if not np.all(np.isfinite(t)):
+        raise ex.NumericalError("matrix exponential overflows")
+    return t
+
+
+def _rodrigues(w, angle, scale=1.0):
+    """Rodrigues' formula (Murray, Li & Sastry 1994, ch. 2) for the stacked
+    matrices K = scale rep(w) of a linear rep with K^3 = -theta^2 K, theta =
+    angle r, r = |scale w|: exp K = I + a U + 2 (h U)^2 for U = rep(u), u =
+    w / |w|, with a = r sin(theta) / theta = sin(theta) / angle and h =
+    r sin(theta / 2) / theta = sin(theta / 2) / angle (as 1 - cos theta =
+    2 sin(theta / 2)^2), or a = r and h = r / 2 where angle = 0 (K^3 = 0).
+    Returns (u, a, h). |w| is taken by hypot, so it does not overflow; U
+    has unit size and r enters h before the square, so (h U)^2 neither
+    overflows for a huge rotation nor underflows. ValueError for a
+    non-finite w, ``ex.NumericalError`` where |w| overflows."""
+    w = np.asarray(w, dtype=float)
+    if not np.all(np.isfinite(w)):
+        raise ValueError("matrix exponential of a non-finite matrix")
+    with np.errstate(over="ignore"):
+        norm = _finite(functools.reduce(np.hypot, np.moveaxis(w, -1, 0)))
+    # w = 0 where norm = 0, and every norm > 0 is at least the least subnormal
+    u = w / np.maximum(norm, np.finfo(float).smallest_subnormal)[..., None]
+    r = scale * norm
+    if angle == 0.0:
+        return u, r, 0.5 * r
+    theta = angle * r
+    return u, np.sin(theta) / angle, np.sin(0.5 * theta) / angle
+
+
 @dataclass(frozen=True)
 class LieAlgebraSpec:
     """Structure constants f[i, j, k] (antisymmetric in i, j), a faithful
     matrix representation of the basis, a projection back onto the group
     manifold and a group logarithm, principal away from angle pi; su2 and
-    so3 give one at pi too (``_quat_log``, ``_so3_log``)."""
+    so3 give one at pi too (``_quat_log``, ``_so3_log``).
+
+    ``rodrigues`` = (c_rho, c_ad) states that K^3 = -theta^2 K with theta =
+    c_rho |w| for K = rho(w), and with theta = c_ad |w| for K = ad_w: then
+    ``exp`` and ``transport`` take Rodrigues' closed form (``_rodrigues``).
+    Every built-in spec gives it: su2 (1/2, 1), so3 (1, 1), heisenberg3
+    (0, 0). Without it (None) both take ``expm``."""
 
     n: int
     f: np.ndarray
@@ -106,6 +145,7 @@ class LieAlgebraSpec:
     project: Callable[[np.ndarray], np.ndarray]
     log: Callable[[np.ndarray], np.ndarray]
     name: str = "lie"
+    rodrigues: tuple[float, float] | None = None
     _basis_pinv: np.ndarray = field(init=False, repr=False)
     _kk_structure: PoissonStructure = field(init=False, repr=False)
 
@@ -123,9 +163,33 @@ class LieAlgebraSpec:
         return self.basis.shape[1]
 
     def rho(self, components) -> np.ndarray:
-        """Algebra element with the given components as a matrix."""
-        return np.einsum("j,jab->ab", np.asarray(components, dtype=float),
-                         self.basis)
+        """Algebra elements with the given stacked components (..., n) as
+        matrices (..., d, d)."""
+        c = np.asarray(components, dtype=float)
+        return (c @ self.basis.reshape(self.n, -1)).reshape(*c.shape[:-1], self.d, self.d)
+
+    def exp(self, w) -> np.ndarray:
+        """Group elements exp rho(w) for stacked components w (..., n)."""
+        if self.rodrigues is None:
+            return expm(self.rho(w))
+        u, a, h = _rodrigues(w, self.rodrigues[0])
+        hk = self.rho(h[..., None] * u)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _finite(np.eye(self.d) + self.rho(a[..., None] * u) + 2.0 * (hk @ hk))
+
+    def transport(self, xi, w, s) -> np.ndarray:
+        """Rows xi exp(s_k ad_w) for a vector s, with [w, e_i] = ad_w[m, i]
+        e_m: the coadjoint transport of xi along exp(s rho(w)). With
+        ``rodrigues`` they are xi + a_k xi U + 2 h_k^2 xi U^2 for U = ad_u,
+        u = w / |w|, and no stack of matrices is formed."""
+        xi, w, s = (np.asarray(x, dtype=float) for x in (xi, w, s))
+        if self.rodrigues is None:
+            return xi @ expm(s[:, None, None] * np.einsum("j,jim->mi", w, self.f))
+        u, a, h = _rodrigues(w, self.rodrigues[1], s)
+        ad = np.einsum("j,jim->mi", u, self.f)
+        v = xi @ ad
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _finite(xi + np.outer(a, v) + 2.0 * h[:, None] * np.outer(h, v @ ad))
 
     def components(self, matrix) -> np.ndarray:
         """Inverse of ``rho`` (least squares onto the basis span)."""
@@ -207,7 +271,7 @@ def _su2_spec():
         quat_to_matrix([0.0, 0.0, 0.0, 0.5]),
     ])
     return LieAlgebraSpec(n=3, f=_EPS3, basis=basis, project=_quat_project,
-                          log=_quat_log, name="su2")
+                          log=_quat_log, name="su2", rodrigues=(0.5, 1.0))
 
 
 def _so3_project(m):
@@ -234,7 +298,7 @@ def _so3_log(m):
 def _so3_spec():
     # rho(w) v = w x v: [e_i, e_j] = eps_{ijk} e_k
     return LieAlgebraSpec(n=3, f=_EPS3, basis=-_EPS3, project=_so3_project,
-                          log=_so3_log, name="so3")
+                          log=_so3_log, name="so3", rodrigues=(1.0, 1.0))
 
 
 def _heis_project(m):
@@ -256,7 +320,7 @@ def _heisenberg_spec():
     basis[1, 1, 2] = 1.0  # e2 = E_{23}
     basis[2, 0, 2] = 1.0  # e3 = E_{13}
     return LieAlgebraSpec(n=3, f=f, basis=basis, project=_heis_project,
-                          log=_heis_log, name="heisenberg3")
+                          log=_heis_log, name="heisenberg3", rodrigues=(0.0, 0.0))
 
 
 _BUILTINS = {"su2": _su2_spec, "so3": _so3_spec, "heisenberg3": _heisenberg_spec}
@@ -281,12 +345,12 @@ def kk_structure(spec: LieAlgebraSpec) -> PoissonStructure:
 def holonomy(spec: LieAlgebraSpec, m: ps.DiscretizedMorphism) -> np.ndarray:
     """Parallel transport over [0, 1] for hol' = hol . eta_hat: the
     path-ordered product of exp(du eta_hat) at each interval's midpoint,
-    with eta interpolated linearly there. Second order in du; each step is
-    a group element, so the product stays on the group up to rounding."""
+    with eta interpolated linearly there, each step by ``spec.exp``. Second
+    order in du; each step is a group element, so the product stays on the
+    group up to rounding."""
     if m.n != spec.n:
         raise ValueError("representation size mismatch")
-    mid = ps.midpoints(m.eta) / m.N
-    steps = expm(np.einsum("mj,jab->mab", mid, spec.basis))
+    steps = spec.exp(ps.midpoints(m.eta) / m.N)
     while len(steps) > 1:  # pairwise products keep the path order
         even = len(steps) // 2 * 2
         steps = np.concatenate([steps[0:even:2] @ steps[1:even:2], steps[even:]])
@@ -305,7 +369,7 @@ def from_groupoid(spec: LieAlgebraSpec, xi, g, N: int = ps.DEFAULT_GRID,
                   tapered: bool = False) -> ps.DiscretizedMorphism:
     """Geodesic representative of (xi, g): h(u) = exp(u log g), constant
     eta_hat = log g, X(u) = Ad_{h(u)}^T xi = exp(u ad_w)^T xi for
-    w = log g, since Ad exp = exp ad.
+    w = log g, since Ad exp = exp ad (``LieAlgebraSpec.transport``).
 
     With ``tapered`` the path is reparametrized by the quintic smoothstep
     u -> u^3 (10 - 15u + 6u^2) (``pathspace.taper``) so eta vanishes at
@@ -319,9 +383,7 @@ def from_groupoid(spec: LieAlgebraSpec, xi, g, N: int = ps.DEFAULT_GRID,
     comps = spec.components(spec.log(g))
     scale, rate = ps.taper(np.linspace(0.0, 1.0, N + 1), tapered)
     eta = np.outer(rate, comps)
-    ad = np.einsum("j,jim->mi", comps, spec.f)  # [w, e_i] = ad[m, i] e_m
-    X = xi @ expm(scale[:, None, None] * ad)
-    return ps.DiscretizedMorphism(n=spec.n, X=X, eta=eta)
+    return ps.DiscretizedMorphism(n=spec.n, X=spec.transport(xi, comps, scale), eta=eta)
 
 
 def coadjoint(spec: LieAlgebraSpec, g, xi) -> np.ndarray:

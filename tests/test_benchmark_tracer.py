@@ -2,7 +2,9 @@
 pins: the Poisson-structure constructors and evaluators, the class
 attributes ``PoissonStructure.alpha_at`` / ``dalpha_at`` (placeholders
 set to None) and the module attribute ``lie_dual.expm``. This checks that
-a traced run still resolves them and sees the poisson and expm calls."""
+a traced run still resolves them and sees the poisson and expm calls. No
+built-in spec reaches ``expm`` (``from_groupoid`` takes Rodrigues' closed
+form), so the traced operation calls ``ld.expm`` itself."""
 
 import json
 import os
@@ -33,6 +35,7 @@ t.begin_op(0)
 for s in structures:
     po.jacobi_residual(s, np.full(s.n, 0.5))
 ld.from_groupoid(spec, [0.1, 0.2, 0.3], g, N=8)
+ld.expm(spec.rho([0.1, 0.2, 0.3]))
 t.end_op()
 print(json.dumps(t.layer_metrics()))
 """

@@ -426,26 +426,33 @@ def test_too_short_paths_are_usage_errors(argv, tmp_path, capsys):
     assert report["kind"] == "usage" and "at least 3 nodes" in report["error"]
 
 
+def _huge_path(tmp_path, row):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"n": 3, "N": 2, "X": [[0.0, 0.0, 0.0]] * 3, "etaU": [row] * 3}))
+    return str(path)
+
+
 @pytest.mark.parametrize("spec", ["su2", "so3"])
-def test_lie_holonomy_overflow_is_a_numerical_error(spec, tmp_path, capsys):
-    # a valid morphism file whose holonomy the floats cannot hold
-    path = tmp_path / "huge.json"
-    path.write_text(json.dumps({"n": 3, "N": 2, "X": [[0.0, 0.0, 0.0]] * 3,
-                                "etaU": [[1e300, 0.0, 0.0]] * 3}))
-    code, out, err = run(["lie", "holonomy", "--spec", spec, "--in", str(path)], capsys)
-    assert code == 2 and out == ""
+@pytest.mark.parametrize("row", [[1e300, 0.0, 0.0], [1e300, 1e300, 0.0]])
+def test_lie_holonomy_of_a_huge_rotation_is_on_the_group(spec, row, tmp_path, capsys):
+    # the steps' closed form holds any finite rotation; the parent's expm
+    # overflowed at [1e300, 0, 0] and lost its accuracy at [1e300, 1e300, 0]
+    from psgroupoid import lie_dual as ld
+    data = run_json(["lie", "holonomy", "--spec", spec, "--in", _huge_path(tmp_path, row)], capsys)
+    hol = np.array(data["holonomy"]["matrix"])
+    assert np.all(np.isfinite(hol))
+    assert ld.builtin_spec(spec).group_membership_defect(hol) <= 1e-15
+
+
+def test_lie_holonomy_overflow_is_a_numerical_error(tmp_path, capsys):
+    # a valid morphism file whose holonomy the floats cannot hold: each
+    # heisenberg3 step has the entry w1 w2 / 2 = 1.25e599
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(["lie", "holonomy", "--spec", "heisenberg3", "--in",
+                              _huge_path(tmp_path, [1e300, 1e300, 0.0])], capsys)
+    assert code == 2 and out == "" and caught == []
     assert json.loads(err) == {"error": "matrix exponential overflows", "kind": "numerical"}
-
-
-def test_lie_holonomy_of_a_huge_rotation_is_a_numerical_error(tmp_path, capsys):
-    # no squaring overflows here, but the parent printed the zero matrix
-    path = tmp_path / "huge.json"
-    path.write_text(json.dumps({"n": 3, "N": 2, "X": [[0.0, 0.0, 0.0]] * 3,
-                                "etaU": [[1e300, 1e300, 0.0]] * 3}))
-    code, out, err = run(["lie", "holonomy", "--spec", "so3", "--in", str(path)], capsys)
-    assert code == 2 and out == ""
-    report = json.loads(err)
-    assert "loses its accuracy" in report["error"] and report["kind"] == "numerical"
 
 
 def test_flow_solve_overflow_is_a_numerical_error(capsys):
@@ -845,6 +852,7 @@ import contextlib, io, sys
 import psgroupoid.cli
 assert 'scipy' not in sys.modules and 'numpy.polynomial' not in sys.modules
 from psgroupoid import cli, lie_dual as ld
+assert 'mpmath' not in sys.modules
 for name in ("su2", "so3", "heisenberg3"):
     spec = ld.builtin_spec(name)
     g = ld.expm(spec.rho([0.3, -0.2, 0.5]))
@@ -855,7 +863,7 @@ with contextlib.redirect_stdout(io.StringIO()):
                   "--g", "0.36,0.48,-0.8,-0.8,0.6,0,0.48,0.64,0.6"],
                  ["lie", "holonomy", "--in", sys.argv[1]]):
         assert cli.main(argv) == 0
-sys.exit('scipy' in sys.modules)
+sys.exit('scipy' in sys.modules or 'mpmath' in sys.modules)
 """
 
 

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -221,6 +222,135 @@ def test_expm_keeps_large_rotations_on_the_group(name):
     spec = ld.builtin_spec(name)
     g = ld.expm(spec.rho([1e8, 0.0, 0.0]))
     assert spec.group_membership_defect(g) < 1e-6
+
+
+# zero, tiny, unit, near pi, near su2's antipode 2 pi, the bound of the
+# exact comparison, large and huge
+RADII = [0.0, 1e-9, 1.0, np.pi - 1e-6, 2.0 * np.pi - 1e-6, 10.0, 1e3, 1e6]
+
+
+def _mp_expm(a, xi=None):
+    """exp(a), or the row xi exp(a), by mpmath at 50 digits, rounded to
+    floats: a reference independent of the package's formulas."""
+    with mpmath.workdps(50):
+        e = mpmath.expm(mpmath.matrix(a.tolist()))
+        if xi is not None:
+            e = mpmath.matrix([list(xi)]) * e
+        return np.array(e.tolist(), dtype=float)
+
+
+def _sphere_stack(rng, count, radius):
+    w = rng.standard_normal((count, 3))
+    return w * (radius / np.linalg.norm(w, axis=1))[:, None]
+
+
+def _reference_tol(radius, ref):
+    # a few ulps of the result's size up to |w| = 10; past that, the ulp of
+    # |w| that hypot may lose turns the angle by |w| ulps
+    return (2e-15 if radius <= 10.0 else 4.0 * np.finfo(float).eps * radius) * max(1.0, np.max(np.abs(ref)))
+
+
+@pytest.mark.parametrize("radius", RADII)
+@pytest.mark.parametrize("name", SPECS)
+def test_exp_matches_mpmath(name, radius):
+    spec = ld.builtin_spec(name)
+    w = _sphere_stack(np.random.default_rng(20), 3, radius)
+    ref = np.array([_mp_expm(spec.rho(x)) for x in w])
+    got = spec.exp(w)
+    assert got.shape == ref.shape
+    assert np.max(np.abs(got - ref)) <= _reference_tol(radius, ref)
+    if radius == 0.0:
+        assert np.array_equal(got, ref)
+
+
+@pytest.mark.parametrize("radius", RADII)
+@pytest.mark.parametrize("name", SPECS)
+def test_transport_matches_mpmath(name, radius):
+    spec = ld.builtin_spec(name)
+    rng = np.random.default_rng(21)
+    s = np.linspace(0.0, 1.0, 5)
+    for w in _sphere_stack(rng, 2, radius):
+        xi = rng.standard_normal(3)
+        ad = np.einsum("j,jim->mi", w, spec.f)  # [w, e_i] = ad[m, i] e_m
+        ref = np.array([_mp_expm(t * ad, xi)[0] for t in s])
+        assert np.max(np.abs(spec.transport(xi, w, s) - ref)) <= _reference_tol(radius, ref)
+
+
+@pytest.mark.parametrize("tapered", [False, True])
+@pytest.mark.parametrize("name", SPECS)
+def test_from_groupoid_matches_mpmath(name, tapered):
+    # X at 7 nodes against xi exp(scale(u) ad_w), w = log g
+    spec = ld.builtin_spec(name)
+    rng = np.random.default_rng(22)
+    xi, g = rng.standard_normal(3), spec.exp(rng.standard_normal(3))
+    m = ld.from_groupoid(spec, xi, g, N=6, tapered=tapered)
+    ad = np.einsum("j,jim->mi", spec.components(spec.log(g)), spec.f)
+    scale = ps.taper(np.linspace(0.0, 1.0, 7), tapered)[0]
+    ref = np.array([_mp_expm(t * ad, xi)[0] for t in scale])
+    assert np.max(np.abs(m.X - ref)) <= 2e-15 * max(1.0, np.max(np.abs(ref)))
+
+
+@pytest.mark.parametrize("name", ["su2", "so3"])
+def test_exp_stays_on_the_group_for_huge_rotations(name):
+    spec = ld.builtin_spec(name)
+    rng = np.random.default_rng(23)
+    w = np.concatenate([_sphere_stack(rng, 20, r) for r in (1e10, 1e100, 1e200, 5e299, 1e300)])
+    g = spec.exp(w)
+    assert max(spec.group_membership_defect(x) for x in g) <= 1e-15
+    xi = np.array([0.3, -0.2, 0.5])
+    for x in w[::10]:  # the transport keeps the Casimir |X|
+        radii = np.linalg.norm(spec.transport(xi, x, np.linspace(0.0, 1.0, 5)), axis=1)
+        assert np.max(np.abs(radii - np.linalg.norm(xi))) <= 1e-15
+
+
+def test_exp_of_a_huge_nilpotent_is_exact_or_overflows():
+    heis = ld.builtin_spec("heisenberg3")
+    assert np.array_equal(heis.exp(np.diag([1e300] * 3)), np.eye(3) + 1e300 * heis.basis)
+    with pytest.raises(ex.NumericalError, match="^matrix exponential overflows$"):
+        heis.exp([1e300, 1e300, 0.0])  # the entry w1 w2 / 2 = 5e599
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("name", SPECS)
+def test_exp_and_transport_reject_non_finite_input(name, bad):
+    spec = ld.builtin_spec(name)
+    with pytest.raises(ValueError, match="non-finite"):
+        spec.exp([[0.1, 0.2, 0.3], [bad, 0.0, 0.0]])
+    with pytest.raises(ValueError, match="non-finite"):
+        spec.transport([1.0, 0.0, 0.0], [0.0, bad, 0.0], [0.0, 1.0])
+
+
+def test_builtin_specs_never_reach_expm(monkeypatch):
+    def refuse(_):
+        raise AssertionError("a built-in spec reached expm")
+
+    monkeypatch.setattr(ld, "expm", refuse)
+    xi = np.array([0.1, 0.2, 0.3])
+    for name in SPECS:
+        spec = ld.builtin_spec(name)
+        g = spec.exp([0.3, -0.2, 0.5])
+        back = ld.to_groupoid(spec, ld.from_groupoid(spec, xi, g, N=50))
+        assert np.max(np.abs(back.g - g)) <= 1e-10 and np.max(np.abs(back.xi - xi)) == 0.0
+        hol = ld.holonomy(spec, ld.from_groupoid(spec, xi, g, N=50, tapered=True))
+        assert np.max(np.abs(hol - g)) <= 1e-3
+
+
+def test_a_spec_without_a_closed_form_takes_expm(monkeypatch):
+    so3 = ld.builtin_spec("so3")
+    plain = ld.LieAlgebraSpec(n=3, f=so3.f, basis=so3.basis, project=so3.project,
+                              log=so3.log, name="so3")
+    assert plain.rodrigues is None
+    calls, expm_ = [], ld.expm
+    monkeypatch.setattr(ld, "expm", lambda a: calls.append(a.shape) or expm_(a))
+    rng = np.random.default_rng(24)
+    for _ in range(3):
+        xi, w = (v / np.linalg.norm(v) for v in rng.standard_normal((2, 3)))
+        g = so3.exp(w)
+        m = ld.from_groupoid(so3, xi, g, N=500)
+        assert np.max(np.abs(ld.from_groupoid(plain, xi, g, N=500).X - m.X)) <= 1e-15
+        assert np.max(np.abs(ld.holonomy(plain, m) - ld.holonomy(so3, m))) <= 1e-15
+        assert np.max(np.abs(plain.exp(w) - g)) <= 1e-15
+    assert calls == [(501, 3, 3), (500, 3, 3), (3, 3)] * 3
 
 
 @pytest.mark.parametrize("name", SPECS)

@@ -16,7 +16,9 @@ exponential that overflows, a ``flow solve`` trajectory that overflows).
 JSON output prints each float in the shortest form that reads back to
 the same double; errors go to standard error as a JSON object. Each
 command imports only the model modules it runs (``pathspace`` only for
-``flow`` and ``lie``), and builds the parser of its own group only."""
+``flow`` and ``lie``, ``groupoid2d`` only for ``g2d`` and ``flow
+invariants`` on ``phi2d:``, numpy only where it handles arrays, so not
+for ``expr``), and builds the parser of its own group only."""
 
 from __future__ import annotations
 
@@ -25,8 +27,6 @@ import json
 import math
 import os
 import sys
-
-import numpy as np
 
 from . import expr as ex
 
@@ -52,6 +52,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _plain(value):
     """numpy arrays and scalars as the Python values json writes."""
+    import numpy as np
     if isinstance(value, (np.ndarray, np.generic)):
         return value.tolist()
     raise TypeError(f"cannot serialize {type(value)!r}")
@@ -79,6 +80,7 @@ def _write(text, stream):
 # Argument helpers
 
 def _floats(text, count=None):
+    import numpy as np
     try:
         vals = [float(v) for v in text.split(",")]
     except ValueError:
@@ -104,7 +106,7 @@ def _ranged(convert, kind, valid, need):
 
 
 _seed = _ranged(int, "an integer", lambda v: v >= 0, "expected a seed of at least 0")
-_tol = _ranged(float, "a number", lambda v: 0.0 <= v < np.inf, "expected a finite tolerance of at least 0")
+_tol = _ranged(float, "a number", lambda v: 0.0 <= v < math.inf, "expected a finite tolerance of at least 0")
 
 
 def _add_grid(q):
@@ -122,9 +124,9 @@ def _parse_structure(token):
         spec = ld.builtin_spec(token)
         return ld.kk_structure(spec), "lie", spec
     if token.startswith("phi2d:"):
-        from . import groupoid2d as g2
-        phi = g2.Phi2D.parse(token[len("phi2d:"):])
-        return phi.structure(), "phi2d", phi
+        from .poisson import two_domain
+        phi = ex.parse(token[len("phi2d:"):], ["x1", "x2"])
+        return two_domain(phi), "phi2d", phi
     if token.startswith("radial:"):
         from .poisson import rot_invariant3
         f = ex.parse(token[len("radial:"):], ["R"])
@@ -169,6 +171,7 @@ def _save_morphism(path, m):
 
 
 def _group_element(spec, text):
+    import numpy as np
     from . import lie_dual as ld
     vals = _floats(text)
     if spec.name == "su2" and len(vals) == 4:
@@ -188,6 +191,7 @@ def _group_element(spec, text):
 
 
 def _group_json(spec, g):
+    import numpy as np
     from . import lie_dual as ld
     out = {"matrix": np.asarray(g)}
     if spec.name == "su2":
@@ -297,6 +301,7 @@ def _morphism_report(m, out_path, extra=None) -> dict:
 
 
 def _run_flow(args) -> int:
+    import numpy as np
     from . import pathspace as ps
     if args.op == "concat":
         glued = ps.concatenate(_load_morphism(args.infile),
@@ -331,10 +336,13 @@ def _run_flow(args) -> int:
 
     # invariants
     m = _load_morphism(args.infile)
+    if kind == "phi2d":  # the Phi2D's own structure, so both residual checks share its compiled contraction
+        from . import groupoid2d as g2
+        payload = g2.Phi2D(payload)
+        s = payload.structure()
     residual, passed = ps.check_solution(s, m, args.tol)
     report = {"residual": residual}
     if kind == "phi2d":
-        from . import groupoid2d as g2
         pt = g2.invariants(payload, m, residual_tol=np.inf)
         report["x"] = pt.x
         report["pi"] = pt.pi
@@ -382,6 +390,7 @@ def _add_lie(ops):
 
 
 def _run_lie(args) -> int:
+    import numpy as np
     from . import lie_dual as ld
     from . import pathspace as ps
     spec = ld.builtin_spec(args.spec)

@@ -4,7 +4,10 @@ compiles an expression, or several that share subexpressions, into one
 straight-line Python function of plain arithmetic, and runs it on
 numbers and on numpy arrays (``evaluate``), or as the body of a loop on
 floats (``Program.loop``); its form on interval enclosures
-(``evaluate_interval``) compiles on first use.
+(``evaluate_interval``) compiles on first use. The module imports numpy
+once, where an array or an interval box first reaches it or a float
+``exp`` or ``log`` is first evaluated (``_numpy``): parsing,
+differentiation and every other evaluation on numbers run without it.
 
 Grammar (whitespace insignificant)::
 
@@ -24,8 +27,6 @@ import functools
 import math
 import re
 import sys
-
-import numpy as np
 
 __all__ = [
     "Expr", "Const", "Var", "Neg", "Add", "Sub", "Mul", "Div", "Pow", "Call",
@@ -250,8 +251,20 @@ def parse(source: str, variables) -> Expr:
 # ---------------------------------------------------------------------------
 # Evaluation: one compiler, three kinds of value
 
-_NUMBERS = frozenset({float, int, np.float64})
+# the classes of number a Program takes as a float; binding numpy adds np.float64
+_NUMBERS = {float, int}
 _NOT_FINITE = "value overflows or is not finite"
+np = None  # numpy, once _numpy has bound it
+
+
+def _numpy():
+    """numpy, imported and bound to ``np`` on first use, with np.float64
+    one of the NUMBERS from then on in every Program's namespaces."""
+    global np
+    import numpy
+    _NUMBERS.add(numpy.float64)
+    np = numpy
+    return numpy
 
 
 def evaluate(e, point: dict):
@@ -267,7 +280,8 @@ def evaluate(e, point: dict):
     exponent has base 0, no log has an argument <= 0 and no sqrt one
     < 0 (0^0 is 1), and ``point`` binds every variable. Otherwise
     DomainError. An array raises exactly when one of its elements would as
-    a number, with that element's message, and a Program when a root would."""
+    a number, with that element's message, and a Program when a root would.
+    An np.float64 counts as a number."""
     program = getattr(e, "_program", None) or Program(e)
     try:
         value = program.numbers(point)
@@ -292,6 +306,8 @@ def evaluate_interval(e, box: dict):
     gives (-inf, inf). A box that leaves the domain of ``log`` or
     ``sqrt`` gives NaN bounds, and NaN propagates through every later
     node, so such an enclosure never excludes any value."""
+    if np is None:
+        _numpy()
     program = getattr(e, "_program", None) or Program(e)
     shape = _broadcast_shape([b for pair in box.values() for b in pair])
     values = _run(program.intervals, box)
@@ -343,8 +359,8 @@ class Program:
                 raise TypeError(f"not an Expr node: {e!r}")
             if key not in names:
                 name = names[key] = ("c" if isinstance(e, Const) else "s") + str(len(names))
-                if isinstance(e, Const):
-                    constants[name] = e.value
+                if isinstance(e, Const):  # a float, so numbers stay floats
+                    constants[name] = float(e.value)
                 elif isinstance(e, Var):  # a number as a float, anything else through VAR
                     variables[e.name] = name
                     lines.append(([f"{name} = {key}", f"if {name}.__class__ is not float: {name} = "
@@ -379,6 +395,8 @@ class Program:
     @property
     def intervals(self):
         if self._intervals is None:  # compiled on first use
+            if np is None:
+                _numpy()
             bounds = {name: (np.asarray(v), np.asarray(v)) for name, v in self._constants.items()}
             _, self._intervals = _define("p", self._body(True), _ON_INTERVALS, **bounds)
         return self._intervals
@@ -407,6 +425,8 @@ class Program:
     def on_arrays(self, point):
         """``arrays`` at ``point``, the roots checked to be finite in one pass
         and each that is a number given the broadcast shape of the point."""
+        if np is None:
+            _numpy()
         values = _run(self.arrays, point)
         _require(np.isfinite(values if self.single else np.concatenate(values, None)), _NOT_FINITE)
         roots, shape = [values] if self.single else values, None
@@ -455,6 +475,12 @@ class _Arrays(Exception):
 
 
 def _raise_arrays(v):
+    """VAR on numbers: before numpy is bound, an np.float64 as a float;
+    else _Arrays."""
+    if np is None:
+        _numpy()
+        if v.__class__ in _NUMBERS:
+            return float(v)
     raise _Arrays
 
 
@@ -491,7 +517,7 @@ def substitute(e: Expr, values: dict) -> Expr:
 
 
 def _finite(x):
-    return x - x == 0.0 if x.__class__ is float else np.isfinite(x)
+    return x - x == 0.0 if x.__class__ is float else (np or _numpy()).isfinite(x)
 
 
 def _require(ok, message):
@@ -544,18 +570,21 @@ _ARGUMENT_DOMAINS = {  # function -> (test of the argument, message)
 # on a float, numpy's exp and log, whose bits an array gets, where math's differ in the last;
 # above log(max float), np.exp overflows, with a warning
 _EXP_MAX = math.log(sys.float_info.max)
-_ON_FLOAT = {"exp": lambda x: math.inf if x > _EXP_MAX else float(np.exp(x)),
-             "log": lambda x: float(np.log(x))}
+_ON_FLOAT = {"exp": lambda x: math.inf if x > _EXP_MAX else float((np or _numpy()).exp(x)),
+             "log": lambda x: float((np or _numpy()).log(x))}
 
 
 def _function(name):
-    scalar, vector = _ON_FLOAT.get(name, getattr(math, name)), getattr(np, name)
+    scalar, vector = _ON_FLOAT.get(name, getattr(math, name)), None  # numpy's, on first use
     test, message = _ARGUMENT_DOMAINS.get(name, (None, None))
 
     def run(x):
+        nonlocal vector
         if test is not None:
             _require(test(x), message)
-        if x.__class__ is not float:
+        if x.__class__ is not float:  # an array, or a numpy number a loop was given
+            if vector is None:
+                vector = getattr(np or _numpy(), name)
             return vector(x)  # sin(inf) is nan, which the root check rejects
         try:
             return scalar(x)
@@ -570,7 +599,7 @@ _ON_ARRAYS = dict(_OPERATIONS, VAR=lambda v: np.asarray(v, dtype=float))
 # in a loop, x / inf, log(nan) and sqrt(nan) give NaN where evaluate raises, and it reaches the
 # state; math.log raises at x <= 0, where np.log would warn
 _ON_FLOATS = dict(_ON_NUMBERS, DIV=lambda a, b: a / b if b - b == 0.0 else math.nan,
-                  log=lambda x: float(np.log(x)) if x > 0.0 else math.log(x), sqrt=math.sqrt)
+                  log=lambda x: float((np or _numpy()).log(x)) if x > 0.0 else math.log(x), sqrt=math.sqrt)
 
 
 # The operations of a Program's source on intervals, (lo, hi) pairs

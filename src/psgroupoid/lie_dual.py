@@ -347,13 +347,17 @@ def holonomy(spec: LieAlgebraSpec, m: ps.DiscretizedMorphism) -> np.ndarray:
     path-ordered product of exp(du eta_hat) at each interval's midpoint,
     with eta interpolated linearly there, each step by ``spec.exp``. Second
     order in du; each step is a group element, so the product stays on the
-    group up to rounding."""
+    group up to rounding; ``ex.NumericalError`` where the product overflows
+    (a non-finite entry of a partial product stays in every later one)."""
     if m.n != spec.n:
         raise ValueError("representation size mismatch")
     steps = spec.exp(ps.midpoints(m.eta) / m.N)
-    while len(steps) > 1:  # pairwise products keep the path order
-        even = len(steps) // 2 * 2
-        steps = np.concatenate([steps[0:even:2] @ steps[1:even:2], steps[even:]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        while len(steps) > 1:  # pairwise products keep the path order
+            even = len(steps) // 2 * 2
+            steps = np.concatenate([steps[0:even:2] @ steps[1:even:2], steps[even:]])
+    if not np.all(np.isfinite(steps[0])):
+        raise ex.NumericalError("holonomy overflows")
     return steps[0]
 
 

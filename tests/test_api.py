@@ -48,20 +48,27 @@ print(json.dumps({"root": root, "code": code, "loaded": sorted(sys.modules)}))
 """
 
 
+EXPR_LEAVES_OUT = ["psgroupoid.groupoid2d", "psgroupoid.lie_dual", "psgroupoid.radial3d",
+                   "psgroupoid.pathspace", "psgroupoid.poisson", "dataclasses", "numpy"]
+
+
 @pytest.mark.parametrize("argv, left_out", [
-    (["expr", "eval", "--expr", "1"],
-     ["psgroupoid.groupoid2d", "psgroupoid.lie_dual", "psgroupoid.radial3d", "psgroupoid.pathspace",
-      "psgroupoid.poisson", "dataclasses"]),
+    (["expr", "eval", "--expr", "sin(x1)+2", "--vars=x1=0.5"], EXPR_LEAVES_OUT),
+    (["expr", "diff", "--expr", "2*x1^2*x2 + sin(3*x1)", "--var", "x1"], EXPR_LEAVES_OUT),
     (["g2d", "member", "--phi", "x1*x2", "--x", "1,1", "--pi", "0.5,0.25"],
      ["psgroupoid.pathspace", "psgroupoid.poisson", "psgroupoid.lie_dual", "psgroupoid.radial3d",
       "dataclasses"]),
     (["lie", "mul", "--xi", "1,2,3", "--g", "1,0,0,0", "--g2", "1,0,0,0"],
      ["psgroupoid.groupoid2d", "psgroupoid.radial3d"]),
-], ids=["expr", "g2d", "lie"])
+    (["flow", "solve", "--structure", "phi2d:x1*x2", "--x0", "1,1", "--eta", "0.5;0.25"],
+     ["psgroupoid.groupoid2d", "psgroupoid.lie_dual", "psgroupoid.radial3d"]),
+], ids=["expr", "expr-diff", "g2d", "lie", "flow-phi2d"])
 def test_a_command_imports_only_its_model(argv, left_out):
     # in a fresh interpreter: the root holds only __version__ and dunder
     # names, and the command loads none of the other models, nor path
-    # space where it runs no path; an expression or a 2D groupoid needs no dataclasses
+    # space where it runs no path; an expression or a 2D groupoid needs no
+    # dataclasses, an expression on numbers no numpy, and a path of a 2D
+    # structure no groupoid2d
     src = str(Path(ps.__file__).resolve().parents[1])
     proc = subprocess.run([sys.executable, "-c", IMPORTS_OF_A_COMMAND, *argv],
                           env=dict(os.environ, PYTHONPATH=src),

@@ -433,10 +433,11 @@ def _huge_path(tmp_path, row):
 
 
 @pytest.mark.parametrize("spec", ["su2", "so3"])
-@pytest.mark.parametrize("row", [[1e300, 0.0, 0.0], [1e300, 1e300, 0.0]])
+@pytest.mark.parametrize("row", [[1e300, 0.0, 0.0], [1e300, 1e300, 0.0], [1.7e308, 0.0, 0.0]])
 def test_lie_holonomy_of_a_huge_rotation_is_on_the_group(spec, row, tmp_path, capsys):
-    # the steps' closed form holds any finite rotation; the parent's expm
-    # overflowed at [1e300, 0, 0] and lost its accuracy at [1e300, 1e300, 0]
+    # the steps' closed form holds any finite rotation; a general expm
+    # overflowed at [1e300, 0, 0] and lost its accuracy at [1e300, 1e300, 0],
+    # and midpoints that added two nodes before halving overflowed at 1.7e308
     from psgroupoid import lie_dual as ld
     data = run_json(["lie", "holonomy", "--spec", spec, "--in", _huge_path(tmp_path, row)], capsys)
     hol = np.array(data["holonomy"]["matrix"])
@@ -453,6 +454,19 @@ def test_lie_holonomy_overflow_is_a_numerical_error(tmp_path, capsys):
                               _huge_path(tmp_path, [1e300, 1e300, 0.0])], capsys)
     assert code == 2 and out == "" and caught == []
     assert json.loads(err) == {"error": "matrix exponential overflows", "kind": "numerical"}
+
+
+def test_a_holonomy_whose_product_overflows_is_a_numerical_error(tmp_path, capsys):
+    # each heisenberg3 step is finite (one of w1, w2 is 0 in each), but the
+    # product of the two has the entry 2.5e299^2, which the floats cannot hold
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"n": 3, "N": 2, "X": [[0.0, 0.0, 0.0]] * 3,
+                                "etaU": [[1e300, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 1e300, 0.0]]}))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(["lie", "holonomy", "--spec", "heisenberg3", "--in", str(path)], capsys)
+    assert code == 2 and out == "" and caught == []
+    assert json.loads(err) == {"error": "holonomy overflows", "kind": "numerical"}
 
 
 def test_flow_solve_overflow_is_a_numerical_error(capsys):

@@ -1,6 +1,11 @@
 import copy
+import json
 import math
+import os
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -270,6 +275,77 @@ def test_functions_have_the_same_bits_on_numbers_arrays_and_loops(src):
     assert np.array([ex.evaluate(e, {"x1": v}) for v in x.tolist()]).tobytes() == arrays
     loop = ex.Program([e]).loop(["x2"], [["x1"]])
     assert np.array(loop([0.0], [x.tolist()], {})).tobytes() == arrays
+
+
+def fresh(script, *args):
+    """What ``script`` prints as JSON, run with ``args`` in a fresh
+    interpreter that imports this package's source."""
+    src = str(Path(ex.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", script, *args], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+FIRST_EXP_OR_LOG = """
+import json, sys
+from psgroupoid import expr as ex
+loaded = ["numpy" in sys.modules]
+ex.evaluate(ex.parse("sin(x1) + cos(x1) * sqrt(x1) / x1^-3", ["x1"]), {"x1": 0.75})
+loaded.append("numpy" in sys.modules)
+e = ex.parse(sys.argv[1], ["x1"])
+value = ex.evaluate(e, {"x1": 0.75})
+loaded.append("numpy" in sys.modules)
+print(json.dumps({"loaded": loaded, "bits": [value.hex(), ex.Program([e]).loop(["x2"], [["x1"]])([0.0], [[0.75]], {})[0].hex()]}))
+"""
+
+
+@pytest.mark.parametrize("src", ["exp(x1)", "log(x1)"])
+def test_the_first_exp_or_log_of_a_number_loads_numpy_for_its_bits(src):
+    # every other function and operation on numbers runs without numpy
+    out = fresh(FIRST_EXP_OR_LOG, src)
+    assert out["loaded"] == [False, False, True]
+    array = ex.evaluate(ex.parse(src, VARS), {"x1": np.array([0.75])})[0]
+    assert out["bits"] == [float(array).hex()] * 2
+
+
+FLOAT64_INPUTS = """
+import json, sys
+from psgroupoid import expr as ex
+import numpy as np
+x1, x2 = ex.Var("x1"), ex.Var("x2")
+loop = ex.Program([ex.parse("sin(x1) + exp(x1) / x1", ["x1", "x2"])]).loop(["x2"], [["x1"]])
+out = {}
+for case in sys.argv[1:]:  # the first runs before the module has bound numpy
+    if case == "number":
+        value = ex.evaluate(ex.Mul(x1, ex.Const(3.0)), {"x1": np.float64(2.0)})
+        out[case] = [type(value).__name__, value]
+    elif case == "batch":
+        roots = ex.evaluate(ex.Program([x1, ex.Add(x1, x2)]), {"x1": np.float64(2.0), "x2": np.array([1.0, 2.0])})
+        out[case] = [[list(r.shape), r.tolist()] for r in roots]
+    else:  # a loop given numpy numbers computes on them
+        out[case] = [float(v).hex() for v in loop([0.0], [[np.float64(0.5)]], {})]
+print(json.dumps(out))
+"""
+
+
+@pytest.mark.parametrize("first", ["number", "batch", "loop"])
+def test_a_float64_input_is_a_number_before_and_after_numpy_is_bound(first):
+    # a float64 is a number: the float of it on numbers, and on arrays a
+    # root that depends only on it takes the batch's shape; a loop given
+    # numpy numbers computes on them
+    cases = [first, *(c for c in ("number", "batch", "loop") if c != first)]
+    ex.evaluate(ex.parse("x1", VARS), {"x1": np.zeros(1)})  # bound here
+    x1, x2 = ex.Var("x1"), ex.Var("x2")
+    number = ex.evaluate(ex.Mul(x1, ex.Const(3.0)), {"x1": np.float64(2.0)})
+    roots = ex.evaluate(ex.Program([x1, ex.Add(x1, x2)]), {"x1": np.float64(2.0), "x2": np.array([1.0, 2.0])})
+    loop = ex.Program([ex.parse("sin(x1) + exp(x1) / x1", VARS)]).loop(["x2"], [["x1"]])
+    want = {"number": ["float", 6.0], "batch": [[[2], [2.0, 2.0]], [[2], [3.0, 4.0]]],
+            "loop": [float(np.sin(0.5) + np.exp(0.5) / 0.5).hex()]}
+    assert [type(number).__name__, number] == want["number"]
+    assert [[list(r.shape), r.tolist()] for r in roots] == want["batch"]
+    assert [float(v).hex() for v in loop([0.0], [[np.float64(0.5)]], {})] == want["loop"]
+    assert fresh(FLOAT64_INPUTS, *cases) == want
 
 
 def test_a_loop_binds_one_column_per_variable():

@@ -131,6 +131,22 @@ def test_midpoints_are_the_mean_of_each_interval():
     assert np.array_equal(ps.midpoints(Y), [[0.5, 3.0], [2.0, 2.0]])
 
 
+def test_midpoints_have_the_bits_of_the_halved_sum():
+    # each node is halved before the two are added, exactly where the
+    # halves are normal: the bits of 0.5 * (Y[:-1] + Y[1:]), which
+    # path_integral and lie_dual.holonomy had, without its overflow
+    rng = np.random.default_rng(7)
+    for shape in [(3,), (101, 2), (401, 3), (9, 3, 3)]:
+        Y = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape)
+        assert ps.midpoints(Y).tobytes() == (0.5 * (Y[:-1] + Y[1:])).tobytes()
+
+
+def test_midpoints_of_nodes_near_the_largest_float_are_finite():
+    big = np.finfo(float).max
+    assert np.array_equal(ps.midpoints(np.array([[big, -big], [big, -big], [big, big]])),
+                          [[big, -big], [big, 0.0]])
+
+
 @pytest.mark.parametrize("N", [3, 4, 9])
 def test_cubic_midpoints_are_exact_on_cubics(N):
     u = np.linspace(0.0, 1.0, N + 1)

@@ -551,6 +551,12 @@ def invariants(p: Phi2D, m, residual_tol: float = 1e-4) -> GroupoidPoint2D:
     ``pathspace.require_solution`` at residual_tol."""
     from . import pathspace as ps
     ps.require_solution(p.structure(), m, residual_tol)
+    return _invariants(p, m)
+
+
+def _invariants(p: Phi2D, m) -> GroupoidPoint2D:
+    """``invariants`` of a path already checked to be a solution."""
+    from . import pathspace as ps
     g1, g2 = p.grad(m.X.T)
     T = g2 * m.eta[:, 0] - g1 * m.eta[:, 1]
     H = np.exp(ps.path_integral(T))

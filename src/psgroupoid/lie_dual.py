@@ -21,7 +21,7 @@ has vanishing Gauss residual and concatenation maps to (xi, g . h)."""
 from __future__ import annotations
 
 import functools
-import math
+import itertools
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -34,68 +34,16 @@ from .poisson import PoissonStructure, kirillov_kostant
 __all__ = [
     "LieAlgebraSpec", "LieGroupoidPoint", "builtin_spec",
     "kk_structure", "holonomy", "to_groupoid", "from_groupoid",
-    "coadjoint", "right_lie", "multiply_lie", "inverse_lie", "expm",
+    "coadjoint", "right_lie", "multiply_lie", "inverse_lie",
     "quat_to_matrix", "matrix_to_quat",
 ]
 
 RESIDUAL_TOL = 1e-5  # gate of ``to_groupoid`` and of ``lie roundtrip``
-
-
-EXPM_ORDER = 14   # largest Taylor degree: remainder under eps for norms up to EXPM_THETA
-EXPM_THETA = 0.5
-EXPM_CHECKED_HALVINGS = 30
-EXPM_DET_TOL = 1e-6
-
-
-def expm(a) -> np.ndarray:
-    """Exponential of a matrix or a stack (..., d, d): each matrix halved
-    s times to infinity norm <= EXPM_THETA, Taylor by Horner, squared s
-    times (Moler & Van Loan, SIAM Rev. 45, 2003). ``LieAlgebraSpec.exp``
-    and ``.transport`` call it for a spec without ``rodrigues``; no
-    built-in spec is one. The Taylor degree is the least whose remainder
-    bound at the stack's largest halved norm is that of EXPM_ORDER at
-    EXPM_THETA: 5 at the norms of holonomy steps.
-    The infinity norms are taken by d elementwise adds and maxima, the row
-    sums in ``np.sum``'s order (for d < 8, term by term): a reduction over
-    an axis of length d costs more than the rest of a small stack's call.
-    ``ex.NumericalError``, a ValueError, where a squaring overflows, and
-    where a matrix halved more than EXPM_CHECKED_HALVINGS times has
-    |log det exp A - tr A| > EXPM_DET_TOL:
-    each squaring doubles the rounding error, which can take the result
-    of a huge argument off the group (to 30 halvings, su2 and so3 stay
-    near 1e-7). Callers look ``expm`` up as a module attribute at call
-    time."""
-    a = np.asarray(a, dtype=float)
-    if not np.all(np.isfinite(a)):
-        raise ValueError("matrix exponential of a non-finite matrix")
-    rows = functools.reduce(np.add, np.moveaxis(np.abs(a), -1, 0))  # row sums
-    norm = functools.reduce(np.maximum, np.moveaxis(rows, -1, 0))
-    s = np.maximum(np.frexp(norm / EXPM_THETA)[1], 0)
-    scaled = np.ldexp(a, -s[..., None, None])
-    # the least degree m >= 1 whose remainder bound mu^(m+1) / (m+1)! at the
-    # largest scaled norm mu is at most that of EXPM_ORDER at EXPM_THETA
-    mu = np.max(np.ldexp(norm, -s), initial=0.0)
-    bound = EXPM_THETA ** (EXPM_ORDER + 1) / math.factorial(EXPM_ORDER + 1)
-    m = next((k for k in range(1, EXPM_ORDER) if mu ** (k + 1) / math.factorial(k + 1) <= bound), EXPM_ORDER)
-    eye = np.eye(a.shape[-1])
-    t = eye + scaled / m  # Horner from eye: scaled @ eye is scaled
-    for k in range(m - 1, 0, -1):
-        t = eye + (scaled @ t) / k
-    with np.errstate(over="ignore", invalid="ignore"):
-        for level in range(int(np.max(s, initial=0))):
-            t = np.where((s > level)[..., None, None], t @ t, t)
-    _finite(t)
-    checked = s > EXPM_CHECKED_HALVINGS
-    if np.any(checked):
-        sign, logdet = np.linalg.slogdet(t[checked])
-        departure = np.abs(logdet - np.trace(a[checked], axis1=-2, axis2=-1))
-        if np.any((sign <= 0) | ~(departure <= EXPM_DET_TOL)):
-            raise ex.NumericalError("matrix exponential loses its accuracy: argument too large")
-    return t
+expm = None  # perfbench/tracer.py wraps this name; the exponentials are LieAlgebraSpec.exp, .transport
 
 
 def _finite(t) -> np.ndarray:
-    """t, or ``ex.NumericalError`` where an exponential overflowed in it."""
+    """t, or ``ex.NumericalError`` where |w| or a closed-form exponential overflowed in it."""
     if not np.all(np.isfinite(t)):
         raise ex.NumericalError("matrix exponential overflows")
     return t
@@ -133,19 +81,20 @@ class LieAlgebraSpec:
     manifold and a group logarithm, principal away from angle pi; su2 and
     so3 give one at pi too (``_quat_log``, ``_so3_log``).
 
-    ``rodrigues`` = (c_rho, c_ad) states that K^3 = -theta^2 K with theta =
-    c_rho |w| for K = rho(w), and with theta = c_ad |w| for K = ad_w: then
-    ``exp`` and ``transport`` take Rodrigues' closed form (``_rodrigues``).
-    Every built-in spec gives it: su2 (1/2, 1), so3 (1, 1), heisenberg3
-    (0, 0). Without it (None) both take ``expm``."""
+    ``rodrigues`` = (c_rho, c_ad), required, states that K^3 = -theta^2 K
+    with theta = c_rho |w| for K = rho(w) and theta = c_ad |w| for K = ad_w,
+    so ``exp`` and ``transport`` take Rodrigues' closed form: su2 (1/2, 1),
+    so3 (1, 1), heisenberg3 (0, 0). Constants that leave a coefficient of
+    the cubic K(w)^3 + theta^2 K(w) in w nonzero raise ValueError; sl(2, R)
+    (H^3 = H) has none that pass."""
 
     n: int
     f: np.ndarray
     basis: np.ndarray  # (n, d, d)
     project: Callable[[np.ndarray], np.ndarray]
     log: Callable[[np.ndarray], np.ndarray]
+    rodrigues: tuple[float, float]
     name: str = "lie"
-    rodrigues: tuple[float, float] | None = None
     _basis_pinv: np.ndarray = field(init=False, repr=False)
     _kk_structure: PoissonStructure = field(init=False, repr=False)
 
@@ -154,6 +103,14 @@ class LieAlgebraSpec:
         basis = np.asarray(self.basis, dtype=float)
         object.__setattr__(self, "f", f)
         object.__setattr__(self, "basis", basis)
+        for k, c in zip((basis, f.transpose(0, 2, 1)), self.rodrigues, strict=True):  # rho, ad
+            # the coefficient of w_a w_b w_c in K(w)^3 + c^2 |w|^2 K(w), K(w) = w_a k[a]:
+            # the term [a, b, c] summed over the orderings of (a, b, c)
+            cube = (k[:, None, None] @ k[None, :, None] @ k
+                    + c * c * np.eye(self.n)[:, :, None, None, None] * k)
+            coefficients = sum(cube.transpose(*p, 3, 4) for p in itertools.permutations(range(3)))
+            if not np.max(np.abs(coefficients)) <= 1e-12 * np.max(np.abs(cube), initial=1.0):
+                raise ValueError(f"rodrigues {self.rodrigues} does not give K^3 = -theta^2 K for {self.name}")
         flat = basis.reshape(self.n, -1)
         object.__setattr__(self, "_basis_pinv", np.linalg.pinv(flat.T))
         object.__setattr__(self, "_kk_structure", kirillov_kostant(f, name=f"kk_{self.name}"))
@@ -170,8 +127,6 @@ class LieAlgebraSpec:
 
     def exp(self, w) -> np.ndarray:
         """Group elements exp rho(w) for stacked components w (..., n)."""
-        if self.rodrigues is None:
-            return expm(self.rho(w))
         u, a, h = _rodrigues(w, self.rodrigues[0])
         hk = self.rho(h[..., None] * u)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -179,12 +134,10 @@ class LieAlgebraSpec:
 
     def transport(self, xi, w, s) -> np.ndarray:
         """Rows xi exp(s_k ad_w) for a vector s, with [w, e_i] = ad_w[m, i]
-        e_m: the coadjoint transport of xi along exp(s rho(w)). With
-        ``rodrigues`` they are xi + a_k xi U + 2 h_k^2 xi U^2 for U = ad_u,
-        u = w / |w|, and no stack of matrices is formed."""
+        e_m: the coadjoint transport of xi along exp(s rho(w)). They are
+        xi + a_k xi U + 2 h_k^2 xi U^2 for U = ad_u, u = w / |w| (Rodrigues),
+        and no stack of matrices is formed."""
         xi, w, s = (np.asarray(x, dtype=float) for x in (xi, w, s))
-        if self.rodrigues is None:
-            return xi @ expm(s[:, None, None] * np.einsum("j,jim->mi", w, self.f))
         u, a, h = _rodrigues(w, self.rodrigues[1], s)
         ad = np.einsum("j,jim->mi", u, self.f)
         v = xi @ ad

@@ -107,13 +107,14 @@ def period(p: RadialProfile, R):
     return ex.evaluate(p.period_expr, {"R": R})
 
 
-def _bisect(e, lo, hi, tol=1e-10):
-    flo = ex.evaluate(e, {"R": lo})
+def _bisect(p: RadialProfile, k: int, lo, hi, tol=1e-10):
+    """A sign change of column k of ``p.columns`` (1: A', 4: A'') in [lo, hi]."""
+    flo = ex.evaluate(p.columns, {"R": lo})[k]
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if hi - lo <= tol:
             return mid
-        fm = ex.evaluate(e, {"R": mid})
+        fm = ex.evaluate(p.columns, {"R": mid})[k]
         if fm == 0.0:
             return mid
         if (flo < 0) != (fm < 0):
@@ -146,15 +147,15 @@ def analyze(p: RadialProfile, n_samples: int = 512) -> dict:
         if zero[k]:
             critical.append({"R": float(grid[k]), "kind": "zero"})
         else:
-            root = _bisect(p.darea, float(grid[k]), float(grid[k + 1]))
+            root = _bisect(p, 1, float(grid[k]), float(grid[k + 1]))
             critical.append({"R": float(root), "kind": "sign_change"})
     if nonconstant and zero[-1]:
         critical.append({"R": float(grid[-1]), "kind": "zero"})
     # degenerate zeros: A' touches zero without changing sign; locate
     # candidates as extrema of A' and keep those at plateau level
     for k in np.flatnonzero(search & ((d2[:-1] < 0) != (d2[1:] < 0))):
-        root = _bisect(p.d2area, float(grid[k]), float(grid[k + 1]))
-        if abs(ex.evaluate(p.darea, {"R": root})) <= 1e-12 * scale:
+        root = _bisect(p, 4, float(grid[k]), float(grid[k + 1]))
+        if abs(ex.evaluate(p.columns, {"R": root})[1]) <= 1e-12 * scale:
             if not any(abs(c["R"] - root) < 1e-6 for c in critical):
                 critical.append({"R": float(root), "kind": "degenerate"})
     critical.sort(key=lambda c: c["R"])

@@ -435,9 +435,10 @@ def _huge_path(tmp_path, row):
 @pytest.mark.parametrize("spec", ["su2", "so3"])
 @pytest.mark.parametrize("row", [[1e300, 0.0, 0.0], [1e300, 1e300, 0.0], [1.7e308, 0.0, 0.0]])
 def test_lie_holonomy_of_a_huge_rotation_is_on_the_group(spec, row, tmp_path, capsys):
-    # the steps' closed form holds any finite rotation; a general expm
-    # overflowed at [1e300, 0, 0] and lost its accuracy at [1e300, 1e300, 0],
-    # and midpoints that added two nodes before halving overflowed at 1.7e308
+    # the steps' closed form holds any finite rotation, where a Taylor expm
+    # with squarings overflows at [1e300, 0, 0] and loses its accuracy at
+    # [1e300, 1e300, 0], and midpoints that add two nodes before halving
+    # overflow at 1.7e308
     from psgroupoid import lie_dual as ld
     data = run_json(["lie", "holonomy", "--spec", spec, "--in", _huge_path(tmp_path, row)], capsys)
     hol = np.array(data["holonomy"]["matrix"])
@@ -611,6 +612,23 @@ def test_flow_invariants_scales_the_bound_with_the_speed(tmp_path, capsys, eta_o
     assert data["residual"] > 1e-4 and data["passed"] is (code == 0)
     if code == 0:
         assert np.allclose(data["x"], [2.0, 2.5], atol=1e-12)
+
+
+@pytest.mark.parametrize("eta_offset", [0.0, 0.01])
+def test_flow_invariants_forms_the_constraint_once(tmp_path, capsys, monkeypatch, eta_offset):
+    # the command checks the residual once; groupoid2d.invariants at
+    # tolerance inf would form the constraint a second time
+    m = _glued_x1x2_path()
+    path = tmp_path / "m.json"
+    path.write_text(ps.DiscretizedMorphism(n=2, X=m.X, eta=m.eta + eta_offset).to_json())
+    calls, constraint = [], ps._constraint
+    monkeypatch.setattr(ps, "_constraint", lambda s, m: calls.append(m.N) or constraint(s, m))
+    code, out, _ = run(["flow", "invariants", "--structure", "phi2d:x1*x2", "--in", str(path)], capsys)
+    assert calls == [2000] and code == (0 if eta_offset == 0.0 else 1)
+    data = json.loads(out)
+    pt = g2.invariants(g2.Phi2D(ex.parse("x1*x2", ["x1", "x2"])), ps.DiscretizedMorphism.from_json(
+        path.read_text()), residual_tol=np.inf)
+    assert data["x"] == pt.x.tolist() and data["pi"] == pt.pi.tolist()
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -869,7 +887,7 @@ from psgroupoid import cli, lie_dual as ld
 assert 'mpmath' not in sys.modules
 for name in ("su2", "so3", "heisenberg3"):
     spec = ld.builtin_spec(name)
-    g = ld.expm(spec.rho([0.3, -0.2, 0.5]))
+    g = spec.exp([0.3, -0.2, 0.5])
     ld.to_groupoid(spec, ld.from_groupoid(spec, [0.1, 0.2, 0.3], g, N=50))
     ld.holonomy(spec, ld.from_groupoid(spec, [0.1, 0.2, 0.3], g, N=50, tapered=True))
 with contextlib.redirect_stdout(io.StringIO()):

@@ -1,5 +1,4 @@
 import dataclasses
-import math
 
 import mpmath
 import numpy as np
@@ -38,8 +37,8 @@ def test_convention_contract(name):
     spec, N = ld.builtin_spec(name), 600
     rng = np.random.default_rng(0)
     xi = rng.standard_normal(spec.n)
-    g1 = spec.project(ld.expm(spec.rho(0.7 * rng.standard_normal(spec.n))))
-    g2 = spec.project(ld.expm(spec.rho(0.7 * rng.standard_normal(spec.n))))
+    g1 = spec.project(spec.exp(0.7 * rng.standard_normal(spec.n)))
+    g2 = spec.project(spec.exp(0.7 * rng.standard_normal(spec.n)))
     m1 = ld.from_groupoid(spec, xi, g1, N=N, tapered=True)
     assert ps.gauss_residual(ld.kk_structure(spec), m1) < 1e-4
     m2 = ld.from_groupoid(spec, ld.right_lie(spec, ld.LieGroupoidPoint(xi, g1)),
@@ -115,115 +114,6 @@ def _ball_stack(rng, count, radius):
     return w * (radius * rng.uniform(0.0, 1.0, count) / np.linalg.norm(w, axis=1))[:, None]
 
 
-@pytest.mark.parametrize("name", SPECS)
-def test_expm_matches_scipy_on_stacks(name):
-    spec = ld.builtin_spec(name)
-    w = _ball_stack(np.random.default_rng(9), 200, np.pi)
-    rho = np.einsum("mj,jab->mab", w, spec.basis)
-    ad = np.einsum("pj,jim->pmi", w, spec.f)  # [w, e_i] = ad[m, i] e_m
-    for stack in (rho, ad, rho.reshape(4, 50, spec.d, spec.d)):
-        got = ld.expm(stack)
-        ref = np.reshape([expm(a) for a in stack.reshape(-1, *stack.shape[-2:])], stack.shape)
-        assert got.shape == stack.shape
-        assert np.max(np.abs(got - ref)) <= 1e-14
-    assert np.max(np.abs(ld.expm(rho[7]) - expm(rho[7]))) <= 1e-14
-
-
-@pytest.mark.parametrize("name", SPECS)
-def test_expm_of_small_and_zero_stacks(name):
-    # a stack of norms up to about 4e-3, as in holonomy steps, needs no
-    # halving and takes degree 5; a zero stack takes degree 1 and still
-    # has the stack's shape
-    spec = ld.builtin_spec(name)
-    rho = np.einsum("mj,jab->mab", _ball_stack(np.random.default_rng(4), 50, 3e-3), spec.basis)
-    taylor = np.eye(spec.d)
-    for k in range(5, 0, -1):
-        taylor = np.eye(spec.d) + (rho @ taylor) / k
-    assert ld.expm(rho).tobytes() == taylor.tobytes()
-    assert np.max(np.abs(taylor - np.array([expm(a) for a in rho]))) <= 2.0 ** -52  # an ulp of 1
-    zero = np.zeros((2, 5, spec.d, spec.d))
-    assert np.array_equal(ld.expm(zero), np.broadcast_to(np.eye(spec.d), zero.shape))
-
-
-def _expm_by_reductions(a):
-    """``expm`` of a finite stack as written with reductions: the norms by
-    np.sum and np.max, Horner from eye, every squaring through np.where;
-    with its s and its degree."""
-    norm = np.max(np.sum(np.abs(a), -1), -1)
-    s = np.maximum(np.frexp(norm / ld.EXPM_THETA)[1], 0)
-    scaled = np.ldexp(a, -s[..., None, None])
-    mu = np.max(np.ldexp(norm, -s), initial=0.0)
-    bound = ld.EXPM_THETA ** (ld.EXPM_ORDER + 1) / math.factorial(ld.EXPM_ORDER + 1)
-    m = next((k for k in range(1, ld.EXPM_ORDER) if mu ** (k + 1) / math.factorial(k + 1) <= bound), ld.EXPM_ORDER)
-    t = eye = np.eye(a.shape[-1])
-    for k in range(m, 0, -1):
-        t = eye + (scaled @ t) / k
-    for level in range(int(np.max(s, initial=0))):
-        t = np.where((s > level)[..., None, None], t @ t, t)
-    return t, s, m
-
-
-@pytest.mark.parametrize("name", SPECS)
-def test_expm_of_halved_stacks_keeps_the_bits_of_the_reductions(name):
-    spec = ld.builtin_spec(name)
-    # the stack of from_groupoid: s up to 2, degree 14
-    ad = np.einsum("j,jim->mi", np.array([1.0, 0.5, 0.3]), spec.f)
-    geodesic = np.linspace(0, 1, 501)[:, None, None] * ad
-    t, s, m = _expm_by_reductions(geodesic)
-    assert s.max() == 2 and m == 14
-    assert ld.expm(geodesic).tobytes() == t.tobytes()
-    # mixed s, all of them halved: the first squarings square every matrix
-    w = np.random.default_rng(12).standard_normal((60, 3))
-    w *= (np.geomspace(1.0, 40.0, 60) / np.linalg.norm(w, axis=1))[:, None]
-    mixed = np.einsum("mj,jab->mab", w, spec.basis)
-    t, s, m = _expm_by_reductions(mixed)
-    assert s.min() > 0 and len(set(s.tolist())) >= 5
-    assert ld.expm(mixed).tobytes() == t.tobytes()
-
-
-@pytest.mark.parametrize("bad", [np.nan, np.inf])
-def test_expm_rejects_non_finite_input(bad):
-    a = np.zeros((2, 3, 3))
-    a[1, 0, 2] = bad
-    with pytest.raises(ValueError, match="non-finite"):
-        ld.expm(a)
-
-
-@pytest.mark.parametrize("name", SPECS)
-def test_expm_raises_where_squaring_overflows(name):
-    # exp(1e300 e_j) is exact and finite for the nilpotent heisenberg3
-    # basis; the N^2 / 2 term of exp(rho(1e300, 1e300, 1e300)) overflows
-    spec = ld.builtin_spec(name)
-    a = spec.rho(np.full(3, 1e300)) if name == "heisenberg3" else 1e300 * spec.basis
-    with pytest.raises(ValueError, match="matrix exponential overflows"):
-        ld.expm(a)
-
-
-def test_expm_of_a_huge_nilpotent_is_exact():
-    basis = ld.builtin_spec("heisenberg3").basis
-    assert np.array_equal(ld.expm(1e300 * basis), np.eye(3) + 1e300 * basis)
-    assert np.linalg.det(ld.expm(1e300 * basis[0])) == 1.0
-
-
-@pytest.mark.parametrize("name, w", [("so3", [1e20, 0.0, 0.0]), ("su2", [1e17, 1e17, 0.0])])
-def test_expm_raises_where_rounding_swamps_a_huge_rotation(name, w):
-    # no squaring overflows, yet the ~60 squarings left det 0 for so3 and
-    # 1.6e34 for su2, where det exp A = exp tr A = 1
-    spec = ld.builtin_spec(name)
-    with pytest.raises(ValueError, match="loses its accuracy"):
-        ld.expm(spec.rho(w))
-    with pytest.raises(ValueError, match="loses its accuracy"):
-        ld.expm(np.stack([spec.rho([0.3, 0.2, 0.1]), spec.rho(w)]))
-
-
-@pytest.mark.parametrize("name", ["su2", "so3"])
-def test_expm_keeps_large_rotations_on_the_group(name):
-    # 1e8 needs 28 or 29 halvings, under the determinant check's threshold
-    spec = ld.builtin_spec(name)
-    g = ld.expm(spec.rho([1e8, 0.0, 0.0]))
-    assert spec.group_membership_defect(g) < 1e-6
-
-
 # zero, tiny, unit, near pi, near su2's antipode 2 pi, the bound of the
 # exact comparison, large and huge
 RADII = [0.0, 1e-9, 1.0, np.pi - 1e-6, 2.0 * np.pi - 1e-6, 10.0, 1e3, 1e6]
@@ -276,6 +166,40 @@ def test_transport_matches_mpmath(name, radius):
         assert np.max(np.abs(spec.transport(xi, w, s) - ref)) <= _reference_tol(radius, ref)
 
 
+@pytest.mark.parametrize("name", SPECS)
+def test_exp_matches_scipy_on_stacks(name):
+    # stacked w of any leading shape give stacked group elements; the
+    # transport agrees with xi expm(s ad_w) along the same stack
+    spec = ld.builtin_spec(name)
+    rng = np.random.default_rng(9)
+    w = _ball_stack(rng, 200, np.pi)
+    for stack in (w, w.reshape(4, 50, 3)):
+        got = spec.exp(stack)
+        ref = np.reshape([expm(spec.rho(x)) for x in stack.reshape(-1, 3)], (*stack.shape[:-1], spec.d, spec.d))
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) <= 1e-14
+    assert np.max(np.abs(spec.exp(w[7]) - expm(spec.rho(w[7])))) <= 1e-14
+    s, xi = np.linspace(0.0, 1.0, 5), rng.standard_normal(3)
+    for x in w[:20]:
+        ad = np.einsum("j,jim->mi", x, spec.f)  # [w, e_i] = ad[m, i] e_m
+        ref = np.array([xi @ expm(t * ad) for t in s])
+        assert np.max(np.abs(spec.transport(xi, x, s) - ref)) <= 1e-14
+
+
+@pytest.mark.parametrize("name", SPECS)
+def test_exp_of_small_and_zero_stacks(name):
+    # norms up to about 4e-3, as in holonomy steps, are within an ulp of 1
+    # of the reference; a zero stack gives the identity exactly, in the
+    # stack's shape, and a zero w transports xi to itself exactly
+    spec = ld.builtin_spec(name)
+    w = _ball_stack(np.random.default_rng(4), 50, 3e-3)
+    assert np.max(np.abs(spec.exp(w) - np.array([expm(spec.rho(x)) for x in w]))) <= 2.0 ** -52
+    zero = np.zeros((2, 5, 3))
+    assert np.array_equal(spec.exp(zero), np.broadcast_to(np.eye(spec.d), (2, 5, spec.d, spec.d)))
+    xi = np.array([0.3, -0.2, 0.5])
+    assert np.array_equal(spec.transport(xi, zero[0, 0], np.linspace(0.0, 1.0, 4)), np.tile(xi, (4, 1)))
+
+
 @pytest.mark.parametrize("tapered", [False, True])
 @pytest.mark.parametrize("name", SPECS)
 def test_from_groupoid_matches_mpmath(name, tapered):
@@ -320,44 +244,46 @@ def test_exp_and_transport_reject_non_finite_input(name, bad):
         spec.transport([1.0, 0.0, 0.0], [0.0, bad, 0.0], [0.0, 1.0])
 
 
-def test_builtin_specs_never_reach_expm(monkeypatch):
-    def refuse(_):
-        raise AssertionError("a built-in spec reached expm")
-
-    monkeypatch.setattr(ld, "expm", refuse)
-    xi = np.array([0.1, 0.2, 0.3])
-    for name in SPECS:
-        spec = ld.builtin_spec(name)
-        g = spec.exp([0.3, -0.2, 0.5])
-        back = ld.to_groupoid(spec, ld.from_groupoid(spec, xi, g, N=50))
-        assert np.max(np.abs(back.g - g)) <= 1e-10 and np.max(np.abs(back.xi - xi)) == 0.0
-        hol = ld.holonomy(spec, ld.from_groupoid(spec, xi, g, N=50, tapered=True))
-        assert np.max(np.abs(hol - g)) <= 1e-3
+def test_the_package_has_no_general_exponential():
+    assert ld.expm is None and "expm" not in ld.__all__
 
 
-def test_a_spec_without_a_closed_form_takes_expm(monkeypatch):
+@pytest.mark.parametrize("name, constants", [("su2", (0.5, 1.0)), ("so3", (1.0, 1.0)), ("heisenberg3", (0.0, 0.0))])
+def test_builtin_specs_pass_the_rodrigues_check(name, constants):
+    assert ld.builtin_spec(name).rodrigues == constants
+
+
+def test_a_spec_must_state_its_rodrigues_constants():
     so3 = ld.builtin_spec("so3")
-    plain = ld.LieAlgebraSpec(n=3, f=so3.f, basis=so3.basis, project=so3.project,
-                              log=so3.log, name="so3")
-    assert plain.rodrigues is None
-    calls, expm_ = [], ld.expm
-    monkeypatch.setattr(ld, "expm", lambda a: calls.append(a.shape) or expm_(a))
-    rng = np.random.default_rng(24)
-    for _ in range(3):
-        xi, w = (v / np.linalg.norm(v) for v in rng.standard_normal((2, 3)))
-        g = so3.exp(w)
-        m = ld.from_groupoid(so3, xi, g, N=500)
-        assert np.max(np.abs(ld.from_groupoid(plain, xi, g, N=500).X - m.X)) <= 1e-15
-        assert np.max(np.abs(ld.holonomy(plain, m) - ld.holonomy(so3, m))) <= 1e-15
-        assert np.max(np.abs(plain.exp(w) - g)) <= 1e-15
-    assert calls == [(501, 3, 3), (500, 3, 3), (3, 3)] * 3
+    with pytest.raises(TypeError, match="rodrigues"):
+        ld.LieAlgebraSpec(n=3, f=so3.f, basis=so3.basis, project=so3.project, log=so3.log)
+
+
+@pytest.mark.parametrize("constants", [(0.5, 1.0), (1.0, 0.5), (1.0, np.nan), (1.0,)])
+def test_wrong_rodrigues_constants_are_refused(constants):
+    so3 = ld.builtin_spec("so3")
+    with pytest.raises(ValueError):
+        ld.LieAlgebraSpec(n=3, f=so3.f, basis=so3.basis, project=so3.project,
+                          log=so3.log, rodrigues=constants)
+
+
+@pytest.mark.parametrize("constants", [(0.0, 0.0), (1.0, 1.0), (1.0, 2.0), (2.0, 1.0)])
+def test_sl2r_has_no_rodrigues_constants(constants):
+    # H = diag(1, -1), E, F: H^3 = H, so K^3 = -theta^2 K fails for every real c
+    basis = np.array([[[1.0, 0.0], [0.0, -1.0]], [[0.0, 1.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]])
+    f = np.zeros((3, 3, 3))
+    for i, j, k, v in ((0, 1, 1, 2.0), (0, 2, 2, -2.0), (1, 2, 0, 1.0)):  # [H,E]=2E, [H,F]=-2F, [E,F]=H
+        f[i, j, k], f[j, i, k] = v, -v
+    spec = dict(n=3, f=f, basis=basis, project=lambda m: m, log=lambda m: m)
+    with pytest.raises(ValueError, match="does not give K\\^3 = -theta\\^2 K"):
+        ld.LieAlgebraSpec(**spec, rodrigues=constants)
 
 
 @pytest.mark.parametrize("name", SPECS)
 def test_log_inverts_expm(name):
     spec = ld.builtin_spec(name)
     for w in _ball_stack(np.random.default_rng(10), 50, 3.0):
-        back = spec.components(spec.log(ld.expm(spec.rho(w))))
+        back = spec.components(spec.log(spec.exp(w)))
         assert np.max(np.abs(back - w)) < 1e-12
 
 
@@ -372,8 +298,8 @@ def test_log_is_uniform_up_to_and_at_the_antipode(name):
     for d in (1e-1, 1e-3, 1e-5, 1e-7, 1e-9, 0.0):
         axes = rng.standard_normal((200, 3))
         axes /= np.linalg.norm(axes, axis=1, keepdims=True)
-        g = ld.expm(np.einsum("mj,jab->mab", length * (np.pi - d) * axes, spec.basis))
-        worst = max(worst, max(np.max(np.abs(ld.expm(spec.log(gi)) - gi)) for gi in g))
+        g = spec.exp(length * (np.pi - d) * axes)
+        worst = max(worst, max(np.max(np.abs(spec.exp(spec.components(spec.log(gi))) - gi)) for gi in g))
     assert worst <= 4e-15
 
 
@@ -483,7 +409,7 @@ def test_multiply_lie_rejects_a_nan_xi(su2):
 
 
 def test_from_groupoid_rejects_a_nan_group_element():
-    # the NaN used to pass the membership check and fail later, in expm
+    # the NaN used to pass the membership check and fail later, in the exponential
     heis = ld.builtin_spec("heisenberg3")
     g = np.eye(3)
     g[0, 2] = np.nan

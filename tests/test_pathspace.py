@@ -764,7 +764,7 @@ def _gauge_flow_by_doubling(s, m, beta, s_total):
 def test_gauge_flow_keeps_the_bits_of_its_doubling_loop_and_evaluates_the_start_once(name, monkeypatch):
     if name == "su2":
         spec = ld.builtin_spec(name)
-        g = ld.expm(spec.rho([0.4, 0.1, -0.3]))
+        g = spec.exp([0.4, 0.1, -0.3])
         s, m = ld.kk_structure(spec), ld.from_groupoid(spec, [0.3, -0.2, 0.5], g, N=400)
         beta = ps.GaugeField.parse(["0.3*u*(1-u)*x2", "0.2*u*(1-u)*x3", "0.1*sin(3.141592653589793*u)"], 3)
     else:

@@ -128,6 +128,17 @@ def test_analyze_reports_a_zero_on_the_grid_once(n_samples):
         assert point == {"R": 1.0, "kind": "zero"}
 
 
+def test_analyze_builds_no_program(monkeypatch):
+    # the bisections read A' and A'' from p.columns, which the profile has
+    # compiled: a fresh profile used to compile A' and A'' on first bisection
+    p = rad.RadialProfile.parse(CUBIC, 0.6, 1.4)
+    built, program = [], ex.Program
+    monkeypatch.setattr(ex, "Program", lambda *a: built.append(a) or program(*a))
+    rep = rad.analyze(p, 64)
+    assert {c["kind"] for c in rep["critical_points"]} == {"degenerate"}
+    assert built == []
+
+
 def test_decompose():
     v_r, v_t = rad.decompose([1.0, 1.0, 0.0], [0.0, 0.0, 2.0])
     assert v_r == 0.0
